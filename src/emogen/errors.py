@@ -19,6 +19,10 @@ class UnsupportedFormat(EmogenError):
     """SMF format 2 or SMPTE time division."""
 
 
+class MalformedEvent(EmogenError):
+    """Note event with a data byte >= 0x80, or a zero tempo."""
+
+
 # --- metrics ---
 
 class EmptyPiece(EmogenError):
@@ -87,6 +91,10 @@ class CheckpointCorrupt(EmogenError):
 
 class PredictorMissing(EmogenError):
     """VA loss requested without pretrained predictor weights."""
+
+
+class NonFiniteError(EmogenError):
+    """A training loss became NaN or infinite; the step is not applied."""
 
 
 class CatalogTooSmall(EmogenError):

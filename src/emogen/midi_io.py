@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MalformedHeader, TruncatedTrack, UnsupportedFormat
+from .errors import MalformedEvent, MalformedHeader, TruncatedTrack, UnsupportedFormat
 
 DEFAULT_TEMPO = 500_000  # microseconds per beat (120 BPM)
 
@@ -147,6 +147,8 @@ def _parse_track(data: bytes) -> _TrackResult:
             pos += length
             if meta_type == 0x51 and length == 3 and res.tempo is None:
                 res.tempo = int.from_bytes(payload, "big")
+                if res.tempo == 0:
+                    raise MalformedEvent("zero tempo")
             if meta_type == 0x2F:
                 break
             status = 0  # meta/sysex cancel running status
@@ -161,6 +163,8 @@ def _parse_track(data: bytes) -> _TrackResult:
                 raise TruncatedTrack("channel event truncated")
             d1, d2 = data[pos], data[pos + 1]
             pos += 2
+            if kind in (0x80, 0x90) and (d1 | d2) & 0x80:
+                raise MalformedEvent(f"note event data byte >= 0x80 at track byte {pos - 2}")
             if kind == 0x90 and d2 > 0:
                 if d1 in open_notes:  # later note-on truncates the open note
                     close(d1, tick)

@@ -249,9 +249,7 @@ class EmoModel(Module):
             return source
         if isinstance(source, (str, Path)):
             path = Path(source)
-            if path.suffix == ".emf":
-                return Tensor(read_feature_file(path))
-            if self.extractor is None:
+            if path.suffix == ".emf" or self.extractor is None:
                 return Tensor(read_feature_file(path))
             return self.extractor(Tensor(load_image(path, self.config.image_size)))
         arr = np.asarray(source, dtype=np.float64)

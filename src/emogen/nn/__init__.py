@@ -1,11 +1,11 @@
 """Numerical substrate: autodiff tensors, layers, Adam, gradient checks."""
 
-from .gradcheck import GradCheckReport, gradcheck, gradcheck_module
+from .gradcheck import GradCheckReport, gradcheck
 from .layers import (AttentionConfig, BatchNorm, Conv2d, Embedding, FeedForward,
                      LayerNorm, Linear, Module, MultiHeadAttention, avg_pool2d,
                      global_avg_pool, sinusoidal_positions)
 from .optim import Adam, Parameter, adam_step
-from .tensor import (Tensor, absolute, concat, exp, log, matmul, no_grad, relu,
+from .tensor import (Tensor, absolute, concat, log_softmax, matmul, no_grad, relu,
                      reshape, softmax, sqrt, take, tensor_mean, tensor_sum,
                      transpose)
 
@@ -13,7 +13,7 @@ __all__ = [
     "Adam", "AttentionConfig", "BatchNorm", "Conv2d", "Embedding", "FeedForward",
     "GradCheckReport", "LayerNorm", "Linear", "Module", "MultiHeadAttention",
     "Parameter", "Tensor", "absolute", "adam_step", "avg_pool2d", "concat",
-    "exp", "global_avg_pool", "gradcheck", "gradcheck_module", "log", "matmul",
+    "global_avg_pool", "gradcheck", "log_softmax", "matmul",
     "no_grad", "relu", "reshape", "sinusoidal_positions", "softmax", "sqrt", "take",
     "tensor_mean", "tensor_sum", "transpose",
 ]

@@ -70,11 +70,4 @@ def gradcheck(fn, leaves, h: float = 1e-5, tolerance: float = 1e-4,
     return report
 
 
-def gradcheck_module(module, fn, h: float = 1e-5, tolerance: float = 1e-4,
-                     max_coords_per_block: int | None = None) -> GradCheckReport:
-    """Gradcheck every parameter block of a Module against loss fn()."""
-    return gradcheck(fn, module.parameters(), h=h, tolerance=tolerance,
-                     max_coords_per_block=max_coords_per_block)
-
-
-__all__ = ["GradCheckReport", "gradcheck", "gradcheck_module"]
+__all__ = ["GradCheckReport", "gradcheck"]

@@ -60,9 +60,9 @@ class Tensor:
         return out
 
     def _accumulate(self, grad: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += grad
+        # Never add in place: the first gradient is kept as given and may be
+        # a view of an upstream gradient (or shared with a sibling operand).
+        self.grad = grad if self.grad is None else self.grad + grad
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -70,9 +70,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data)
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -214,28 +211,6 @@ def power(a, exponent: float) -> Tensor:
     return Tensor._result(data, (a,), backward)
 
 
-def exp(a) -> Tensor:
-    a = _as_tensor(a)
-    data = np.exp(a.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * data)
-
-    return Tensor._result(data, (a,), backward)
-
-
-def log(a) -> Tensor:
-    a = _as_tensor(a)
-    data = np.log(a.data)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad / a.data)
-
-    return Tensor._result(data, (a,), backward)
-
-
 def sqrt(a) -> Tensor:
     return power(a, 0.5)
 
@@ -362,11 +337,29 @@ def tensor_mean(a, axis=None, keepdims=False) -> Tensor:
     return tensor_sum(a, axis, keepdims) * (1.0 / count)
 
 
-# --- composite activations ---
+# --- normalized exponentials ---
 
 def softmax(a, axis: int = -1) -> Tensor:
     """Max-subtracted, numerically stable softmax along `axis`."""
     a = _as_tensor(a)
-    shifted = a + Tensor(-a.data.max(axis=axis, keepdims=True))
-    exps = exp(shifted)
-    return exps / tensor_sum(exps, axis=axis, keepdims=True)
+    data = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
+    data /= data.sum(axis=axis, keepdims=True)
+
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(data * (grad - (grad * data).sum(axis=axis, keepdims=True)))
+
+    return Tensor._result(data, (a,), backward)
+
+
+def log_softmax(a, axis: int = -1) -> Tensor:
+    """Log of softmax via max-shifted log-sum-exp; finite for any finite input."""
+    a = _as_tensor(a)
+    shifted = a.data - a.data.max(axis=axis, keepdims=True)
+    data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(grad - np.exp(data) * grad.sum(axis=axis, keepdims=True))
+
+    return Tensor._result(data, (a,), backward)

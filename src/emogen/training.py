@@ -11,17 +11,18 @@ relaxes the argmax to the expected token histogram so the gradient flows.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .errors import (CatalogTooSmall, ConfigError, PredictorMissing,
-                     ShapeMismatch)
+from .errors import (CatalogTooSmall, ConfigError, NonFiniteError,
+                     PredictorMissing, ShapeMismatch)
 from .model import EmoModel, VaPredictor, token_histogram
-from .nn import (Adam, Tensor, absolute, log, no_grad, reshape, softmax,
-                 tensor_mean, tensor_sum)
+from .nn import (Adam, Tensor, absolute, log_softmax, no_grad, reshape, softmax,
+                 take, tensor_mean, tensor_sum)
 from .tokenizer import PAD
 
 
@@ -77,22 +78,17 @@ class TrainSample:
 
 # --- losses ---
 
-def one_hot(ids, num_classes: int) -> np.ndarray:
-    ids = np.asarray(ids, dtype=np.int64)
-    out = np.zeros((ids.size, num_classes))
-    out[np.arange(ids.size), ids] = 1.0
-    return out
-
-
-def cce_loss(probs: Tensor, targets: np.ndarray, pad_mask: np.ndarray | None = None) -> Tensor:
+def cce_loss(logits: Tensor, target_ids, pad_mask: np.ndarray | None = None) -> Tensor:
     """Natural-log cross-entropy summed over positions; PAD positions skipped.
 
-    `targets` is one-hot (N, C); `pad_mask` is True where a position counts.
+    `logits` is (N, C), `target_ids` holds N class ids and `pad_mask` is
+    True where a position counts.
     """
-    if probs.shape != targets.shape:
-        raise ShapeMismatch(f"probs {probs.shape} vs targets {targets.shape}")
-    weights = targets if pad_mask is None else targets * pad_mask[:, None]
-    return -tensor_sum(Tensor(weights) * log(probs))
+    target_ids = np.asarray(target_ids, dtype=np.int64)
+    if logits.shape[:-1] != target_ids.shape:
+        raise ShapeMismatch(f"logits {logits.shape} vs targets {target_ids.shape}")
+    rows = np.arange(target_ids.size) if pad_mask is None else np.flatnonzero(pad_mask)
+    return -tensor_sum(take(log_softmax(logits, axis=-1), (rows, target_ids[rows])))
 
 
 def va_loss(true_ids, pred_probs: Tensor, predictor: VaPredictor,
@@ -162,7 +158,7 @@ def pretrain_va_predictor(samples: Sequence[tuple[Sequence[int], tuple[float, fl
         return float(np.abs(out - labels[idx]).mean())
 
     initial_mae = mae(train_idx)
-    for _ in range(epochs):
+    for epoch in range(1, epochs + 1):
         epoch_order = rng.permutation(train_idx)
         for start in range(0, len(epoch_order), batch_size):
             batch = epoch_order[start:start + batch_size]
@@ -171,6 +167,9 @@ def pretrain_va_predictor(samples: Sequence[tuple[Sequence[int], tuple[float, fl
             predictor.zero_grad()
             out = predictor(Tensor(hists[batch]), train=True)
             loss = tensor_mean(absolute(out - Tensor(labels[batch])))
+            if not math.isfinite(loss.item()):
+                raise NonFiniteError(f"epoch {epoch}, pieces {batch.tolist()}: "
+                                     f"non-finite MAE {loss.item()}")
             loss.backward()
             optimizer.step()
 
@@ -223,20 +222,23 @@ def fit(model: EmoModel, samples: Sequence[TrainSample], config: TrainConfig,
                 ids = np.asarray(sample.token_ids, dtype=np.int64)
                 prefix, targets = ids[:-1], ids[1:]
                 logits = model.forward_logits(sample.image, ids, prefix)
-                probs = softmax(logits, axis=-1)
                 keep = targets != PAD
-                cce = cce_loss(probs, one_hot(targets, model.vocab.total_size),
-                               pad_mask=keep)
-                if use_va and mode == "soft":
-                    va_term = va_loss(targets[keep], probs, predictor, mode="soft")
-                    objective = cce * weights.lambda_cc + va_term * weights.lambda_va
-                    va_value = va_term.item()
-                else:
-                    objective = cce * weights.lambda_cc
-                    va_value = (va_loss(targets[keep], probs, predictor, mode="hard")
-                                if use_va else 0.0)
-                objective.backward()
+                cce = cce_loss(logits, targets, pad_mask=keep)
+                objective = cce * weights.lambda_cc
+                va_value = 0.0
+                if use_va:
+                    probs = softmax(logits, axis=-1)
+                    if mode == "soft":
+                        va_term = va_loss(targets[keep], probs, predictor, mode="soft")
+                        objective = objective + va_term * weights.lambda_va
+                        va_value = va_term.item()
+                    else:
+                        va_value = va_loss(targets[keep], probs, predictor, mode="hard")
                 cc_value = cce.item()
+                if not math.isfinite(cc_value + va_value):
+                    raise NonFiniteError(f"epoch {epoch}, pair {sample.pair_id or index}: "
+                                         f"L_CC {cc_value}, L_VA {va_value}")
+                objective.backward()
                 sum_cc += cc_value
                 sum_va += va_value
                 sum_total += total_loss(cc_value, va_value, weights)

@@ -4,10 +4,12 @@ import json
 import numpy as np
 import pytest
 
+from emogen import cli
 from emogen.cli import main
 from emogen.metrics import evaluate_piece
 from emogen.midi_io import MidiPiece, NoteEvent, parse_midi, write_midi
-from emogen.model import IMAGE_FEATURE_DIM, load_va_predictor, write_feature_file
+from emogen.model import (IMAGE_FEATURE_DIM, EmoModel, load_va_predictor,
+                           write_feature_file)
 from emogen.pairing import load_manifest
 
 SMALL_MODEL = {"encoder_blocks": 1, "decoder_blocks": 1, "model_dim": 16,
@@ -140,6 +142,20 @@ class TestTrainGenerate:
         assert main(["train", "--config", str(bad),
                      "--out-dir", str(tmp_path / "out")]) == 1
 
+    def test_non_finite_loss_exit_2_without_checkpoint(self, workspace, tmp_path,
+                                                       monkeypatch, capsys):
+        class PoisonedModel(EmoModel):
+            def __init__(self, config):
+                super().__init__(config)
+                self.out_proj.bias.data[0] = np.nan
+
+        monkeypatch.setattr(cli, "EmoModel", PoisonedModel)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(workspace / "run.json"),
+                     "--out-dir", str(out)]) == 2
+        assert "NonFiniteError" in capsys.readouterr().err
+        assert not (out / "checkpoint.emc").exists()
+
 
 class TestPretrainVa:
     def test_pretrain_writes_loadable_predictor(self, workspace, tmp_path):
@@ -179,6 +195,21 @@ class TestMetrics:
             assert float(row["pitch_entropy"]) == pytest.approx(triple.pitch_entropy, abs=1e-6)
             assert float(row["music_quality_loss"]) == pytest.approx(loss, abs=1e-6)
         assert summary.read_text().startswith("| Model | Music_Quality_Loss |")
+
+    def test_corrupt_file_skipped(self, tmp_path, capsys):
+        midi_dir = tmp_path / "midis"
+        midi_dir.mkdir()
+        good = write_midi(_long_piece(np.random.default_rng(6)))
+        (midi_dir / "good.mid").write_bytes(good)
+        corrupt = bytearray(good)
+        corrupt[corrupt.index(bytes([0x90])) + 2] = 0xC0  # velocity byte >= 0x80
+        (midi_dir / "corrupt.mid").write_bytes(bytes(corrupt))
+        out = tmp_path / "metrics.csv"
+        assert main(["metrics", "--midi-dir", str(midi_dir), "--out", str(out)]) == 0
+        assert "corrupt.mid: MalformedEvent" in capsys.readouterr().err
+        with open(out) as fh:
+            assert [row["path"] for row in csv.DictReader(fh)] == \
+                [str(midi_dir / "good.mid"), "MEAN"]
 
     def test_empty_dir_exit_1(self, tmp_path):
         assert main(["metrics", "--midi-dir", str(tmp_path),

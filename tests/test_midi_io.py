@@ -2,8 +2,11 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from emogen.errors import MalformedHeader, TruncatedTrack, UnsupportedFormat
+from emogen.errors import (EmogenError, MalformedEvent, MalformedHeader,
+                           TruncatedTrack, UnsupportedFormat)
 from emogen.midi_io import (MidiPiece, NoteEvent, decode_vlq, encode_vlq,
                             parse_midi, to_piano_roll, write_midi)
 
@@ -124,6 +127,34 @@ class TestParse:
         data = _smf(bytes([0x00, 0xFF, 0x2F, 0x00]))
         with pytest.raises(TruncatedTrack):
             parse_midi(data[:-2])
+
+    @pytest.mark.parametrize("event", [[0x90, 0x80 | 60, 80], [0x90, 60, 0x80 | 80],
+                                       [0x80, 60, 0x90]])
+    def test_note_data_byte_over_127_rejected(self, event):
+        track = bytes([0x00, 0x90, 60, 80, 0x10, *event, 0x00, 0xFF, 0x2F, 0x00])
+        with pytest.raises(MalformedEvent):
+            parse_midi(_smf(track))
+
+    def test_zero_tempo_rejected(self):
+        track = bytes([0x00, 0xFF, 0x51, 0x03, 0, 0, 0, 0x00, 0xFF, 0x2F, 0x00])
+        with pytest.raises(MalformedEvent):
+            parse_midi(_smf(track))
+
+
+_FUZZ_BASE = write_midi(random_canonical_piece(np.random.default_rng(21), max_notes=40))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, len(_FUZZ_BASE) - 1), st.integers(0, 255)),
+                min_size=1, max_size=4))
+def test_mutated_bytes_raise_only_typed_errors(edits):
+    data = bytearray(_FUZZ_BASE)
+    for pos, value in edits:
+        data[pos] = value
+    try:
+        parse_midi(bytes(data))
+    except EmogenError:
+        pass
 
 
 class TestWrite:

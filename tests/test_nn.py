@@ -5,8 +5,9 @@ from emogen.errors import BatchTooSmall, ShapeMismatch
 from emogen.nn import (Adam, AttentionConfig, BatchNorm, Conv2d, Embedding,
                        FeedForward, LayerNorm, Linear, MultiHeadAttention,
                        Parameter, Tensor, avg_pool2d, concat, global_avg_pool,
-                       gradcheck, matmul, no_grad, relu, sinusoidal_positions,
-                       softmax, take, tensor_mean, tensor_sum, transpose)
+                       gradcheck, log_softmax, matmul, no_grad, relu,
+                       sinusoidal_positions, softmax, take, tensor_mean,
+                       tensor_sum, transpose)
 
 
 class TestTensorOps:
@@ -37,6 +38,16 @@ class TestTensorOps:
         a = softmax(Tensor(x)).data
         b = softmax(Tensor(x + 100.0)).data
         assert a == pytest.approx(b, abs=1e-12)
+
+    def test_log_softmax_matches_log_of_softmax(self):
+        x = np.random.default_rng(8).normal(size=(4, 6))
+        assert log_softmax(Tensor(x)).data == \
+            pytest.approx(np.log(softmax(Tensor(x)).data), abs=1e-12)
+
+    def test_softmax_and_log_softmax_are_single_nodes(self):
+        x = Tensor(np.ones((2, 3)), requires_grad=True)
+        for out in (softmax(x), log_softmax(x)):
+            assert out._parents == (x,)
 
     def test_broadcast_add_backward(self):
         a = Tensor(np.ones((3, 2)), requires_grad=True)
@@ -81,6 +92,13 @@ class TestGradcheckHarness:
             return tensor_sum(softmax(matmul(a, a), axis=-1) * relu(a))
 
         report = gradcheck(fn, [("a", a)])
+        assert report.passed and report.worst < 1e-6
+
+    def test_log_softmax_weighted_sum_passes(self):
+        rng = np.random.default_rng(12)
+        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(3, 4)))
+        report = gradcheck(lambda: tensor_sum(log_softmax(a, axis=0) * weights), [("a", a)])
         assert report.passed and report.worst < 1e-6
 
     def test_negative_control_detects_corruption(self):

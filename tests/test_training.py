@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from emogen.errors import (CatalogTooSmall, ConfigError, PredictorMissing,
-                           ShapeMismatch)
+from emogen.errors import (CatalogTooSmall, ConfigError, NonFiniteError,
+                           PredictorMissing, ShapeMismatch)
 from emogen.model import (IMAGE_FEATURE_DIM, EmoModel, VaPredictor,
                           token_histogram)
 from emogen.nn import Tensor, no_grad, softmax
 from emogen.tokenizer import BOS, EOS, PAD
 from emogen.training import (EpochStats, LossWeights, TrainConfig, TrainSample,
-                             cce_loss, fit, one_hot, pretrain_va_predictor,
+                             cce_loss, fit, pretrain_va_predictor,
                              total_loss, va_loss, write_loss_csv)
 
 from test_model import small_config
@@ -53,38 +53,43 @@ class TestConfigs:
 class TestCceLoss:
     def test_perfect_prediction_near_zero(self):
         targets = np.array([0, 2, 1])
-        probs = one_hot(targets, 3) * (1 - 1e-12) + 1e-12 / 3
-        assert cce_loss(Tensor(probs), one_hot(targets, 3)).item() == \
-            pytest.approx(0.0, abs=1e-9)
+        logits = 50.0 * np.eye(3)[targets]
+        assert cce_loss(Tensor(logits), targets).item() == pytest.approx(0.0, abs=1e-9)
 
     def test_uniform_prediction(self):
         n, c = 4, 5
-        probs = np.full((n, c), 1.0 / c)
-        targets = one_hot(np.zeros(n, dtype=int), c)
-        assert cce_loss(Tensor(probs), targets).item() == pytest.approx(n * np.log(c))
+        logits = np.zeros((n, c))
+        targets = np.zeros(n, dtype=int)
+        assert cce_loss(Tensor(logits), targets).item() == pytest.approx(n * np.log(c))
 
     def test_monotone_in_target_probability(self):
-        targets = one_hot(np.array([0]), 2)
-        losses = [cce_loss(Tensor(np.array([[p, 1 - p]])), targets).item()
+        targets = np.array([0])
+        losses = [cce_loss(Tensor(np.log([[p, 1 - p]])), targets).item()
                   for p in (0.2, 0.5, 0.9)]
         assert losses == sorted(losses, reverse=True)
 
     def test_pad_positions_skipped(self):
         targets = np.array([1, PAD])
-        probs = np.array([[0.1, 0.8, 0.1], [0.5, 0.2, 0.3]])
-        masked = cce_loss(Tensor(probs), one_hot(targets, 3),
-                          pad_mask=targets != PAD).item()
+        logits = np.log([[0.1, 0.8, 0.1], [0.5, 0.2, 0.3]])
+        masked = cce_loss(Tensor(logits), targets, pad_mask=targets != PAD).item()
         assert masked == pytest.approx(-np.log(0.8))
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            cce_loss(Tensor(np.ones((2, 3))), np.ones((3, 3)))
+            cce_loss(Tensor(np.ones((2, 3))), np.array([0, 1, 2]))
 
     def test_gradient_direction(self):
-        probs_in = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
-        probs = softmax(probs_in, axis=-1)
-        cce_loss(probs, one_hot(np.array([0]), 2)).backward()
-        assert probs_in.grad[0, 0] < 0 < probs_in.grad[0, 1]
+        logits = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        cce_loss(logits, np.array([0])).backward()
+        assert logits.grad[0, 0] < 0 < logits.grad[0, 1]
+
+    def test_large_logit_gap_stays_finite(self):
+        logits = Tensor(np.array([[0.0, 1000.0]]), requires_grad=True)
+        loss = cce_loss(logits, np.array([0]))
+        loss.backward()
+        assert loss.item() == pytest.approx(1000.0)
+        assert np.isfinite(logits.grad).all()
+        assert logits.grad == pytest.approx(np.array([[-1.0, 1.0]]))
 
 
 class TestTotalLoss:
@@ -118,7 +123,7 @@ class TestVaLoss:
     def test_hard_and_soft_agree_on_one_hot(self):
         predictor = self._predictor()
         true_ids = np.array([2, 4, 4, 7, 9])
-        probs = one_hot(true_ids, 12)
+        probs = np.eye(12)[true_ids]
         hard = va_loss(true_ids, Tensor(probs), predictor, mode="hard")
         soft = va_loss(true_ids, Tensor(probs), predictor, mode="soft")
         assert soft.item() == pytest.approx(hard, abs=1e-9)
@@ -168,6 +173,12 @@ class TestPretrain:
     def test_too_few_samples(self):
         with pytest.raises(CatalogTooSmall):
             pretrain_va_predictor([(np.array([1]), (5.0, 5.0))], 20)
+
+    def test_non_finite_mae_raises(self, rng):
+        samples = self._labeled(rng)
+        samples = [(ids, (np.nan, arousal)) for ids, (_, arousal) in samples]
+        with pytest.raises(NonFiniteError, match="epoch 1"):
+            pretrain_va_predictor(samples, 20, hidden=16, epochs=2, seed=0)
 
 
 class TestFit:
@@ -238,6 +249,17 @@ class TestFit:
         model, _, config = self._setup()
         with pytest.raises(CatalogTooSmall):
             fit(model, [], config)
+
+    @pytest.mark.parametrize("mode", ["off", "soft"])
+    def test_non_finite_loss_raises_before_step(self, mode):
+        model, samples, config = self._setup(epochs=1, va_loss_mode=mode)
+        predictor = VaPredictor(model.vocab.total_size, 8, np.random.default_rng(0))
+        model.out_proj.bias.data[3] = np.nan
+        before = [p.data.copy() for _, p in model.parameters()]
+        with pytest.raises(NonFiniteError, match=r"epoch 1, pair p[01]"):
+            fit(model, samples, config, predictor=predictor)
+        assert all(np.array_equal(p.data, old, equal_nan=True)
+                   for (_, p), old in zip(model.parameters(), before))
 
     def test_loss_csv_format(self, tmp_path):
         path = tmp_path / "loss.csv"
