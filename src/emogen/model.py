@@ -10,6 +10,7 @@ image/MIDI vector conditions the decoder as a prepended memory position.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -58,7 +59,10 @@ class ModelConfig:
             raise ConfigError("max_len must be >= 2")
         if self.image_size % 4 != 0:
             raise ConfigError("image_size must be divisible by 4 (two 2x2 pools)")
-        AttentionConfig(self.model_dim, self.head_count)  # validates divisibility
+        try:
+            AttentionConfig(self.model_dim, self.head_count)  # validates divisibility
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def vocabulary(self) -> Vocabulary:
         return Vocabulary(time_shift_bins=self.time_shift_bins,
@@ -66,10 +70,14 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ModelConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
+        known = {f.name: type(f.default) for f in fields(cls)}
+        unknown = set(data) - set(known)
         if unknown:
             raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            if type(value) is not known[key]:
+                raise ConfigError(f"model config {key!r} must be {known[key].__name__}, "
+                                  f"got {value!r}")
         return cls(**data)
 
 
@@ -160,9 +168,14 @@ class DecoderBlock(Module):
         self.ffn = FeedForward(cfg.model_dim, ff_dim, rng)
         self.norm2 = LayerNorm(cfg.model_dim)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        x = self.norm1(x + self.attn(x, x, x, causal=True))
-        return self.norm2(x + self.ffn(x))
+    def __call__(self, x: Tensor, last_only: bool = False) -> Tensor:
+        """All rows of `x`, or with `last_only` just the newest one as a (1, d) row.
+
+        The newest row attends to every key, so it needs no causal mask.
+        """
+        q = take(x, slice(-1, None)) if last_only else x
+        q = self.norm1(q + self.attn(q, x, x, causal=not last_only))
+        return self.norm2(q + self.ffn(q))
 
 
 class VaPredictor(Module):
@@ -198,10 +211,13 @@ class VaPredictor(Module):
 
     def load_state_extra(self, extra: dict) -> None:
         running = extra["running"]
-        self.bn1.running_mean = np.array(running["bn1_mean"], dtype=np.float64)
-        self.bn1.running_var = np.array(running["bn1_var"], dtype=np.float64)
-        self.bn2.running_mean = np.array(running["bn2_mean"], dtype=np.float64)
-        self.bn2.running_var = np.array(running["bn2_var"], dtype=np.float64)
+        stats = {key: np.array(running[key], dtype=np.float64)
+                 for key in ("bn1_mean", "bn1_var", "bn2_mean", "bn2_var")}
+        for key, value in stats.items():
+            if value.shape != (self.hidden,):
+                raise ValueError(f"{key} has shape {value.shape}, expected ({self.hidden},)")
+        self.bn1.running_mean, self.bn1.running_var = stats["bn1_mean"], stats["bn1_var"]
+        self.bn2.running_mean, self.bn2.running_var = stats["bn2_mean"], stats["bn2_var"]
 
 
 def token_histogram(ids, vocab_size: int) -> np.ndarray:
@@ -283,8 +299,12 @@ class EmoModel(Module):
         """Project the image feature and concatenate with the MIDI context."""
         return concat([self.img_proj(image_feature), midi_context], axis=0)  # (2d,)
 
-    def decode_logits(self, joint: Tensor, prefix_ids) -> Tensor:
-        """Per-position vocabulary logits for a prefix, conditioned on `joint`."""
+    def decode_logits(self, joint: Tensor, prefix_ids, last_only: bool = False) -> Tensor:
+        """Per-position vocabulary logits for a prefix, conditioned on `joint`.
+
+        With `last_only` the result is the (1, vocab) row of the newest
+        position: the top decoder block and the head run on that row alone.
+        """
         ids = self._check_ids(prefix_ids)
         n = ids.size
         if n == 0:
@@ -293,15 +313,19 @@ class EmoModel(Module):
             raise PrefixTooLong(f"prefix of {n} exceeds max_len {self.config.max_len}")
         d = self.config.model_dim
         memory = self.mem_proj(joint)  # (d,)
-        emb = self.embedding(ids) + Tensor(self.positions[1:n + 1])
         if self.decoder_stack:
+            emb = self.embedding(ids) + Tensor(self.positions[1:n + 1])
             x = concat([reshape(memory, (1, d)) + Tensor(self.positions[:1]), emb], axis=0)
-            for block in self.decoder_stack:
+            for block in self.decoder_stack[:-1]:
                 x = block(x)
-            x = take(x, slice(1, n + 1))
+            x = self.decoder_stack[-1](x, last_only=last_only)
+            if not last_only:
+                x = take(x, slice(1, n + 1))
         else:
+            start = n - 1 if last_only else 0
+            emb = self.embedding(ids[start:]) + Tensor(self.positions[start + 1:n + 1])
             x = self.dense_decoder(emb + reshape(memory, (1, d)))
-        return self.out_proj(x)  # (n, vocab)
+        return self.out_proj(x)  # (n, vocab), or (1, vocab) with last_only
 
     def forward_logits(self, image_source, full_ids, prefix_ids) -> Tensor:
         """Teacher-forcing forward: context from `full_ids`, logits over `prefix_ids`."""
@@ -316,19 +340,23 @@ class EmoModel(Module):
                  strategy: str = "greedy", temperature: float = 1.0,
                  seed: int = 0) -> TokenSequence:
         """Autoregressive decoding from BOS; greedy or seeded temperature sampling."""
-        limit = min(max_len or self.config.max_len, self.config.max_len)
+        if max_len is not None and max_len < 1:
+            raise ConfigError(f"max_len must be >= 1, got {max_len}")
+        limit = self.config.max_len if max_len is None else min(max_len, self.config.max_len)
         if strategy not in ("greedy", "temperature"):
-            raise ValueError(f"unknown strategy {strategy!r}")
-        if strategy == "temperature" and temperature <= 0:
-            raise ValueError("temperature must be positive")
+            raise ConfigError(f"unknown strategy {strategy!r}")
+        if strategy == "temperature" and not temperature > 0:
+            raise ConfigError(f"temperature must be positive, got {temperature}")
         rng = np.random.default_rng(seed)
         ids = [BOS]
         with no_grad():
-            feature = self.image_feature(image_source)
+            image = self.img_proj(self.image_feature(image_source))
             while len(ids) < limit:
+                # the context is re-encoded from the prefix, so memory slot 0
+                # changes every step and no decoder state can be cached
                 context = self.encode_midi(np.array(ids))
-                joint = self.merge(feature, context)
-                logits = self.decode_logits(joint, np.array(ids)).data[-1]
+                joint = concat([image, context], axis=0)  # as in `merge`
+                logits = self.decode_logits(joint, np.array(ids), last_only=True).data[0]
                 if strategy == "greedy":
                     next_id = int(np.argmax(logits))
                 else:
@@ -351,7 +379,13 @@ class EmoModel(Module):
         meta, blocks = load_checkpoint(path)
         if meta.get("kind") != "emomodel":
             raise CheckpointCorrupt(f"{path}: not a model checkpoint")
-        model = cls(ModelConfig.from_dict(meta["config"]))
+        config = meta.get("config")
+        if not isinstance(config, dict):
+            raise CheckpointCorrupt(f"{path}: metadata has no 'config' object")
+        try:
+            model = cls(ModelConfig.from_dict(config))
+        except ConfigError as exc:
+            raise CheckpointCorrupt(f"{path}: {exc}") from exc
         if meta.get("vocab_hash") != model.vocab.vocab_hash:
             raise VocabMismatch(f"{path}: vocabulary hash mismatch")
         _assign_blocks(model, blocks, path)
@@ -372,9 +406,16 @@ def load_va_predictor(path: str | Path, vocab_hash: str | None = None) -> VaPred
         raise CheckpointCorrupt(f"{path}: not a VA-predictor checkpoint")
     if vocab_hash is not None and meta.get("vocab_hash") != vocab_hash:
         raise VocabMismatch(f"{path}: vocabulary hash mismatch")
-    predictor = VaPredictor(meta["vocab_size"], meta["hidden"], np.random.default_rng(0))
+    sizes = [meta.get(key) for key in ("vocab_size", "hidden")]
+    if any(type(size) is not int or size < 1 for size in sizes):
+        raise CheckpointCorrupt(f"{path}: metadata 'vocab_size' and 'hidden' must be "
+                                f"positive integers, got {sizes}")
+    predictor = VaPredictor(*sizes, np.random.default_rng(0))
     _assign_blocks(predictor, blocks, path)
-    predictor.load_state_extra(meta["extra"])
+    try:
+        predictor.load_state_extra(meta["extra"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointCorrupt(f"{path}: bad running statistics in metadata: {exc!r}") from exc
     return predictor
 
 
@@ -392,8 +433,23 @@ def _assign_blocks(module: Module, blocks: dict[str, np.ndarray], path) -> None:
 # --- checkpoint container ---
 
 def save_checkpoint(path: str | Path, meta: dict, named_params) -> None:
-    """Versioned binary container: magic, JSON metadata, named LE blocks."""
+    """Versioned binary container: magic, JSON metadata, named LE blocks.
+
+    Written to a temporary file beside `path` and then renamed over it, so
+    a failure part-way leaves any earlier checkpoint at `path` untouched.
+    """
     payload = json.dumps(dict(meta, format_version=1), sort_keys=True).encode()
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        _write_checkpoint(tmp, payload, named_params)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_checkpoint(path: Path, payload: bytes, named_params) -> None:
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(payload)))
@@ -443,6 +499,6 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             blocks[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     except (struct.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointCorrupt(f"{path}: {exc}") from exc
-    if meta.get("format_version") != 1:
+    if not isinstance(meta, dict) or meta.get("format_version") != 1:
         raise CheckpointCorrupt(f"{path}: unsupported format version")
     return meta, blocks

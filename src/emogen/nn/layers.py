@@ -151,12 +151,11 @@ class MultiHeadAttention(Module):
         vh = split_heads(self.wv(v), tk)
 
         scores = matmul(qh, transpose(kh, (0, 2, 1))) * (1.0 / np.sqrt(cfg.head_dim))
-        mask = np.zeros((tq, tk))
-        if causal:
-            mask += np.triu(np.full((tq, tk), MASK_VALUE), k=1)
-        if key_mask is not None:
-            mask += np.where(np.asarray(key_mask, dtype=bool), 0.0, MASK_VALUE)[None, :]
-        if mask.any():
+        mask = np.triu(np.full((tq, tk), MASK_VALUE), k=1) if causal else None
+        if key_mask is not None and not np.all(key_mask):
+            keys = np.where(np.asarray(key_mask, dtype=bool), 0.0, MASK_VALUE)
+            mask = keys if mask is None else mask + keys
+        if mask is not None:
             scores = scores + mask
         weights = softmax(scores, axis=-1)
         heads = matmul(weights, vh)  # (H, Tq, head_dim)

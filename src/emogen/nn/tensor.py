@@ -218,7 +218,7 @@ def sqrt(a) -> Tensor:
 def relu(a) -> Tensor:
     a = _as_tensor(a)
     mask = a.data > 0
-    data = np.where(mask, a.data, 0.0)
+    data = np.maximum(a.data, 0.0)  # unlike a mask, lets NaN through
 
     def backward(grad):
         if a.requires_grad:

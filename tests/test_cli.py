@@ -8,8 +8,8 @@ from emogen import cli
 from emogen.cli import main
 from emogen.metrics import evaluate_piece
 from emogen.midi_io import MidiPiece, NoteEvent, parse_midi, write_midi
-from emogen.model import (IMAGE_FEATURE_DIM, EmoModel, load_va_predictor,
-                           write_feature_file)
+from emogen.model import (IMAGE_FEATURE_DIM, EmoModel, ModelConfig,
+                           load_va_predictor, save_checkpoint, write_feature_file)
 from emogen.pairing import load_manifest
 
 SMALL_MODEL = {"encoder_blocks": 1, "decoder_blocks": 1, "model_dim": 16,
@@ -125,6 +125,23 @@ class TestTrainGenerate:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
         parse_midi(outs[0])  # generated file is a valid SMF
+
+    def test_generate_zero_temperature_exit_1(self, workspace, run_dir, tmp_path, capsys):
+        assert main(["generate", "--image", str(workspace / "img0.emf"),
+                     "--checkpoint", str(run_dir / "checkpoint.emc"),
+                     "--out", str(tmp_path / "a.mid"), "--strategy", "temperature",
+                     "--temperature", "0"]) == 1
+        assert "ConfigError" in capsys.readouterr().err
+        assert not (tmp_path / "a.mid").exists()
+
+    def test_generate_corrupt_metadata_exit_2(self, workspace, tmp_path, capsys):
+        model = EmoModel(ModelConfig.from_dict(SMALL_MODEL))
+        checkpoint = tmp_path / "model.emc"
+        save_checkpoint(checkpoint, {"kind": "emomodel", "vocab_hash": model.vocab.vocab_hash},
+                        model.parameters())
+        assert main(["generate", "--image", str(workspace / "img0.emf"),
+                     "--checkpoint", str(checkpoint), "--out", str(tmp_path / "a.mid")]) == 2
+        assert "CheckpointCorrupt" in capsys.readouterr().err
 
     def test_unknown_config_key_exit_1(self, workspace, tmp_path):
         payload = json.loads((workspace / "run.json").read_text())

@@ -8,7 +8,7 @@ from emogen.model import (IMAGE_FEATURE_DIM, EmoModel, ModelConfig,
                           load_va_predictor, read_feature_file,
                           save_checkpoint, save_va_predictor, token_histogram,
                           write_feature_file)
-from emogen.nn import Tensor, softmax
+from emogen.nn import Tensor, no_grad, softmax
 from emogen.tokenizer import BOS, EOS, PAD, decode
 
 
@@ -178,12 +178,65 @@ class TestGenerate:
             assert 0 <= note.pitch < 128
 
     def test_unknown_strategy(self, model, feature):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             model.generate(feature, strategy="beam")
 
     def test_bad_temperature(self, model, feature):
-        with pytest.raises(ValueError):
-            model.generate(feature, strategy="temperature", temperature=0.0)
+        for temperature in (0.0, -1.0, float("nan")):
+            with pytest.raises(ConfigError):
+                model.generate(feature, strategy="temperature", temperature=temperature)
+
+    def test_bad_max_len(self, model, feature):
+        for max_len in (0, -3):
+            with pytest.raises(ConfigError):
+                model.generate(feature, max_len=max_len)
+
+
+def reference_generate(model, feature, max_len, strategy="greedy",
+                       temperature=1.0, seed=0):
+    """Decoding loop that projects every row with full `decode_logits`."""
+    rng = np.random.default_rng(seed)
+    ids = [BOS]
+    with no_grad():
+        feat = model.image_feature(feature)
+        while len(ids) < max_len:
+            joint = model.merge(feat, model.encode_midi(np.array(ids)))
+            logits = model.decode_logits(joint, np.array(ids)).data[-1]
+            if strategy == "greedy":
+                next_id = int(np.argmax(logits))
+            else:
+                probs = softmax(Tensor(logits * (1.0 / temperature))).data
+                next_id = int(rng.choice(len(probs), p=probs / probs.sum()))
+            ids.append(next_id)
+            if next_id == EOS:
+                break
+    return tuple(ids)
+
+
+class TestLastRowDecoding:
+    @pytest.mark.parametrize("decoder_blocks", [0, 1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 17, 32])
+    def test_last_row_matches_full_decode(self, decoder_blocks, n, feature):
+        model = EmoModel(small_config(decoder_blocks=decoder_blocks))
+        ids = np.random.default_rng(n).integers(0, model.vocab.total_size, size=n)
+        with no_grad():
+            joint = model.merge(model.image_feature(feature), model.encode_midi(ids))
+            full = model.decode_logits(joint, ids).data
+            last = model.decode_logits(joint, ids, last_only=True).data
+        assert full.shape == (n, model.vocab.total_size)
+        assert last.shape == (1, model.vocab.total_size)
+        # one row takes another BLAS path, so the last bits may differ
+        assert np.abs(last[0] - full[-1]).max() <= 1e-12 * np.abs(full[-1]).max()
+
+    @pytest.mark.parametrize("decoder_blocks", [0, 1, 3])
+    def test_generate_matches_full_decode_loop(self, decoder_blocks, feature):
+        model = EmoModel(small_config(decoder_blocks=decoder_blocks))
+        assert model.generate(feature, max_len=32).ids == \
+            reference_generate(model, feature, 32)
+        sampled = model.generate(feature, max_len=32, strategy="temperature",
+                                 temperature=1.3, seed=4)
+        assert sampled.ids == reference_generate(model, feature, 32, "temperature",
+                                                 temperature=1.3, seed=4)
 
 
 class TestVaPredictor:
@@ -259,6 +312,53 @@ class TestCheckpoints:
         save_va_predictor(path, predictor, vocab_hash="x")
         with pytest.raises(CheckpointCorrupt):
             EmoModel.load(path)
+
+    def test_missing_model_config(self, tmp_path):
+        model = EmoModel(small_config())
+        path = tmp_path / "model.emc"
+        save_checkpoint(path, {"kind": "emomodel", "vocab_hash": model.vocab.vocab_hash},
+                        model.parameters())
+        with pytest.raises(CheckpointCorrupt):
+            EmoModel.load(path)
+
+    def test_mistyped_model_config(self, tmp_path):
+        model = EmoModel(small_config())
+        path = tmp_path / "model.emc"
+        save_checkpoint(path, {"kind": "emomodel", "config": {"model_dim": "x"},
+                               "vocab_hash": model.vocab.vocab_hash}, model.parameters())
+        with pytest.raises(CheckpointCorrupt):
+            EmoModel.load(path)
+
+    @pytest.mark.parametrize("drop, replace", [
+        ("vocab_size", {}), ("hidden", {}), ("extra", {}),
+        (None, {"hidden": "8"}), (None, {"vocab_size": True}),
+        (None, {"extra": {"running": {"bn1_mean": [0.0]}}}),
+    ])
+    def test_bad_va_predictor_metadata(self, tmp_path, drop, replace):
+        predictor = VaPredictor(16, 8, np.random.default_rng(0))
+        meta = {"kind": "va_predictor", "vocab_hash": "x", "vocab_size": 16,
+                "hidden": 8, "extra": predictor.state_extra()}
+        meta.pop(drop, None)
+        meta.update(replace)
+        path = tmp_path / "va.emc"
+        save_checkpoint(path, meta, predictor.parameters())
+        with pytest.raises(CheckpointCorrupt):
+            load_va_predictor(path)
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
+        model = EmoModel(small_config())
+        path = tmp_path / "model.emc"
+        model.save(path)
+        before = path.read_bytes()
+
+        def failing_params():
+            yield model.parameters()[0]
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            save_checkpoint(path, {"kind": "emomodel"}, failing_params())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.emc"]
 
     def test_meta_survives(self, tmp_path):
         from emogen.nn import Parameter

@@ -70,6 +70,13 @@ class TestTensorOps:
         assert a.grad.tolist() == [0.0, 1.0]
         assert b.grad.tolist() == [2.0, 3.0, 4.0]
 
+    def test_relu_passes_nan_through(self):
+        a = Tensor(np.array([np.nan, -1.0, 0.0, 2.0]), requires_grad=True)
+        out = relu(a)
+        assert np.isnan(out.data[0]) and np.array_equal(out.data[1:], [0.0, 0.0, 2.0])
+        tensor_sum(out * Tensor(np.array([0.0, 1.0, 1.0, 1.0]))).backward()
+        assert np.array_equal(a.grad, [0.0, 0.0, 0.0, 1.0])
+
     def test_no_grad_suppresses_graph(self):
         a = Tensor(np.ones(3), requires_grad=True)
         with no_grad():
@@ -197,12 +204,33 @@ class TestLayers:
         mha = MultiHeadAttention(cfg, rng)
         x = rng.normal(size=(3, 8))
         mask = np.array([True, True, False])
-        base = mha(Tensor(x), Tensor(x), Tensor(x), key_mask=mask).data
-        v2 = x.copy()
-        v2[2] += 5.0
-        # the masked key gets exactly zero weight, so its value is inert
-        pert = mha(Tensor(x), Tensor(x), Tensor(v2), key_mask=mask).data
-        assert pert == pytest.approx(base, abs=1e-12)
+        kv2 = x.copy()
+        kv2[2] += 5.0
+        # the masked key gets exactly zero weight, so its key and value are inert
+        for causal in (False, True):
+            base = mha(Tensor(x), Tensor(x), Tensor(x), causal=causal, key_mask=mask).data
+            pert = mha(Tensor(x), Tensor(kv2), Tensor(kv2), causal=causal,
+                       key_mask=mask).data
+            assert np.array_equal(pert, base)
+
+    def test_attention_all_true_key_mask_is_no_mask(self):
+        rng = np.random.default_rng(17)
+        mha = MultiHeadAttention(AttentionConfig(model_dim=8, head_count=2), rng)
+        x = Tensor(rng.normal(size=(4, 8)))
+        for causal in (False, True):
+            assert np.array_equal(mha(x, x, x, causal=causal, key_mask=np.ones(4, bool)).data,
+                                  mha(x, x, x, causal=causal).data)
+
+    def test_attention_and_relu_gradchecks(self):
+        rng = np.random.default_rng(18)
+        mha = MultiHeadAttention(AttentionConfig(model_dim=8, head_count=2), rng)
+        x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(4, 8)))
+        mask = np.array([True, False, True, True])
+        report = gradcheck(
+            lambda: tensor_sum(relu(mha(x, x, x, causal=True, key_mask=mask)) * weights),
+            [("x", x)] + mha.parameters())
+        assert report.passed and report.worst < 1e-4, report.max_errors
 
     def test_attention_single_token(self):
         rng = np.random.default_rng(13)
