@@ -11,11 +11,11 @@ import csv
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 from . import metrics as metrics_mod
-from .config import RunConfig
+from .config import MetricConfig, RunConfig
 from .data import load_training_samples
 from .diagnostics import full_model_gradcheck, standard_gradchecks
 from .errors import (ConfigError, CountMismatch, EmogenError,
@@ -35,12 +35,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except VALIDATION_ERRORS as exc:
-        print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 1
     except EmogenError as exc:
         print(f"error [{type(exc).__name__}]: {exc}", file=sys.stderr)
-        return 2
+        return 1 if isinstance(exc, VALIDATION_ERRORS) else 2
     except OSError as exc:
         print(f"error [io]: {exc}", file=sys.stderr)
         return 2
@@ -172,9 +169,7 @@ def _train_one(run_cfg: RunConfig, out_dir: Path) -> EmoModel:
     model = EmoModel(run_cfg.model)
     samples = load_training_samples(run_cfg.data, run_cfg.model)
     predictor = None
-    needs_va = (run_cfg.train.va_loss_mode != "off"
-                and run_cfg.train.loss_weights.lambda_va > 0)
-    if needs_va:
+    if run_cfg.train.uses_va:
         if not run_cfg.data.va_predictor:
             raise MissingArtifacts("train.va_loss_mode needs data.va_predictor weights")
         predictor = load_va_predictor(run_cfg.data.va_predictor,
@@ -197,16 +192,8 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _metric_row(path: Path, steps_per_beat: int, steps_per_measure: int,
-                denominator: str):
-    piece = parse_midi(path.read_bytes())
-    triple, loss = metrics_mod.evaluate_piece(
-        piece, steps_per_beat=steps_per_beat, steps_per_measure=steps_per_measure,
-        polyphony_denominator=denominator)
-    return triple, loss
-
-
 def cmd_metrics(args) -> int:
+    cfg = MetricConfig(args.steps_per_beat, args.steps_per_measure, args.polyphony_denominator)
     midi_dir = Path(args.midi_dir)
     paths = sorted(midi_dir.rglob("*.mid")) + sorted(midi_dir.rglob("*.midi"))
     if not paths:
@@ -214,9 +201,8 @@ def cmd_metrics(args) -> int:
     rows, errors = [], []
     for path in paths:
         try:
-            triple, loss = _metric_row(path, args.steps_per_beat,
-                                       args.steps_per_measure,
-                                       args.polyphony_denominator)
+            triple, loss = metrics_mod.evaluate_piece(parse_midi(path.read_bytes()),
+                                                      **asdict(cfg))
             rows.append((str(path), triple, loss))
         except EmogenError as exc:
             errors.append((str(path), type(exc).__name__))
@@ -268,32 +254,32 @@ def cmd_ablate(args) -> int:
     with open(args.config_grid, encoding="utf-8") as fh:
         try:
             grid = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise ConfigError(f"{args.config_grid}: {exc}") from exc
-    unknown = set(grid) - {"base", "variants"}
-    if unknown:
-        raise ConfigError(f"unknown grid keys: {sorted(unknown)}")
+    if not isinstance(grid, dict) or set(grid) - {"base", "variants"}:
+        raise ConfigError("the grid must be an object with keys 'base' and 'variants'")
     base = RunConfig.from_dict(grid.get("base", {}))
     variants = grid.get("variants", [])
-    if not variants:
-        raise ConfigError("grid has no variants")
+    if not isinstance(variants, list) or not variants:
+        raise ConfigError("the grid needs a non-empty list of variants")
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     base.echo(out_dir, "base_config.json")
 
     results = []
-    for variant in variants:
-        unknown = set(variant) - {"name", "model", "train"}
-        if unknown:
-            raise ConfigError(f"unknown variant keys: {sorted(unknown)}")
-        name = variant.get("name") or f"variant{len(results)}"
+    for index, variant in enumerate(variants):
+        given = isinstance(variant, dict) and variant.get("name")
+        name = str(given or f"variant{index}")
         try:
-            run_cfg = RunConfig(
-                model=replace(base.model, **variant.get("model", {})),
-                train=base.train if "train" not in variant else
-                _merge_train(base, variant["train"]),
-                data=base.data, metrics=base.metrics)
+            if not isinstance(variant, dict) or set(variant) - {"name", "model", "train"}:
+                raise ConfigError(f"variant {index}: not an object of name, model and train")
+            merged = base.to_dict()
+            for section in ("model", "train"):  # a non-object is left for from_dict to reject
+                override = variant.get(section, {})
+                merged[section] = ({**merged[section], **override}
+                                   if isinstance(override, dict) else override)
+            run_cfg = RunConfig.from_dict(merged)
             variant_dir = out_dir / name
             variant_dir.mkdir(parents=True, exist_ok=True)
             run_cfg.echo(variant_dir)
@@ -310,13 +296,6 @@ def cmd_ablate(args) -> int:
     _write_ablation_tables(out_dir, results)
     print(f"ablation summary: {out_dir / 'ablation.md'}")
     return 0
-
-
-def _merge_train(base: RunConfig, overrides: dict):
-    merged = base.to_dict()["train"]
-    merged.update(overrides)
-    from .training import TrainConfig
-    return TrainConfig.from_dict(merged)
 
 
 def _evaluate_variant(model: EmoModel, run_cfg: RunConfig, variant_dir: Path):
@@ -336,10 +315,7 @@ def _evaluate_variant(model: EmoModel, run_cfg: RunConfig, variant_dir: Path):
         piece = decode(tokens, model.vocab, run_cfg.model.steps_per_beat)
         (gen_dir / f"gen_{i:03d}.mid").write_bytes(write_midi(piece))
         try:
-            triple, loss = metrics_mod.evaluate_piece(
-                piece, steps_per_beat=run_cfg.metrics.steps_per_beat,
-                steps_per_measure=run_cfg.metrics.steps_per_measure,
-                polyphony_denominator=run_cfg.metrics.polyphony_denominator)
+            triple, loss = metrics_mod.evaluate_piece(piece, **asdict(run_cfg.metrics))
         except EmogenError:
             continue  # degenerate output (empty or too short); skip this piece
         losses.append(loss)

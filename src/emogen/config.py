@@ -1,27 +1,138 @@
 """Run configuration: one JSON file covering every module knob.
 
-Unknown keys are rejected, and every command echoes its effective
-configuration into the output directory so a run is reconstructible
-from its artifacts alone.
+Every section is read by `_parse`, the one place where config keys and
+value types are checked; range rules sit in each class's `__post_init__`,
+so direct construction is checked too. Every command echoes its effective
+configuration into the output directory so a run is reconstructible from
+its artifacts alone.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import sys
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
+from ._files import write_atomic
 from .errors import ConfigError
-from .model import ModelConfig
-from .training import TrainConfig
+from .tokenizer import Vocabulary
 
 
-def _strict_fields(cls, data: dict, where: str) -> dict:
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
+def _parse(cls, data, where: str):
+    """Build `cls` from the JSON object `data`: unknown keys are rejected and
+    each value must have its field default's type, except that an int within
+    float range is stored as a float where the default is a float and a
+    string is taken where it is None (a bool is never an int). A field whose
+    default is a config is a nested section; one without a plain default
+    (train's `loss_weights`) is not a key."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(data).__name__}")
+    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+    unknown = set(data) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    return data
+    values = {}
+    for key, value in data.items():
+        default = defaults[key]
+        if isinstance(default, TrainConfig):  # its loss weights sit beside its keys
+            value = TrainConfig.from_dict(value)
+        elif is_dataclass(default):
+            value = _parse(type(default), value, key)
+        elif type(default) is float and type(value) is int and abs(value) <= sys.float_info.max:
+            value = float(value)
+        elif type(value) is not type(default) and not (default is None and type(value) is str):
+            kind = "str or null" if default is None else type(default).__name__
+            raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}")
+        values[key] = value
+    return cls(**values)
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    """Architecture and vocabulary knobs recorded in every checkpoint."""
+
+    encoder_blocks: int = 3
+    decoder_blocks: int = 3
+    model_dim: int = 128
+    head_count: int = 4
+    ff_dim: int = 256
+    max_len: int = 256
+    time_shift_bins: int = 100
+    velocity_bins: int = 32
+    steps_per_beat: int = 4
+    image_extractor: str = "precomputed"  # or "tiny-cnn"
+    image_size: int = 32
+    va_hidden: int = 64
+    seed: int = 0
+
+    def __post_init__(self):
+        minimum = {"decoder_blocks": 0, "max_len": 2}  # other sizes 1; seed is free
+        too_small = [f.name for f in fields(self) if type(f.default) is int and f.name != "seed"
+                     and getattr(self, f.name) < minimum.get(f.name, 1)]
+        if too_small:
+            raise ConfigError(f"model sizes below their minimum (1, decoder_blocks 0, "
+                              f"max_len 2): {too_small}")
+        if self.image_extractor not in ("precomputed", "tiny-cnn"):
+            raise ConfigError(f"unknown image_extractor {self.image_extractor!r}")
+        if self.image_size % 4 != 0:
+            raise ConfigError("image_size must be divisible by 4 (two 2x2 pools)")
+        if self.model_dim % self.head_count != 0:
+            raise ConfigError(f"model_dim {self.model_dim} not divisible by "
+                              f"{self.head_count} heads")
+
+    def vocabulary(self) -> Vocabulary:
+        return Vocabulary(time_shift_bins=self.time_shift_bins,
+                          velocity_bins=self.velocity_bins)
+
+    @classmethod
+    def from_dict(cls, data) -> "ModelConfig":
+        return _parse(cls, data, "model")
+
+
+@dataclass(frozen=True)
+class LossWeights:
+    lambda_va: float = 1e-5
+    lambda_cc: float = 1.0
+
+    def __post_init__(self):
+        if self.lambda_va < 0 or self.lambda_cc < 0:
+            raise ConfigError("loss weights must be non-negative")
+        if self.lambda_va == 0 and self.lambda_cc == 0:
+            raise ConfigError("loss weights must not both be zero")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    lr: float = 1e-5
+    epochs: int = 15
+    batch_size: int = 1
+    seed: int = 0
+    va_loss_mode: str = "hard"  # hard | soft | off
+    loss_weights: LossWeights = field(default_factory=LossWeights)
+
+    def __post_init__(self):
+        if self.lr <= 0:
+            raise ConfigError("lr must be positive")
+        if self.epochs < 1 or self.batch_size < 1:
+            raise ConfigError("epochs and batch_size must be >= 1")
+        if self.va_loss_mode not in ("hard", "soft", "off"):
+            raise ConfigError(f"unknown va_loss_mode {self.va_loss_mode!r}")
+
+    @property
+    def uses_va(self) -> bool:
+        """Whether the VA term is computed (mode not `off` and `lambda_va` > 0)."""
+        return self.va_loss_mode != "off" and self.loss_weights.lambda_va > 0
+
+    @classmethod
+    def from_dict(cls, data) -> "TrainConfig":
+        """`lambda_va` and `lambda_cc` sit beside the other keys; they form `loss_weights`."""
+        weights = {}
+        if isinstance(data, dict):
+            data = dict(data)
+            weights = {key: data.pop(key) for key in ("lambda_va", "lambda_cc") if key in data}
+        return replace(_parse(cls, data, "train"),
+                       loss_weights=_parse(LossWeights, weights, "train"))
 
 
 @dataclass(frozen=True)
@@ -33,10 +144,6 @@ class DataConfig:
     va_predictor: str | None = None
     split: str = "train"
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "DataConfig":
-        return cls(**_strict_fields(cls, data, "data"))
-
 
 @dataclass(frozen=True)
 class MetricConfig:
@@ -45,60 +152,42 @@ class MetricConfig:
     polyphony_denominator: str = "sounding"
 
     def __post_init__(self):
+        if self.steps_per_beat < 1 or self.steps_per_measure < 1:
+            raise ConfigError("steps_per_beat and steps_per_measure must be >= 1")
         if self.polyphony_denominator not in ("sounding", "total"):
             raise ConfigError(
                 f"polyphony_denominator must be 'sounding' or 'total', "
                 f"got {self.polyphony_denominator!r}")
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MetricConfig":
-        return cls(**_strict_fields(cls, data, "metrics"))
-
 
 @dataclass(frozen=True)
 class RunConfig:
-    model: ModelConfig = field(default_factory=ModelConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    data: DataConfig = field(default_factory=DataConfig)
-    metrics: MetricConfig = field(default_factory=MetricConfig)
+    model: ModelConfig = ModelConfig()
+    train: TrainConfig = TrainConfig()
+    data: DataConfig = DataConfig()
+    metrics: MetricConfig = MetricConfig()
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunConfig":
-        unknown = set(data) - {"model", "train", "data", "metrics"}
-        if unknown:
-            raise ConfigError(f"unknown top-level config keys: {sorted(unknown)}")
-        try:
-            return cls(model=ModelConfig.from_dict(data.get("model", {})),
-                       train=TrainConfig.from_dict(data.get("train", {})),
-                       data=DataConfig.from_dict(data.get("data", {})),
-                       metrics=MetricConfig.from_dict(data.get("metrics", {})))
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+    def from_dict(cls, data) -> "RunConfig":
+        return _parse(cls, data, "config")
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # bad JSON or bad UTF-8
             raise ConfigError(f"{path}: {exc}") from exc
-        if not isinstance(payload, dict):
-            raise ConfigError(f"{path}: top level must be a JSON object")
         return cls.from_dict(payload)
 
     def to_dict(self) -> dict:
-        out = {"model": asdict(self.model), "train": asdict(self.train),
-               "data": asdict(self.data), "metrics": asdict(self.metrics)}
-        weights = out["train"].pop("loss_weights")
-        out["train"]["lambda_va"] = weights["lambda_va"]
-        out["train"]["lambda_cc"] = weights["lambda_cc"]
+        out = asdict(self)
+        out["train"].update(out["train"].pop("loss_weights"))
         return out
 
     def echo(self, out_dir: str | Path, name: str = "run_config.json") -> Path:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / name
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        path = Path(out_dir) / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        text = json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
+        write_atomic(path, [text.encode()])
         return path

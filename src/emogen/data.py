@@ -4,10 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .config import DataConfig
+from .config import DataConfig, ModelConfig
 from .errors import MissingArtifacts
 from .midi_io import parse_midi
-from .model import ModelConfig
 from .pairing import load_catalog, load_manifest, load_va_dictionary
 from .training import TrainSample
 from .tokenizer import encode

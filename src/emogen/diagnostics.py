@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import (DecoderBlock, EmoModel, EncoderBlock, ModelConfig,
-                    VaPredictor)
+from .config import ModelConfig
+from .model import DecoderBlock, EmoModel, EncoderBlock, VaPredictor
 from .nn import (AttentionConfig, BatchNorm, Embedding, GradCheckReport,
                  LayerNorm, Linear, MultiHeadAttention, Tensor, gradcheck,
                  softmax)

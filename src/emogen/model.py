@@ -10,13 +10,14 @@ image/MIDI vector conditions the decoder as a prepended memory position.
 from __future__ import annotations
 
 import json
-import os
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
+from ._files import write_atomic
+from .config import ModelConfig
 from .errors import (BadFeatureFile, BadImage, CheckpointCorrupt, ConfigError,
                      PrefixTooLong, VocabMismatch)
 from .nn import (AttentionConfig, BatchNorm, Conv2d, Embedding, FeedForward,
@@ -24,61 +25,12 @@ from .nn import (AttentionConfig, BatchNorm, Conv2d, Embedding, FeedForward,
                  avg_pool2d, concat, global_avg_pool, no_grad, relu, reshape,
                  sinusoidal_positions, softmax, take, tensor_sum)
 from .pairing import VaPoint
-from .tokenizer import BOS, EOS, PAD, TokenSequence, Vocabulary
+from .tokenizer import BOS, EOS, PAD, TokenSequence
 
 IMAGE_FEATURE_DIM = 512
 
 FEATURE_MAGIC = b"EMGFEAT1"
 CHECKPOINT_MAGIC = b"EMGCKPT1"
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Architecture and vocabulary knobs recorded in every checkpoint."""
-
-    encoder_blocks: int = 3
-    decoder_blocks: int = 3
-    model_dim: int = 128
-    head_count: int = 4
-    ff_dim: int = 256
-    max_len: int = 256
-    time_shift_bins: int = 100
-    velocity_bins: int = 32
-    steps_per_beat: int = 4
-    image_extractor: str = "precomputed"  # or "tiny-cnn"
-    image_size: int = 32
-    va_hidden: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.encoder_blocks < 1 or self.decoder_blocks < 0:
-            raise ConfigError("encoder_blocks >= 1 and decoder_blocks >= 0 required")
-        if self.image_extractor not in ("precomputed", "tiny-cnn"):
-            raise ConfigError(f"unknown image_extractor {self.image_extractor!r}")
-        if self.max_len < 2:
-            raise ConfigError("max_len must be >= 2")
-        if self.image_size % 4 != 0:
-            raise ConfigError("image_size must be divisible by 4 (two 2x2 pools)")
-        try:
-            AttentionConfig(self.model_dim, self.head_count)  # validates divisibility
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-
-    def vocabulary(self) -> Vocabulary:
-        return Vocabulary(time_shift_bins=self.time_shift_bins,
-                          velocity_bins=self.velocity_bins)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ModelConfig":
-        known = {f.name: type(f.default) for f in fields(cls)}
-        unknown = set(data) - set(known)
-        if unknown:
-            raise ConfigError(f"unknown model config keys: {sorted(unknown)}")
-        for key, value in data.items():
-            if type(value) is not known[key]:
-                raise ConfigError(f"model config {key!r} must be {known[key].__name__}, "
-                                  f"got {value!r}")
-        return cls(**data)
 
 
 # --- image features ---
@@ -379,11 +331,8 @@ class EmoModel(Module):
         meta, blocks = load_checkpoint(path)
         if meta.get("kind") != "emomodel":
             raise CheckpointCorrupt(f"{path}: not a model checkpoint")
-        config = meta.get("config")
-        if not isinstance(config, dict):
-            raise CheckpointCorrupt(f"{path}: metadata has no 'config' object")
         try:
-            model = cls(ModelConfig.from_dict(config))
+            model = cls(ModelConfig.from_dict(meta.get("config")))
         except ConfigError as exc:
             raise CheckpointCorrupt(f"{path}: {exc}") from exc
         if meta.get("vocab_hash") != model.vocab.vocab_hash:
@@ -435,34 +384,24 @@ def _assign_blocks(module: Module, blocks: dict[str, np.ndarray], path) -> None:
 def save_checkpoint(path: str | Path, meta: dict, named_params) -> None:
     """Versioned binary container: magic, JSON metadata, named LE blocks.
 
-    Written to a temporary file beside `path` and then renamed over it, so
-    a failure part-way leaves any earlier checkpoint at `path` untouched.
+    Written atomically: a failure part-way leaves any earlier checkpoint at
+    `path` untouched.
     """
     payload = json.dumps(dict(meta, format_version=1), sort_keys=True).encode()
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        _write_checkpoint(tmp, payload, named_params)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_atomic(path, _checkpoint_chunks(payload, named_params))
 
 
-def _write_checkpoint(path: Path, payload: bytes, named_params) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(payload)))
-        fh.write(payload)
-        named = list(named_params)
-        fh.write(struct.pack("<I", len(named)))
-        for name, param in named:
-            encoded = name.encode()
-            arr = np.ascontiguousarray(param.data, dtype="<f8")
-            fh.write(struct.pack("<H", len(encoded)) + encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+def _checkpoint_chunks(payload: bytes, named_params):
+    yield CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload
+    named = list(named_params)
+    yield struct.pack("<I", len(named))
+    for name, param in named:
+        encoded = name.encode()
+        arr = np.ascontiguousarray(param.data, dtype="<f8")
+        yield struct.pack("<H", len(encoded)) + encoded
+        yield struct.pack("<B", arr.ndim)
+        yield struct.pack(f"<{arr.ndim}I", *arr.shape)
+        yield arr.tobytes()
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:

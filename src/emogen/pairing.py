@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import math
 import random
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
+from ._files import write_atomic
 from .errors import (CatalogError, CountMismatch, DegenerateRange,
                      EmptyCatalog, OutOfRange)
 
@@ -115,18 +117,33 @@ def split(manifest: PairManifest, counts: tuple[int, int, int], seed: int) -> Pa
 
 # --- catalog / manifest files ---
 
+def _read_csv(path: str | Path, *headers: set[str]) -> tuple[int, list[tuple[int, dict]]]:
+    """Index of the first of `headers` a UTF-8 CSV's header holds, and its rows
+    numbered from 2; bad UTF-8, another header or a short row is a CatalogError."""
+    try:
+        reader = csv.DictReader(io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=""))
+    except UnicodeDecodeError as exc:
+        raise CatalogError(f"{path}: {exc}") from exc
+    fields = set(reader.fieldnames or [])
+    matches = [index for index, header in enumerate(headers) if header <= fields]
+    if not matches:
+        raise CatalogError(f"{path}: unrecognized header {sorted(fields)}")
+    rows = list(enumerate(reader, 2))
+    for row_no, row in rows:
+        if None in row.values():
+            raise CatalogError(f"{path}:{row_no}: row has fewer fields than the header")
+    return matches[0], rows
+
+
 def load_va_dictionary(path: str | Path) -> dict[str, VaPoint]:
     """Emotion-label -> VA mapping from a CSV with columns label,valence,arousal."""
     mapping: dict[str, VaPoint] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"label", "valence", "arousal"} <= set(reader.fieldnames):
-            raise CatalogError(f"{path}: expected header label,valence,arousal")
-        for row_no, row in enumerate(reader, 2):
-            try:
-                mapping[row["label"]] = VaPoint(float(row["valence"]), float(row["arousal"]))
-            except (ValueError, OutOfRange) as exc:
-                raise CatalogError(f"{path}:{row_no}: {exc}") from exc
+    _, rows = _read_csv(path, {"label", "valence", "arousal"})
+    for row_no, row in rows:
+        try:
+            mapping[row["label"]] = VaPoint(float(row["valence"]), float(row["arousal"]))
+        except (ValueError, OutOfRange) as exc:
+            raise CatalogError(f"{path}:{row_no}: {exc}") from exc
     return mapping
 
 
@@ -135,32 +152,26 @@ def load_catalog(path: str | Path, kind: str,
     """Read a catalog CSV: id,path,valence,arousal or id,path,emotion_label."""
     items: list[TaggedItem] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        fields = set(reader.fieldnames or [])
-        if {"id", "path", "valence", "arousal"} <= fields:
-            labeled = False
-        elif {"id", "path", "emotion_label"} <= fields:
-            labeled = True
-            if dictionary is None:
-                raise CatalogError(f"{path}: emotion_label catalog needs a VA dictionary")
-        else:
-            raise CatalogError(f"{path}: unrecognized catalog header {sorted(fields)}")
-        for row_no, row in enumerate(reader, 2):
-            if row["id"] in seen:
-                raise CatalogError(f"{path}:{row_no}: duplicate id {row['id']!r}")
-            seen.add(row["id"])
-            try:
-                if labeled:
-                    label = row["emotion_label"]
-                    if label not in dictionary:
-                        raise CatalogError(f"label {label!r} not in dictionary")
-                    va = dictionary[label]
-                else:
-                    va = VaPoint(float(row["valence"]), float(row["arousal"]))
-            except (ValueError, OutOfRange) as exc:
-                raise CatalogError(f"{path}:{row_no}: {exc}") from exc
-            items.append(TaggedItem(id=row["id"], kind=kind, va=va, payload_path=row["path"]))
+    layout, rows = _read_csv(path, {"id", "path", "valence", "arousal"},
+                             {"id", "path", "emotion_label"})
+    labeled = layout == 1
+    if labeled and dictionary is None:
+        raise CatalogError(f"{path}: emotion_label catalog needs a VA dictionary")
+    for row_no, row in rows:
+        if row["id"] in seen:
+            raise CatalogError(f"{path}:{row_no}: duplicate id {row['id']!r}")
+        seen.add(row["id"])
+        try:
+            if labeled:
+                label = row["emotion_label"]
+                if label not in dictionary:
+                    raise CatalogError(f"label {label!r} not in dictionary")
+                va = dictionary[label]
+            else:
+                va = VaPoint(float(row["valence"]), float(row["arousal"]))
+        except (ValueError, OutOfRange) as exc:
+            raise CatalogError(f"{path}:{row_no}: {exc}") from exc
+        items.append(TaggedItem(id=row["id"], kind=kind, va=va, payload_path=row["path"]))
     return items
 
 
@@ -176,19 +187,23 @@ def _manifest_payload(manifest: PairManifest) -> dict:
 
 
 def save_manifest(manifest: PairManifest, path: str | Path) -> None:
-    payload = _manifest_payload(manifest)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(_manifest_payload(manifest), indent=1, sort_keys=True) + "\n"
+    write_atomic(path, [text.encode()])
 
 
 def load_manifest(path: str | Path) -> PairManifest:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("format") != "emogen-pair-manifest-v1":
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise CatalogError(f"{path}: {exc}") from exc
+    if not (isinstance(payload, dict) and payload.get("format") == "emogen-pair-manifest-v1"
+            and isinstance(payload.get("pairs"), list)):
         raise CatalogError(f"{path}: not a pair manifest")
     pairs = []
-    for pair in payload["pairs"]:
+    for index, pair in enumerate(payload["pairs"]):
+        if not (isinstance(pair, dict) and {"midi_id", "image_id", "similarity"} <= set(pair)):
+            raise CatalogError(f"{path}: pair {index} lacks midi_id, image_id or similarity")
         entry = dict(pair)
         if entry["similarity"] == "inf":
             entry["similarity"] = MAX_SIMILARITY

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import VocabMismatch
+from .errors import CatalogError, VocabMismatch
 from .midi_io import MidiPiece, NoteEvent, note_to_steps
 
 PAD, BOS, EOS = 0, 1, 2
@@ -220,9 +220,13 @@ def load_token_dataset(path: str | Path, vocab: Vocabulary) -> Iterator[tuple[st
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+                rec_id, ids = rec["id"], [int(i) for i in rec["ids"]]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise CatalogError(f"{path}:{line_no}: bad record: {exc!r}") from exc
             if rec.get("vocab_hash") != vocab.vocab_hash:
                 raise VocabMismatch(
                     f"{path}:{line_no}: vocab hash {rec.get('vocab_hash')} "
                     f"!= expected {vocab.vocab_hash}")
-            yield rec["id"], [int(i) for i in rec["ids"]]
+            yield rec_id, ids

@@ -12,59 +12,19 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from .config import LossWeights, TrainConfig
 from .errors import (CatalogTooSmall, ConfigError, NonFiniteError,
                      PredictorMissing, ShapeMismatch)
 from .model import EmoModel, VaPredictor, token_histogram
 from .nn import (Adam, Tensor, absolute, log_softmax, no_grad, reshape, softmax,
                  take, tensor_mean, tensor_sum)
 from .tokenizer import PAD
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    lambda_va: float = 1e-5
-    lambda_cc: float = 1.0
-
-    def __post_init__(self):
-        if self.lambda_va < 0 or self.lambda_cc < 0:
-            raise ConfigError("loss weights must be non-negative")
-        if self.lambda_va == 0 and self.lambda_cc == 0:
-            raise ConfigError("loss weights must not both be zero")
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    lr: float = 1e-5
-    epochs: int = 15
-    batch_size: int = 1
-    seed: int = 0
-    va_loss_mode: str = "hard"  # hard | soft | off
-    loss_weights: LossWeights = field(default_factory=LossWeights)
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
-        if self.va_loss_mode not in ("hard", "soft", "off"):
-            raise ConfigError(f"unknown va_loss_mode {self.va_loss_mode!r}")
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TrainConfig":
-        data = dict(data)
-        weights = LossWeights(lambda_va=data.pop("lambda_va", 1e-5),
-                              lambda_cc=data.pop("lambda_cc", 1.0))
-        known = {f.name for f in fields(cls)} - {"loss_weights"}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown train config keys: {sorted(unknown)}")
-        return cls(loss_weights=weights, **data)
 
 
 @dataclass
@@ -202,8 +162,7 @@ def fit(model: EmoModel, samples: Sequence[TrainSample], config: TrainConfig,
         raise CatalogTooSmall("no training samples")
     mode = config.va_loss_mode
     weights = config.loss_weights
-    use_va = mode != "off" and weights.lambda_va > 0.0
-    if use_va and predictor is None:
+    if config.uses_va and predictor is None:
         raise PredictorMissing("va_loss_mode requires pretrained predictor weights")
 
     params = model.parameters()
@@ -226,7 +185,7 @@ def fit(model: EmoModel, samples: Sequence[TrainSample], config: TrainConfig,
                 cce = cce_loss(logits, targets, pad_mask=keep)
                 objective = cce * weights.lambda_cc
                 va_value = 0.0
-                if use_va:
+                if config.uses_va:
                     probs = softmax(logits, axis=-1)
                     if mode == "soft":
                         va_term = va_loss(targets[keep], probs, predictor, mode="soft")

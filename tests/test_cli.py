@@ -6,6 +6,8 @@ import pytest
 
 from emogen import cli
 from emogen.cli import main
+from emogen.config import MetricConfig, RunConfig
+from emogen.errors import ConfigError
 from emogen.metrics import evaluate_piece
 from emogen.midi_io import MidiPiece, NoteEvent, parse_midi, write_midi
 from emogen.model import (IMAGE_FEATURE_DIM, EmoModel, ModelConfig,
@@ -270,3 +272,87 @@ class TestAblate:
         grid_path.write_text(json.dumps({"base": {}, "variants": []}))
         assert main(["ablate", "--config-grid", str(grid_path),
                      "--out-dir", str(tmp_path / "out")]) == 1
+
+
+# Each bad config section ends in ConfigError: the library raises it, `train`
+# and `pretrain-va` exit 1, and as an ablation variant (model/train only) it is
+# recorded as a failed row while the sweep exits 0.
+BAD_SECTIONS = [
+    ("model", {"time_shift_bins": 0}),
+    ("model", {"bogus": 1}),
+    ("model", {"model_dim": "x"}),
+    ("model", {"model_dim": -16}),
+    ("model", [1]),
+    ("train", {"lr": "x"}),
+    ("train", {"epochs": 2.5}),
+    ("metrics", {"steps_per_beat": "x"}),
+    ("data", {"split": None}),
+]
+
+
+def _with_section(workspace, section, value):
+    payload = json.loads((workspace / "run.json").read_text())
+    if isinstance(value, dict):
+        payload.setdefault(section, {}).update(value)
+    else:
+        payload[section] = value
+    return payload
+
+
+BAD_IDS = [f"{section}={json.dumps(value)}" for section, value in BAD_SECTIONS]
+
+
+@pytest.mark.parametrize("section, value", BAD_SECTIONS, ids=BAD_IDS)
+class TestBadConfig:
+    def test_library_raises_config_error(self, workspace, section, value):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(_with_section(workspace, section, value))
+
+    @pytest.mark.parametrize("command", ["train", "pretrain-va"])
+    def test_command_exit_1(self, workspace, tmp_path, capsys, section, value, command):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(_with_section(workspace, section, value)))
+        args = (["--out-dir", str(tmp_path / "out")] if command == "train" else
+                ["--midis", str(workspace / "midis.csv"), "--out", str(tmp_path / "va.emc")])
+        assert main([command, "--config", str(cfg_path), *args]) == 1
+        err = capsys.readouterr().err
+        assert "ConfigError" in err and "Traceback" not in err
+
+
+def _ablate_one(workspace, tmp_path, variant, name="bad"):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"base": json.loads((workspace / "run.json").read_text()),
+                                     "variants": [variant]}))
+    out_dir = tmp_path / "ablation"
+    assert main(["ablate", "--config-grid", str(grid_path), "--out-dir", str(out_dir)]) == 0
+    with open(out_dir / "ablation.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["model"], r["status"]) for r in rows] == [(name, "failed: ConfigError")]
+
+
+@pytest.mark.parametrize("variant, name", [
+    *[({"name": "bad", section: value}, "bad")
+      for section, value in BAD_SECTIONS if section in ("model", "train")],
+    (5, "variant0"),
+    ({"name": "bad", "data": {"split": "val"}}, "bad"),
+])
+def test_malformed_ablation_variant_fails_alone(workspace, tmp_path, variant, name):
+    _ablate_one(workspace, tmp_path, variant, name)
+
+
+@pytest.mark.parametrize("flag", ["--steps-per-beat", "--steps-per-measure"])
+def test_metrics_zero_steps_exit_1(tmp_path, capsys, flag):
+    (tmp_path / "p.mid").write_bytes(write_midi(_long_piece(np.random.default_rng(7))))
+    assert main(["metrics", "--midi-dir", str(tmp_path), "--out", str(tmp_path / "m.csv"),
+                 flag, "0"]) == 1
+    err = capsys.readouterr().err
+    assert "ConfigError" in err and "Traceback" not in err
+    with pytest.raises(ConfigError):
+        MetricConfig(**{flag[2:].replace("-", "_"): 0})
+
+
+def test_config_not_utf8_exit_1(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_bytes(b'{"model": {"image_extractor": "\xff"}}')
+    assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 1
+    assert "ConfigError" in capsys.readouterr().err

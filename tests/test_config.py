@@ -1,0 +1,114 @@
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import emogen
+from emogen.config import (DataConfig, LossWeights, MetricConfig, ModelConfig,
+                           RunConfig, TrainConfig)
+from emogen.errors import ConfigError
+
+
+class TestTypeRules:
+    def test_int_taken_as_float(self):
+        cfg = RunConfig.from_dict({"train": {"lr": 1, "lambda_va": 0, "lambda_cc": 2}})
+        assert type(cfg.train.lr) is float and cfg.train.lr == 1.0
+        assert cfg.train.loss_weights == LossWeights(0.0, 2.0)
+        assert type(cfg.train.loss_weights.lambda_va) is float
+
+    @pytest.mark.parametrize("value", ["dict.csv", None])
+    def test_string_or_null_where_default_is_none(self, value):
+        cfg = RunConfig.from_dict({"data": {"dictionary": value, "va_predictor": value}})
+        assert cfg.data == DataConfig(dictionary=value, va_predictor=value)
+
+    @pytest.mark.parametrize("section", [
+        {"model": {"seed": True}},           # bool is not an int
+        {"train": {"lr": True}},             # nor a float
+        {"train": {"batch_size": 2.0}},      # float is not an int
+        {"data": {"dictionary": 3}},
+        {"data": {"manifest": None}},        # null only where the default is null
+        {"metrics": {"polyphony_denominator": 1}},
+        {"train": {"lambda_va": "x"}},
+        {"train": {"lr": 10 ** 400}},       # no float holds it
+        {"train": {"loss_weights": {"lambda_va": 1.0}}},  # not a key of its own
+        {"model": {"n_layers": 3}},
+        {"optimizer": {}},
+        {"data": "pairs.json"},
+    ])
+    def test_rejected(self, section):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(section)
+
+    @pytest.mark.parametrize("payload", [[], "x", 3, None])
+    def test_top_level_must_be_object(self, payload):
+        with pytest.raises(ConfigError):
+            RunConfig.from_dict(payload)
+        with pytest.raises(ConfigError):
+            TrainConfig.from_dict(payload)
+
+    def test_round_trip(self):
+        cfg = RunConfig.from_dict({"model": {"model_dim": 16, "head_count": 2},
+                                   "train": {"lambda_va": 0.5, "va_loss_mode": "soft"},
+                                   "data": {"dictionary": "d.csv"},
+                                   "metrics": {"steps_per_measure": 12}})
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        assert cfg.to_dict()["train"]["lambda_va"] == 0.5
+
+    def test_echo_is_loadable(self, tmp_path):
+        cfg = RunConfig.from_dict({"train": {"epochs": 3}})
+        path = cfg.echo(tmp_path / "run")
+        assert RunConfig.from_file(path) == cfg
+        assert [p.name for p in path.parent.iterdir()] == ["run_config.json"]
+
+    def test_file_not_utf8(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"data": {"split": "\xe9"}}')
+        with pytest.raises(ConfigError):
+            RunConfig.from_file(path)
+
+
+class TestRanges:
+    @pytest.mark.parametrize("kwargs", [
+        {"model_dim": -16, "head_count": 2}, {"head_count": 0}, {"ff_dim": 0},
+        {"encoder_blocks": 0}, {"decoder_blocks": -1}, {"time_shift_bins": 0},
+        {"velocity_bins": 0}, {"steps_per_beat": 0}, {"image_size": 0},
+        {"va_hidden": 0}, {"max_len": 1},
+    ])
+    def test_model_sizes(self, kwargs):
+        with pytest.raises(ConfigError):
+            ModelConfig(**kwargs)
+
+    def test_model_edge_values_accepted(self):
+        cfg = ModelConfig(decoder_blocks=0, seed=-5, model_dim=1, head_count=1, ff_dim=1,
+                          max_len=2, image_size=4)
+        assert cfg.vocabulary().total_size > 0
+
+    @pytest.mark.parametrize("kwargs", [{"steps_per_beat": 0}, {"steps_per_measure": -1},
+                                        {"polyphony_denominator": "all"}])
+    def test_metric_config(self, kwargs):
+        with pytest.raises(ConfigError):
+            MetricConfig(**kwargs)
+
+
+@pytest.mark.parametrize("mode, lambda_va, on", [
+    ("hard", 1e-5, True), ("soft", 0.5, True), ("off", 1.0, False),
+    ("hard", 0.0, False), ("soft", 0.0, False),
+])
+def test_uses_va(mode, lambda_va, on):
+    config = TrainConfig(va_loss_mode=mode, loss_weights=LossWeights(lambda_va=lambda_va))
+    assert config.uses_va is on
+
+
+# An import cycle only shows when a given module is imported first, so each
+# module is imported alone in a fresh interpreter.
+MODULES = sorted(info.name for info in pkgutil.walk_packages(emogen.__path__, "emogen."))
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_first(module):
+    src = str(Path(emogen.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", f"import {module}"],
+                            capture_output=True, text=True, cwd=src, timeout=120)
+    assert result.returncode == 0, result.stderr

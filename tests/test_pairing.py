@@ -1,12 +1,13 @@
+import json
 import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from emogen.errors import (CatalogError, CountMismatch, DegenerateRange,
-                           EmptyCatalog, OutOfRange)
+                           EmogenError, EmptyCatalog, OutOfRange)
 from emogen.pairing import (MAX_SIMILARITY, PairManifest, TaggedItem, VaPoint,
                             load_catalog, load_manifest, load_va_dictionary,
                             manifest_bytes, normalize_va, pair_datasets,
@@ -152,6 +153,58 @@ class TestFiles:
         with pytest.raises(CatalogError):
             load_manifest(path)
 
+    @pytest.mark.parametrize("content", [
+        b"not json",
+        b'{"format": "emogen-pair-manifest-v1", "pairs": ["\xff"]}',
+        b"[1, 2]",
+        b'{"format": "emogen-pair-manifest-v1"}',
+        b'{"format": "emogen-pair-manifest-v1", "pairs": {"midi_id": "m"}}',
+        b'{"format": "emogen-pair-manifest-v1", "pairs": [5]}',
+        b'{"format": "emogen-pair-manifest-v1", "pairs": [{"image_id": "i", "similarity": 1}]}',
+        b'{"format": "emogen-pair-manifest-v1", "pairs": [{"midi_id": "m", "similarity": 1}]}',
+        b'{"format": "emogen-pair-manifest-v1", "pairs": [{"midi_id": "m", "image_id": "i"}]}',
+    ], ids=["not-json", "not-utf8", "not-object", "no-pairs", "pairs-not-list",
+            "pair-not-object", "no-midi-id", "no-image-id", "no-similarity"])
+    def test_load_manifest_malformed(self, tmp_path, content):
+        path = tmp_path / "pairs.json"
+        path.write_bytes(content)
+        with pytest.raises(CatalogError, match="pairs.json"):
+            load_manifest(path)
+
+    def test_failed_save_keeps_previous_manifest(self, tmp_path):
+        path = tmp_path / "pairs.json"
+        save_manifest(PairManifest(pairs=[{"midi_id": "m", "image_id": "i",
+                                           "similarity": 0.5}]), path)
+        before = path.read_bytes()
+        unserializable = PairManifest(pairs=[
+            {"midi_id": "m", "image_id": "i", "similarity": 0.5},
+            {"midi_id": "n", "image_id": "i", "similarity": 0.5, "note": object()}])
+        with pytest.raises(TypeError):
+            save_manifest(unserializable, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["pairs.json"]
+
+    @pytest.mark.parametrize("loader, content", [
+        ("catalog", "id,path,valence,arousal\na,x.mid,5,5\nb,y.mid,5\n"),
+        ("catalog", "id,path,emotion_label\na,x.png,happy\nb\n"),
+        ("dictionary", "label,valence,arousal\nhappy,7,6\nsad,2\n"),
+    ], ids=["numeric-catalog", "labeled-catalog", "dictionary"])
+    def test_short_row_reports_row(self, tmp_path, loader, content):
+        path = tmp_path / "file.csv"
+        path.write_text(content)
+        with pytest.raises(CatalogError, match="file.csv:3"):
+            _load(loader, path)
+
+    @pytest.mark.parametrize("loader, content", [
+        ("catalog", b"id,path,valence,arousal\na,x\xff.mid,5,5\n"),
+        ("dictionary", b"label,valence,arousal\nh\xe4ppy,7,6\n"),
+    ], ids=["catalog", "dictionary"])
+    def test_not_utf8(self, tmp_path, loader, content):
+        path = tmp_path / "file.csv"
+        path.write_bytes(content)
+        with pytest.raises(CatalogError, match="file.csv"):
+            _load(loader, path)
+
     def test_va_dictionary(self, tmp_path):
         path = tmp_path / "dict.csv"
         path.write_text("label,valence,arousal\nhappy,7.5,6.0\nsad,2.0,3.0\n")
@@ -200,3 +253,44 @@ class TestFiles:
         path.write_text("id,path,valence,arousal\na,x.mid,5,5\nb,y.mid,12,5\n")
         with pytest.raises(CatalogError, match=":3"):
             load_catalog(path, "midi")
+
+
+def _load(loader, path):
+    if loader == "dictionary":
+        return load_va_dictionary(path)
+    return load_catalog(path, "image", {"happy": VaPoint(7.0, 6.0)})
+
+
+_MANIFEST_BYTES = json.dumps({
+    "format": "emogen-pair-manifest-v1", "seed": 1, "config_hash": "abc",
+    "pairs": [{"midi_id": "m0", "image_id": "i0", "similarity": "inf", "split": "train"},
+              {"midi_id": "m1", "image_id": "i1", "similarity": 0.25, "split": "val"}]},
+    indent=1).encode()
+_json = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                     lambda inner: st.lists(inner) | st.dictionaries(st.text(), inner),
+                     max_leaves=8)
+_pair_keys = st.sampled_from(["midi_id", "image_id", "similarity", "split", "x"])
+_documents = st.fixed_dictionaries(
+    {"format": st.just("emogen-pair-manifest-v1")},
+    optional={"pairs": _json | st.lists(_json | st.dictionaries(_pair_keys, _json))})
+_mutations = st.lists(st.tuples(st.integers(0, len(_MANIFEST_BYTES) - 1), st.integers(0, 255)),
+                      min_size=1, max_size=4)
+
+
+def _mutated(edits):
+    data = bytearray(_MANIFEST_BYTES)
+    for pos, value in edits:
+        data[pos] = value
+    return bytes(data)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_mutations.map(_mutated), _documents.map(lambda d: json.dumps(d).encode()),
+                 _json.map(lambda d: json.dumps(d).encode())))
+def test_load_manifest_raises_only_typed_errors(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("fuzz") / "pairs.json"
+    path.write_bytes(content)
+    try:
+        load_manifest(path)
+    except EmogenError:
+        pass

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emogen.errors import VocabMismatch
+from emogen.errors import CatalogError, VocabMismatch
 from emogen.midi_io import MidiPiece, NoteEvent
 from emogen.tokenizer import (BOS, EOS, PAD, TokenSequence, Vocabulary,
                               decode, encode, load_token_dataset,
@@ -139,6 +139,16 @@ class TestDataset:
         records = [("a", [1, 2]), ("b", [1, 5, 300, 2])]
         save_token_dataset(path, records, VOCAB)
         assert [(i, ids) for i, ids in load_token_dataset(path, VOCAB)] == records
+
+    @pytest.mark.parametrize("line", ["not json", '{"ids": [1, 2]}', '{"id": "a"}',
+                                      '[1, 2]', '{"id": "a", "ids": ["x"]}'])
+    def test_malformed_record_reports_line(self, tmp_path, line):
+        path = tmp_path / "tokens.jsonl"
+        save_token_dataset(path, [("a", [1, 2])], VOCAB)
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(CatalogError, match="tokens.jsonl:2"):
+            list(load_token_dataset(path, VOCAB))
 
     def test_vocab_mismatch(self, tmp_path):
         path = tmp_path / "tokens.jsonl"
