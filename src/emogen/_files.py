@@ -1,8 +1,10 @@
 """Whole-file writes that never leave a half-written file behind."""
 
+import csv
+import io
 import os
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
@@ -17,3 +19,10 @@ def write_atomic(path: str | Path, chunks: Iterable[bytes]) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
+    """Write `rows` as UTF-8 CSV in the csv module's default dialect, atomically."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    write_atomic(path, [text.getvalue().encode("utf-8")])

@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import sys
@@ -15,6 +14,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from . import metrics as metrics_mod
+from ._files import write_atomic, write_csv
 from .config import MetricConfig, RunConfig
 from .data import load_training_samples
 from .diagnostics import full_model_gradcheck, standard_gradchecks
@@ -207,23 +207,14 @@ def cmd_metrics(args) -> int:
         except EmogenError as exc:
             errors.append((str(path), type(exc).__name__))
 
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "polyphony_rate", "pitch_entropy",
-                         "groove_consistency", "music_quality_loss"])
-        for path, triple, loss in rows:
-            writer.writerow([path, f"{triple.polyphony_rate:.6f}",
-                             f"{triple.pitch_entropy:.6f}",
-                             f"{triple.groove_consistency:.6f}", f"{loss:.6f}"])
-        mean = metrics_mod.mean_triple([t for _, t, _ in rows])
-        mean_loss = (sum(l for _, _, l in rows) / len(rows)) if rows else math.nan
-        writer.writerow(["MEAN", f"{mean.polyphony_rate:.6f}",
-                         f"{mean.pitch_entropy:.6f}",
-                         f"{mean.groove_consistency:.6f}", f"{mean_loss:.6f}"])
-
+    mean = metrics_mod.mean_triple([t for _, t, _ in rows])
+    mean_loss = (sum(l for _, _, l in rows) / len(rows)) if rows else math.nan
+    write_csv(args.out, [["path", "polyphony_rate", "pitch_entropy",
+                          "groove_consistency", "music_quality_loss"]]
+              + [[path, *_triple_cells(triple), f"{loss:.6f}"] for path, triple, loss in rows]
+              + [["MEAN", *_triple_cells(mean), f"{mean_loss:.6f}"]])
     if args.summary:
-        with open(args.summary, "w", encoding="utf-8") as fh:
-            fh.write(_summary_table([("corpus_mean", mean_loss, mean)]))
+        write_atomic(args.summary, [_summary_table([("corpus_mean", mean_loss, mean)]).encode()])
     for path, error in errors:
         print(f"skipped {path}: {error}", file=sys.stderr)
     print(f"{len(rows)} pieces evaluated, {len(errors)} skipped -> {args.out}")
@@ -325,24 +316,22 @@ def _evaluate_variant(model: EmoModel, run_cfg: RunConfig, variant_dir: Path):
     return sum(losses) / len(losses), metrics_mod.mean_triple(triples), len(losses)
 
 
+def _triple_cells(triple) -> list[str]:
+    return [f"{triple.polyphony_rate:.6f}", f"{triple.pitch_entropy:.6f}",
+            f"{triple.groove_consistency:.6f}"]
+
+
 def _write_ablation_tables(out_dir: Path, results) -> None:
-    with open(out_dir / "ablation.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "status", "music_quality_loss", "polyphony_rate",
-                         "pitch_entropy", "groove_consistency", "evaluated_pieces"])
-        for res in results:
-            triple = res["triple"]
-            writer.writerow([
-                res["name"], res["status"], f"{res['loss']:.6f}",
-                "" if triple is None else f"{triple.polyphony_rate:.6f}",
-                "" if triple is None else f"{triple.pitch_entropy:.6f}",
-                "" if triple is None else f"{triple.groove_consistency:.6f}",
-                res["evaluated"]])
+    header = ["model", "status", "music_quality_loss", "polyphony_rate", "pitch_entropy",
+              "groove_consistency", "evaluated_pieces"]
+    write_csv(out_dir / "ablation.csv", [header] + [
+        [res["name"], res["status"], f"{res['loss']:.6f}",
+         *(["", "", ""] if res["triple"] is None else _triple_cells(res["triple"])),
+         res["evaluated"]] for res in results])
     entries = [(res["name"], res["loss"],
                 res["triple"] or metrics_mod.MetricTriple(math.nan, math.nan, math.nan))
                for res in results]
-    with open(out_dir / "ablation.md", "w", encoding="utf-8") as fh:
-        fh.write(_summary_table(entries))
+    write_atomic(out_dir / "ablation.md", [_summary_table(entries).encode()])
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ its artifacts alone.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -23,9 +24,9 @@ def _parse(cls, data, where: str):
     """Build `cls` from the JSON object `data`: unknown keys are rejected and
     each value must have its field default's type, except that an int within
     float range is stored as a float where the default is a float and a
-    string is taken where it is None (a bool is never an int). A field whose
-    default is a config is a nested section; one without a plain default
-    (train's `loss_weights`) is not a key."""
+    string is taken where it is None (a bool is never an int); a float must
+    be finite. A field whose default is a config is a nested section; one
+    without a plain default (train's `loss_weights`) is not a key."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(data).__name__}")
     defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
@@ -44,6 +45,8 @@ def _parse(cls, data, where: str):
         elif type(value) is not type(default) and not (default is None and type(value) is str):
             kind = "str or null" if default is None else type(default).__name__
             raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}")
+        if type(value) is float and not math.isfinite(value):  # json reads NaN, Infinity
+            raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
         values[key] = value
     return cls(**values)
 

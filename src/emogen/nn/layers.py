@@ -13,7 +13,9 @@ import numpy as np
 
 from ..errors import BatchTooSmall, ShapeMismatch
 from .optim import Parameter
-from .tensor import Tensor, concat, matmul, relu, reshape, softmax, sqrt, take, tensor_mean, transpose
+from .tensor import (Tensor, attention, layer_norm, linear, matmul, relu, reshape,
+                     sqrt, take, tensor_mean)
+from .tensor import softmax  # noqa: F401  # not called here; perfbench/tracing.py patches this name
 
 MASK_VALUE = -1e30  # additive attention mask; exp() underflows to exactly 0
 
@@ -67,9 +69,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.weight.shape[0]:
-            raise ShapeMismatch(f"linear expects {self.weight.shape[0]} features, got {x.shape}")
-        return matmul(x, self.weight) + self.bias
+        return linear(x, self.weight, self.bias)
 
 
 class Embedding(Module):
@@ -90,13 +90,7 @@ class LayerNorm(Module):
         self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        if x.shape[-1] != self.gamma.shape[0]:
-            raise ShapeMismatch(f"layer norm dim {self.gamma.shape[0]} vs input {x.shape}")
-        mean = tensor_mean(x, axis=-1, keepdims=True)
-        centered = x - mean
-        var = tensor_mean(centered * centered, axis=-1, keepdims=True)
-        normed = centered / sqrt(var + self.eps)
-        return normed * self.gamma + self.beta
+        return layer_norm(x, self.gamma, self.beta, self.eps)
 
 
 class BatchNorm(Module):
@@ -140,27 +134,13 @@ class MultiHeadAttention(Module):
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
                  key_mask: np.ndarray | None = None) -> Tensor:
-        cfg = self.cfg
         tq, tk = q.shape[0], k.shape[0]
-
-        def split_heads(x: Tensor, t: int) -> Tensor:
-            return transpose(reshape(x, (t, cfg.head_count, cfg.head_dim)), (1, 0, 2))
-
-        qh = split_heads(self.wq(q), tq)
-        kh = split_heads(self.wk(k), tk)
-        vh = split_heads(self.wv(v), tk)
-
-        scores = matmul(qh, transpose(kh, (0, 2, 1))) * (1.0 / np.sqrt(cfg.head_dim))
         mask = np.triu(np.full((tq, tk), MASK_VALUE), k=1) if causal else None
         if key_mask is not None and not np.all(key_mask):
             keys = np.where(np.asarray(key_mask, dtype=bool), 0.0, MASK_VALUE)
             mask = keys if mask is None else mask + keys
-        if mask is not None:
-            scores = scores + mask
-        weights = softmax(scores, axis=-1)
-        heads = matmul(weights, vh)  # (H, Tq, head_dim)
-        merged = reshape(transpose(heads, (1, 0, 2)), (tq, cfg.model_dim))
-        return self.wo(merged)
+        heads = attention(self.wq(q), self.wk(k), self.wv(v), self.cfg.head_count, mask)
+        return self.wo(heads)
 
 
 class FeedForward(Module):

@@ -363,3 +363,101 @@ def log_softmax(a, axis: int = -1) -> Tensor:
             a._accumulate(grad - np.exp(data) * grad.sum(axis=axis, keepdims=True))
 
     return Tensor._result(data, (a,), backward)
+
+
+# --- fused layers: one node each; every forward repeats the numpy steps of
+# the composite ops it replaces, in the same order, so outputs are unchanged ---
+
+def _rows(a: np.ndarray) -> np.ndarray:
+    return a.reshape(-1, a.shape[-1])
+
+
+def linear(x, weight: Tensor, bias: Tensor) -> Tensor:
+    """`x @ weight + bias` for `x` of shape (..., in)."""
+    x = _as_tensor(x)
+    if x.data.shape[-1] != weight.data.shape[0]:
+        raise ShapeMismatch(f"linear expects {weight.data.shape[0]} features, got {x.data.shape}")
+    data = x.data @ weight.data + bias.data
+
+    def backward(grad):
+        if x.requires_grad:
+            x._accumulate(grad @ weight.data.T)
+        if weight.requires_grad:
+            weight._accumulate(_rows(x.data).T @ _rows(grad))
+        if bias.requires_grad:
+            bias._accumulate(_rows(grad).sum(axis=0))
+
+    return Tensor._result(data, (x, weight, bias), backward)
+
+
+def layer_norm(x, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Normalise the last axis to zero mean and unit (biased) variance, then
+    scale by `gamma` and shift by `beta`."""
+    x = _as_tensor(x)
+    if x.data.shape[-1] != gamma.data.shape[0]:
+        raise ShapeMismatch(f"layer norm dim {gamma.data.shape[0]} vs input {x.data.shape}")
+    scale = 1.0 / x.data.shape[-1]
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
+    var = (centered * centered).sum(axis=-1, keepdims=True) * scale
+    inv_std = ((var + eps) ** 0.5) ** -1.0
+    normed = centered * inv_std
+    data = normed * gamma.data + beta.data
+
+    def backward(grad):
+        if x.requires_grad:
+            g = grad * gamma.data
+            mean_g = g.sum(axis=-1, keepdims=True) * scale
+            mean_gn = (g * normed).sum(axis=-1, keepdims=True) * scale
+            x._accumulate(inv_std * (g - mean_g - normed * mean_gn))
+        if gamma.requires_grad:
+            gamma._accumulate(_rows(grad * normed).sum(axis=0))
+        if beta.requires_grad:
+            beta._accumulate(_rows(grad).sum(axis=0))
+
+    return Tensor._result(data, (x, gamma, beta), backward)
+
+
+def _merge_heads(h: np.ndarray) -> np.ndarray:
+    """(H, T, head_dim) -> (T, H * head_dim)."""
+    return h.transpose(1, 0, 2).reshape(h.shape[1], -1)
+
+
+def attention(q, k, v, heads: int, mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention over (T, d) projections.
+
+    Splits the last axis into `heads` heads, adds the additive `mask`
+    (broadcast to (Tq, Tk)) to the scaled scores, softmaxes each row over
+    the keys and merges the heads back into a (Tq, d) result.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    (tq, d), tk = q.data.shape, k.data.shape[0]
+    if d % heads or k.data.shape != (tk, d) or v.data.shape != (tk, d):
+        raise ShapeMismatch(f"attention over {heads} heads: q {q.data.shape}, "
+                            f"k {k.data.shape}, v {v.data.shape}")
+    head_dim = d // heads
+    qh, kh, vh = (t.data.reshape(t.data.shape[0], heads, head_dim).transpose(1, 0, 2)
+                  for t in (q, k, v))
+    scale = 1.0 / np.sqrt(head_dim)
+    weights = (qh @ kh.transpose(0, 2, 1)) * scale  # (H, Tq, Tk); softmaxed in place
+    if mask is not None:
+        weights += mask
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
+    data = _merge_heads(weights @ vh)
+
+    def backward(grad):
+        gh = grad.reshape(tq, heads, head_dim).transpose(1, 0, 2)
+        if v.requires_grad:
+            v._accumulate(_merge_heads(weights.transpose(0, 2, 1) @ gh))
+        if q.requires_grad or k.requires_grad:
+            gs = gh @ vh.transpose(0, 2, 1)
+            gs -= (gs * weights).sum(axis=-1, keepdims=True)
+            gs *= weights
+            gs *= scale
+            if q.requires_grad:
+                q._accumulate(_merge_heads(gs @ kh))
+            if k.requires_grad:
+                k._accumulate(_merge_heads(gs.transpose(0, 2, 1) @ qh))
+
+    return Tensor._result(data, (q, k, v), backward)

@@ -204,6 +204,8 @@ def load_manifest(path: str | Path) -> PairManifest:
     for index, pair in enumerate(payload["pairs"]):
         if not (isinstance(pair, dict) and {"midi_id", "image_id", "similarity"} <= set(pair)):
             raise CatalogError(f"{path}: pair {index} lacks midi_id, image_id or similarity")
+        if not (isinstance(pair["midi_id"], str) and isinstance(pair["image_id"], str)):
+            raise CatalogError(f"{path}: pair {index} midi_id and image_id must be strings")
         entry = dict(pair)
         if entry["similarity"] == "inf":
             entry["similarity"] = MAX_SIMILARITY

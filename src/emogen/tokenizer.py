@@ -216,11 +216,12 @@ def save_token_dataset(path: str | Path, records: Iterable[tuple[str, Iterable[i
 
 
 def load_token_dataset(path: str | Path, vocab: Vocabulary) -> Iterator[tuple[str, list[int]]]:
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for line_no, raw in enumerate(fh, 1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 rec = json.loads(line)
                 rec_id, ids = rec["id"], [int(i) for i in rec["ids"]]
             except (ValueError, KeyError, TypeError) as exc:

@@ -10,7 +10,6 @@ relaxes the argmax to the expected token histogram so the gradient flows.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,6 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._files import write_csv
 from .config import LossWeights, TrainConfig
 from .errors import (CatalogTooSmall, ConfigError, NonFiniteError,
                      PredictorMissing, ShapeMismatch)
@@ -211,8 +211,5 @@ def fit(model: EmoModel, samples: Sequence[TrainSample], config: TrainConfig,
 
 
 def write_loss_csv(path: str | Path, history: Sequence[EpochStats]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "l_cc", "l_va", "l_total"])
-        for row in history:
-            writer.writerow([row.epoch, repr(row.l_cc), repr(row.l_va), repr(row.l_total)])
+    write_csv(path, [["epoch", "l_cc", "l_va", "l_total"]] + [
+        [row.epoch, repr(row.l_cc), repr(row.l_va), repr(row.l_total)] for row in history])

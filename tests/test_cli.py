@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +236,21 @@ class TestMetrics:
         assert main(["metrics", "--midi-dir", str(tmp_path),
                      "--out", str(tmp_path / "m.csv")]) == 1
 
+    @pytest.mark.parametrize("target", ["m.csv", "m.md"])
+    def test_interrupted_write_keeps_previous_files(self, tmp_path, monkeypatch, target):
+        midi_dir = tmp_path / "midis"
+        midi_dir.mkdir()
+        (midi_dir / "a.mid").write_bytes(write_midi(_long_piece(np.random.default_rng(8))))
+        args = ["metrics", "--midi-dir", str(midi_dir), "--out", str(tmp_path / "m.csv"),
+                "--summary", str(tmp_path / "m.md")]
+        assert main(args) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+        (midi_dir / "b.mid").write_bytes(write_midi(_long_piece(np.random.default_rng(9))))
+        _fail_renames(monkeypatch, target)
+        assert main(args) == 2
+        assert (tmp_path / target).read_bytes() == before[target]
+        assert {p.name for p in tmp_path.iterdir() if p.is_file()} == set(before)
+
 
 class TestGradcheck:
     def test_exit_zero(self, capsys):
@@ -288,6 +305,8 @@ BAD_SECTIONS = [
     ("metrics", {"steps_per_beat": "x"}),
     ("data", {"split": None}),
 ]
+# JSON's NaN and Infinity, which Python's json module reads
+NON_FINITE = [("train", {"lr": float("nan")}), ("train", {"lambda_va": float("inf")})]
 
 
 def _with_section(workspace, section, value):
@@ -299,10 +318,10 @@ def _with_section(workspace, section, value):
     return payload
 
 
-BAD_IDS = [f"{section}={json.dumps(value)}" for section, value in BAD_SECTIONS]
+BAD_IDS = [f"{section}={json.dumps(value)}" for section, value in BAD_SECTIONS + NON_FINITE]
 
 
-@pytest.mark.parametrize("section, value", BAD_SECTIONS, ids=BAD_IDS)
+@pytest.mark.parametrize("section, value", BAD_SECTIONS + NON_FINITE, ids=BAD_IDS)
 class TestBadConfig:
     def test_library_raises_config_error(self, workspace, section, value):
         with pytest.raises(ConfigError):
@@ -317,6 +336,44 @@ class TestBadConfig:
         assert main([command, "--config", str(cfg_path), *args]) == 1
         err = capsys.readouterr().err
         assert "ConfigError" in err and "Traceback" not in err
+
+
+def _fail_renames(monkeypatch, prefix):
+    """Make the final rename of every atomic write to a `prefix`* file fail."""
+    rename = os.replace
+
+    def replace(src, dst):
+        if Path(dst).name.startswith(prefix):
+            raise OSError("interrupted")
+        rename(src, dst)
+    monkeypatch.setattr("emogen._files.os.replace", replace)
+
+
+def test_manifest_id_not_string_exit_2(workspace, tmp_path, capsys):
+    manifest = json.loads((workspace / "pairs.json").read_text())
+    manifest["pairs"][0]["midi_id"] = [manifest["pairs"][0]["midi_id"]]
+    (tmp_path / "pairs.json").write_text(json.dumps(manifest))
+    payload = json.loads((workspace / "run.json").read_text())
+    payload["data"]["manifest"] = str(tmp_path / "pairs.json")
+    (tmp_path / "run.json").write_text(json.dumps(payload))
+    assert main(["train", "--config", str(tmp_path / "run.json"),
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "CatalogError" in err and "Traceback" not in err
+
+
+def test_interrupted_ablation_write_keeps_previous_tables(workspace, tmp_path, monkeypatch):
+    _ablate_one(workspace, tmp_path, {"name": "bad", "model": {"bogus": 1}})
+    out_dir = tmp_path / "ablation"
+    before = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+    assert {"ablation.csv", "ablation.md"} <= set(before)
+    grid = json.loads((tmp_path / "grid.json").read_text())
+    grid["variants"].append({"name": "worse", "train": {"lr": "x"}})
+    (tmp_path / "grid.json").write_text(json.dumps(grid))
+    _fail_renames(monkeypatch, "ablation.")
+    assert main(["ablate", "--config-grid", str(tmp_path / "grid.json"),
+                 "--out-dir", str(out_dir)]) == 2
+    assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == before
 
 
 def _ablate_one(workspace, tmp_path, variant, name="bad"):
@@ -335,6 +392,7 @@ def _ablate_one(workspace, tmp_path, variant, name="bad"):
       for section, value in BAD_SECTIONS if section in ("model", "train")],
     (5, "variant0"),
     ({"name": "bad", "data": {"split": "val"}}, "bad"),
+    *[({"name": "bad", section: value}, "bad") for section, value in NON_FINITE],
 ])
 def test_malformed_ablation_variant_fails_alone(workspace, tmp_path, variant, name):
     _ablate_one(workspace, tmp_path, variant, name)

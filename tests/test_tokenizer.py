@@ -150,6 +150,14 @@ class TestDataset:
         with pytest.raises(CatalogError, match="tokens.jsonl:2"):
             list(load_token_dataset(path, VOCAB))
 
+    def test_non_utf8_record_reports_line(self, tmp_path):
+        path = tmp_path / "tokens.jsonl"
+        save_token_dataset(path, [("a", [1, 2])], VOCAB)
+        with open(path, "ab") as fh:
+            fh.write(b'{"id": "\xff", "ids": [1, 2]}\n')
+        with pytest.raises(CatalogError, match="tokens.jsonl:2"):
+            list(load_token_dataset(path, VOCAB))
+
     def test_vocab_mismatch(self, tmp_path):
         path = tmp_path / "tokens.jsonl"
         save_token_dataset(path, [("a", [1, 2])], VOCAB)

@@ -267,3 +267,18 @@ class TestFit:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "epoch,l_cc,l_va,l_total"
         assert lines[1].split(",") == ["1", "0.5", "0.25", "0.5000025"]
+        assert path.read_bytes().count(b"\r\n") == 2  # the csv module's default dialect
+
+    def test_interrupted_csv_write_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "loss.csv"
+        write_loss_csv(path, [EpochStats(1, 0.5, 0.25, 0.5000025)])
+        before = path.read_bytes()
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr("emogen._files.os.replace", interrupted)
+        with pytest.raises(OSError):
+            write_loss_csv(path, [EpochStats(1, 0.7, 0.0, 0.7), EpochStats(2, 0.6, 0.0, 0.6)])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["loss.csv"]
