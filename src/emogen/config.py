@@ -68,6 +68,7 @@ class ModelConfig:
     image_size: int = 32
     va_hidden: int = 64
     seed: int = 0
+    dtype: str = "float32"  # or "float64"; a checkpoint without it is float64
 
     def __post_init__(self):
         minimum = {"decoder_blocks": 0, "max_len": 2}  # other sizes 1; seed is free
@@ -78,6 +79,8 @@ class ModelConfig:
                               f"max_len 2): {too_small}")
         if self.image_extractor not in ("precomputed", "tiny-cnn"):
             raise ConfigError(f"unknown image_extractor {self.image_extractor!r}")
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
         if self.image_size % 4 != 0:
             raise ConfigError("image_size must be divisible by 4 (two 2x2 pools)")
         if self.model_dim % self.head_count != 0:

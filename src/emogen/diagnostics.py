@@ -11,9 +11,8 @@ import numpy as np
 
 from .config import ModelConfig
 from .model import DecoderBlock, EmoModel, EncoderBlock, VaPredictor
-from .nn import (AttentionConfig, BatchNorm, Embedding, GradCheckReport,
-                 LayerNorm, Linear, MultiHeadAttention, Tensor, gradcheck,
-                 softmax)
+from .nn import (BatchNorm, Embedding, GradCheckReport, LayerNorm, Linear,
+                 MultiHeadAttention, Tensor, gradcheck, softmax)
 from .training import cce_loss, va_loss
 from .tokenizer import BOS, EOS
 
@@ -28,7 +27,6 @@ def standard_gradchecks(model_dim: int = 16, head_count: int = 2, ff_dim: int = 
     """Run the full block battery; returns name -> report."""
     rng = np.random.default_rng(7)
     probe = np.random.default_rng(11)
-    attn = AttentionConfig(model_dim, head_count)
     x = Tensor(rng.normal(size=(seq_len, model_dim)), requires_grad=True)
     reports: dict[str, GradCheckReport] = {}
 
@@ -55,15 +53,15 @@ def standard_gradchecks(model_dim: int = 16, head_count: int = 2, ff_dim: int = 
     run("batch_norm", bnorm,
         lambda: _weighted_sum(bnorm(x, train=True), np.random.default_rng(4)))
 
-    mha = MultiHeadAttention(attn, rng)
+    mha = MultiHeadAttention(model_dim, head_count, rng)
     run("attention", mha,
         lambda: _weighted_sum(mha(x, x, x, causal=True), np.random.default_rng(5)))
 
-    encoder = EncoderBlock(attn, ff_dim, rng)
+    encoder = EncoderBlock(model_dim, head_count, ff_dim, rng)
     run("encoder_block", encoder,
         lambda: _weighted_sum(encoder(x), np.random.default_rng(6)))
 
-    decoder = DecoderBlock(attn, ff_dim, rng)
+    decoder = DecoderBlock(model_dim, head_count, ff_dim, rng)
     run("decoder_block", decoder,
         lambda: _weighted_sum(decoder(x), np.random.default_rng(7)))
 
@@ -97,7 +95,7 @@ def full_model_gradcheck(tolerance: float = 1e-4,
     """Gradcheck the reduced end-to-end model: encoder + merge + decoder + CCE."""
     config = ModelConfig(encoder_blocks=1, decoder_blocks=1, model_dim=16,
                          head_count=2, ff_dim=24, max_len=16,
-                         time_shift_bins=4, velocity_bins=2, seed=3)
+                         time_shift_bins=4, velocity_bins=2, seed=3, dtype="float64")
     model = EmoModel(config)
     rng = np.random.default_rng(13)
     feature = rng.normal(size=512)

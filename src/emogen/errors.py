@@ -23,6 +23,12 @@ class MalformedEvent(EmogenError):
     """Note event with a data byte >= 0x80, or a zero tempo."""
 
 
+# --- tokenizer ---
+
+class TokenizerError(EmogenError, ValueError):
+    """Token, id, bin count or length outside the vocabulary's layout or limits."""
+
+
 # --- metrics ---
 
 class EmptyPiece(EmogenError):

@@ -20,10 +20,10 @@ from ._files import write_atomic
 from .config import ModelConfig
 from .errors import (BadFeatureFile, BadImage, CheckpointCorrupt, ConfigError,
                      PrefixTooLong, VocabMismatch)
-from .nn import (AttentionConfig, BatchNorm, Conv2d, Embedding, FeedForward,
-                 LayerNorm, Linear, Module, MultiHeadAttention, Tensor,
-                 avg_pool2d, concat, global_avg_pool, no_grad, relu, reshape,
-                 sinusoidal_positions, softmax, take, tensor_sum)
+from .nn import (BatchNorm, Conv2d, Embedding, FeedForward, LayerNorm, Linear,
+                 Module, MultiHeadAttention, Tensor, avg_pool2d, concat,
+                 global_avg_pool, no_grad, relu, reshape, sinusoidal_positions,
+                 softmax, take, tensor_sum)
 from .pairing import VaPoint
 from .tokenizer import BOS, EOS, PAD, TokenSequence
 
@@ -45,11 +45,11 @@ def validate_feature(vector: np.ndarray) -> np.ndarray:
 
 
 def write_feature_file(path: str | Path, vector: np.ndarray) -> None:
-    """512 little-endian float32 values behind a 16-byte magic/version header."""
+    """512 little-endian float32 values behind a 16-byte magic/version header,
+    written atomically."""
     vector = validate_feature(vector)
-    with open(path, "wb") as fh:
-        fh.write(FEATURE_MAGIC + struct.pack("<II", 1, IMAGE_FEATURE_DIM))
-        fh.write(vector.astype("<f4").tobytes())
+    write_atomic(path, [FEATURE_MAGIC + struct.pack("<II", 1, IMAGE_FEATURE_DIM),
+                        vector.astype("<f4").tobytes()])
 
 
 def read_feature_file(path: str | Path) -> np.ndarray:
@@ -100,11 +100,11 @@ class TinyCnnExtractor(Module):
 # --- transformer blocks ---
 
 class EncoderBlock(Module):
-    def __init__(self, cfg: AttentionConfig, ff_dim: int, rng: np.random.Generator):
-        self.attn = MultiHeadAttention(cfg, rng)
-        self.norm1 = LayerNorm(cfg.model_dim)
-        self.ffn = FeedForward(cfg.model_dim, ff_dim, rng)
-        self.norm2 = LayerNorm(cfg.model_dim)
+    def __init__(self, dim: int, heads: int, ff_dim: int, rng: np.random.Generator):
+        self.attn = MultiHeadAttention(dim, heads, rng)
+        self.norm1 = LayerNorm(dim)
+        self.ffn = FeedForward(dim, ff_dim, rng)
+        self.norm2 = LayerNorm(dim)
 
     def __call__(self, x: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
         x = self.norm1(x + self.attn(x, x, x, key_mask=key_mask))
@@ -114,11 +114,11 @@ class EncoderBlock(Module):
 class DecoderBlock(Module):
     """Causal self-attention, then per-position dense/ReLU, layer-normed."""
 
-    def __init__(self, cfg: AttentionConfig, ff_dim: int, rng: np.random.Generator):
-        self.attn = MultiHeadAttention(cfg, rng)
-        self.norm1 = LayerNorm(cfg.model_dim)
-        self.ffn = FeedForward(cfg.model_dim, ff_dim, rng)
-        self.norm2 = LayerNorm(cfg.model_dim)
+    def __init__(self, dim: int, heads: int, ff_dim: int, rng: np.random.Generator):
+        self.attn = MultiHeadAttention(dim, heads, rng)
+        self.norm1 = LayerNorm(dim)
+        self.ffn = FeedForward(dim, ff_dim, rng)
+        self.norm2 = LayerNorm(dim)
 
     def __call__(self, x: Tensor, last_only: bool = False) -> Tensor:
         """All rows of `x`, or with `last_only` just the newest one as a (1, d) row.
@@ -185,29 +185,34 @@ def token_histogram(ids, vocab_size: int) -> np.ndarray:
 # --- the generator model ---
 
 class EmoModel(Module):
+    """Parameters, Adam moments and every array fed to the graph have
+    `config.dtype`; weights are drawn in float64 first, so the seeded draws
+    do not depend on it."""
+
     def __init__(self, config: ModelConfig):
         self.config = config
         self.vocab = config.vocabulary()
+        self.dtype = np.dtype(config.dtype)
         rng = np.random.default_rng(config.seed)
-        d = config.model_dim
-        attn = AttentionConfig(d, config.head_count)
+        d, heads = config.model_dim, config.head_count
 
         self.extractor = TinyCnnExtractor(rng) if config.image_extractor == "tiny-cnn" else None
         self.embedding = Embedding(self.vocab.total_size, d, rng)
-        self.encoder_stack = [EncoderBlock(attn, config.ff_dim, rng)
+        self.encoder_stack = [EncoderBlock(d, heads, config.ff_dim, rng)
                               for _ in range(config.encoder_blocks)]
         self.img_proj = Linear(IMAGE_FEATURE_DIM, d, rng)
         self.mem_proj = Linear(2 * d, d, rng)
         if config.decoder_blocks > 0:
-            self.decoder_stack = [DecoderBlock(attn, config.ff_dim, rng)
+            self.decoder_stack = [DecoderBlock(d, heads, config.ff_dim, rng)
                                   for _ in range(config.decoder_blocks)]
             self.dense_decoder = None
         else:
             self.decoder_stack = []
             self.dense_decoder = FeedForward(d, config.ff_dim, rng)
         self.out_proj = Linear(d, self.vocab.total_size, rng)
+        self.cast(self.dtype)
         # positions 0..max_len (slot 0 is the prepended memory position)
-        self.positions = sinusoidal_positions(config.max_len + 1, d)
+        self.positions = sinusoidal_positions(config.max_len + 1, d).astype(self.dtype)
 
     # --- encoders ---
 
@@ -218,14 +223,15 @@ class EmoModel(Module):
         if isinstance(source, (str, Path)):
             path = Path(source)
             if path.suffix == ".emf" or self.extractor is None:
-                return Tensor(read_feature_file(path))
-            return self.extractor(Tensor(load_image(path, self.config.image_size)))
-        arr = np.asarray(source, dtype=np.float64)
-        if arr.ndim == 1:
-            return Tensor(validate_feature(arr))
-        if self.extractor is None:
-            raise BadImage("raw image given but the extractor is 'precomputed'")
-        return self.extractor(Tensor(arr))
+                return Tensor(read_feature_file(path), dtype=self.dtype)
+            arr = load_image(path, self.config.image_size)
+        else:
+            arr = np.asarray(source, dtype=np.float64)
+            if arr.ndim == 1:
+                return Tensor(validate_feature(arr), dtype=self.dtype)
+            if self.extractor is None:
+                raise BadImage("raw image given but the extractor is 'precomputed'")
+        return self.extractor(Tensor(arr, dtype=self.dtype))
 
     def _check_ids(self, ids: np.ndarray) -> np.ndarray:
         ids = np.asarray(ids, dtype=np.int64)
@@ -242,7 +248,7 @@ class EmoModel(Module):
         x = self.embedding(ids) + Tensor(self.positions[1:ids.size + 1])
         for block in self.encoder_stack:
             x = block(x, key_mask=mask)
-        weights = mask.astype(np.float64)
+        weights = mask.astype(self.dtype)
         total = weights.sum()
         weights = weights / total if total > 0 else np.full_like(weights, 1.0 / len(weights))
         return tensor_sum(x * Tensor(weights[:, None]), axis=0)  # (model_dim,)
@@ -331,8 +337,11 @@ class EmoModel(Module):
         meta, blocks = load_checkpoint(path)
         if meta.get("kind") != "emomodel":
             raise CheckpointCorrupt(f"{path}: not a model checkpoint")
+        config = meta.get("config")
+        if isinstance(config, dict):  # written before the dtype knob: float64
+            config = {"dtype": "float64", **config}
         try:
-            model = cls(ModelConfig.from_dict(meta.get("config")))
+            model = cls(ModelConfig.from_dict(config))
         except ConfigError as exc:
             raise CheckpointCorrupt(f"{path}: {exc}") from exc
         if meta.get("vocab_hash") != model.vocab.vocab_hash:
@@ -376,7 +385,11 @@ def _assign_blocks(module: Module, blocks: dict[str, np.ndarray], path) -> None:
         if param.data.shape != blocks[name].shape:
             raise CheckpointCorrupt(f"{path}: block {name} has shape {blocks[name].shape}, "
                                     f"expected {param.data.shape}")
-        param.data = blocks[name].astype(np.float64)
+        with np.errstate(over="ignore"):  # a float64 value beyond float32 range
+            param.data = blocks[name].astype(param.data.dtype)
+        if not np.isfinite(param.data).all():
+            raise CheckpointCorrupt(f"{path}: block {name} holds values that are not "
+                                    f"finite as {param.data.dtype}")
 
 
 # --- checkpoint container ---

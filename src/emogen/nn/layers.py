@@ -7,8 +7,6 @@ across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..errors import BatchTooSmall, ShapeMismatch
@@ -18,23 +16,6 @@ from .tensor import (Tensor, attention, layer_norm, linear, matmul, relu, reshap
 from .tensor import softmax  # noqa: F401  # not called here; perfbench/tracing.py patches this name
 
 MASK_VALUE = -1e30  # additive attention mask; exp() underflows to exactly 0
-
-
-@dataclass(frozen=True)
-class AttentionConfig:
-    model_dim: int
-    head_count: int
-
-    def __post_init__(self):
-        if self.head_count < 1:
-            raise ValueError("head_count must be >= 1")
-        if self.model_dim % self.head_count != 0:
-            raise ValueError(
-                f"model_dim {self.model_dim} not divisible by {self.head_count} heads")
-
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.head_count
 
 
 class Module:
@@ -56,6 +37,13 @@ class Module:
     def zero_grad(self) -> None:
         for _, param in self.parameters():
             param.grad = None
+
+    def cast(self, dtype) -> None:
+        """Cast every parameter and its Adam moments to `dtype`, in place."""
+        for _, param in self.parameters():
+            param.data = param.data.astype(dtype, copy=False)
+            param.adam_m = param.adam_m.astype(dtype, copy=False)
+            param.adam_v = param.adam_v.astype(dtype, copy=False)
 
 
 def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
@@ -124,13 +112,15 @@ class BatchNorm(Module):
 
 
 class MultiHeadAttention(Module):
-    def __init__(self, cfg: AttentionConfig, rng: np.random.Generator):
-        d = cfg.model_dim
-        self.cfg = cfg
-        self.wq = Linear(d, d, rng)
-        self.wk = Linear(d, d, rng)
-        self.wv = Linear(d, d, rng)
-        self.wo = Linear(d, d, rng)
+    """`heads` attention heads over `dim` features; `nn.attention` checks
+    that `heads` divides `dim`."""
+
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
+        self.heads = heads
+        self.wq = Linear(dim, dim, rng)
+        self.wk = Linear(dim, dim, rng)
+        self.wv = Linear(dim, dim, rng)
+        self.wo = Linear(dim, dim, rng)
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
                  key_mask: np.ndarray | None = None) -> Tensor:
@@ -139,7 +129,9 @@ class MultiHeadAttention(Module):
         if key_mask is not None and not np.all(key_mask):
             keys = np.where(np.asarray(key_mask, dtype=bool), 0.0, MASK_VALUE)
             mask = keys if mask is None else mask + keys
-        heads = attention(self.wq(q), self.wk(k), self.wv(v), self.cfg.head_count, mask)
+        if mask is not None:
+            mask = mask.astype(q.data.dtype, copy=False)
+        heads = attention(self.wq(q), self.wk(k), self.wv(v), self.heads, mask)
         return self.wo(heads)
 
 

@@ -4,9 +4,15 @@ Tensors wrap float arrays; operations record a backward closure so that
 `Tensor.backward()` on a scalar accumulates gradients into every
 requires-grad leaf. All reductions use numpy's deterministic row-major
 accumulation, so repeated runs are bit-identical.
+
+Every op keeps the dtype of its operands: a float array keeps its dtype,
+a constant (Python scalar or array) combined with a Tensor takes that
+Tensor's dtype, and anything else becomes `DEFAULT_DTYPE`.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,8 +42,8 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
-        self.data = arr
+        arr = np.asarray(data, dtype=dtype)
+        self.data = arr if arr.dtype.kind == "f" else arr.astype(DEFAULT_DTYPE)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._parents: tuple[Tensor, ...] = ()
@@ -119,17 +125,16 @@ class Tensor:
         return mul(self, -1.0)
 
     def __sub__(self, other):
-        return add(self, -_as_tensor(other))
+        return add(self, -_as_tensor(other, self))
 
     def __rsub__(self, other):
-        return add(_as_tensor(other), -self)
+        return add(_as_tensor(other, self), -self)
 
     def __truediv__(self, other):
-        other = _as_tensor(other)
-        return mul(self, power(other, -1.0))
+        return mul(self, power(_as_tensor(other, self), -1.0))
 
     def __rtruediv__(self, other):
-        return mul(_as_tensor(other), power(self, -1.0))
+        return mul(_as_tensor(other, self), power(self, -1.0))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -157,8 +162,11 @@ class Tensor:
         return tensor_mean(self, axis, keepdims)
 
 
-def _as_tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+def _as_tensor(value, like=None) -> Tensor:
+    """`value` as a Tensor; a constant takes the dtype of the Tensor `like`."""
+    if isinstance(value, Tensor):
+        return value
+    return Tensor(value, dtype=like.data.dtype if isinstance(like, Tensor) else None)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -175,7 +183,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # --- elementwise ---
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     data = a.data + b.data
 
     def backward(grad):
@@ -188,7 +196,7 @@ def add(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     data = a.data * b.data
 
     def backward(grad):
@@ -242,7 +250,7 @@ def absolute(a) -> Tensor:
 # --- linear algebra and shape ---
 
 def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
         raise ShapeMismatch(f"matmul {a.data.shape} @ {b.data.shape}")
     data = a.data @ b.data
@@ -431,13 +439,13 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None) -> Tensor:
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     (tq, d), tk = q.data.shape, k.data.shape[0]
-    if d % heads or k.data.shape != (tk, d) or v.data.shape != (tk, d):
+    if heads < 1 or d % heads or k.data.shape != (tk, d) or v.data.shape != (tk, d):
         raise ShapeMismatch(f"attention over {heads} heads: q {q.data.shape}, "
                             f"k {k.data.shape}, v {v.data.shape}")
     head_dim = d // heads
     qh, kh, vh = (t.data.reshape(t.data.shape[0], heads, head_dim).transpose(1, 0, 2)
                   for t in (q, k, v))
-    scale = 1.0 / np.sqrt(head_dim)
+    scale = 1.0 / math.sqrt(head_dim)  # a Python float: float32 stays float32
     weights = (qh @ kh.transpose(0, 2, 1)) * scale  # (H, Tq, Tk); softmaxed in place
     if mask is not None:
         weights += mask

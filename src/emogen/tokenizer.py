@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .errors import CatalogError, VocabMismatch
+from ._files import write_atomic
+from .errors import CatalogError, TokenizerError, VocabMismatch
 from .midi_io import MidiPiece, NoteEvent, note_to_steps
 
 PAD, BOS, EOS = 0, 1, 2
@@ -37,7 +38,7 @@ class Vocabulary:
 
     def __post_init__(self):
         if self.time_shift_bins < 1 or self.velocity_bins < 1:
-            raise ValueError("bin counts must be >= 1")
+            raise TokenizerError("bin counts must be >= 1")
 
     @property
     def note_on_base(self) -> int:
@@ -79,17 +80,18 @@ class Vocabulary:
             return self.note_off_base + token[1]
         if name == "TIME_SHIFT":
             if not 1 <= token[1] <= self.time_shift_bins:
-                raise ValueError(f"time shift {token[1]} outside 1..{self.time_shift_bins}")
+                raise TokenizerError(f"time shift {token[1]} outside 1..{self.time_shift_bins}")
             return self.time_shift_base + token[1] - 1
         if name == "VELOCITY":
             if not 0 <= token[1] < self.velocity_bins:
-                raise ValueError(f"velocity bin {token[1]} outside 0..{self.velocity_bins - 1}")
+                raise TokenizerError(
+                    f"velocity bin {token[1]} outside 0..{self.velocity_bins - 1}")
             return self.velocity_base + token[1]
-        raise ValueError(f"unknown token {token!r}")
+        raise TokenizerError(f"unknown token {token!r}")
 
     def id_to_token(self, idx: int) -> tuple:
         if not 0 <= idx < self.total_size:
-            raise ValueError(f"id {idx} outside vocabulary of {self.total_size}")
+            raise TokenizerError(f"id {idx} outside vocabulary of {self.total_size}")
         if idx == PAD:
             return ("PAD",)
         if idx == BOS:
@@ -122,7 +124,7 @@ class TokenSequence:
 
     def __post_init__(self):
         if len(self.ids) > self.max_len:
-            raise ValueError(f"{len(self.ids)} ids exceed max_len {self.max_len}")
+            raise TokenizerError(f"{len(self.ids)} ids exceed max_len {self.max_len}")
         object.__setattr__(self, "ids", tuple(int(i) for i in self.ids))
 
     def __len__(self) -> int:
@@ -133,7 +135,7 @@ def encode(piece: MidiPiece, vocab: Vocabulary, steps_per_beat: int = 4,
            max_len: int = 256) -> TokenSequence:
     """Encode a piece as a deterministic event stream, truncated at max_len."""
     if max_len < 2:
-        raise ValueError("max_len must be >= 2")
+        raise TokenizerError("max_len must be >= 2")
     boundaries: dict[int, tuple[list, list]] = {}  # step -> (offs, ons)
     for note in piece.notes:
         start, end = note_to_steps(note, steps_per_beat, piece.ticks_per_beat)
@@ -209,10 +211,10 @@ def decode(tokens: TokenSequence | Iterable[int], vocab: Vocabulary,
 
 def save_token_dataset(path: str | Path, records: Iterable[tuple[str, Iterable[int]]],
                        vocab: Vocabulary) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for rec_id, ids in records:
-            fh.write(json.dumps({"id": rec_id, "ids": list(map(int, ids)),
-                                 "vocab_hash": vocab.vocab_hash}) + "\n")
+    """One JSON line per record, written atomically."""
+    lines = (json.dumps({"id": rec_id, "ids": list(map(int, ids)),
+                         "vocab_hash": vocab.vocab_hash}) + "\n" for rec_id, ids in records)
+    write_atomic(path, (line.encode("utf-8") for line in lines))
 
 
 def load_token_dataset(path: str | Path, vocab: Vocabulary) -> Iterator[tuple[str, list[int]]]:

@@ -10,6 +10,7 @@ relaxes the argmax to the expected token histogram so the gradient flows.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -64,15 +65,16 @@ def va_loss(true_ids, pred_probs: Tensor, predictor: VaPredictor,
     if pred_probs.shape[-1] != vocab_size:
         raise ShapeMismatch(f"probability rows of {pred_probs.shape[-1]} "
                             f"!= predictor vocabulary {vocab_size}")
+    dtype = pred_probs.data.dtype  # histograms match it; so should `predictor`'s weights
     true_hist = token_histogram(true_ids, vocab_size)
     with no_grad():
-        true_va = predictor(Tensor(true_hist[None, :]), train=False).data[0]
+        true_va = predictor(Tensor(true_hist[None, :], dtype=dtype), train=False).data[0]
 
     if mode == "hard":
         pred_ids = np.argmax(pred_probs.data, axis=-1)
         pred_hist = token_histogram(pred_ids, vocab_size)
         with no_grad():
-            pred_va = predictor(Tensor(pred_hist[None, :]), train=False).data[0]
+            pred_va = predictor(Tensor(pred_hist[None, :], dtype=dtype), train=False).data[0]
         return float(np.abs(true_va - pred_va).mean())
     if mode == "soft":
         expected_hist = tensor_mean(pred_probs, axis=0)  # rows are distributions
@@ -162,8 +164,13 @@ def fit(model: EmoModel, samples: Sequence[TrainSample], config: TrainConfig,
         raise CatalogTooSmall("no training samples")
     mode = config.va_loss_mode
     weights = config.loss_weights
-    if config.uses_va and predictor is None:
-        raise PredictorMissing("va_loss_mode requires pretrained predictor weights")
+    if config.uses_va:
+        if predictor is None:
+            raise PredictorMissing("va_loss_mode requires pretrained predictor weights")
+        # a copy in the model's dtype: a float64 predictor would upcast the
+        # soft-mode backward pass, and the caller's predictor gains no gradients
+        predictor = copy.deepcopy(predictor)
+        predictor.cast(model.dtype)
 
     params = model.parameters()
     optimizer = Adam(params, lr=config.lr)

@@ -7,9 +7,9 @@ import pytest
 from emogen.config import ModelConfig
 from emogen.errors import ShapeMismatch
 from emogen.model import IMAGE_FEATURE_DIM, EmoModel
-from emogen.nn import (AttentionConfig, LayerNorm, Linear, MultiHeadAttention,
-                       Tensor, attention, gradcheck, layer_norm, linear, matmul,
-                       reshape, softmax, sqrt, tensor_mean, tensor_sum, transpose)
+from emogen.nn import (LayerNorm, Linear, MultiHeadAttention, Tensor, attention,
+                       gradcheck, layer_norm, linear, matmul, reshape, softmax,
+                       sqrt, tensor_mean, tensor_sum, transpose)
 from emogen.nn.layers import MASK_VALUE
 from emogen.tokenizer import BOS, EOS, PAD
 from emogen.training import cce_loss
@@ -30,16 +30,16 @@ def ref_layer_norm(norm, x):
 
 
 def ref_attention(mha, q, k, v, causal=False, key_mask=None):
-    cfg = mha.cfg
-    tq, tk = q.shape[0], k.shape[0]
+    tq, tk, d = q.shape[0], k.shape[0], q.shape[1]
+    head_dim = d // mha.heads
 
     def split_heads(x, t):
-        return transpose(reshape(x, (t, cfg.head_count, cfg.head_dim)), (1, 0, 2))
+        return transpose(reshape(x, (t, mha.heads, head_dim)), (1, 0, 2))
 
     qh = split_heads(ref_linear(mha.wq, q), tq)
     kh = split_heads(ref_linear(mha.wk, k), tk)
     vh = split_heads(ref_linear(mha.wv, v), tk)
-    scores = matmul(qh, transpose(kh, (0, 2, 1))) * (1.0 / np.sqrt(cfg.head_dim))
+    scores = matmul(qh, transpose(kh, (0, 2, 1))) * (1.0 / np.sqrt(head_dim))
     mask = np.triu(np.full((tq, tk), MASK_VALUE), k=1) if causal else None
     if key_mask is not None and not np.all(key_mask):
         keys = np.where(np.asarray(key_mask, dtype=bool), 0.0, MASK_VALUE)
@@ -47,7 +47,7 @@ def ref_attention(mha, q, k, v, causal=False, key_mask=None):
     if mask is not None:
         scores = scores + mask
     heads = matmul(softmax(scores, axis=-1), vh)
-    merged = reshape(transpose(heads, (1, 0, 2)), (tq, cfg.model_dim))
+    merged = reshape(transpose(heads, (1, 0, 2)), (tq, d))
     return ref_linear(mha.wo, merged)
 
 
@@ -67,7 +67,7 @@ ATTENTION_CASES = [
 
 def _mha(seed=0, d=8, heads=2):
     rng = np.random.default_rng(seed)
-    mha = MultiHeadAttention(AttentionConfig(d, heads), rng)
+    mha = MultiHeadAttention(d, heads, rng)
     return mha, Tensor(rng.normal(size=(5, d)), requires_grad=True)
 
 
@@ -185,7 +185,8 @@ class TestWholeModelAgainstReference:
     @pytest.mark.parametrize("decoder_blocks", [0, 2])
     def test_logits_bit_identical_and_gradients_close(self, monkeypatch, decoder_blocks):
         config = ModelConfig(model_dim=16, head_count=4, ff_dim=24, encoder_blocks=2,
-                             decoder_blocks=decoder_blocks, max_len=32, seed=4)
+                             decoder_blocks=decoder_blocks, max_len=32, seed=4,
+                             dtype="float64")
         model = EmoModel(config)
         rng = np.random.default_rng(14)
         feature = rng.normal(size=IMAGE_FEATURE_DIM)

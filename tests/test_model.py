@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,20 @@ class TestFeatureFiles:
         with pytest.raises(BadFeatureFile):
             write_feature_file(tmp_path / "x.emf", feature)
 
+    def test_interrupted_write_keeps_previous_file(self, tmp_path, feature, monkeypatch):
+        path = tmp_path / "img.emf"
+        write_feature_file(path, feature)
+        before = path.read_bytes()
+
+        def interrupted(src, dst):
+            raise OSError("interrupted")
+
+        monkeypatch.setattr("emogen._files.os.replace", interrupted)
+        with pytest.raises(OSError):
+            write_feature_file(path, feature * 2)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["img.emf"]
+
 
 class TestConfig:
     def test_from_dict_rejects_unknown_keys(self):
@@ -69,7 +85,7 @@ class TestConfig:
             small_config(image_extractor="resnet")
 
     def test_indivisible_heads(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ConfigError, match="not divisible by 2 heads"):
             small_config(model_dim=15, head_count=2)
 
     def test_default_vocab_size(self):
@@ -89,7 +105,8 @@ class TestExtractor:
         with pytest.raises(BadImage):
             model.image_feature(rng.random((3, 8, 8)))
 
-    def test_feature_vector_passthrough(self, model, feature):
+    def test_feature_vector_passthrough(self, feature):
+        model = EmoModel(small_config(dtype="float64"))
         assert np.array_equal(model.image_feature(feature).data, feature)
 
     def test_emf_path_source(self, model, tmp_path, feature):
@@ -217,7 +234,7 @@ class TestLastRowDecoding:
     @pytest.mark.parametrize("decoder_blocks", [0, 1, 3])
     @pytest.mark.parametrize("n", [1, 2, 17, 32])
     def test_last_row_matches_full_decode(self, decoder_blocks, n, feature):
-        model = EmoModel(small_config(decoder_blocks=decoder_blocks))
+        model = EmoModel(small_config(decoder_blocks=decoder_blocks, dtype="float64"))
         ids = np.random.default_rng(n).integers(0, model.vocab.total_size, size=n)
         with no_grad():
             joint = model.merge(model.image_feature(feature), model.encode_midi(ids))
@@ -288,7 +305,8 @@ class TestCheckpoints:
         loaded = EmoModel.load(path)
         assert loaded.config == model.config
         for (na, pa), (nb, pb) in zip(model.parameters(), loaded.parameters()):
-            assert na == nb and np.array_equal(pa.data, pb.data)
+            assert na == nb and pb.data.dtype == pa.data.dtype == np.float32
+            assert np.array_equal(pa.data, pb.data)
         assert loaded.generate(feature, max_len=10).ids == \
             model.generate(feature, max_len=10).ids
 
@@ -344,6 +362,17 @@ class TestCheckpoints:
         save_checkpoint(path, meta, predictor.parameters())
         with pytest.raises(CheckpointCorrupt):
             load_va_predictor(path)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])  # 1e39 overflows float32
+    def test_non_finite_block_rejected(self, tmp_path, value):
+        model = EmoModel(small_config())
+        wide = {name: Tensor(p.data.astype(np.float64)) for name, p in model.parameters()}
+        wide["out_proj.bias"].data[0] = value
+        path = tmp_path / "model.emc"
+        save_checkpoint(path, {"kind": "emomodel", "config": asdict(model.config),
+                               "vocab_hash": model.vocab.vocab_hash}, wide.items())
+        with pytest.raises(CheckpointCorrupt, match="out_proj.bias"):
+            EmoModel.load(path)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
         model = EmoModel(small_config())

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from emogen.errors import BatchTooSmall, ShapeMismatch
-from emogen.nn import (Adam, AttentionConfig, BatchNorm, Conv2d, Embedding,
-                       FeedForward, LayerNorm, Linear, MultiHeadAttention,
-                       Parameter, Tensor, avg_pool2d, concat, global_avg_pool,
-                       gradcheck, log_softmax, matmul, no_grad, relu,
-                       sinusoidal_positions, softmax, take, tensor_mean,
-                       tensor_sum, transpose)
+from emogen.nn import (Adam, BatchNorm, Conv2d, Embedding, FeedForward,
+                       LayerNorm, Linear, MultiHeadAttention, Parameter, Tensor,
+                       avg_pool2d, concat, global_avg_pool, gradcheck,
+                       log_softmax, matmul, no_grad, relu, sinusoidal_positions,
+                       softmax, take, tensor_mean, tensor_sum, transpose)
 
 
 class TestTensorOps:
@@ -181,15 +180,13 @@ class TestLayers:
 
     def test_attention_rows_are_convex_combinations(self):
         rng = np.random.default_rng(10)
-        cfg = AttentionConfig(model_dim=8, head_count=2)
-        mha = MultiHeadAttention(cfg, rng)
+        mha = MultiHeadAttention(8, 2, rng)
         x = Tensor(rng.normal(size=(4, 8)))
         assert mha(x, x, x).shape == (4, 8)
 
     def test_attention_causal_first_position_fixed(self):
         rng = np.random.default_rng(11)
-        cfg = AttentionConfig(model_dim=8, head_count=2)
-        mha = MultiHeadAttention(cfg, rng)
+        mha = MultiHeadAttention(8, 2, rng)
         x = rng.normal(size=(4, 8))
         base = mha(Tensor(x), Tensor(x), Tensor(x), causal=True).data
         x2 = x.copy()
@@ -200,8 +197,7 @@ class TestLayers:
 
     def test_attention_key_mask_excludes_position(self):
         rng = np.random.default_rng(12)
-        cfg = AttentionConfig(model_dim=8, head_count=2)
-        mha = MultiHeadAttention(cfg, rng)
+        mha = MultiHeadAttention(8, 2, rng)
         x = rng.normal(size=(3, 8))
         mask = np.array([True, True, False])
         kv2 = x.copy()
@@ -215,7 +211,7 @@ class TestLayers:
 
     def test_attention_all_true_key_mask_is_no_mask(self):
         rng = np.random.default_rng(17)
-        mha = MultiHeadAttention(AttentionConfig(model_dim=8, head_count=2), rng)
+        mha = MultiHeadAttention(8, 2, rng)
         x = Tensor(rng.normal(size=(4, 8)))
         for causal in (False, True):
             assert np.array_equal(mha(x, x, x, causal=causal, key_mask=np.ones(4, bool)).data,
@@ -223,7 +219,7 @@ class TestLayers:
 
     def test_attention_and_relu_gradchecks(self):
         rng = np.random.default_rng(18)
-        mha = MultiHeadAttention(AttentionConfig(model_dim=8, head_count=2), rng)
+        mha = MultiHeadAttention(8, 2, rng)
         x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
         weights = Tensor(rng.normal(size=(4, 8)))
         mask = np.array([True, False, True, True])
@@ -234,13 +230,15 @@ class TestLayers:
 
     def test_attention_single_token(self):
         rng = np.random.default_rng(13)
-        mha = MultiHeadAttention(AttentionConfig(4, 2), rng)
+        mha = MultiHeadAttention(4, 2, rng)
         x = Tensor(rng.normal(size=(1, 4)))
         assert mha(x, x, x, causal=True).shape == (1, 4)
 
     def test_attention_config_divisibility(self):
-        with pytest.raises(ValueError):
-            AttentionConfig(model_dim=10, head_count=3)
+        mha = MultiHeadAttention(10, 3, np.random.default_rng(0))
+        x = Tensor(np.ones((2, 10)))
+        with pytest.raises(ShapeMismatch, match="3 heads"):
+            mha(x, x, x)
 
     def test_conv2d_matches_direct_convolution(self):
         rng = np.random.default_rng(14)

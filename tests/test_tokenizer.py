@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emogen.errors import CatalogError, VocabMismatch
+from emogen.errors import CatalogError, EmogenError, TokenizerError, VocabMismatch
 from emogen.midi_io import MidiPiece, NoteEvent
 from emogen.tokenizer import (BOS, EOS, PAD, TokenSequence, Vocabulary,
                               decode, encode, load_token_dataset,
@@ -12,6 +12,24 @@ from emogen.tokenizer import (BOS, EOS, PAD, TokenSequence, Vocabulary,
 from conftest import random_canonical_piece
 
 VOCAB = Vocabulary()
+
+# every raise site in the tokenizer; each is typed and still a ValueError
+RAISE_SITES = {
+    "bin_count": lambda: Vocabulary(time_shift_bins=0),
+    "time_shift": lambda: VOCAB.token_to_id(("TIME_SHIFT", 101)),
+    "velocity_bin": lambda: VOCAB.token_to_id(("VELOCITY", 32)),
+    "unknown_token": lambda: VOCAB.token_to_id(("CHORD", 60)),
+    "id_range": lambda: VOCAB.id_to_token(391),
+    "sequence_length": lambda: TokenSequence(ids=(BOS,) * 6, max_len=5),
+    "encode_max_len": lambda: encode(MidiPiece(480, ()), VOCAB, max_len=1),
+}
+
+
+@pytest.mark.parametrize("site", sorted(RAISE_SITES))
+def test_raise_sites_are_typed(site):
+    with pytest.raises(TokenizerError) as info:
+        RAISE_SITES[site]()
+    assert isinstance(info.value, EmogenError) and isinstance(info.value, ValueError)
 
 
 class TestVocabulary:
@@ -157,6 +175,20 @@ class TestDataset:
             fh.write(b'{"id": "\xff", "ids": [1, 2]}\n')
         with pytest.raises(CatalogError, match="tokens.jsonl:2"):
             list(load_token_dataset(path, VOCAB))
+
+    def test_interrupted_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "tokens.jsonl"
+        save_token_dataset(path, [("a", [1, 2])], VOCAB)
+        before = path.read_bytes()
+
+        def records():
+            yield "b", [1, 5, 2]
+            raise RuntimeError("interrupted")
+
+        with pytest.raises(RuntimeError):
+            save_token_dataset(path, records(), VOCAB)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["tokens.jsonl"]
 
     def test_vocab_mismatch(self, tmp_path):
         path = tmp_path / "tokens.jsonl"
