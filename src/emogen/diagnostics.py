@@ -10,15 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ModelConfig
-from .model import DecoderBlock, EmoModel, EncoderBlock, VaPredictor
+from .model import Block, EmoModel, VaPredictor
 from .nn import (BatchNorm, Embedding, GradCheckReport, LayerNorm, Linear,
-                 MultiHeadAttention, Tensor, gradcheck, softmax)
+                 MultiHeadAttention, Tensor, gradcheck, softmax, tensor_sum)
 from .training import cce_loss, va_loss
 from .tokenizer import BOS, EOS
 
 
 def _weighted_sum(out: Tensor, rng: np.random.Generator) -> Tensor:
-    return (out * Tensor(rng.normal(size=out.shape))).sum()
+    return tensor_sum(out * Tensor(rng.normal(size=out.shape)))
 
 
 def standard_gradchecks(model_dim: int = 16, head_count: int = 2, ff_dim: int = 32,
@@ -57,13 +57,13 @@ def standard_gradchecks(model_dim: int = 16, head_count: int = 2, ff_dim: int = 
     run("attention", mha,
         lambda: _weighted_sum(mha(x, x, x, causal=True), np.random.default_rng(5)))
 
-    encoder = EncoderBlock(model_dim, head_count, ff_dim, rng)
+    encoder = Block(model_dim, head_count, ff_dim, rng)
     run("encoder_block", encoder,
         lambda: _weighted_sum(encoder(x), np.random.default_rng(6)))
 
-    decoder = DecoderBlock(model_dim, head_count, ff_dim, rng)
+    decoder = Block(model_dim, head_count, ff_dim, rng)
     run("decoder_block", decoder,
-        lambda: _weighted_sum(decoder(x), np.random.default_rng(7)))
+        lambda: _weighted_sum(decoder(x, causal=True), np.random.default_rng(7)))
 
     # cross-entropy wrt logits
     num_classes = 7

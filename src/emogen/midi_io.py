@@ -8,7 +8,7 @@ else is skipped. All functions are pure.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,15 +104,10 @@ def decode_vlq(data: bytes, pos: int) -> tuple[int, int]:
 
 # --- parsing ---
 
-@dataclass
-class _TrackResult:
-    notes: list[NoteEvent] = field(default_factory=list)
+def _parse_track(data: bytes) -> tuple[list[NoteEvent], int | None]:
+    """The track's notes and its first tempo (None without one)."""
+    notes: list[NoteEvent] = []
     tempo: int | None = None
-    end_tick: int = 0
-
-
-def _parse_track(data: bytes) -> _TrackResult:
-    res = _TrackResult()
     open_notes: dict[int, tuple[int, int]] = {}  # pitch -> (onset, velocity)
     pos = 0
     tick = 0
@@ -120,7 +115,7 @@ def _parse_track(data: bytes) -> _TrackResult:
 
     def close(pitch: int, at: int):
         onset, vel = open_notes.pop(pitch)
-        res.notes.append(NoteEvent(onset, pitch, max(1, at - onset), vel))
+        notes.append(NoteEvent(onset, pitch, max(1, at - onset), vel))
 
     while pos < len(data):
         delta, pos = decode_vlq(data, pos)
@@ -145,9 +140,9 @@ def _parse_track(data: bytes) -> _TrackResult:
                 raise TruncatedTrack("meta event payload truncated")
             payload = data[pos:pos + length]
             pos += length
-            if meta_type == 0x51 and length == 3 and res.tempo is None:
-                res.tempo = int.from_bytes(payload, "big")
-                if res.tempo == 0:
+            if meta_type == 0x51 and length == 3 and tempo is None:
+                tempo = int.from_bytes(payload, "big")
+                if tempo == 0:
                     raise MalformedEvent("zero tempo")
             if meta_type == 0x2F:
                 break
@@ -179,10 +174,9 @@ def _parse_track(data: bytes) -> _TrackResult:
         else:
             raise TruncatedTrack(f"unexpected status byte 0x{status:02x}")
 
-    res.end_tick = tick
     for pitch in sorted(open_notes):
         close(pitch, max(tick, open_notes[pitch][0] + 1))
-    return res
+    return notes, tempo
 
 
 def parse_midi(data: bytes) -> MidiPiece:
@@ -213,10 +207,10 @@ def parse_midi(data: bytes) -> MidiPiece:
         if pos + 8 + length > len(data):
             raise TruncatedTrack("track chunk longer than the file")
         if magic == b"MTrk":
-            result = _parse_track(data[pos + 8:pos + 8 + length])
-            notes.extend(result.notes)
+            track_notes, track_tempo = _parse_track(data[pos + 8:pos + 8 + length])
+            notes.extend(track_notes)
             if tempo is None:
-                tempo = result.tempo
+                tempo = track_tempo
             tracks_seen += 1
         pos += 8 + length
 

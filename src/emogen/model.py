@@ -10,6 +10,7 @@ image/MIDI vector conditions the decoder as a prepended memory position.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import asdict
 from pathlib import Path
@@ -99,20 +100,9 @@ class TinyCnnExtractor(Module):
 
 # --- transformer blocks ---
 
-class EncoderBlock(Module):
-    def __init__(self, dim: int, heads: int, ff_dim: int, rng: np.random.Generator):
-        self.attn = MultiHeadAttention(dim, heads, rng)
-        self.norm1 = LayerNorm(dim)
-        self.ffn = FeedForward(dim, ff_dim, rng)
-        self.norm2 = LayerNorm(dim)
-
-    def __call__(self, x: Tensor, key_mask: np.ndarray | None = None) -> Tensor:
-        x = self.norm1(x + self.attn(x, x, x, key_mask=key_mask))
-        return self.norm2(x + self.ffn(x))
-
-
-class DecoderBlock(Module):
-    """Causal self-attention, then per-position dense/ReLU, layer-normed."""
+class Block(Module):
+    """Self-attention, then per-position dense/ReLU, each added back and
+    layer-normed; one class for encoder and decoder blocks."""
 
     def __init__(self, dim: int, heads: int, ff_dim: int, rng: np.random.Generator):
         self.attn = MultiHeadAttention(dim, heads, rng)
@@ -120,13 +110,15 @@ class DecoderBlock(Module):
         self.ffn = FeedForward(dim, ff_dim, rng)
         self.norm2 = LayerNorm(dim)
 
-    def __call__(self, x: Tensor, last_only: bool = False) -> Tensor:
+    def __call__(self, x: Tensor, causal: bool = False, key_mask: np.ndarray | None = None,
+                 last_only: bool = False) -> Tensor:
         """All rows of `x`, or with `last_only` just the newest one as a (1, d) row.
 
-        The newest row attends to every key, so it needs no causal mask.
+        The newest row attends to every key, so `last_only` needs no causal mask.
         """
         q = take(x, slice(-1, None)) if last_only else x
-        q = self.norm1(q + self.attn(q, x, x, causal=not last_only))
+        q = self.norm1(q + self.attn(q, x, x, causal=causal and not last_only,
+                                     key_mask=key_mask))
         return self.norm2(q + self.ffn(q))
 
 
@@ -198,12 +190,12 @@ class EmoModel(Module):
 
         self.extractor = TinyCnnExtractor(rng) if config.image_extractor == "tiny-cnn" else None
         self.embedding = Embedding(self.vocab.total_size, d, rng)
-        self.encoder_stack = [EncoderBlock(d, heads, config.ff_dim, rng)
+        self.encoder_stack = [Block(d, heads, config.ff_dim, rng)
                               for _ in range(config.encoder_blocks)]
         self.img_proj = Linear(IMAGE_FEATURE_DIM, d, rng)
         self.mem_proj = Linear(2 * d, d, rng)
         if config.decoder_blocks > 0:
-            self.decoder_stack = [DecoderBlock(d, heads, config.ff_dim, rng)
+            self.decoder_stack = [Block(d, heads, config.ff_dim, rng)
                                   for _ in range(config.decoder_blocks)]
             self.dense_decoder = None
         else:
@@ -275,8 +267,8 @@ class EmoModel(Module):
             emb = self.embedding(ids) + Tensor(self.positions[1:n + 1])
             x = concat([reshape(memory, (1, d)) + Tensor(self.positions[:1]), emb], axis=0)
             for block in self.decoder_stack[:-1]:
-                x = block(x)
-            x = self.decoder_stack[-1](x, last_only=last_only)
+                x = block(x, causal=True)
+            x = self.decoder_stack[-1](x, causal=True, last_only=last_only)
             if not last_only:
                 x = take(x, slice(1, n + 1))
         else:
@@ -378,6 +370,10 @@ def load_va_predictor(path: str | Path, vocab_hash: str | None = None) -> VaPred
 
 
 def _assign_blocks(module: Module, blocks: dict[str, np.ndarray], path) -> None:
+    # older checkpoints hold `*.attn.wk.bias` blocks; such a bias shifts all
+    # of one query's scores alike, which softmax cancels, so they are dropped
+    blocks = {name: block for name, block in blocks.items()
+              if not name.endswith(".attn.wk.bias")}
     params = dict(module.parameters())
     if set(params) != set(blocks):
         raise CheckpointCorrupt(f"{path}: parameter blocks do not match the architecture")
@@ -443,13 +439,15 @@ def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
             pos += 1
             shape = struct.unpack_from(f"<{ndim}I", data, pos)
             pos += 4 * ndim
-            size = int(np.prod(shape)) if ndim else 1
+            size = math.prod(shape)  # exact: np.prod can overflow to 0
             raw = data[pos:pos + 8 * size]
             if len(raw) != 8 * size:
                 raise CheckpointCorrupt(f"{path}: truncated block {name}")
             pos += 8 * size
             blocks[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    except (struct.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    # ValueError: bad JSON or UTF-8, or more dimensions than numpy allows;
+    # RecursionError: JSON nested too deeply
+    except (struct.error, ValueError, RecursionError) as exc:
         raise CheckpointCorrupt(f"{path}: {exc}") from exc
     if not isinstance(meta, dict) or meta.get("format_version") != 1:
         raise CheckpointCorrupt(f"{path}: unsupported format version")

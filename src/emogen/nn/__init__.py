@@ -4,7 +4,7 @@ from .gradcheck import GradCheckReport, gradcheck
 from .layers import (BatchNorm, Conv2d, Embedding, FeedForward, LayerNorm, Linear,
                      Module, MultiHeadAttention, avg_pool2d, global_avg_pool,
                      sinusoidal_positions)
-from .optim import Adam, Parameter, adam_step
+from .optim import Adam, Parameter
 from .tensor import (Tensor, absolute, attention, concat, layer_norm, linear,
                      log_softmax, matmul, no_grad, relu, reshape, softmax, sqrt,
                      take, tensor_mean, tensor_sum, transpose)
@@ -12,7 +12,7 @@ from .tensor import (Tensor, absolute, attention, concat, layer_norm, linear,
 __all__ = [
     "Adam", "BatchNorm", "Conv2d", "Embedding", "FeedForward", "GradCheckReport",
     "LayerNorm", "Linear", "Module", "MultiHeadAttention", "Parameter", "Tensor",
-    "absolute", "adam_step", "attention", "avg_pool2d", "concat", "global_avg_pool",
+    "absolute", "attention", "avg_pool2d", "concat", "global_avg_pool",
     "gradcheck", "layer_norm", "linear", "log_softmax", "matmul", "no_grad", "relu",
     "reshape", "sinusoidal_positions", "softmax", "sqrt", "take", "tensor_mean",
     "tensor_sum", "transpose",

@@ -52,9 +52,9 @@ def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 
 
 class Linear(Module):
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator):
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator, bias: bool = True):
         self.weight = Parameter(_uniform_init(rng, in_dim, (in_dim, out_dim)))
-        self.bias = Parameter(np.zeros(out_dim))
+        self.bias = Parameter(np.zeros(out_dim)) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
@@ -118,7 +118,9 @@ class MultiHeadAttention(Module):
     def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         self.heads = heads
         self.wq = Linear(dim, dim, rng)
-        self.wk = Linear(dim, dim, rng)
+        # no key bias: it shifts all of one query's scores alike, which
+        # softmax cancels, so its gradient is zero
+        self.wk = Linear(dim, dim, rng, bias=False)
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 

@@ -19,22 +19,8 @@ class Parameter(Tensor):
         self.step_count = 0
 
 
-def adam_step(param: Parameter, lr: float, beta1: float = 0.9,
-              beta2: float = 0.999, eps: float = 1e-8) -> None:
-    """One bias-corrected Adam update; zeroes the gradient afterwards."""
-    grad = param.grad if param.grad is not None else np.zeros_like(param.data)
-    param.step_count += 1
-    t = param.step_count
-    param.adam_m = beta1 * param.adam_m + (1.0 - beta1) * grad
-    param.adam_v = beta2 * param.adam_v + (1.0 - beta2) * grad * grad
-    m_hat = param.adam_m / (1.0 - beta1 ** t)
-    v_hat = param.adam_v / (1.0 - beta2 ** t)
-    param.data -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    param.grad = None
-
-
 class Adam:
-    """Applies `adam_step` to a fixed parameter list in a stable order."""
+    """Bias-corrected Adam over a fixed parameter list, in a stable order."""
 
     def __init__(self, params, lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -45,9 +31,16 @@ class Adam:
         self.eps = eps
 
     def step(self) -> None:
+        """Update every parameter from its gradient (none counts as zero),
+        then clear the gradient."""
+        beta1, beta2 = self.beta1, self.beta2
         for param in self.params:
-            adam_step(param, self.lr, self.beta1, self.beta2, self.eps)
-
-    def zero_grad(self) -> None:
-        for param in self.params:
+            grad = param.grad if param.grad is not None else np.zeros_like(param.data)
+            param.step_count += 1
+            t = param.step_count
+            param.adam_m = beta1 * param.adam_m + (1.0 - beta1) * grad
+            param.adam_v = beta2 * param.adam_v + (1.0 - beta2) * grad * grad
+            m_hat = param.adam_m / (1.0 - beta1 ** t)
+            v_hat = param.adam_v / (1.0 - beta2 ** t)
+            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
             param.grad = None

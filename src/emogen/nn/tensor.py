@@ -77,9 +77,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
@@ -141,25 +138,6 @@ class Tensor:
 
     def __pow__(self, exponent):
         return power(self, exponent)
-
-    def __getitem__(self, index):
-        return take(self, index)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 or isinstance(shape[0], int) else shape[0])
-
-    def transpose(self, *axes):
-        return transpose(self, axes or None)
-
-    @property
-    def T(self):
-        return transpose(self, None)
-
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis, keepdims)
 
 
 def _as_tensor(value, like=None) -> Tensor:
@@ -380,22 +358,25 @@ def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
 
 
-def linear(x, weight: Tensor, bias: Tensor) -> Tensor:
-    """`x @ weight + bias` for `x` of shape (..., in)."""
+def linear(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
+    """`x @ weight + bias`, or `x @ weight` without a bias, for `x` of shape (..., in)."""
     x = _as_tensor(x)
     if x.data.shape[-1] != weight.data.shape[0]:
         raise ShapeMismatch(f"linear expects {weight.data.shape[0]} features, got {x.data.shape}")
-    data = x.data @ weight.data + bias.data
+    data = x.data @ weight.data
+    if bias is not None:
+        data = data + bias.data
 
     def backward(grad):
         if x.requires_grad:
             x._accumulate(grad @ weight.data.T)
         if weight.requires_grad:
             weight._accumulate(_rows(x.data).T @ _rows(grad))
-        if bias.requires_grad:
+        if bias is not None and bias.requires_grad:
             bias._accumulate(_rows(grad).sum(axis=0))
 
-    return Tensor._result(data, (x, weight, bias), backward)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._result(data, parents, backward)
 
 
 def layer_norm(x, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:

@@ -119,16 +119,16 @@ def split(manifest: PairManifest, counts: tuple[int, int, int], seed: int) -> Pa
 
 def _read_csv(path: str | Path, *headers: set[str]) -> tuple[int, list[tuple[int, dict]]]:
     """Index of the first of `headers` a UTF-8 CSV's header holds, and its rows
-    numbered from 2; bad UTF-8, another header or a short row is a CatalogError."""
+    numbered from 2; bad UTF-8 or CSV, another header or a short row is a CatalogError."""
     try:
         reader = csv.DictReader(io.StringIO(Path(path).read_bytes().decode("utf-8"), newline=""))
-    except UnicodeDecodeError as exc:
+        fields = set(reader.fieldnames or [])
+        rows = list(enumerate(reader, 2))
+    except (UnicodeDecodeError, csv.Error) as exc:
         raise CatalogError(f"{path}: {exc}") from exc
-    fields = set(reader.fieldnames or [])
     matches = [index for index, header in enumerate(headers) if header <= fields]
     if not matches:
         raise CatalogError(f"{path}: unrecognized header {sorted(fields)}")
-    rows = list(enumerate(reader, 2))
     for row_no, row in rows:
         if None in row.values():
             raise CatalogError(f"{path}:{row_no}: row has fewer fields than the header")

@@ -74,10 +74,11 @@ class Vocabulary:
             return BOS
         if name == "EOS":
             return EOS
-        if name == "NOTE_ON":
-            return self.note_on_base + token[1]
-        if name == "NOTE_OFF":
-            return self.note_off_base + token[1]
+        if name in ("NOTE_ON", "NOTE_OFF"):
+            if not 0 <= token[1] <= 127:
+                raise TokenizerError(f"pitch {token[1]} outside 0..127")
+            base = self.note_on_base if name == "NOTE_ON" else self.note_off_base
+            return base + token[1]
         if name == "TIME_SHIFT":
             if not 1 <= token[1] <= self.time_shift_bins:
                 raise TokenizerError(f"time shift {token[1]} outside 1..{self.time_shift_bins}")
@@ -226,7 +227,8 @@ def load_token_dataset(path: str | Path, vocab: Vocabulary) -> Iterator[tuple[st
                     continue
                 rec = json.loads(line)
                 rec_id, ids = rec["id"], [int(i) for i in rec["ids"]]
-            except (ValueError, KeyError, TypeError) as exc:
+            # OverflowError: an infinite id; RecursionError: JSON nested too deeply
+            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
                 raise CatalogError(f"{path}:{line_no}: bad record: {exc!r}") from exc
             if rec.get("vocab_hash") != vocab.vocab_hash:
                 raise VocabMismatch(

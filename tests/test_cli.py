@@ -16,6 +16,8 @@ from emogen.model import (IMAGE_FEATURE_DIM, EmoModel, ModelConfig,
                            load_va_predictor, save_checkpoint, write_feature_file)
 from emogen.pairing import load_manifest
 
+from test_readers_fuzz import OVERFLOW_CHECKPOINT
+
 SMALL_MODEL = {"encoder_blocks": 1, "decoder_blocks": 1, "model_dim": 16,
                "head_count": 2, "ff_dim": 24, "max_len": 32,
                "time_shift_bins": 8, "velocity_bins": 4, "seed": 0}
@@ -146,6 +148,14 @@ class TestTrainGenerate:
         assert main(["generate", "--image", str(workspace / "img0.emf"),
                      "--checkpoint", str(checkpoint), "--out", str(tmp_path / "a.mid")]) == 2
         assert "CheckpointCorrupt" in capsys.readouterr().err
+
+    def test_generate_overflowing_block_shape_exit_2(self, workspace, tmp_path, capsys):
+        checkpoint = tmp_path / "model.emc"
+        checkpoint.write_bytes(OVERFLOW_CHECKPOINT)
+        assert main(["generate", "--image", str(workspace / "img0.emf"),
+                     "--checkpoint", str(checkpoint), "--out", str(tmp_path / "a.mid")]) == 2
+        err = capsys.readouterr().err
+        assert "CheckpointCorrupt" in err and "Traceback" not in err
 
     def test_unknown_config_key_exit_1(self, workspace, tmp_path):
         payload = json.loads((workspace / "run.json").read_text())

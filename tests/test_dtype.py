@@ -12,8 +12,8 @@ from emogen.errors import ConfigError
 from emogen.model import (IMAGE_FEATURE_DIM, EmoModel, VaPredictor, save_checkpoint,
                           write_feature_file)
 from emogen.nn import (Tensor, absolute, attention, concat, layer_norm, linear,
-                       log_softmax, no_grad, relu, softmax, sqrt, take, tensor_mean,
-                       tensor_sum, transpose)
+                       log_softmax, no_grad, relu, reshape, softmax, sqrt, take,
+                       tensor_mean, tensor_sum, transpose)
 from emogen.nn.layers import MASK_VALUE
 from emogen.tokenizer import BOS, EOS
 from emogen.training import TrainConfig, TrainSample, fit
@@ -48,7 +48,7 @@ OPS = {
     "relu": lambda a, b, w, g: relu(a),
     "absolute": lambda a, b, w, g: absolute(a),
     "matmul": lambda a, b, w, g: a @ w,
-    "reshape": lambda a, b, w, g: a.reshape(4, 3),
+    "reshape": lambda a, b, w, g: reshape(a, (4, 3)),
     "transpose": lambda a, b, w, g: transpose(a),
     "take": lambda a, b, w, g: take(a, (np.array([0, 2]), np.array([1, 3]))),
     "concat": lambda a, b, w, g: concat([a, b], axis=0),
@@ -57,6 +57,7 @@ OPS = {
     "softmax": lambda a, b, w, g: softmax(a, axis=-1),
     "log_softmax": lambda a, b, w, g: log_softmax(a, axis=-1),
     "linear": lambda a, b, w, g: linear(a, w, g),
+    "linear_no_bias": lambda a, b, w, g: linear(a, w),
     "layer_norm": lambda a, b, w, g: layer_norm(a, g, g, 1e-5),
     "attention": lambda a, b, w, g: attention(a, b, b, 2),
     "attention_float64_mask": lambda a, b, w, g: attention(a, b, b, 2, CAUSAL),

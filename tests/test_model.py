@@ -10,8 +10,12 @@ from emogen.model import (IMAGE_FEATURE_DIM, EmoModel, ModelConfig,
                           load_va_predictor, read_feature_file,
                           save_checkpoint, save_va_predictor, token_histogram,
                           write_feature_file)
-from emogen.nn import Tensor, no_grad, softmax
+from emogen.nn import Tensor, attention, no_grad, softmax
+from emogen.nn.layers import MASK_VALUE
 from emogen.tokenizer import BOS, EOS, PAD, decode
+from emogen.training import cce_loss
+
+from test_readers_fuzz import OVERFLOW_CHECKPOINT
 
 
 def small_config(**overrides):
@@ -397,3 +401,63 @@ class TestCheckpoints:
         meta, blocks = load_checkpoint(path)
         assert meta["foo"] == [1, 2] and meta["format_version"] == 1
         assert np.array_equal(blocks["w"], np.arange(6.0).reshape(2, 3))
+
+    def test_block_shape_beyond_int64_is_corrupt(self, tmp_path):
+        path = tmp_path / "model.emc"
+        path.write_bytes(OVERFLOW_CHECKPOINT)
+        with pytest.raises(CheckpointCorrupt, match="truncated block w"):
+            load_checkpoint(path)
+
+
+def _with_key_biases(model, rng):
+    """`model`'s blocks plus a random `*.attn.wk.bias` block per attention
+    layer, as checkpoints from before the key projection lost its bias hold."""
+    blocks = {name: Tensor(p.data.astype(np.float64)) for name, p in model.parameters()}
+    for name in [n for n in blocks if n.endswith(".attn.wk.weight")]:
+        blocks[name.replace(".weight", ".bias")] = Tensor(rng.normal(size=model.config.model_dim))
+    return blocks
+
+
+class TestKeyBias:
+    def test_every_block_gets_a_gradient(self, feature):
+        model = EmoModel(small_config(decoder_blocks=2, dtype="float64"))
+        ids = np.array([BOS, 5, 140, 270, 9, 144, EOS, PAD])
+        logits = model.forward_logits(feature, ids, ids[:-1])
+        cce_loss(logits, ids[1:], pad_mask=ids[1:] != PAD).backward()
+        norms = {name: np.linalg.norm(p.grad) if p.grad is not None else 0.0
+                 for name, p in model.parameters()}
+        floor = 1e-8 * np.median(list(norms.values()))
+        assert {name for name, norm in norms.items() if norm <= floor} == set()
+
+    def test_a_key_bias_moves_attention_by_rounding_only(self):
+        rng = np.random.default_rng(21)
+        q, k, v = (Tensor(rng.normal(size=(5, 8))) for _ in range(3))
+        key_bias = rng.normal(size=8)
+        for mask in (None, np.triu(np.full((5, 5), MASK_VALUE), k=1)):
+            np.testing.assert_allclose(attention(q, k + key_bias, v, 2, mask).data,
+                                       attention(q, k, v, 2, mask).data, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_checkpoint_with_key_biases_loads(self, tmp_path, feature, dtype):
+        model = EmoModel(small_config(decoder_blocks=2, dtype=dtype))
+        path = tmp_path / "old.emc"
+        save_checkpoint(path, {"kind": "emomodel", "config": asdict(model.config),
+                               "vocab_hash": model.vocab.vocab_hash},
+                        _with_key_biases(model, np.random.default_rng(22)).items())
+        loaded = EmoModel.load(path)
+        assert [name for name, _ in loaded.parameters()] == [name for name, _ in model.parameters()]
+        ids = np.array([BOS, 5, 140, 270, EOS])
+        assert np.array_equal(loaded.forward_logits(feature, ids, ids[:-1]).data,
+                              model.forward_logits(feature, ids, ids[:-1]).data)
+
+    @pytest.mark.parametrize("missing", ["encoder_stack.0.attn.wq.bias",
+                                         "decoder_stack.1.attn.wk.weight", "out_proj.bias"])
+    def test_checkpoint_missing_another_block_is_corrupt(self, tmp_path, missing):
+        model = EmoModel(small_config(decoder_blocks=2))
+        blocks = _with_key_biases(model, np.random.default_rng(23))
+        del blocks[missing]
+        path = tmp_path / "old.emc"
+        save_checkpoint(path, {"kind": "emomodel", "config": asdict(model.config),
+                               "vocab_hash": model.vocab.vocab_hash}, blocks.items())
+        with pytest.raises(CheckpointCorrupt, match="do not match"):
+            EmoModel.load(path)

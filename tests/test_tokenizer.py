@@ -18,6 +18,10 @@ RAISE_SITES = {
     "bin_count": lambda: Vocabulary(time_shift_bins=0),
     "time_shift": lambda: VOCAB.token_to_id(("TIME_SHIFT", 101)),
     "velocity_bin": lambda: VOCAB.token_to_id(("VELOCITY", 32)),
+    # without a range check these land on NOTE_OFF 0, EOS and TIME_SHIFT 1
+    "note_on_above_127": lambda: VOCAB.token_to_id(("NOTE_ON", 128)),
+    "note_on_below_0": lambda: VOCAB.token_to_id(("NOTE_ON", -1)),
+    "note_off_above_127": lambda: VOCAB.token_to_id(("NOTE_OFF", 128)),
     "unknown_token": lambda: VOCAB.token_to_id(("CHORD", 60)),
     "id_range": lambda: VOCAB.id_to_token(391),
     "sequence_length": lambda: TokenSequence(ids=(BOS,) * 6, max_len=5),
