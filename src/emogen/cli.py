@@ -24,7 +24,7 @@ from .midi_io import parse_midi, write_midi
 from .model import EmoModel, load_va_predictor, save_va_predictor
 from .pairing import (MAX_SIMILARITY, config_hash, load_catalog,
                       load_va_dictionary, pair_datasets, save_manifest, split)
-from .tokenizer import decode, encode
+from .tokenizer import EOS, decode, encode
 from .training import fit, pretrain_va_predictor
 
 VALIDATION_ERRORS = (ConfigError, CountMismatch, MissingArtifacts)
@@ -187,8 +187,10 @@ def cmd_generate(args) -> int:
                             strategy=args.strategy, temperature=args.temperature,
                             seed=args.seed)
     piece = decode(tokens, model.vocab, model.config.steps_per_beat)
-    Path(args.out).write_bytes(write_midi(piece))
-    print(f"{args.out}: {len(tokens)} tokens, {len(piece)} notes")
+    write_atomic(args.out, [write_midi(piece)])
+    stop = "eos" if tokens.ids[-1] == EOS else "max_len"
+    print(f"{args.out}: {len(tokens)} tokens, {len(piece)} notes "
+          f"(context {model.config.context}, stopped at {stop})")
     return 0
 
 
@@ -231,6 +233,8 @@ def _summary_table(entries) -> str:
 
 
 def cmd_gradcheck(args) -> int:
+    if not args.tolerance > 0:
+        raise ConfigError(f"--tolerance must be positive, got {args.tolerance}")
     reports = standard_gradchecks(tolerance=args.tolerance)
     reports["full_model"] = full_model_gradcheck(tolerance=args.tolerance)
     failed = False
@@ -245,7 +249,8 @@ def cmd_ablate(args) -> int:
     with open(args.config_grid, encoding="utf-8") as fh:
         try:
             grid = json.load(fh)
-        except ValueError as exc:  # bad JSON or bad UTF-8
+        # ValueError: bad JSON or bad UTF-8; RecursionError: JSON nested too deeply
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{args.config_grid}: {exc}") from exc
     if not isinstance(grid, dict) or set(grid) - {"base", "variants"}:
         raise ConfigError("the grid must be an object with keys 'base' and 'variants'")
@@ -304,7 +309,7 @@ def _evaluate_variant(model: EmoModel, run_cfg: RunConfig, variant_dir: Path):
         tokens = model.generate(sample.image, strategy="greedy",
                                 seed=run_cfg.train.seed)
         piece = decode(tokens, model.vocab, run_cfg.model.steps_per_beat)
-        (gen_dir / f"gen_{i:03d}.mid").write_bytes(write_midi(piece))
+        write_atomic(gen_dir / f"gen_{i:03d}.mid", [write_midi(piece)])
         try:
             triple, loss = metrics_mod.evaluate_piece(piece, **asdict(run_cfg.metrics))
         except EmogenError:

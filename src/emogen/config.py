@@ -69,6 +69,7 @@ class ModelConfig:
     va_hidden: int = 64
     seed: int = 0
     dtype: str = "float32"  # or "float64"; a checkpoint without it is float64
+    context: str = "fixed"  # or legacy "prefix", what a checkpoint without it loads as
 
     def __post_init__(self):
         minimum = {"decoder_blocks": 0, "max_len": 2}  # other sizes 1; seed is free
@@ -81,6 +82,8 @@ class ModelConfig:
             raise ConfigError(f"unknown image_extractor {self.image_extractor!r}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
+        if self.context not in ("fixed", "prefix"):
+            raise ConfigError(f"context must be 'fixed' or 'prefix', got {self.context!r}")
         if self.image_size % 4 != 0:
             raise ConfigError("image_size must be divisible by 4 (two 2x2 pools)")
         if self.model_dim % self.head_count != 0:
@@ -182,7 +185,8 @@ class RunConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
-        except ValueError as exc:  # bad JSON or bad UTF-8
+        # ValueError: bad JSON or bad UTF-8; RecursionError: JSON nested too deeply
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         return cls.from_dict(payload)
 

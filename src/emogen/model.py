@@ -21,7 +21,7 @@ from ._files import write_atomic
 from .config import ModelConfig
 from .errors import (BadFeatureFile, BadImage, CheckpointCorrupt, ConfigError,
                      PrefixTooLong, VocabMismatch)
-from .nn import (BatchNorm, Conv2d, Embedding, FeedForward, LayerNorm, Linear,
+from .nn import (BatchNorm, Conv2d, Embedding, FeedForward, KVCache, LayerNorm, Linear,
                  Module, MultiHeadAttention, Tensor, avg_pool2d, concat,
                  global_avg_pool, no_grad, relu, reshape, sinusoidal_positions,
                  softmax, take, tensor_sum)
@@ -111,14 +111,14 @@ class Block(Module):
         self.norm2 = LayerNorm(dim)
 
     def __call__(self, x: Tensor, causal: bool = False, key_mask: np.ndarray | None = None,
-                 last_only: bool = False) -> Tensor:
+                 last_only: bool = False, cache: KVCache | None = None) -> Tensor:
         """All rows of `x`, or with `last_only` just the newest one as a (1, d) row.
 
-        The newest row attends to every key, so `last_only` needs no causal mask.
+        With a `cache`, `x` holds only the rows after those cached and also
+        attends to the cached rows.
         """
         q = take(x, slice(-1, None)) if last_only else x
-        q = self.norm1(q + self.attn(q, x, x, causal=causal and not last_only,
-                                     key_mask=key_mask))
+        q = self.norm1(q + self.attn(q, x, x, causal=causal, key_mask=key_mask, cache=cache))
         return self.norm2(q + self.ffn(q))
 
 
@@ -175,6 +175,22 @@ def token_histogram(ids, vocab_size: int) -> np.ndarray:
 
 
 # --- the generator model ---
+
+FIXED_CONTEXT = np.array([BOS])  # the encoder input in "fixed" context
+
+
+class DecoderCache:
+    """What `EmoModel.decode_logits` keeps between the steps of one piece:
+    the memory row and each decoder block's keys and values, with room for
+    the memory slot plus `max_len` ids."""
+
+    def __init__(self, model: "EmoModel"):
+        rows = model.config.max_len + 1
+        self.memory: Tensor | None = None
+        self.blocks = [KVCache(rows, model.config.model_dim, model.dtype)
+                       for _ in model.decoder_stack]
+        self.length = 0  # ids decoded so far
+
 
 class EmoModel(Module):
     """Parameters, Adam moments and every array fed to the graph have
@@ -249,11 +265,16 @@ class EmoModel(Module):
         """Project the image feature and concatenate with the MIDI context."""
         return concat([self.img_proj(image_feature), midi_context], axis=0)  # (2d,)
 
-    def decode_logits(self, joint: Tensor, prefix_ids, last_only: bool = False) -> Tensor:
+    def decode_logits(self, joint: Tensor, prefix_ids, last_only: bool = False,
+                      cache: DecoderCache | None = None) -> Tensor:
         """Per-position vocabulary logits for a prefix, conditioned on `joint`.
 
         With `last_only` the result is the (1, vocab) row of the newest
         position: the top decoder block and the head run on that row alone.
+        A `cache` implies `last_only`: the memory row and the keys and values
+        of the ids of earlier calls come from it, so only the ids after those
+        are embedded and run through the blocks. Each call must pass the
+        earlier prefix extended, with the same `joint`.
         """
         ids = self._check_ids(prefix_ids)
         n = ids.size
@@ -262,25 +283,33 @@ class EmoModel(Module):
         if n > self.config.max_len:
             raise PrefixTooLong(f"prefix of {n} exceeds max_len {self.config.max_len}")
         d = self.config.model_dim
-        memory = self.mem_proj(joint)  # (d,)
+        done = 0 if cache is None else cache.length  # ids already in the cache
+        last_only = last_only or cache is not None
+        memory = cache.memory if done else self.mem_proj(joint)  # (d,)
         if self.decoder_stack:
-            emb = self.embedding(ids) + Tensor(self.positions[1:n + 1])
-            x = concat([reshape(memory, (1, d)) + Tensor(self.positions[:1]), emb], axis=0)
-            for block in self.decoder_stack[:-1]:
-                x = block(x, causal=True)
-            x = self.decoder_stack[-1](x, causal=True, last_only=last_only)
+            caches = [None] * len(self.decoder_stack) if cache is None else cache.blocks
+            x = self.embedding(ids[done:]) + Tensor(self.positions[done + 1:n + 1])
+            if not done:
+                x = concat([reshape(memory, (1, d)) + Tensor(self.positions[:1]), x], axis=0)
+            for block, kv in zip(self.decoder_stack[:-1], caches):
+                x = block(x, causal=True, cache=kv)
+            x = self.decoder_stack[-1](x, causal=True, last_only=last_only, cache=caches[-1])
             if not last_only:
                 x = take(x, slice(1, n + 1))
         else:
             start = n - 1 if last_only else 0
             emb = self.embedding(ids[start:]) + Tensor(self.positions[start + 1:n + 1])
             x = self.dense_decoder(emb + reshape(memory, (1, d)))
+        if cache is not None:
+            cache.memory, cache.length = memory, n
         return self.out_proj(x)  # (n, vocab), or (1, vocab) with last_only
 
     def forward_logits(self, image_source, full_ids, prefix_ids) -> Tensor:
-        """Teacher-forcing forward: context from `full_ids`, logits over `prefix_ids`."""
+        """Teacher-forcing forward: logits over `prefix_ids`, with the context
+        encoded from `full_ids` in "prefix" context and from [BOS] in "fixed"."""
         feature = self.image_feature(image_source)
-        context = self.encode_midi(full_ids)
+        fixed = self.config.context == "fixed"
+        context = self.encode_midi(FIXED_CONTEXT if fixed else full_ids)
         joint = self.merge(feature, context)
         return self.decode_logits(joint, prefix_ids)
 
@@ -289,7 +318,11 @@ class EmoModel(Module):
     def generate(self, image_source, max_len: int | None = None,
                  strategy: str = "greedy", temperature: float = 1.0,
                  seed: int = 0) -> TokenSequence:
-        """Autoregressive decoding from BOS; greedy or seeded temperature sampling."""
+        """Autoregressive decoding from BOS; greedy or seeded temperature sampling.
+
+        In "fixed" context the context, the memory row and each decoder
+        block's keys and values are computed once and cached, so a step runs
+        the decoder on the newest id alone."""
         if max_len is not None and max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {max_len}")
         limit = self.config.max_len if max_len is None else min(max_len, self.config.max_len)
@@ -301,12 +334,18 @@ class EmoModel(Module):
         ids = [BOS]
         with no_grad():
             image = self.img_proj(self.image_feature(image_source))
+            cache = None
+            if self.config.context == "fixed":  # one context and one cache per piece
+                joint = concat([image, self.encode_midi(FIXED_CONTEXT)], axis=0)
+                cache = DecoderCache(self)
             while len(ids) < limit:
-                # the context is re-encoded from the prefix, so memory slot 0
-                # changes every step and no decoder state can be cached
-                context = self.encode_midi(np.array(ids))
-                joint = concat([image, context], axis=0)  # as in `merge`
-                logits = self.decode_logits(joint, np.array(ids), last_only=True).data[0]
+                if cache is None:
+                    # the context is re-encoded from the prefix, so memory slot
+                    # 0 changes every step and no decoder state can be cached
+                    context = self.encode_midi(np.array(ids))
+                    joint = concat([image, context], axis=0)  # as in `merge`
+                logits = self.decode_logits(joint, np.array(ids), last_only=True,
+                                            cache=cache).data[0]
                 if strategy == "greedy":
                     next_id = int(np.argmax(logits))
                 else:
@@ -330,8 +369,8 @@ class EmoModel(Module):
         if meta.get("kind") != "emomodel":
             raise CheckpointCorrupt(f"{path}: not a model checkpoint")
         config = meta.get("config")
-        if isinstance(config, dict):  # written before the dtype knob: float64
-            config = {"dtype": "float64", **config}
+        if isinstance(config, dict):  # written before the dtype or context knob
+            config = {"dtype": "float64", "context": "prefix", **config}
         try:
             model = cls(ModelConfig.from_dict(config))
         except ConfigError as exc:

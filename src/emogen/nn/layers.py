@@ -125,16 +125,41 @@ class MultiHeadAttention(Module):
         self.wo = Linear(dim, dim, rng)
 
     def __call__(self, q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
-                 key_mask: np.ndarray | None = None) -> Tensor:
-        tq, tk = q.shape[0], k.shape[0]
-        mask = np.triu(np.full((tq, tk), MASK_VALUE), k=1) if causal else None
+                 key_mask: np.ndarray | None = None, cache: KVCache | None = None) -> Tensor:
+        """With a `cache`, `k` and `v` are the newest rows: their projections
+        are appended to it and all cached rows serve as keys and values. The
+        rows of `q` are the last rows of the keys, so a causal query sees the
+        keys up to its own row; a single query row sees them all."""
+        keys, values = self.wk(k), self.wv(v)
+        if cache is not None:
+            keys, values = cache.extend(keys, values)
+        tq, tk = q.shape[0], keys.shape[0]
+        mask = np.triu(np.full((tq, tk), MASK_VALUE), k=tk - tq + 1) if causal and tq > 1 else None
         if key_mask is not None and not np.all(key_mask):
-            keys = np.where(np.asarray(key_mask, dtype=bool), 0.0, MASK_VALUE)
-            mask = keys if mask is None else mask + keys
+            keys_ok = np.where(np.asarray(key_mask, dtype=bool), 0.0, MASK_VALUE)
+            mask = keys_ok if mask is None else mask + keys_ok
         if mask is not None:
             mask = mask.astype(q.data.dtype, copy=False)
-        heads = attention(self.wq(q), self.wk(k), self.wv(v), self.heads, mask)
+        heads = attention(self.wq(q), keys, values, self.heads, mask)
         return self.wo(heads)
+
+
+class KVCache:
+    """The projected keys and values of every row one attention layer has
+    seen, in arrays preallocated to `rows` rows; for decoding under `no_grad`,
+    since no gradient flows into the cache."""
+
+    def __init__(self, rows: int, dim: int, dtype):
+        self.keys = np.empty((rows, dim), dtype)
+        self.values = np.empty((rows, dim), dtype)
+        self.length = 0
+
+    def extend(self, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
+        """Append the new rows; return the keys and values of all rows so far."""
+        start, self.length = self.length, self.length + keys.shape[0]
+        self.keys[start:self.length] = keys.data
+        self.values[start:self.length] = values.data
+        return Tensor(self.keys[:self.length]), Tensor(self.values[:self.length])
 
 
 class FeedForward(Module):

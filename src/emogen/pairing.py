@@ -195,7 +195,8 @@ def load_manifest(path: str | Path) -> PairManifest:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-    except ValueError as exc:  # bad JSON or bad UTF-8
+    # ValueError: bad JSON or bad UTF-8; RecursionError: JSON nested too deeply
+    except (ValueError, RecursionError) as exc:
         raise CatalogError(f"{path}: {exc}") from exc
     if not (isinstance(payload, dict) and payload.get("format") == "emogen-pair-manifest-v1"
             and isinstance(payload.get("pairs"), list)):

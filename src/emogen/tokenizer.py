@@ -226,12 +226,18 @@ def load_token_dataset(path: str | Path, vocab: Vocabulary) -> Iterator[tuple[st
                 if not line.strip():
                     continue
                 rec = json.loads(line)
-                rec_id, ids = rec["id"], [int(i) for i in rec["ids"]]
-            # OverflowError: an infinite id; RecursionError: JSON nested too deeply
-            except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
+                rec_id, ids = rec["id"], rec["ids"]
+                if not isinstance(ids, list) or any(type(i) is not int for i in ids):
+                    raise TypeError(f"ids must be a list of integers, got {ids!r:.80}")
+            # RecursionError: JSON nested too deeply
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise CatalogError(f"{path}:{line_no}: bad record: {exc!r}") from exc
             if rec.get("vocab_hash") != vocab.vocab_hash:
                 raise VocabMismatch(
                     f"{path}:{line_no}: vocab hash {rec.get('vocab_hash')} "
                     f"!= expected {vocab.vocab_hash}")
+            outside = [i for i in ids if not 0 <= i < vocab.total_size]
+            if outside:
+                raise CatalogError(f"{path}:{line_no}: id {outside[0]} outside the "
+                                   f"vocabulary's 0..{vocab.total_size - 1}")
             yield rec_id, ids

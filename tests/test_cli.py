@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import os
@@ -15,6 +16,7 @@ from emogen.midi_io import MidiPiece, NoteEvent, parse_midi, write_midi
 from emogen.model import (IMAGE_FEATURE_DIM, EmoModel, ModelConfig,
                            load_va_predictor, save_checkpoint, write_feature_file)
 from emogen.pairing import load_manifest
+from emogen.tokenizer import EOS
 
 from test_readers_fuzz import OVERFLOW_CHECKPOINT
 
@@ -186,6 +188,32 @@ class TestTrainGenerate:
                      "--out-dir", str(out)]) == 2
         assert "NonFiniteError" in capsys.readouterr().err
         assert not (out / "checkpoint.emc").exists()
+
+
+    @pytest.mark.parametrize("eos_bias, stop, length", [(1e4, "eos", 2), (-1e4, "max_len", 6)])
+    def test_generate_prints_context_and_stop_reason(self, workspace, tmp_path, capsys,
+                                                     eos_bias, stop, length):
+        model = EmoModel(ModelConfig.from_dict(SMALL_MODEL))
+        model.out_proj.bias.data[EOS] = eos_bias
+        model.save(tmp_path / "model.emc")
+        assert main(["generate", "--image", str(workspace / "img0.emf"), "--checkpoint",
+                     str(tmp_path / "model.emc"), "--out", str(tmp_path / "a.mid"),
+                     "--max-len", "6"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{tmp_path / 'a.mid'}: {length} tokens, ")
+        assert out.endswith(f" notes (context fixed, stopped at {stop})\n")
+
+    def test_interrupted_generate_keeps_previous_file(self, workspace, run_dir, tmp_path,
+                                                      monkeypatch, capsys):
+        args = ["generate", "--image", str(workspace / "img0.emf"),
+                "--checkpoint", str(run_dir / "checkpoint.emc"), "--out", str(tmp_path / "a.mid")]
+        assert main(args + ["--max-len", "16"]) == 0
+        before = (tmp_path / "a.mid").read_bytes()
+        _fail_renames(monkeypatch, "a.mid")
+        assert main(args + ["--strategy", "temperature", "--seed", "5"]) == 2
+        assert "interrupted" in capsys.readouterr().err
+        assert (tmp_path / "a.mid").read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["a.mid"]
 
 
 class TestPretrainVa:
@@ -372,6 +400,22 @@ def test_manifest_id_not_string_exit_2(workspace, tmp_path, capsys):
     assert "CatalogError" in err and "Traceback" not in err
 
 
+def test_interrupted_ablation_midi_write_keeps_previous_file(workspace, tmp_path, monkeypatch):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"base": json.loads((workspace / "run.json").read_text()),
+                                     "variants": [{"name": "v"}]}))
+    args = ["ablate", "--config-grid", str(grid_path), "--out-dir", str(tmp_path / "out")]
+    assert main(args) == 0
+    generated = tmp_path / "out" / "v" / "generated"
+    before = {p.name: p.read_bytes() for p in generated.iterdir()}
+    assert "gen_000.mid" in before
+    _fail_renames(monkeypatch, "gen_000.mid")
+    assert main(args) == 0  # the variant is recorded as failed
+    with open(tmp_path / "out" / "ablation.csv") as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["failed: OSError"]
+    assert {p.name: p.read_bytes() for p in generated.iterdir()} == before
+
+
 def test_interrupted_ablation_write_keeps_previous_tables(workspace, tmp_path, monkeypatch):
     _ablate_one(workspace, tmp_path, {"name": "bad", "model": {"bogus": 1}})
     out_dir = tmp_path / "ablation"
@@ -424,3 +468,78 @@ def test_config_not_utf8_exit_1(tmp_path, capsys):
     cfg_path.write_bytes(b'{"model": {"image_extractor": "\xff"}}')
     assert main(["train", "--config", str(cfg_path), "--out-dir", str(tmp_path / "out")]) == 1
     assert "ConfigError" in capsys.readouterr().err
+
+
+# --- exit codes: every subcommand x {validation error -> 1, runtime error -> 2} ---
+
+DEEP_JSON = "[" * 100_000  # nested past the json module's recursion limit
+
+
+def _deep_json(tmp_path):
+    (tmp_path / "deep.json").write_text(DEEP_JSON)
+    return str(tmp_path / "deep.json")
+
+
+def _deep_manifest_config(workspace, tmp_path):
+    payload = json.loads((workspace / "run.json").read_text())
+    payload["data"]["manifest"] = _deep_json(tmp_path)
+    (tmp_path / "run.json").write_text(json.dumps(payload))
+    return str(tmp_path / "run.json")
+
+
+def _bad_checkpoint(tmp_path):
+    (tmp_path / "bad.emc").write_bytes(b"EMGCKPT0" + bytes(16))
+    return str(tmp_path / "bad.emc")
+
+
+EXIT_CASES = {
+    ("pair", 1): lambda ws, rd, tmp: [  # CountMismatch
+        "pair", "--images", str(ws / "images.csv"), "--midis", str(ws / "midis.csv"),
+        "--out", str(tmp / "p.json"), "--split", "1,1,1"],
+    ("pair", 2): lambda ws, rd, tmp: [  # CatalogError
+        "pair", "--images", str(ws / "run.json"), "--midis", str(ws / "midis.csv"),
+        "--out", str(tmp / "p.json")],
+    ("pretrain-va", 1): lambda ws, rd, tmp: [  # ConfigError
+        "pretrain-va", "--midis", str(ws / "midis.csv"), "--config", _deep_json(tmp),
+        "--out", str(tmp / "va.emc")],
+    ("pretrain-va", 2): lambda ws, rd, tmp: [  # OSError
+        "pretrain-va", "--midis", str(tmp / "none.csv"), "--out", str(tmp / "va.emc")],
+    ("train", 1): lambda ws, rd, tmp: [  # ConfigError
+        "train", "--config", _deep_json(tmp), "--out-dir", str(tmp / "out")],
+    ("train", 2): lambda ws, rd, tmp: [  # CatalogError
+        "train", "--config", _deep_manifest_config(ws, tmp), "--out-dir", str(tmp / "out")],
+    ("generate", 1): lambda ws, rd, tmp: [  # ConfigError
+        "generate", "--image", str(ws / "img0.emf"), "--checkpoint",
+        str(rd / "checkpoint.emc"), "--out", str(tmp / "a.mid"), "--max-len", "0"],
+    ("generate", 2): lambda ws, rd, tmp: [  # CheckpointCorrupt
+        "generate", "--image", str(ws / "img0.emf"), "--checkpoint", _bad_checkpoint(tmp),
+        "--out", str(tmp / "a.mid")],
+    ("metrics", 1): lambda ws, rd, tmp: [  # MissingArtifacts
+        "metrics", "--midi-dir", str(tmp), "--out", str(tmp / "m.csv")],
+    ("metrics", 2): lambda ws, rd, tmp: [  # OSError
+        "metrics", "--midi-dir", str(ws), "--out", str(tmp / "none" / "m.csv")],
+    ("gradcheck", 1): lambda ws, rd, tmp: ["gradcheck", "--tolerance", "0"],  # ConfigError
+    ("gradcheck", 2): lambda ws, rd, tmp: ["gradcheck", "--tolerance", "1e-300"],  # FAIL rows
+    ("ablate", 1): lambda ws, rd, tmp: [  # ConfigError
+        "ablate", "--config-grid", _deep_json(tmp), "--out-dir", str(tmp / "out")],
+    ("ablate", 2): lambda ws, rd, tmp: [  # OSError
+        "ablate", "--config-grid", str(tmp / "none.json"), "--out-dir", str(tmp / "out")],
+}
+
+
+def test_exit_code_table_covers_every_subcommand():
+    subcommands = next(action.choices for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert set(EXIT_CASES) == {(name, code) for name in subcommands for code in (1, 2)}
+
+
+@pytest.mark.parametrize("command, code", list(EXIT_CASES),
+                         ids=[f"{command}-exit{code}" for command, code in EXIT_CASES])
+def test_exit_code_table(workspace, run_dir, tmp_path, capsys, command, code):
+    assert main(EXIT_CASES[command, code](workspace, run_dir, tmp_path)) == code
+    out, err = capsys.readouterr()
+    assert "Traceback" not in out + err
+    if command == "gradcheck" and code == 2:
+        assert "FAIL" in out
+    else:
+        assert err.startswith("error [")

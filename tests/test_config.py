@@ -69,6 +69,19 @@ class TestTypeRules:
             RunConfig.from_file(path)
 
 
+    def test_file_nested_too_deeply(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(ConfigError, match="cfg.json"):
+            RunConfig.from_file(path)
+
+    @pytest.mark.parametrize("context", ["fixed", "prefix"])
+    def test_model_context(self, context):
+        cfg = RunConfig.from_dict({"model": {"context": context}})
+        assert cfg.model.context == context
+        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+
+
 class TestRanges:
     @pytest.mark.parametrize("kwargs", [
         {"model_dim": -16, "head_count": 2}, {"head_count": 0}, {"ff_dim": 0},

@@ -9,8 +9,8 @@ import pytest
 
 from emogen.config import ModelConfig
 from emogen.errors import ConfigError
-from emogen.model import (IMAGE_FEATURE_DIM, EmoModel, VaPredictor, save_checkpoint,
-                          write_feature_file)
+from emogen.model import (IMAGE_FEATURE_DIM, DecoderCache, EmoModel, VaPredictor,
+                          save_checkpoint, write_feature_file)
 from emogen.nn import (Tensor, absolute, attention, concat, layer_norm, linear,
                        log_softmax, no_grad, relu, reshape, softmax, sqrt, take,
                        tensor_mean, tensor_sum, transpose)
@@ -142,6 +142,15 @@ def test_generate_stays_float32(float64_arrays, strategy):
     assert float64_arrays == []
 
 
+def test_prefix_context_stays_float32(float64_arrays):
+    model = EmoModel(small_config(context="prefix"))
+    feature = np.random.default_rng(1).normal(size=IMAGE_FEATURE_DIM)
+    for strategy in ("greedy", "temperature"):
+        model.generate(feature, max_len=12, strategy=strategy, temperature=1.3, seed=2)
+    fit(model, _samples(model), TrainConfig(lr=1e-3, epochs=1, batch_size=2, va_loss_mode="off"))
+    assert float64_arrays == []
+
+
 @pytest.mark.parametrize("source", ["vector", "emf", "image"])
 def test_forward_logits_stays_float32(float64_arrays, tmp_path, source):
     rng = np.random.default_rng(3)
@@ -168,7 +177,8 @@ def test_float32_weights_are_the_float64_draws_rounded():
 
 @pytest.mark.parametrize("decoder_blocks", [0, 3])
 def test_float32_logits_agree_with_float64(decoder_blocks):
-    models = [EmoModel(small_config(decoder_blocks=decoder_blocks, dtype=dtype))
+    models = [EmoModel(small_config(decoder_blocks=decoder_blocks, dtype=dtype,
+                                    context="prefix"))
               for dtype in ("float64", "float32")]
     rng = np.random.default_rng(5)
     feature = rng.normal(size=IMAGE_FEATURE_DIM)
@@ -179,6 +189,26 @@ def test_float32_logits_agree_with_float64(decoder_blocks):
         last = models[1].decode_logits(joint, ids, last_only=True).data
     assert np.linalg.norm(narrow - wide) <= 1e-5 * np.linalg.norm(wide)
     assert np.linalg.norm(last[0] - narrow[-1]) <= 1e-5 * np.linalg.norm(narrow[-1])
+
+
+@pytest.mark.parametrize("decoder_blocks", [0, 3])
+def test_float32_fixed_context_logits_agree_with_float64(decoder_blocks):
+    """Teacher-forced and cached float32 logits against float64 teacher forcing."""
+    models = [EmoModel(small_config(decoder_blocks=decoder_blocks, dtype=dtype))
+              for dtype in ("float64", "float32")]
+    rng = np.random.default_rng(5)
+    feature = rng.normal(size=IMAGE_FEATURE_DIM)
+    ids = np.concatenate([[BOS], rng.integers(3, models[0].vocab.total_size, size=30)])
+    with no_grad():
+        wide, narrow = (m.forward_logits(feature, ids, ids).data for m in models)
+        joint = models[1].merge(models[1].image_feature(feature),
+                                models[1].encode_midi(np.array([BOS])))
+        cache = DecoderCache(models[1])
+        cached = np.concatenate([models[1].decode_logits(joint, ids[:n], cache=cache).data
+                                 for n in range(1, ids.size + 1)])
+    assert cached.dtype == np.float32
+    assert np.linalg.norm(narrow - wide) <= 1e-5 * np.linalg.norm(wide)
+    assert np.linalg.norm(cached - wide) <= 1e-5 * np.linalg.norm(wide)
 
 
 def test_checkpoint_without_dtype_loads_as_float64(tmp_path):

@@ -30,7 +30,8 @@ def ref_layer_norm(norm, x):
     return normed * norm.gamma + norm.beta
 
 
-def ref_attention(mha, q, k, v, causal=False, key_mask=None):
+def ref_attention(mha, q, k, v, causal=False, key_mask=None, cache=None):
+    assert cache is None  # the reference attends over `k` and `v` only
     tq, tk, d = q.shape[0], k.shape[0], q.shape[1]
     head_dim = d // mha.heads
 
@@ -41,7 +42,8 @@ def ref_attention(mha, q, k, v, causal=False, key_mask=None):
     kh = split_heads(ref_linear(mha.wk, k), tk)
     vh = split_heads(ref_linear(mha.wv, v), tk)
     scores = matmul(qh, transpose(kh, (0, 2, 1))) * (1.0 / np.sqrt(head_dim))
-    mask = np.triu(np.full((tq, tk), MASK_VALUE), k=1) if causal else None
+    # the query rows are the last rows of the keys
+    mask = np.triu(np.full((tq, tk), MASK_VALUE), k=tk - tq + 1) if causal else None
     if key_mask is not None and not np.all(key_mask):
         keys = np.where(np.asarray(key_mask, dtype=bool), 0.0, MASK_VALUE)
         mask = keys if mask is None else mask + keys
@@ -56,13 +58,16 @@ def _weighted(out, seed):
     return tensor_sum(out * Tensor(np.random.default_rng(seed).normal(size=out.shape)))
 
 
-# (name, causal, key_mask, query rows); the last case is generation's newest
-# row, which attends to every key without a mask
+# (name, causal, key_mask, query rows); "last_row" is generation's newest row,
+# which attends to every key without a mask; the causal query rows are the
+# last rows of the keys, as in cached decoding
 ATTENTION_CASES = [
     ("causal", True, None, None),
     ("key_mask", False, np.array([True, True, False, True, False]), None),
     ("causal_key_mask", True, np.array([True, False, True, True, False]), None),
     ("last_row", False, None, slice(-1, None)),
+    ("causal_last_row", True, None, slice(-1, None)),
+    ("causal_last_rows", True, None, slice(-2, None)),
 ]
 
 
@@ -183,25 +188,35 @@ def _model_step(model, feature, ids):
                          if p.grad is not None}
 
 
+def _check_against_reference(monkeypatch, decoder_blocks, context):
+    config = ModelConfig(model_dim=16, head_count=4, ff_dim=24, encoder_blocks=2,
+                         decoder_blocks=decoder_blocks, max_len=32, seed=4,
+                         dtype="float64", context=context)
+    model = EmoModel(config)
+    rng = np.random.default_rng(14)
+    feature = rng.normal(size=IMAGE_FEATURE_DIM)
+    body = rng.integers(3, model.vocab.total_size, size=18)
+    ids = np.concatenate([[BOS], body, [EOS], [PAD] * 3])
+
+    logits, grads = _model_step(model, feature, ids)
+    with monkeypatch.context() as patch:
+        _reference_layers(patch)
+        ref_logits, ref_grads = _model_step(model, feature, ids)
+
+    assert np.array_equal(logits, ref_logits)
+    assert grads.keys() == ref_grads.keys()
+    for name, grad in grads.items():
+        diff = np.linalg.norm(grad - ref_grads[name])
+        assert diff <= 1e-10 * np.linalg.norm(ref_grads[name]), name
+
+
 class TestWholeModelAgainstReference:
     @pytest.mark.parametrize("decoder_blocks", [0, 2])
     def test_logits_bit_identical_and_gradients_close(self, monkeypatch, decoder_blocks):
-        config = ModelConfig(model_dim=16, head_count=4, ff_dim=24, encoder_blocks=2,
-                             decoder_blocks=decoder_blocks, max_len=32, seed=4,
-                             dtype="float64")
-        model = EmoModel(config)
-        rng = np.random.default_rng(14)
-        feature = rng.normal(size=IMAGE_FEATURE_DIM)
-        body = rng.integers(3, model.vocab.total_size, size=18)
-        ids = np.concatenate([[BOS], body, [EOS], [PAD] * 3])
+        """The encoder runs over the 22-row target, PAD keys masked."""
+        _check_against_reference(monkeypatch, decoder_blocks, "prefix")
 
-        logits, grads = _model_step(model, feature, ids)
-        with monkeypatch.context() as patch:
-            _reference_layers(patch)
-            ref_logits, ref_grads = _model_step(model, feature, ids)
-
-        assert np.array_equal(logits, ref_logits)
-        assert grads.keys() == ref_grads.keys()
-        for name, grad in grads.items():
-            diff = np.linalg.norm(grad - ref_grads[name])
-            assert diff <= 1e-10 * np.linalg.norm(ref_grads[name]), name
+    @pytest.mark.parametrize("decoder_blocks", [0, 2])
+    def test_fixed_context_logits_bit_identical_and_gradients_close(self, monkeypatch,
+                                                                    decoder_blocks):
+        _check_against_reference(monkeypatch, decoder_blocks, "fixed")

@@ -5,7 +5,7 @@ import pytest
 
 from emogen.errors import (BadFeatureFile, BadImage, CheckpointCorrupt,
                            ConfigError, PrefixTooLong, VocabMismatch)
-from emogen.model import (IMAGE_FEATURE_DIM, EmoModel, ModelConfig,
+from emogen.model import (IMAGE_FEATURE_DIM, DecoderCache, EmoModel, ModelConfig,
                           TinyCnnExtractor, VaPredictor, load_checkpoint,
                           load_va_predictor, read_feature_file,
                           save_checkpoint, save_va_predictor, token_histogram,
@@ -13,7 +13,7 @@ from emogen.model import (IMAGE_FEATURE_DIM, EmoModel, ModelConfig,
 from emogen.nn import Tensor, attention, no_grad, softmax
 from emogen.nn.layers import MASK_VALUE
 from emogen.tokenizer import BOS, EOS, PAD, decode
-from emogen.training import cce_loss
+from emogen.training import TrainConfig, TrainSample, cce_loss, fit
 
 from test_readers_fuzz import OVERFLOW_CHECKPOINT
 
@@ -215,13 +215,15 @@ class TestGenerate:
 
 def reference_generate(model, feature, max_len, strategy="greedy",
                        temperature=1.0, seed=0):
-    """Decoding loop that projects every row with full `decode_logits`."""
+    """Decoding loop that re-encodes the context and projects every row with
+    full `decode_logits` at every step, without a cache."""
     rng = np.random.default_rng(seed)
     ids = [BOS]
     with no_grad():
         feat = model.image_feature(feature)
         while len(ids) < max_len:
-            joint = model.merge(feat, model.encode_midi(np.array(ids)))
+            context = [BOS] if model.config.context == "fixed" else ids
+            joint = model.merge(feat, model.encode_midi(np.array(context)))
             logits = model.decode_logits(joint, np.array(ids)).data[-1]
             if strategy == "greedy":
                 next_id = int(np.argmax(logits))
@@ -235,10 +237,13 @@ def reference_generate(model, feature, max_len, strategy="greedy",
 
 
 class TestLastRowDecoding:
+    """"prefix" context: the context is re-encoded from the prefix each step."""
+
     @pytest.mark.parametrize("decoder_blocks", [0, 1, 3])
     @pytest.mark.parametrize("n", [1, 2, 17, 32])
     def test_last_row_matches_full_decode(self, decoder_blocks, n, feature):
-        model = EmoModel(small_config(decoder_blocks=decoder_blocks, dtype="float64"))
+        model = EmoModel(small_config(decoder_blocks=decoder_blocks, dtype="float64",
+                                      context="prefix"))
         ids = np.random.default_rng(n).integers(0, model.vocab.total_size, size=n)
         with no_grad():
             joint = model.merge(model.image_feature(feature), model.encode_midi(ids))
@@ -251,13 +256,100 @@ class TestLastRowDecoding:
 
     @pytest.mark.parametrize("decoder_blocks", [0, 1, 3])
     def test_generate_matches_full_decode_loop(self, decoder_blocks, feature):
-        model = EmoModel(small_config(decoder_blocks=decoder_blocks))
+        model = EmoModel(small_config(decoder_blocks=decoder_blocks, context="prefix"))
         assert model.generate(feature, max_len=32).ids == \
             reference_generate(model, feature, 32)
         sampled = model.generate(feature, max_len=32, strategy="temperature",
                                  temperature=1.3, seed=4)
         assert sampled.ids == reference_generate(model, feature, 32, "temperature",
                                                  temperature=1.3, seed=4)
+
+
+# "fixed"-context models: the default config, 2+2 blocks and a dense decoder
+FIXED_MODELS = {"default": {}, "two_two": dict(encoder_blocks=2, decoder_blocks=2,
+                                               model_dim=32, head_count=4, ff_dim=48,
+                                               max_len=64),
+                "dense": dict(decoder_blocks=0, model_dim=32, head_count=4, ff_dim=48,
+                              max_len=64)}
+
+
+def _fixed_model(name, dtype):
+    model = EmoModel(ModelConfig(seed=3, dtype=dtype, **FIXED_MODELS[name]))
+    model.out_proj.bias.data[EOS] = -1e4  # no early stop: every step is compared
+    return model
+
+
+class TestFixedContext:
+    """The cached decoder against full `decode_logits` re-runs of the whole prefix."""
+
+    @pytest.mark.parametrize("dtype, bound", [("float64", 1e-12), ("float32", 1e-5)])
+    @pytest.mark.parametrize("name", list(FIXED_MODELS))
+    def test_cached_logits_match_full_decode(self, name, dtype, bound, feature):
+        model = _fixed_model(name, dtype)
+        ids = [BOS]
+        with no_grad():
+            joint = model.merge(model.image_feature(feature),
+                                model.encode_midi(np.array([BOS])))
+            cache = DecoderCache(model)
+            for step in range(40):
+                cached = model.decode_logits(joint, np.array(ids), cache=cache).data
+                full = model.decode_logits(joint, np.array(ids)).data
+                assert cached.shape == (1, model.vocab.total_size)
+                assert cached.dtype == np.dtype(dtype)
+                err = np.linalg.norm(cached[0] - full[-1]) / np.linalg.norm(full[-1])
+                assert err <= bound, (step, err)
+                ids.append(int(np.argmax(full[-1])))
+
+    @pytest.mark.parametrize("name", list(FIXED_MODELS))
+    def test_generate_matches_uncached_loop(self, name, feature):
+        model = _fixed_model(name, "float64")
+        assert model.generate(feature, max_len=40).ids == reference_generate(model, feature, 40)
+        sampled = model.generate(feature, max_len=40, strategy="temperature",
+                                 temperature=1.3, seed=4)
+        assert sampled.ids == reference_generate(model, feature, 40, "temperature",
+                                                 temperature=1.3, seed=4)
+
+    def test_training_ignores_the_target_in_the_encoder(self, feature):
+        model = EmoModel(small_config(dtype="float64"))
+        ids = np.array([BOS, 5, 140, 270, EOS])
+        other = np.array([BOS, 9, 9, 9, 9, 9, 9, EOS])
+        assert np.array_equal(model.forward_logits(feature, ids, ids[:-1]).data,
+                              model.forward_logits(feature, other, ids[:-1]).data)
+
+    def test_encoder_runs_once_per_piece_on_one_row(self, feature, monkeypatch):
+        model = EmoModel(small_config())
+        seen = []
+        encode = EmoModel.encode_midi
+        monkeypatch.setattr(EmoModel, "encode_midi",
+                            lambda self, ids: seen.append(len(ids)) or encode(self, ids))
+        model.out_proj.bias.data[EOS] = -1e4
+        model.generate(feature)
+        ids = np.array([BOS, 5, 140, 270, EOS])
+        model.forward_logits(feature, ids, ids[:-1])
+        assert seen == [1, 1]
+
+    def test_bad_context_rejected(self):
+        with pytest.raises(ConfigError, match="context"):
+            small_config(context="full")
+
+    def test_checkpoint_records_context(self, tmp_path):
+        for context in ("fixed", "prefix"):
+            model = EmoModel(small_config(context=context))
+            model.save(tmp_path / "m.emc")
+            assert load_checkpoint(tmp_path / "m.emc")[0]["config"]["context"] == context
+            assert EmoModel.load(tmp_path / "m.emc").config.context == context
+
+    def test_checkpoint_without_context_loads_as_prefix(self, tmp_path, feature):
+        """Checkpoints written before the context knob were trained on the full target."""
+        model = EmoModel(small_config(context="prefix", seed=7))
+        config = asdict(model.config)
+        del config["context"]
+        save_checkpoint(tmp_path / "old.emc", {"kind": "emomodel", "config": config,
+                                               "vocab_hash": model.vocab.vocab_hash},
+                        model.parameters())
+        loaded = EmoModel.load(tmp_path / "old.emc")
+        assert loaded.config.context == "prefix"
+        assert loaded.generate(feature, max_len=32).ids == reference_generate(model, feature, 32)
 
 
 class TestVaPredictor:
@@ -418,16 +510,57 @@ def _with_key_biases(model, rng):
     return blocks
 
 
+def _gradient_norms(model, feature):
+    ids = np.array([BOS, 5, 140, 270, 9, 144, EOS, PAD])
+    logits = model.forward_logits(feature, ids, ids[:-1])
+    cce_loss(logits, ids[1:], pad_mask=ids[1:] != PAD).backward()
+    return {name: np.linalg.norm(p.grad) if p.grad is not None else 0.0
+            for name, p in model.parameters()}
+
+
+def _check_key_bias_checkpoint_loads(tmp_path, feature, dtype, context):
+    model = EmoModel(small_config(decoder_blocks=2, dtype=dtype, context=context))
+    path = tmp_path / "old.emc"
+    save_checkpoint(path, {"kind": "emomodel", "config": asdict(model.config),
+                           "vocab_hash": model.vocab.vocab_hash},
+                    _with_key_biases(model, np.random.default_rng(22)).items())
+    loaded = EmoModel.load(path)
+    assert loaded.config.context == context
+    assert [name for name, _ in loaded.parameters()] == [name for name, _ in model.parameters()]
+    ids = np.array([BOS, 5, 140, 270, EOS])
+    assert np.array_equal(loaded.forward_logits(feature, ids, ids[:-1]).data,
+                          model.forward_logits(feature, ids, ids[:-1]).data)
+
+
+ENCODER_QUERY_KEY = {"encoder_stack.0.attn.wq.weight", "encoder_stack.0.attn.wq.bias",
+                     "encoder_stack.0.attn.wk.weight"}
+
+
 class TestKeyBias:
     def test_every_block_gets_a_gradient(self, feature):
-        model = EmoModel(small_config(decoder_blocks=2, dtype="float64"))
-        ids = np.array([BOS, 5, 140, 270, 9, 144, EOS, PAD])
-        logits = model.forward_logits(feature, ids, ids[:-1])
-        cce_loss(logits, ids[1:], pad_mask=ids[1:] != PAD).backward()
-        norms = {name: np.linalg.norm(p.grad) if p.grad is not None else 0.0
-                 for name, p in model.parameters()}
+        model = EmoModel(small_config(decoder_blocks=2, dtype="float64", context="prefix"))
+        norms = _gradient_norms(model, feature)
         floor = 1e-8 * np.median(list(norms.values()))
         assert {name for name, norm in norms.items() if norm <= floor} == set()
+
+    def test_fixed_context_zeroes_only_the_encoder_query_and_key(self, feature):
+        """The encoder attends over its one key, [BOS], with weight exactly 1."""
+        model = EmoModel(small_config(decoder_blocks=2, dtype="float64"))
+        norms = _gradient_norms(model, feature)
+        floor = 1e-8 * np.median(list(norms.values()))
+        assert {name for name, norm in norms.items() if norm <= floor} == ENCODER_QUERY_KEY
+        assert all(norms[name] == 0.0 for name in ENCODER_QUERY_KEY)
+
+    def test_fixed_context_encoder_query_and_key_keep_their_initial_values(self):
+        model = EmoModel(small_config())
+        before = {name: p.data.copy() for name, p in model.parameters()}
+        rng = np.random.default_rng(24)
+        samples = [TrainSample(rng.normal(size=IMAGE_FEATURE_DIM), [BOS, 5, 140, 9, EOS])
+                   for _ in range(2)]
+        fit(model, samples, TrainConfig(lr=1e-3, epochs=2, batch_size=1, va_loss_mode="off"))
+        unchanged = {name for name, p in model.parameters()
+                     if np.array_equal(p.data, before[name])}
+        assert unchanged == ENCODER_QUERY_KEY
 
     def test_a_key_bias_moves_attention_by_rounding_only(self):
         rng = np.random.default_rng(21)
@@ -439,16 +572,12 @@ class TestKeyBias:
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_checkpoint_with_key_biases_loads(self, tmp_path, feature, dtype):
-        model = EmoModel(small_config(decoder_blocks=2, dtype=dtype))
-        path = tmp_path / "old.emc"
-        save_checkpoint(path, {"kind": "emomodel", "config": asdict(model.config),
-                               "vocab_hash": model.vocab.vocab_hash},
-                        _with_key_biases(model, np.random.default_rng(22)).items())
-        loaded = EmoModel.load(path)
-        assert [name for name, _ in loaded.parameters()] == [name for name, _ in model.parameters()]
-        ids = np.array([BOS, 5, 140, 270, EOS])
-        assert np.array_equal(loaded.forward_logits(feature, ids, ids[:-1]).data,
-                              model.forward_logits(feature, ids, ids[:-1]).data)
+        """Checkpoints holding key biases predate the context knob: "prefix"."""
+        _check_key_bias_checkpoint_loads(tmp_path, feature, dtype, "prefix")
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_fixed_context_checkpoint_with_key_biases_loads(self, tmp_path, feature, dtype):
+        _check_key_bias_checkpoint_loads(tmp_path, feature, dtype, "fixed")
 
     @pytest.mark.parametrize("missing", ["encoder_stack.0.attn.wq.bias",
                                          "decoder_stack.1.attn.wk.weight", "out_proj.bias"])

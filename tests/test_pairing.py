@@ -167,9 +167,10 @@ class TestFiles:
         b'[{"midi_id": ["m0"], "image_id": "i", "similarity": 1}]}',
         b'{"format": "emogen-pair-manifest-v1", "pairs": '
         b'[{"midi_id": "m", "image_id": 3, "similarity": 1}]}',
+        b"[" * 100_000,
     ], ids=["not-json", "not-utf8", "not-object", "no-pairs", "pairs-not-list",
             "pair-not-object", "no-midi-id", "no-image-id", "no-similarity",
-            "midi-id-not-str", "image-id-not-str"])
+            "midi-id-not-str", "image-id-not-str", "deeply-nested"])
     def test_load_manifest_malformed(self, tmp_path, content):
         path = tmp_path / "pairs.json"
         path.write_bytes(content)

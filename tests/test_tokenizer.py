@@ -172,6 +172,23 @@ class TestDataset:
         with pytest.raises(CatalogError, match="tokens.jsonl:2"):
             list(load_token_dataset(path, VOCAB))
 
+    @pytest.mark.parametrize("bad_id", ["1.7", "1.0", "true", '"5"', "-5", "-1",
+                                        str(VOCAB.total_size), "99999"])
+    def test_bad_id_reports_line(self, tmp_path, bad_id):
+        """Non-integer (float, bool, string), negative and out-of-vocabulary ids."""
+        path = tmp_path / "tokens.jsonl"
+        save_token_dataset(path, [("a", [1, 2])], VOCAB)
+        with open(path, "a") as fh:
+            fh.write(f'{{"id": "b", "ids": [1, {bad_id}, 2], '
+                     f'"vocab_hash": "{VOCAB.vocab_hash}"}}\n')
+        with pytest.raises(CatalogError, match="tokens.jsonl:2"):
+            list(load_token_dataset(path, VOCAB))
+
+    def test_largest_id_loads(self, tmp_path):
+        path = tmp_path / "tokens.jsonl"
+        save_token_dataset(path, [("a", [1, VOCAB.total_size - 1, 2])], VOCAB)
+        assert list(load_token_dataset(path, VOCAB)) == [("a", [1, VOCAB.total_size - 1, 2])]
+
     def test_non_utf8_record_reports_line(self, tmp_path):
         path = tmp_path / "tokens.jsonl"
         save_token_dataset(path, [("a", [1, 2])], VOCAB)
