@@ -185,8 +185,8 @@ class RunConfig:
         try:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
-        # ValueError: bad JSON or bad UTF-8; RecursionError: JSON nested too deeply
-        except (ValueError, RecursionError) as exc:
+        # OSError: unreadable file; ValueError: bad JSON or UTF-8; RecursionError: too deep
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: {exc}") from exc
         return cls.from_dict(payload)
 

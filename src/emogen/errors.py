@@ -23,6 +23,10 @@ class MalformedEvent(EmogenError):
     """Note event with a data byte >= 0x80, or a zero tempo."""
 
 
+class MalformedPiece(EmogenError, ValueError):
+    """Note or piece field out of range (pitch, onset, duration, velocity, tempo...)."""
+
+
 # --- tokenizer ---
 
 class TokenizerError(EmogenError, ValueError):
@@ -41,6 +45,10 @@ class EmptyRoll(EmogenError):
 
 class TooShort(EmogenError):
     """Piece spans fewer than two full measures."""
+
+
+class BadMetricSetting(EmogenError, ValueError):
+    """Steps per beat or per measure below 1, or an unknown polyphony denominator."""
 
 
 # --- pairing ---

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import EmptyPiece, EmptyRoll, TooShort
+from .errors import BadMetricSetting, EmptyPiece, EmptyRoll, TooShort
 from .midi_io import MidiPiece, PianoRoll, to_piano_roll
 
 
@@ -36,9 +36,7 @@ def pitch_entropy(piece: MidiPiece) -> float:
     """Shannon entropy (bits) of the piece's pitch distribution."""
     if not piece.notes:
         raise EmptyPiece("pitch entropy undefined for a piece with no notes")
-    counts = np.zeros(128)
-    for note in piece.notes:
-        counts[note.pitch] += 1
+    counts = np.bincount([note.pitch for note in piece.notes])
     probs = counts[counts > 0] / counts.sum()
     return float(-(probs * np.log2(probs)).sum())
 
@@ -60,7 +58,7 @@ def polyphony_rate(roll: PianoRoll, denominator: str = "sounding") -> float:
         return multi / sounding
     if denominator == "total":
         return multi / roll.num_steps
-    raise ValueError(f"unknown denominator mode {denominator!r}")
+    raise BadMetricSetting(f"unknown denominator mode {denominator!r}")
 
 
 def groove_consistency(roll: PianoRoll, steps_per_measure: int = 16,
@@ -68,7 +66,7 @@ def groove_consistency(roll: PianoRoll, steps_per_measure: int = 16,
     """One minus the mean (normalized) Hamming distance between consecutive
     measures' onset vectors. Trailing partial measures are discarded."""
     if steps_per_measure < 1:
-        raise ValueError("steps_per_measure must be >= 1")
+        raise BadMetricSetting("steps_per_measure must be >= 1")
     measures = roll.num_steps // steps_per_measure
     if measures < 2:
         raise TooShort(f"{measures} full measure(s); need >= 2")

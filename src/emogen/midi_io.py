@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
-from .errors import MalformedEvent, MalformedHeader, TruncatedTrack, UnsupportedFormat
+from .errors import (BadMetricSetting, MalformedEvent, MalformedHeader, MalformedPiece,
+                     TruncatedTrack, UnsupportedFormat)
 
 DEFAULT_TEMPO = 500_000  # microseconds per beat (120 BPM)
 
@@ -28,13 +30,13 @@ class NoteEvent:
 
     def __post_init__(self):
         if not 0 <= self.pitch <= 127:
-            raise ValueError(f"pitch {self.pitch} outside 0..127")
+            raise MalformedPiece(f"pitch {self.pitch} outside 0..127")
         if self.onset < 0:
-            raise ValueError(f"negative onset {self.onset}")
+            raise MalformedPiece(f"negative onset {self.onset}")
         if self.duration < 1:
-            raise ValueError(f"duration {self.duration} < 1")
+            raise MalformedPiece(f"duration {self.duration} < 1")
         if not 1 <= self.velocity <= 127:
-            raise ValueError(f"velocity {self.velocity} outside 1..127")
+            raise MalformedPiece(f"velocity {self.velocity} outside 1..127")
 
     @property
     def end(self) -> int:
@@ -51,10 +53,10 @@ class MidiPiece:
 
     def __post_init__(self):
         if self.ticks_per_beat <= 0:
-            raise ValueError(f"ticks_per_beat {self.ticks_per_beat} <= 0")
+            raise MalformedPiece(f"ticks_per_beat {self.ticks_per_beat} <= 0")
         if self.tempo_us_per_beat <= 0:
-            raise ValueError(f"tempo {self.tempo_us_per_beat} <= 0")
-        ordered = tuple(sorted(self.notes, key=lambda n: (n.onset, n.pitch)))
+            raise MalformedPiece(f"tempo {self.tempo_us_per_beat} <= 0")
+        ordered = tuple(sorted(self.notes, key=attrgetter("onset", "pitch")))
         object.__setattr__(self, "notes", ordered)
 
     def __len__(self) -> int:
@@ -109,18 +111,16 @@ def _parse_track(data: bytes) -> tuple[list[NoteEvent], int | None]:
     notes: list[NoteEvent] = []
     tempo: int | None = None
     open_notes: dict[int, tuple[int, int]] = {}  # pitch -> (onset, velocity)
+    size = len(data)
     pos = 0
     tick = 0
     status = 0
 
-    def close(pitch: int, at: int):
-        onset, vel = open_notes.pop(pitch)
-        notes.append(NoteEvent(onset, pitch, max(1, at - onset), vel))
-
-    while pos < len(data):
-        delta, pos = decode_vlq(data, pos)
+    while pos < size:
+        # a one-byte delta time is read inline
+        delta, pos = (data[pos], pos + 1) if data[pos] < 0x80 else decode_vlq(data, pos)
         tick += delta
-        if pos >= len(data):
+        if pos >= size:
             raise TruncatedTrack("track ended after a delta time")
         byte = data[pos]
         if byte & 0x80:
@@ -130,13 +130,25 @@ def _parse_track(data: bytes) -> tuple[list[NoteEvent], int | None]:
             raise TruncatedTrack("data byte with no running status")
 
         kind = status & 0xF0
-        if status == 0xFF:  # meta
-            if pos >= len(data):
+        if kind == 0x90 or kind == 0x80:  # note events, two data bytes
+            if pos + 2 > size:
+                raise TruncatedTrack("channel event truncated")
+            d1, d2 = data[pos], data[pos + 1]
+            pos += 2
+            if (d1 | d2) & 0x80:
+                raise MalformedEvent(f"note event data byte >= 0x80 at track byte {pos - 2}")
+            if d1 in open_notes:  # note-off, or a later note-on truncating the open note
+                onset, vel = open_notes.pop(d1)
+                notes.append(NoteEvent(onset, d1, max(1, tick - onset), vel))
+            if kind == 0x90 and d2 > 0:
+                open_notes[d1] = (tick, d2)
+        elif status == 0xFF:  # meta
+            if pos >= size:
                 raise TruncatedTrack("truncated meta event")
             meta_type = data[pos]
             pos += 1
             length, pos = decode_vlq(data, pos)
-            if pos + length > len(data):
+            if pos + length > size:
                 raise TruncatedTrack("meta event payload truncated")
             payload = data[pos:pos + length]
             pos += length
@@ -149,33 +161,24 @@ def _parse_track(data: bytes) -> tuple[list[NoteEvent], int | None]:
             status = 0  # meta/sysex cancel running status
         elif status in (0xF0, 0xF7):  # sysex
             length, pos = decode_vlq(data, pos)
-            if pos + length > len(data):
+            if pos + length > size:
                 raise TruncatedTrack("sysex payload truncated")
             pos += length
             status = 0
-        elif kind in (0x80, 0x90, 0xA0, 0xB0, 0xE0):  # two data bytes
-            if pos + 2 > len(data):
+        elif kind in (0xA0, 0xB0, 0xE0):  # two data bytes
+            if pos + 2 > size:
                 raise TruncatedTrack("channel event truncated")
-            d1, d2 = data[pos], data[pos + 1]
             pos += 2
-            if kind in (0x80, 0x90) and (d1 | d2) & 0x80:
-                raise MalformedEvent(f"note event data byte >= 0x80 at track byte {pos - 2}")
-            if kind == 0x90 and d2 > 0:
-                if d1 in open_notes:  # later note-on truncates the open note
-                    close(d1, tick)
-                open_notes[d1] = (tick, d2)
-            elif kind == 0x80 or (kind == 0x90 and d2 == 0):
-                if d1 in open_notes:
-                    close(d1, tick)
         elif kind in (0xC0, 0xD0):  # one data byte
-            if pos + 1 > len(data):
+            if pos + 1 > size:
                 raise TruncatedTrack("channel event truncated")
             pos += 1
         else:
             raise TruncatedTrack(f"unexpected status byte 0x{status:02x}")
 
-    for pitch in sorted(open_notes):
-        close(pitch, max(tick, open_notes[pitch][0] + 1))
+    for pitch in sorted(open_notes):  # notes left open end at the track's last tick
+        onset, vel = open_notes[pitch]
+        notes.append(NoteEvent(onset, pitch, max(1, tick - onset), vel))
     return notes, tempo
 
 
@@ -225,7 +228,7 @@ def write_midi(piece: MidiPiece) -> bytes:
     events: list[tuple[int, int, int, int]] = []  # (tick, order, pitch, velocity)
     for note in piece.notes:
         events.append((note.onset, 1, note.pitch, note.velocity))
-        events.append((note.end, 0, note.pitch, 0))
+        events.append((note.onset + note.duration, 0, note.pitch, 0))
     events.sort()
 
     track = bytearray()
@@ -233,10 +236,9 @@ def write_midi(piece: MidiPiece) -> bytes:
     track += bytes([0xFF, 0x51, 0x03]) + piece.tempo_us_per_beat.to_bytes(3, "big")
     tick = 0
     for at, order, pitch, velocity in events:
-        track += encode_vlq(at - tick)
+        track += bytes((at - tick,)) if at - tick < 0x80 else encode_vlq(at - tick)
         tick = at
-        status = 0x90 if order == 1 else 0x80
-        track += bytes([status, pitch, velocity])
+        track += bytes((0x90 if order else 0x80, pitch, velocity))
     track += encode_vlq(0) + bytes([0xFF, 0x2F, 0x00])
 
     out = bytearray()
@@ -247,23 +249,26 @@ def write_midi(piece: MidiPiece) -> bytes:
 
 # --- rasterization ---
 
-def note_to_steps(note: NoteEvent, steps_per_beat: int, ticks_per_beat: int) -> tuple[int, int]:
-    """Half-open step span [start, end) covered by a note; always >= 1 step."""
-    start = note.onset * steps_per_beat // ticks_per_beat
-    end = -((-note.end * steps_per_beat) // ticks_per_beat)  # ceil division
-    return start, max(end, start + 1)
+def note_spans(piece: MidiPiece, steps_per_beat: int) -> list[tuple[int, int, int, int]]:
+    """(start, end, pitch, velocity) per note, in order; [start, end) spans >= 1 step."""
+    tpb = piece.ticks_per_beat
+    spans = []
+    for note in piece.notes:
+        start = note.onset * steps_per_beat // tpb
+        end = -((-(note.onset + note.duration) * steps_per_beat) // tpb)  # ceil division
+        spans.append((start, end if end > start else start + 1, note.pitch, note.velocity))
+    return spans
 
 
 def to_piano_roll(piece: MidiPiece, steps_per_beat: int = 4) -> PianoRoll:
     """Rasterize a piece onto a boolean 128 x T pitch/time grid."""
     if steps_per_beat <= 0:
-        raise ValueError("steps_per_beat must be positive")
-    spans = [(n.pitch, *note_to_steps(n, steps_per_beat, piece.ticks_per_beat))
-             for n in piece.notes]
-    total = max((end for _, _, end in spans), default=0)
+        raise BadMetricSetting("steps_per_beat must be positive")
+    spans = note_spans(piece, steps_per_beat)
+    total = max((end for _, end, _, _ in spans), default=0)
     grid = np.zeros((128, total), dtype=bool)
     onsets = np.zeros((128, total), dtype=bool)
-    for pitch, start, end in spans:
+    for start, end, pitch, _ in spans:
         grid[pitch, start:end] = True
         onsets[pitch, start] = True
     return PianoRoll(steps_per_beat=steps_per_beat, grid=grid, onsets=onsets)

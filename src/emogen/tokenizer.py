@@ -16,13 +16,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from ._files import write_atomic
 from .errors import CatalogError, TokenizerError, VocabMismatch
-from .midi_io import MidiPiece, NoteEvent, note_to_steps
+from .midi_io import MidiPiece, NoteEvent, note_spans
 
 PAD, BOS, EOS = 0, 1, 2
 _NUM_SPECIALS = 3
@@ -126,7 +127,12 @@ class TokenSequence:
     def __post_init__(self):
         if len(self.ids) > self.max_len:
             raise TokenizerError(f"{len(self.ids)} ids exceed max_len {self.max_len}")
-        object.__setattr__(self, "ids", tuple(int(i) for i in self.ids))
+        if bool in map(type, self.ids):  # operator.index takes a bool
+            raise TokenizerError(f"ids must be integers, got {self.ids!r:.80}")
+        try:  # numpy integers pass; floats and strings do not
+            object.__setattr__(self, "ids", tuple(map(operator.index, self.ids)))
+        except TypeError as exc:
+            raise TokenizerError(f"ids must be integers, got {self.ids!r:.80}") from exc
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -137,33 +143,34 @@ def encode(piece: MidiPiece, vocab: Vocabulary, steps_per_beat: int = 4,
     """Encode a piece as a deterministic event stream, truncated at max_len."""
     if max_len < 2:
         raise TokenizerError("max_len must be >= 2")
-    boundaries: dict[int, tuple[list, list]] = {}  # step -> (offs, ons)
-    for note in piece.notes:
-        start, end = note_to_steps(note, steps_per_beat, piece.ticks_per_beat)
-        boundaries.setdefault(start, ([], []))[1].append((note.pitch, note.velocity))
-        boundaries.setdefault(end, ([], []))[0].append(note.pitch)
+    events = []  # offs (step, 0, pitch, 0) sort before ons (step, 1, pitch, velocity)
+    for start, end, pitch, velocity in note_spans(piece, steps_per_beat):
+        events += (start, 1, pitch, velocity), (end, 0, pitch, 0)
+    events.sort()
 
+    bins, to_bin = vocab.time_shift_bins, vocab.velocity_to_bin
+    off_base, shift_base = vocab.note_off_base, vocab.time_shift_base  # token_to_id's bases
     ids = [BOS]
     step = 0
     velocity_bin = None
-    for at in sorted(boundaries):
-        offs, ons = boundaries[at]
-        gap = at - step
-        while gap > 0:  # greedy largest-bin-first
-            shift = min(gap, vocab.time_shift_bins)
-            ids.append(vocab.token_to_id(("TIME_SHIFT", shift)))
-            gap -= shift
+    for at, is_on, pitch, velocity in events:
+        if at > step:  # greedy largest-bin-first
+            if len(ids) >= max_len - 1:
+                break  # everything after this is truncated
+            full, rest = divmod(at - step, bins)
+            ids += [shift_base + bins - 1] * min(full, max_len)
+            if rest:
+                ids.append(shift_base + rest - 1)
         step = at
-        for pitch in sorted(offs):
-            ids.append(vocab.token_to_id(("NOTE_OFF", pitch)))
-        for pitch, velocity in sorted(ons):
-            vbin = vocab.velocity_to_bin(velocity)
+        if is_on:
+            vbin = to_bin(velocity)
             if vbin != velocity_bin:
-                ids.append(vocab.token_to_id(("VELOCITY", vbin)))
+                ids.append(vocab.velocity_base + vbin)
                 velocity_bin = vbin
-            ids.append(vocab.token_to_id(("NOTE_ON", pitch)))
-    ids = ids[:max_len - 1]
-    ids.append(EOS)
+            ids.append(_NUM_SPECIALS + pitch)
+        else:
+            ids.append(off_base + pitch)
+    ids[max_len - 1:] = [EOS]  # truncate, then end
     return TokenSequence(ids=tuple(ids), max_len=max_len)
 
 
@@ -185,24 +192,24 @@ def decode(tokens: TokenSequence | Iterable[int], vocab: Vocabulary,
                                duration=max(1, at - start) * ticks_per_step,
                                velocity=vel))
 
+    # the layout's id ranges, as `id_to_token` reads them
+    off_base, shift_base = vocab.note_off_base, vocab.time_shift_base
+    velocity_base, total = vocab.velocity_base, vocab.total_size
     for idx in ids:
-        if not 0 <= idx < vocab.total_size:
-            continue  # robustness: ignore out-of-vocabulary ids
-        token = vocab.id_to_token(idx)
-        name = token[0]
-        if name == "EOS":
-            break
-        if name == "TIME_SHIFT":
-            step += token[1]
-        elif name == "VELOCITY":
-            velocity = vocab.bin_to_velocity(token[1])
-        elif name == "NOTE_ON":
-            if token[1] in open_notes:
-                close(token[1], step)
-            open_notes[token[1]] = (step, velocity)
-        elif name == "NOTE_OFF":
-            if token[1] in open_notes:
-                close(token[1], step)
+        if idx < shift_base:
+            if idx >= _NUM_SPECIALS:  # NOTE_ON or NOTE_OFF: either ends the open note
+                pitch = (idx - _NUM_SPECIALS) % 128
+                if pitch in open_notes:
+                    close(pitch, step)
+                if idx < off_base:
+                    open_notes[pitch] = (step, velocity)
+            elif idx == EOS:
+                break
+        elif idx < velocity_base:
+            step += idx - shift_base + 1
+        elif idx < total:
+            velocity = vocab.bin_to_velocity(idx - velocity_base)
+        # PAD, BOS and out-of-vocabulary ids are ignored
     for pitch in sorted(open_notes):
         close(pitch, step)
     return MidiPiece(ticks_per_beat=ticks_per_beat, notes=tuple(notes))

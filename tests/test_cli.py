@@ -296,6 +296,23 @@ class TestGradcheck:
         out = capsys.readouterr().out
         assert "full_model" in out and "FAIL" not in out
 
+    @pytest.mark.parametrize("content", [None, "{", '{"model": {"model_dim": "x"}}'],
+                             ids=["missing", "bad-json", "bad-value"])
+    def test_bad_config_exit_1(self, tmp_path, capsys, content):
+        path = tmp_path / "run.json"
+        if content is not None:
+            path.write_text(content)
+        assert main(["gradcheck", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error [ConfigError]") and "Traceback" not in out + err
+        assert "full_model" not in out  # rejected before the battery runs
+
+    def test_valid_config_runs_the_battery(self, tmp_path, capsys):
+        path = tmp_path / "run.json"
+        path.write_text('{"model": {"model_dim": 32}}')
+        assert main(["gradcheck", "--config", str(path)]) == 0
+        assert "full_model" in capsys.readouterr().out
+
 
 class TestAblate:
     def test_grid_with_failure_continues(self, workspace, tmp_path):

@@ -69,6 +69,11 @@ class TestTypeRules:
             RunConfig.from_file(path)
 
 
+    @pytest.mark.parametrize("name", ["absent.json", "."], ids=["missing", "directory"])
+    def test_unreadable_file(self, tmp_path, name):
+        with pytest.raises(ConfigError, match="absent.json|Is a directory"):
+            RunConfig.from_file(tmp_path / name)
+
     def test_file_nested_too_deeply(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text("[" * 100_000)

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from emogen.errors import EmptyPiece, EmptyRoll, TooShort
+from emogen.errors import BadMetricSetting, EmogenError, EmptyPiece, EmptyRoll, TooShort
 from emogen.metrics import (REFERENCE_TRIPLE, MetricTriple, evaluate_corpus,
                             evaluate_piece, groove_consistency, mean_triple,
                             music_quality_loss, pitch_entropy, polyphony_rate)
@@ -119,6 +119,17 @@ class TestPolyphonyRate:
     def test_unknown_denominator(self):
         with pytest.raises(ValueError):
             polyphony_rate(_roll([[1]]), "weird")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: polyphony_rate(_roll([[1]]), "weird"),
+    lambda: groove_consistency(_roll([[1] * 32]), steps_per_measure=0),
+    lambda: evaluate_piece(_piece([60]), steps_per_beat=0),
+], ids=["denominator", "steps_per_measure", "steps_per_beat"])
+def test_bad_settings_are_typed(call):
+    with pytest.raises(BadMetricSetting) as info:
+        call()
+    assert isinstance(info.value, EmogenError) and isinstance(info.value, ValueError)
 
 
 class TestGrooveConsistency:

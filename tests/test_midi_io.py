@@ -5,12 +5,32 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emogen.errors import (EmogenError, MalformedEvent, MalformedHeader,
+from emogen.errors import (EmogenError, MalformedEvent, MalformedHeader, MalformedPiece,
                            TruncatedTrack, UnsupportedFormat)
 from emogen.midi_io import (MidiPiece, NoteEvent, decode_vlq, encode_vlq,
                             parse_midi, to_piano_roll, write_midi)
 
 from conftest import random_canonical_piece
+
+
+# every field check of a note or piece; each is typed and still a ValueError
+PIECE_RAISE_SITES = {
+    "pitch_above_127": lambda: NoteEvent(0, 128, 1, 64),
+    "pitch_below_0": lambda: NoteEvent(0, -1, 1, 64),
+    "negative_onset": lambda: NoteEvent(-1, 60, 1, 64),
+    "zero_duration": lambda: NoteEvent(0, 60, 0, 64),
+    "zero_velocity": lambda: NoteEvent(0, 60, 1, 0),
+    "velocity_above_127": lambda: NoteEvent(0, 60, 1, 128),
+    "ticks_per_beat": lambda: MidiPiece(0, ()),
+    "tempo": lambda: MidiPiece(480, (), tempo_us_per_beat=0),
+}
+
+
+@pytest.mark.parametrize("site", sorted(PIECE_RAISE_SITES))
+def test_piece_raise_sites_are_typed(site):
+    with pytest.raises(MalformedPiece) as info:
+        PIECE_RAISE_SITES[site]()
+    assert isinstance(info.value, EmogenError) and isinstance(info.value, ValueError)
 
 
 def _smf(track_bytes: bytes, fmt: int = 0, division: int = 480) -> bytes:

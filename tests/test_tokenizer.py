@@ -25,6 +25,7 @@ RAISE_SITES = {
     "unknown_token": lambda: VOCAB.token_to_id(("CHORD", 60)),
     "id_range": lambda: VOCAB.id_to_token(391),
     "sequence_length": lambda: TokenSequence(ids=(BOS,) * 6, max_len=5),
+    "non_integer_id": lambda: TokenSequence(ids=(1, 5.7, True), max_len=4),
     "encode_max_len": lambda: encode(MidiPiece(480, ()), VOCAB, max_len=1),
 }
 
@@ -111,6 +112,15 @@ class TestEncode:
     def test_sequence_length_cap_enforced(self):
         with pytest.raises(ValueError):
             TokenSequence(ids=(BOS,) * 10, max_len=5)
+
+    @pytest.mark.parametrize("bad_id", [5.7, 2.0, True, False, np.True_, np.float64(3), "3"])
+    def test_non_integer_id_rejected(self, bad_id):
+        with pytest.raises(TokenizerError, match="ids must be integers"):
+            TokenSequence(ids=(1, bad_id, 2), max_len=4)
+
+    def test_numpy_integer_ids_become_ints(self):
+        seq = TokenSequence(ids=tuple(np.array([1, 60, 2])), max_len=4)
+        assert seq.ids == (1, 60, 2) and all(type(i) is int for i in seq.ids)
 
 
 class TestDecode:
