@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 validation error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from dataclasses import asdict
@@ -15,7 +14,7 @@ from pathlib import Path
 
 from . import metrics as metrics_mod
 from ._files import write_atomic, write_csv
-from .config import MetricConfig, RunConfig
+from .config import MetricConfig, RunConfig, read_json
 from .data import load_training_samples
 from .diagnostics import full_model_gradcheck, standard_gradchecks
 from .errors import (ConfigError, CountMismatch, EmogenError,
@@ -189,8 +188,7 @@ def cmd_generate(args) -> int:
     piece = decode(tokens, model.vocab, model.config.steps_per_beat)
     write_atomic(args.out, [write_midi(piece)])
     stop = "eos" if tokens.ids[-1] == EOS else "max_len"
-    print(f"{args.out}: {len(tokens)} tokens, {len(piece)} notes "
-          f"(context {model.config.context}, stopped at {stop})")
+    print(f"{args.out}: {len(tokens)} tokens, {len(piece)} notes (stopped at {stop})")
     return 0
 
 
@@ -248,12 +246,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    with open(args.config_grid, encoding="utf-8") as fh:
-        try:
-            grid = json.load(fh)
-        # ValueError: bad JSON or bad UTF-8; RecursionError: JSON nested too deeply
-        except (ValueError, RecursionError) as exc:
-            raise ConfigError(f"{args.config_grid}: {exc}") from exc
+    grid = read_json(args.config_grid)
     if not isinstance(grid, dict) or set(grid) - {"base", "variants"}:
         raise ConfigError("the grid must be an object with keys 'base' and 'variants'")
     base = RunConfig.from_dict(grid.get("base", {}))

@@ -20,6 +20,16 @@ from .errors import ConfigError
 from .tokenizer import Vocabulary
 
 
+def read_json(path: str | Path):
+    """The JSON value in the file at `path`; failing to read it is a ConfigError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    # OSError: unreadable file; ValueError: bad JSON or UTF-8; RecursionError: too deep
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 def _parse(cls, data, where: str):
     """Build `cls` from the JSON object `data`: unknown keys are rejected and
     each value must have its field default's type, except that an int within
@@ -69,7 +79,6 @@ class ModelConfig:
     va_hidden: int = 64
     seed: int = 0
     dtype: str = "float32"  # or "float64"; a checkpoint without it is float64
-    context: str = "fixed"  # or legacy "prefix", what a checkpoint without it loads as
 
     def __post_init__(self):
         minimum = {"decoder_blocks": 0, "max_len": 2}  # other sizes 1; seed is free
@@ -82,8 +91,6 @@ class ModelConfig:
             raise ConfigError(f"unknown image_extractor {self.image_extractor!r}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
-        if self.context not in ("fixed", "prefix"):
-            raise ConfigError(f"context must be 'fixed' or 'prefix', got {self.context!r}")
         if self.image_size % 4 != 0:
             raise ConfigError("image_size must be divisible by 4 (two 2x2 pools)")
         if self.model_dim % self.head_count != 0:
@@ -182,13 +189,7 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "RunConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-        # OSError: unreadable file; ValueError: bad JSON or UTF-8; RecursionError: too deep
-        except (OSError, ValueError, RecursionError) as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        return cls.from_dict(payload)
+        return cls.from_dict(read_json(path))
 
     def to_dict(self) -> dict:
         out = asdict(self)

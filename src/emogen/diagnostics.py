@@ -1,5 +1,4 @@
-"""Gradient-check battery over every differentiable block, and the
-context-gap probe of what the decoder takes from the MIDI encoder.
+"""Gradient-check battery over every differentiable block.
 
 The gradient checks are used by the `gradcheck` CLI subcommand and the
 acceptance suite. Each entry rebuilds a small forward graph and compares
@@ -11,12 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 from .config import ModelConfig
-from .errors import CatalogTooSmall
 from .model import Block, EmoModel, VaPredictor
 from .nn import (BatchNorm, Embedding, GradCheckReport, LayerNorm, Linear,
-                 MultiHeadAttention, Tensor, gradcheck, no_grad, softmax, tensor_sum)
+                 MultiHeadAttention, Tensor, gradcheck, softmax, tensor_sum)
 from .training import cce_loss, va_loss
-from .tokenizer import BOS, EOS, PAD
+from .tokenizer import BOS, EOS
 
 
 def _weighted_sum(out: Tensor, rng: np.random.Generator) -> Tensor:
@@ -94,54 +92,16 @@ def standard_gradchecks(model_dim: int = 16, head_count: int = 2, ff_dim: int = 
 
 def full_model_gradcheck(tolerance: float = 1e-4,
                          max_coords_per_block: int | None = 60) -> GradCheckReport:
-    """Gradcheck the reduced end-to-end model: encoder + merge + decoder + CCE,
-    once per context mode; each block is reported as `<context>:<name>`."""
-    report = GradCheckReport(tolerance=tolerance)
-    for context in ("fixed", "prefix"):
-        config = ModelConfig(encoder_blocks=1, decoder_blocks=1, model_dim=16,
-                             head_count=2, ff_dim=24, max_len=16, time_shift_bins=4,
-                             velocity_bins=2, seed=3, dtype="float64", context=context)
-        model = EmoModel(config)
-        rng = np.random.default_rng(13)
-        feature = rng.normal(size=512)
-        vocab = model.vocab
-        body = [vocab.token_to_id(("VELOCITY", 0)), vocab.token_to_id(("NOTE_ON", 60)),
-                vocab.token_to_id(("TIME_SHIFT", 2)), vocab.token_to_id(("NOTE_OFF", 60))]
-        ids = np.array([BOS] + body + [EOS])
-
-        def fn():
-            logits = model.forward_logits(feature, ids, ids[:-1])
-            return cce_loss(logits, ids[1:])
-
-        checked = gradcheck(fn, model.parameters(), tolerance=tolerance,
-                            max_coords_per_block=max_coords_per_block)
-        report.max_errors.update((f"{context}:{name}", error)
-                                 for name, error in checked.max_errors.items())
-    return report
-
-
-def context_gap(model: EmoModel, samples) -> dict[str, float]:
-    """Per-token L_CC of `samples` (natural log, over non-PAD targets) with
-    three encoder inputs: each pair's own target (`full_target`), [BOS]
-    alone (`bos_only`) and the next pair's target (`other_target`, the
-    samples taken as a ring).
-
-    For a "prefix"-context model trained on full targets, the spread of the
-    three shows how much the decoder uses the pooled MIDI context. A
-    "fixed"-context model always encodes [BOS], so its three are identical.
-    """
-    if not samples:
-        raise CatalogTooSmall("context_gap needs at least one sample")
-    totals = dict.fromkeys(("full_target", "bos_only", "other_target"), 0.0)
-    tokens = 0
-    with no_grad():
-        for i, sample in enumerate(samples):
-            ids = np.asarray(sample.token_ids, dtype=np.int64)
-            keep = ids[1:] != PAD
-            tokens += int(keep.sum())
-            encoder_inputs = {"full_target": ids, "bos_only": [BOS],
-                              "other_target": samples[(i + 1) % len(samples)].token_ids}
-            for name, encoder_ids in encoder_inputs.items():
-                logits = model.forward_logits(sample.image, np.asarray(encoder_ids), ids[:-1])
-                totals[name] += cce_loss(logits, ids[1:], pad_mask=keep).item()
-    return {name: total / tokens for name, total in totals.items()}
+    """Gradcheck the reduced end-to-end model: encoder + merge + decoder + CCE."""
+    config = ModelConfig(encoder_blocks=1, decoder_blocks=1, model_dim=16,
+                         head_count=2, ff_dim=24, max_len=16, time_shift_bins=4,
+                         velocity_bins=2, seed=3, dtype="float64")
+    model = EmoModel(config)
+    feature = np.random.default_rng(13).normal(size=512)
+    vocab = model.vocab
+    body = [vocab.token_to_id(("VELOCITY", 0)), vocab.token_to_id(("NOTE_ON", 60)),
+            vocab.token_to_id(("TIME_SHIFT", 2)), vocab.token_to_id(("NOTE_OFF", 60))]
+    ids = np.array([BOS] + body + [EOS])
+    return gradcheck(lambda: cce_loss(model.forward_logits(feature, ids[:-1]), ids[1:]),
+                     model.parameters(), tolerance=tolerance,
+                     max_coords_per_block=max_coords_per_block)

@@ -81,7 +81,7 @@ class PianoRoll:
 def encode_vlq(value: int) -> bytes:
     """Encode a non-negative int as an SMF variable-length quantity."""
     if value < 0:
-        raise ValueError("VLQ values are non-negative")
+        raise MalformedPiece(f"VLQ values are non-negative, got {value}")
     out = [value & 0x7F]
     value >>= 7
     while value:

@@ -111,15 +111,11 @@ class Block(Module):
         self.norm2 = LayerNorm(dim)
 
     def __call__(self, x: Tensor, causal: bool = False, key_mask: np.ndarray | None = None,
-                 last_only: bool = False, cache: KVCache | None = None) -> Tensor:
-        """All rows of `x`, or with `last_only` just the newest one as a (1, d) row.
-
-        With a `cache`, `x` holds only the rows after those cached and also
-        attends to the cached rows.
-        """
-        q = take(x, slice(-1, None)) if last_only else x
-        q = self.norm1(q + self.attn(q, x, x, causal=causal, key_mask=key_mask, cache=cache))
-        return self.norm2(q + self.ffn(q))
+                 cache: KVCache | None = None) -> Tensor:
+        """With a `cache`, `x` holds only the rows after those cached and also
+        attends to the cached rows."""
+        x = self.norm1(x + self.attn(x, x, x, causal=causal, key_mask=key_mask, cache=cache))
+        return self.norm2(x + self.ffn(x))
 
 
 class VaPredictor(Module):
@@ -176,7 +172,7 @@ def token_histogram(ids, vocab_size: int) -> np.ndarray:
 
 # --- the generator model ---
 
-FIXED_CONTEXT = np.array([BOS])  # the encoder input in "fixed" context
+FIXED_CONTEXT = np.array([BOS])  # the encoder's input, in training and in generation
 
 
 class DecoderCache:
@@ -265,16 +261,15 @@ class EmoModel(Module):
         """Project the image feature and concatenate with the MIDI context."""
         return concat([self.img_proj(image_feature), midi_context], axis=0)  # (2d,)
 
-    def decode_logits(self, joint: Tensor, prefix_ids, last_only: bool = False,
+    def decode_logits(self, joint: Tensor, prefix_ids,
                       cache: DecoderCache | None = None) -> Tensor:
         """Per-position vocabulary logits for a prefix, conditioned on `joint`.
 
-        With `last_only` the result is the (1, vocab) row of the newest
-        position: the top decoder block and the head run on that row alone.
-        A `cache` implies `last_only`: the memory row and the keys and values
-        of the ids of earlier calls come from it, so only the ids after those
-        are embedded and run through the blocks. Each call must pass the
-        earlier prefix extended, with the same `joint`.
+        With a `cache` the result is the (1, vocab) row of the newest
+        position: the memory row and the keys and values of the ids of
+        earlier calls come from it, so only the ids after those are embedded
+        and run through the blocks. Each call must pass the earlier prefix
+        extended, with the same `joint`.
         """
         ids = self._check_ids(prefix_ids)
         n = ids.size
@@ -284,33 +279,27 @@ class EmoModel(Module):
             raise PrefixTooLong(f"prefix of {n} exceeds max_len {self.config.max_len}")
         d = self.config.model_dim
         done = 0 if cache is None else cache.length  # ids already in the cache
-        last_only = last_only or cache is not None
         memory = cache.memory if done else self.mem_proj(joint)  # (d,)
+        x = self.embedding(ids[done:]) + Tensor(self.positions[done + 1:n + 1])
         if self.decoder_stack:
             caches = [None] * len(self.decoder_stack) if cache is None else cache.blocks
-            x = self.embedding(ids[done:]) + Tensor(self.positions[done + 1:n + 1])
             if not done:
                 x = concat([reshape(memory, (1, d)) + Tensor(self.positions[:1]), x], axis=0)
-            for block, kv in zip(self.decoder_stack[:-1], caches):
+            for block, kv in zip(self.decoder_stack, caches):
                 x = block(x, causal=True, cache=kv)
-            x = self.decoder_stack[-1](x, causal=True, last_only=last_only, cache=caches[-1])
-            if not last_only:
-                x = take(x, slice(1, n + 1))
         else:
-            start = n - 1 if last_only else 0
-            emb = self.embedding(ids[start:]) + Tensor(self.positions[start + 1:n + 1])
-            x = self.dense_decoder(emb + reshape(memory, (1, d)))
+            x = self.dense_decoder(x + reshape(memory, (1, d)))
         if cache is not None:
+            x = take(x, slice(-1, None))
             cache.memory, cache.length = memory, n
-        return self.out_proj(x)  # (n, vocab), or (1, vocab) with last_only
+        elif self.decoder_stack:
+            x = take(x, slice(1, None))  # drop the memory row
+        return self.out_proj(x)  # (n, vocab), or (1, vocab) with a cache
 
-    def forward_logits(self, image_source, full_ids, prefix_ids) -> Tensor:
-        """Teacher-forcing forward: logits over `prefix_ids`, with the context
-        encoded from `full_ids` in "prefix" context and from [BOS] in "fixed"."""
-        feature = self.image_feature(image_source)
-        fixed = self.config.context == "fixed"
-        context = self.encode_midi(FIXED_CONTEXT if fixed else full_ids)
-        joint = self.merge(feature, context)
+    def forward_logits(self, image_source, prefix_ids) -> Tensor:
+        """Teacher-forcing forward: logits over `prefix_ids`, conditioned on
+        the image and the encoder's view of [BOS]."""
+        joint = self.merge(self.image_feature(image_source), self.encode_midi(FIXED_CONTEXT))
         return self.decode_logits(joint, prefix_ids)
 
     # --- generation ---
@@ -320,9 +309,9 @@ class EmoModel(Module):
                  seed: int = 0) -> TokenSequence:
         """Autoregressive decoding from BOS; greedy or seeded temperature sampling.
 
-        In "fixed" context the context, the memory row and each decoder
-        block's keys and values are computed once and cached, so a step runs
-        the decoder on the newest id alone."""
+        The context, the memory row and each decoder block's keys and values
+        are computed once per piece and cached, so a step runs the decoder on
+        the newest id alone."""
         if max_len is not None and max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {max_len}")
         limit = self.config.max_len if max_len is None else min(max_len, self.config.max_len)
@@ -333,19 +322,10 @@ class EmoModel(Module):
         rng = np.random.default_rng(seed)
         ids = [BOS]
         with no_grad():
-            image = self.img_proj(self.image_feature(image_source))
-            cache = None
-            if self.config.context == "fixed":  # one context and one cache per piece
-                joint = concat([image, self.encode_midi(FIXED_CONTEXT)], axis=0)
-                cache = DecoderCache(self)
+            joint = self.merge(self.image_feature(image_source), self.encode_midi(FIXED_CONTEXT))
+            cache = DecoderCache(self)
             while len(ids) < limit:
-                if cache is None:
-                    # the context is re-encoded from the prefix, so memory slot
-                    # 0 changes every step and no decoder state can be cached
-                    context = self.encode_midi(np.array(ids))
-                    joint = concat([image, context], axis=0)  # as in `merge`
-                logits = self.decode_logits(joint, np.array(ids), last_only=True,
-                                            cache=cache).data[0]
+                logits = self.decode_logits(joint, np.array(ids), cache=cache).data[0]
                 if strategy == "greedy":
                     next_id = int(np.argmax(logits))
                 else:
@@ -369,8 +349,11 @@ class EmoModel(Module):
         if meta.get("kind") != "emomodel":
             raise CheckpointCorrupt(f"{path}: not a model checkpoint")
         config = meta.get("config")
-        if isinstance(config, dict):  # written before the dtype or context knob
-            config = {"dtype": "float64", "context": "prefix", **config}
+        if isinstance(config, dict):
+            config = {"dtype": "float64", **config}  # written before the dtype knob
+            # older models also recorded how their encoder context was taken;
+            # every model now encodes [BOS], whatever the checkpoint says
+            config.pop("context", None)
         try:
             model = cls(ModelConfig.from_dict(config))
         except ConfigError as exc:

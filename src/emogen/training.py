@@ -156,9 +156,9 @@ def fit(model: EmoModel, samples: Sequence[TrainSample], config: TrainConfig,
         loss_csv: str | Path | None = None) -> list[EpochStats]:
     """Teacher-forced next-token training over image/MIDI pairs.
 
-    Per pair the encoder sees the full true token sequence, the decoder is
-    trained on prefix -> next-token targets. Gradients accumulate over each
-    batch before one Adam step. Fully deterministic under config.seed.
+    Per pair the encoder sees [BOS] and the decoder is trained on prefix ->
+    next-token targets. Gradients accumulate over each batch before one Adam
+    step. Fully deterministic under config.seed.
     """
     if not samples:
         raise CatalogTooSmall("no training samples")
@@ -187,7 +187,7 @@ def fit(model: EmoModel, samples: Sequence[TrainSample], config: TrainConfig,
                 sample = samples[index]
                 ids = np.asarray(sample.token_ids, dtype=np.int64)
                 prefix, targets = ids[:-1], ids[1:]
-                logits = model.forward_logits(sample.image, ids, prefix)
+                logits = model.forward_logits(sample.image, prefix)
                 keep = targets != PAD
                 cce = cce_loss(logits, targets, pad_mask=keep)
                 objective = cce * weights.lambda_cc

@@ -191,8 +191,8 @@ class TestTrainGenerate:
 
 
     @pytest.mark.parametrize("eos_bias, stop, length", [(1e4, "eos", 2), (-1e4, "max_len", 6)])
-    def test_generate_prints_context_and_stop_reason(self, workspace, tmp_path, capsys,
-                                                     eos_bias, stop, length):
+    def test_generate_prints_stop_reason(self, workspace, tmp_path, capsys,
+                                         eos_bias, stop, length):
         model = EmoModel(ModelConfig.from_dict(SMALL_MODEL))
         model.out_proj.bias.data[EOS] = eos_bias
         model.save(tmp_path / "model.emc")
@@ -201,7 +201,7 @@ class TestTrainGenerate:
                      "--max-len", "6"]) == 0
         out = capsys.readouterr().out
         assert out.startswith(f"{tmp_path / 'a.mid'}: {length} tokens, ")
-        assert out.endswith(f" notes (context fixed, stopped at {stop})\n")
+        assert out.endswith(f" notes (stopped at {stop})\n")
 
     def test_interrupted_generate_keeps_previous_file(self, workspace, run_dir, tmp_path,
                                                       monkeypatch, capsys):
@@ -345,6 +345,13 @@ class TestAblate:
         assert main(["ablate", "--config-grid", str(grid_path),
                      "--out-dir", str(tmp_path / "out")]) == 1
 
+    def test_missing_grid_exit_1(self, tmp_path, capsys):
+        assert main(["ablate", "--config-grid", str(tmp_path / "none.json"),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [ConfigError]") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 # Each bad config section ends in ConfigError: the library raises it, `train`
 # and `pretrain-va` exit 1, and as an ablation variant (model/train only) it is
@@ -362,6 +369,8 @@ BAD_SECTIONS = [
 ]
 # JSON's NaN and Infinity, which Python's json module reads
 NON_FINITE = [("train", {"lr": float("nan")}), ("train", {"lambda_va": float("inf")})]
+# every model encodes [BOS]; context is no longer a setting
+REMOVED_SETTINGS = [("model", {"context": "fixed"})]
 
 
 def _with_section(workspace, section, value):
@@ -373,10 +382,11 @@ def _with_section(workspace, section, value):
     return payload
 
 
-BAD_IDS = [f"{section}={json.dumps(value)}" for section, value in BAD_SECTIONS + NON_FINITE]
+BAD_CASES = BAD_SECTIONS + NON_FINITE + REMOVED_SETTINGS
+BAD_IDS = [f"{section}={json.dumps(value)}" for section, value in BAD_CASES]
 
 
-@pytest.mark.parametrize("section, value", BAD_SECTIONS + NON_FINITE, ids=BAD_IDS)
+@pytest.mark.parametrize("section, value", BAD_CASES, ids=BAD_IDS)
 class TestBadConfig:
     def test_library_raises_config_error(self, workspace, section, value):
         with pytest.raises(ConfigError):
@@ -463,7 +473,7 @@ def _ablate_one(workspace, tmp_path, variant, name="bad"):
       for section, value in BAD_SECTIONS if section in ("model", "train")],
     (5, "variant0"),
     ({"name": "bad", "data": {"split": "val"}}, "bad"),
-    *[({"name": "bad", section: value}, "bad") for section, value in NON_FINITE],
+    *[({"name": "bad", section: value}, "bad") for section, value in NON_FINITE + REMOVED_SETTINGS],
 ])
 def test_malformed_ablation_variant_fails_alone(workspace, tmp_path, variant, name):
     _ablate_one(workspace, tmp_path, variant, name)
@@ -509,6 +519,17 @@ def _bad_checkpoint(tmp_path):
     return str(tmp_path / "bad.emc")
 
 
+def _grid(workspace, tmp_path):
+    grid = {"base": json.loads((workspace / "run.json").read_text()), "variants": [{}]}
+    (tmp_path / "grid.json").write_text(json.dumps(grid))
+    return str(tmp_path / "grid.json")
+
+
+def _regular_file(tmp_path):
+    (tmp_path / "taken").write_text("")
+    return str(tmp_path / "taken")
+
+
 EXIT_CASES = {
     ("pair", 1): lambda ws, rd, tmp: [  # CountMismatch
         "pair", "--images", str(ws / "images.csv"), "--midis", str(ws / "midis.csv"),
@@ -539,8 +560,8 @@ EXIT_CASES = {
     ("gradcheck", 2): lambda ws, rd, tmp: ["gradcheck", "--tolerance", "1e-300"],  # FAIL rows
     ("ablate", 1): lambda ws, rd, tmp: [  # ConfigError
         "ablate", "--config-grid", _deep_json(tmp), "--out-dir", str(tmp / "out")],
-    ("ablate", 2): lambda ws, rd, tmp: [  # OSError
-        "ablate", "--config-grid", str(tmp / "none.json"), "--out-dir", str(tmp / "out")],
+    ("ablate", 2): lambda ws, rd, tmp: [  # FileExistsError: the output directory is a file
+        "ablate", "--config-grid", _grid(ws, tmp), "--out-dir", _regular_file(tmp)],
 }
 
 

@@ -82,9 +82,10 @@ class TestTypeRules:
 
     @pytest.mark.parametrize("context", ["fixed", "prefix"])
     def test_model_context(self, context):
-        cfg = RunConfig.from_dict({"model": {"context": context}})
-        assert cfg.model.context == context
-        assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        """Every model encodes [BOS]; the old `context` setting is an unknown key."""
+        with pytest.raises(ConfigError, match="unknown keys in model: \\['context'\\]"):
+            RunConfig.from_dict({"model": {"context": context}})
+        assert "context" not in RunConfig().to_dict()["model"]
 
 
 class TestRanges:

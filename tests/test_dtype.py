@@ -142,15 +142,6 @@ def test_generate_stays_float32(float64_arrays, strategy):
     assert float64_arrays == []
 
 
-def test_prefix_context_stays_float32(float64_arrays):
-    model = EmoModel(small_config(context="prefix"))
-    feature = np.random.default_rng(1).normal(size=IMAGE_FEATURE_DIM)
-    for strategy in ("greedy", "temperature"):
-        model.generate(feature, max_len=12, strategy=strategy, temperature=1.3, seed=2)
-    fit(model, _samples(model), TrainConfig(lr=1e-3, epochs=1, batch_size=2, va_loss_mode="off"))
-    assert float64_arrays == []
-
-
 @pytest.mark.parametrize("source", ["vector", "emf", "image"])
 def test_forward_logits_stays_float32(float64_arrays, tmp_path, source):
     rng = np.random.default_rng(3)
@@ -161,7 +152,7 @@ def test_forward_logits_stays_float32(float64_arrays, tmp_path, source):
     if source == "emf":
         write_feature_file(image, rng.normal(size=IMAGE_FEATURE_DIM))
     ids = np.array([BOS, 5, 9, 14, EOS])
-    logits = model.forward_logits(image, ids, ids[:-1])
+    logits = model.forward_logits(image, ids[:-1])
     tensor_sum(logits).backward()
     assert logits.data.dtype == np.float32 and float64_arrays == []
 
@@ -176,22 +167,6 @@ def test_float32_weights_are_the_float64_draws_rounded():
 
 
 @pytest.mark.parametrize("decoder_blocks", [0, 3])
-def test_float32_logits_agree_with_float64(decoder_blocks):
-    models = [EmoModel(small_config(decoder_blocks=decoder_blocks, dtype=dtype,
-                                    context="prefix"))
-              for dtype in ("float64", "float32")]
-    rng = np.random.default_rng(5)
-    feature = rng.normal(size=IMAGE_FEATURE_DIM)
-    ids = np.concatenate([[BOS], rng.integers(3, models[0].vocab.total_size, size=30)])
-    with no_grad():
-        wide, narrow = (m.forward_logits(feature, ids, ids).data for m in models)
-        joint = models[1].merge(models[1].image_feature(feature), models[1].encode_midi(ids))
-        last = models[1].decode_logits(joint, ids, last_only=True).data
-    assert np.linalg.norm(narrow - wide) <= 1e-5 * np.linalg.norm(wide)
-    assert np.linalg.norm(last[0] - narrow[-1]) <= 1e-5 * np.linalg.norm(narrow[-1])
-
-
-@pytest.mark.parametrize("decoder_blocks", [0, 3])
 def test_float32_fixed_context_logits_agree_with_float64(decoder_blocks):
     """Teacher-forced and cached float32 logits against float64 teacher forcing."""
     models = [EmoModel(small_config(decoder_blocks=decoder_blocks, dtype=dtype))
@@ -200,7 +175,7 @@ def test_float32_fixed_context_logits_agree_with_float64(decoder_blocks):
     feature = rng.normal(size=IMAGE_FEATURE_DIM)
     ids = np.concatenate([[BOS], rng.integers(3, models[0].vocab.total_size, size=30)])
     with no_grad():
-        wide, narrow = (m.forward_logits(feature, ids, ids).data for m in models)
+        wide, narrow = (m.forward_logits(feature, ids).data for m in models)
         joint = models[1].merge(models[1].image_feature(feature),
                                 models[1].encode_midi(np.array([BOS])))
         cache = DecoderCache(models[1])
@@ -223,5 +198,5 @@ def test_checkpoint_without_dtype_loads_as_float64(tmp_path):
     assert loaded.config.dtype == "float64"
     feature = np.random.default_rng(8).normal(size=IMAGE_FEATURE_DIM)
     ids = np.array([BOS, 7, 11, EOS])
-    assert np.array_equal(loaded.forward_logits(feature, ids, ids[:-1]).data,
-                          model.forward_logits(feature, ids, ids[:-1]).data)
+    assert np.array_equal(loaded.forward_logits(feature, ids[:-1]).data,
+                          model.forward_logits(feature, ids[:-1]).data)

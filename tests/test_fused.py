@@ -182,41 +182,32 @@ def _reference_layers(monkeypatch):
 def _model_step(model, feature, ids):
     """Logits and every parameter gradient of one teacher-forced loss."""
     model.zero_grad()
-    logits = model.forward_logits(feature, ids, ids[:-1])
+    logits = model.forward_logits(feature, ids[:-1])
     cce_loss(logits, ids[1:], pad_mask=ids[1:] != PAD).backward()
     return logits.data, {name: p.grad.copy() for name, p in model.parameters()
                          if p.grad is not None}
 
 
-def _check_against_reference(monkeypatch, decoder_blocks, context):
-    config = ModelConfig(model_dim=16, head_count=4, ff_dim=24, encoder_blocks=2,
-                         decoder_blocks=decoder_blocks, max_len=32, seed=4,
-                         dtype="float64", context=context)
-    model = EmoModel(config)
-    rng = np.random.default_rng(14)
-    feature = rng.normal(size=IMAGE_FEATURE_DIM)
-    body = rng.integers(3, model.vocab.total_size, size=18)
-    ids = np.concatenate([[BOS], body, [EOS], [PAD] * 3])
-
-    logits, grads = _model_step(model, feature, ids)
-    with monkeypatch.context() as patch:
-        _reference_layers(patch)
-        ref_logits, ref_grads = _model_step(model, feature, ids)
-
-    assert np.array_equal(logits, ref_logits)
-    assert grads.keys() == ref_grads.keys()
-    for name, grad in grads.items():
-        diff = np.linalg.norm(grad - ref_grads[name])
-        assert diff <= 1e-10 * np.linalg.norm(ref_grads[name]), name
-
-
 class TestWholeModelAgainstReference:
-    @pytest.mark.parametrize("decoder_blocks", [0, 2])
-    def test_logits_bit_identical_and_gradients_close(self, monkeypatch, decoder_blocks):
-        """The encoder runs over the 22-row target, PAD keys masked."""
-        _check_against_reference(monkeypatch, decoder_blocks, "prefix")
-
     @pytest.mark.parametrize("decoder_blocks", [0, 2])
     def test_fixed_context_logits_bit_identical_and_gradients_close(self, monkeypatch,
                                                                     decoder_blocks):
-        _check_against_reference(monkeypatch, decoder_blocks, "fixed")
+        config = ModelConfig(model_dim=16, head_count=4, ff_dim=24, encoder_blocks=2,
+                             decoder_blocks=decoder_blocks, max_len=32, seed=4,
+                             dtype="float64")
+        model = EmoModel(config)
+        rng = np.random.default_rng(14)
+        feature = rng.normal(size=IMAGE_FEATURE_DIM)
+        body = rng.integers(3, model.vocab.total_size, size=18)
+        ids = np.concatenate([[BOS], body, [EOS], [PAD] * 3])
+
+        logits, grads = _model_step(model, feature, ids)
+        with monkeypatch.context() as patch:
+            _reference_layers(patch)
+            ref_logits, ref_grads = _model_step(model, feature, ids)
+
+        assert np.array_equal(logits, ref_logits)
+        assert grads.keys() == ref_grads.keys()
+        for name, grad in grads.items():
+            diff = np.linalg.norm(grad - ref_grads[name])
+            assert diff <= 1e-10 * np.linalg.norm(ref_grads[name]), name

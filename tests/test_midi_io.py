@@ -13,7 +13,8 @@ from emogen.midi_io import (MidiPiece, NoteEvent, decode_vlq, encode_vlq,
 from conftest import random_canonical_piece
 
 
-# every field check of a note or piece; each is typed and still a ValueError
+# every field check of a note or piece, and a negative VLQ (a delta time);
+# each is typed and still a ValueError
 PIECE_RAISE_SITES = {
     "pitch_above_127": lambda: NoteEvent(0, 128, 1, 64),
     "pitch_below_0": lambda: NoteEvent(0, -1, 1, 64),
@@ -23,6 +24,7 @@ PIECE_RAISE_SITES = {
     "velocity_above_127": lambda: NoteEvent(0, 60, 1, 128),
     "ticks_per_beat": lambda: MidiPiece(0, ()),
     "tempo": lambda: MidiPiece(480, (), tempo_us_per_beat=0),
+    "negative_vlq": lambda: encode_vlq(-1),
 }
 
 

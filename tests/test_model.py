@@ -147,8 +147,7 @@ class TestEncoder:
 
 class TestDecoder:
     def test_logit_shape_and_distribution(self, model, feature):
-        logits = model.forward_logits(feature, np.array([BOS, 5, EOS]),
-                                      np.array([BOS, 5]))
+        logits = model.forward_logits(feature, np.array([BOS, 5]))
         assert logits.shape == (2, model.vocab.total_size)
         probs = softmax(logits, axis=-1).data
         assert probs.sum(axis=-1) == pytest.approx(np.ones(2))
@@ -171,7 +170,7 @@ class TestDecoder:
     def test_dense_decoder_variant(self, feature):
         model = EmoModel(small_config(decoder_blocks=0))
         assert model.dense_decoder is not None and model.decoder_stack == []
-        logits = model.forward_logits(feature, np.array([BOS, EOS]), np.array([BOS]))
+        logits = model.forward_logits(feature, np.array([BOS]))
         assert logits.shape == (1, model.vocab.total_size)
 
 
@@ -222,8 +221,7 @@ def reference_generate(model, feature, max_len, strategy="greedy",
     with no_grad():
         feat = model.image_feature(feature)
         while len(ids) < max_len:
-            context = [BOS] if model.config.context == "fixed" else ids
-            joint = model.merge(feat, model.encode_midi(np.array(context)))
+            joint = model.merge(feat, model.encode_midi(np.array([BOS])))
             logits = model.decode_logits(joint, np.array(ids)).data[-1]
             if strategy == "greedy":
                 next_id = int(np.argmax(logits))
@@ -237,35 +235,25 @@ def reference_generate(model, feature, max_len, strategy="greedy",
 
 
 class TestLastRowDecoding:
-    """"prefix" context: the context is re-encoded from the prefix each step."""
+    """A cache's first call may hold a whole prefix: the blocks run on all of
+    it and the result is the newest row alone."""
 
     @pytest.mark.parametrize("decoder_blocks", [0, 1, 3])
     @pytest.mark.parametrize("n", [1, 2, 17, 32])
     def test_last_row_matches_full_decode(self, decoder_blocks, n, feature):
-        model = EmoModel(small_config(decoder_blocks=decoder_blocks, dtype="float64",
-                                      context="prefix"))
+        model = EmoModel(small_config(decoder_blocks=decoder_blocks, dtype="float64"))
         ids = np.random.default_rng(n).integers(0, model.vocab.total_size, size=n)
         with no_grad():
-            joint = model.merge(model.image_feature(feature), model.encode_midi(ids))
+            joint = model.merge(model.image_feature(feature), model.encode_midi(np.array([BOS])))
             full = model.decode_logits(joint, ids).data
-            last = model.decode_logits(joint, ids, last_only=True).data
+            last = model.decode_logits(joint, ids, cache=DecoderCache(model)).data
         assert full.shape == (n, model.vocab.total_size)
         assert last.shape == (1, model.vocab.total_size)
         # one row takes another BLAS path, so the last bits may differ
         assert np.abs(last[0] - full[-1]).max() <= 1e-12 * np.abs(full[-1]).max()
 
-    @pytest.mark.parametrize("decoder_blocks", [0, 1, 3])
-    def test_generate_matches_full_decode_loop(self, decoder_blocks, feature):
-        model = EmoModel(small_config(decoder_blocks=decoder_blocks, context="prefix"))
-        assert model.generate(feature, max_len=32).ids == \
-            reference_generate(model, feature, 32)
-        sampled = model.generate(feature, max_len=32, strategy="temperature",
-                                 temperature=1.3, seed=4)
-        assert sampled.ids == reference_generate(model, feature, 32, "temperature",
-                                                 temperature=1.3, seed=4)
 
-
-# "fixed"-context models: the default config, 2+2 blocks and a dense decoder
+# the default config, 2+2 blocks and a dense decoder
 FIXED_MODELS = {"default": {}, "two_two": dict(encoder_blocks=2, decoder_blocks=2,
                                                model_dim=32, head_count=4, ff_dim=48,
                                                max_len=64),
@@ -309,13 +297,6 @@ class TestFixedContext:
         assert sampled.ids == reference_generate(model, feature, 40, "temperature",
                                                  temperature=1.3, seed=4)
 
-    def test_training_ignores_the_target_in_the_encoder(self, feature):
-        model = EmoModel(small_config(dtype="float64"))
-        ids = np.array([BOS, 5, 140, 270, EOS])
-        other = np.array([BOS, 9, 9, 9, 9, 9, 9, EOS])
-        assert np.array_equal(model.forward_logits(feature, ids, ids[:-1]).data,
-                              model.forward_logits(feature, other, ids[:-1]).data)
-
     def test_encoder_runs_once_per_piece_on_one_row(self, feature, monkeypatch):
         model = EmoModel(small_config())
         seen = []
@@ -325,31 +306,36 @@ class TestFixedContext:
         model.out_proj.bias.data[EOS] = -1e4
         model.generate(feature)
         ids = np.array([BOS, 5, 140, 270, EOS])
-        model.forward_logits(feature, ids, ids[:-1])
+        model.forward_logits(feature, ids[:-1])
         assert seen == [1, 1]
 
     def test_bad_context_rejected(self):
-        with pytest.raises(ConfigError, match="context"):
-            small_config(context="full")
+        """The context is no longer a setting: any `context` key is unknown."""
+        for context in ("fixed", "prefix", "full"):
+            with pytest.raises(ConfigError, match="context"):
+                ModelConfig.from_dict({"context": context})
 
-    def test_checkpoint_records_context(self, tmp_path):
-        for context in ("fixed", "prefix"):
-            model = EmoModel(small_config(context=context))
-            model.save(tmp_path / "m.emc")
-            assert load_checkpoint(tmp_path / "m.emc")[0]["config"]["context"] == context
-            assert EmoModel.load(tmp_path / "m.emc").config.context == context
-
-    def test_checkpoint_without_context_loads_as_prefix(self, tmp_path, feature):
-        """Checkpoints written before the context knob were trained on the full target."""
-        model = EmoModel(small_config(context="prefix", seed=7))
-        config = asdict(model.config)
-        del config["context"]
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("context", [None, "prefix", "fixed"],
+                             ids=["no_key", "prefix", "fixed"])
+    def test_checkpoint_with_any_context_loads(self, tmp_path, feature, dtype, context):
+        """Older checkpoints record `context` or lack it; either way the model
+        loads as one that encodes [BOS]."""
+        model = EmoModel(small_config(dtype=dtype, seed=7))
+        model.save(tmp_path / "new.emc")
+        config = load_checkpoint(tmp_path / "new.emc")[0]["config"]
+        assert "context" not in config
+        if context is not None:
+            config["context"] = context
         save_checkpoint(tmp_path / "old.emc", {"kind": "emomodel", "config": config,
                                                "vocab_hash": model.vocab.vocab_hash},
                         model.parameters())
         loaded = EmoModel.load(tmp_path / "old.emc")
-        assert loaded.config.context == "prefix"
-        assert loaded.generate(feature, max_len=32).ids == reference_generate(model, feature, 32)
+        assert loaded.config == model.config
+        ids = np.array([BOS, 5, 140, 270, EOS])
+        assert np.array_equal(loaded.forward_logits(feature, ids[:-1]).data,
+                              model.forward_logits(feature, ids[:-1]).data)
+        assert loaded.generate(feature, max_len=12).ids == model.generate(feature, max_len=12).ids
 
 
 class TestVaPredictor:
@@ -512,24 +498,23 @@ def _with_key_biases(model, rng):
 
 def _gradient_norms(model, feature):
     ids = np.array([BOS, 5, 140, 270, 9, 144, EOS, PAD])
-    logits = model.forward_logits(feature, ids, ids[:-1])
+    logits = model.forward_logits(feature, ids[:-1])
     cce_loss(logits, ids[1:], pad_mask=ids[1:] != PAD).backward()
     return {name: np.linalg.norm(p.grad) if p.grad is not None else 0.0
             for name, p in model.parameters()}
 
 
-def _check_key_bias_checkpoint_loads(tmp_path, feature, dtype, context):
-    model = EmoModel(small_config(decoder_blocks=2, dtype=dtype, context=context))
+def _check_key_bias_checkpoint_loads(tmp_path, feature, dtype):
+    model = EmoModel(small_config(decoder_blocks=2, dtype=dtype))
     path = tmp_path / "old.emc"
     save_checkpoint(path, {"kind": "emomodel", "config": asdict(model.config),
                            "vocab_hash": model.vocab.vocab_hash},
                     _with_key_biases(model, np.random.default_rng(22)).items())
     loaded = EmoModel.load(path)
-    assert loaded.config.context == context
     assert [name for name, _ in loaded.parameters()] == [name for name, _ in model.parameters()]
     ids = np.array([BOS, 5, 140, 270, EOS])
-    assert np.array_equal(loaded.forward_logits(feature, ids, ids[:-1]).data,
-                          model.forward_logits(feature, ids, ids[:-1]).data)
+    assert np.array_equal(loaded.forward_logits(feature, ids[:-1]).data,
+                          model.forward_logits(feature, ids[:-1]).data)
 
 
 ENCODER_QUERY_KEY = {"encoder_stack.0.attn.wq.weight", "encoder_stack.0.attn.wq.bias",
@@ -537,12 +522,6 @@ ENCODER_QUERY_KEY = {"encoder_stack.0.attn.wq.weight", "encoder_stack.0.attn.wq.
 
 
 class TestKeyBias:
-    def test_every_block_gets_a_gradient(self, feature):
-        model = EmoModel(small_config(decoder_blocks=2, dtype="float64", context="prefix"))
-        norms = _gradient_norms(model, feature)
-        floor = 1e-8 * np.median(list(norms.values()))
-        assert {name for name, norm in norms.items() if norm <= floor} == set()
-
     def test_fixed_context_zeroes_only_the_encoder_query_and_key(self, feature):
         """The encoder attends over its one key, [BOS], with weight exactly 1."""
         model = EmoModel(small_config(decoder_blocks=2, dtype="float64"))
@@ -571,13 +550,8 @@ class TestKeyBias:
                                        attention(q, k, v, 2, mask).data, rtol=1e-12, atol=1e-14)
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
-    def test_checkpoint_with_key_biases_loads(self, tmp_path, feature, dtype):
-        """Checkpoints holding key biases predate the context knob: "prefix"."""
-        _check_key_bias_checkpoint_loads(tmp_path, feature, dtype, "prefix")
-
-    @pytest.mark.parametrize("dtype", ["float32", "float64"])
     def test_fixed_context_checkpoint_with_key_biases_loads(self, tmp_path, feature, dtype):
-        _check_key_bias_checkpoint_loads(tmp_path, feature, dtype, "fixed")
+        _check_key_bias_checkpoint_loads(tmp_path, feature, dtype)
 
     @pytest.mark.parametrize("missing", ["encoder_stack.0.attn.wq.bias",
                                          "decoder_stack.1.attn.wk.weight", "out_proj.bias"])
