@@ -15,7 +15,7 @@ from pathlib import Path
 from . import metrics as metrics_mod
 from ._files import write_atomic, write_csv
 from .config import MetricConfig, RunConfig, read_json
-from .data import load_training_samples
+from .data import load_training_samples, read_midi_ids
 from .diagnostics import full_model_gradcheck, standard_gradchecks
 from .errors import (ConfigError, CountMismatch, EmogenError,
                      MissingArtifacts)
@@ -23,7 +23,7 @@ from .midi_io import parse_midi, write_midi
 from .model import EmoModel, load_va_predictor, save_va_predictor
 from .pairing import (MAX_SIMILARITY, config_hash, load_catalog,
                       load_va_dictionary, pair_datasets, save_manifest, split)
-from .tokenizer import EOS, decode, encode
+from .tokenizer import EOS, decode
 from .training import fit, pretrain_va_predictor
 
 VALIDATION_ERRORS = (ConfigError, CountMismatch, MissingArtifacts)
@@ -138,12 +138,8 @@ def cmd_pretrain_va(args) -> int:
     run_cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
     model_cfg = run_cfg.model
     vocab = model_cfg.vocabulary()
-    catalog = load_catalog(args.midis, "midi")
-    samples = []
-    for item in catalog:
-        piece = parse_midi(Path(item.payload_path).read_bytes())
-        tokens = encode(piece, vocab, model_cfg.steps_per_beat, model_cfg.max_len)
-        samples.append((tokens.ids, (item.va.valence, item.va.arousal)))
+    samples = [(read_midi_ids(item.payload_path, model_cfg), (item.va.valence, item.va.arousal))
+               for item in load_catalog(args.midis, "midi")]
     predictor, report = pretrain_va_predictor(
         samples, vocab.total_size, hidden=model_cfg.va_hidden,
         epochs=args.epochs, lr=args.lr, seed=args.seed)
@@ -176,7 +172,7 @@ def _train_one(run_cfg: RunConfig, out_dir: Path) -> EmoModel:
     fit(model, samples, run_cfg.train, predictor=predictor,
         loss_csv=out_dir / "loss.csv")
     model.save(out_dir / "checkpoint.emc",
-               extra={"train": run_cfg.to_dict()["train"]})
+               extra={"train": asdict(run_cfg.train)})
     return model
 
 
@@ -265,7 +261,7 @@ def cmd_ablate(args) -> int:
         try:
             if not isinstance(variant, dict) or set(variant) - {"name", "model", "train"}:
                 raise ConfigError(f"variant {index}: not an object of name, model and train")
-            merged = base.to_dict()
+            merged = asdict(base)
             for section in ("model", "train"):  # a non-object is left for from_dict to reject
                 override = variant.get(section, {})
                 merged[section] = ({**merged[section], **override}

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 
 from ._files import write_atomic
@@ -35,8 +35,7 @@ def _parse(cls, data, where: str):
     each value must have its field default's type, except that an int within
     float range is stored as a float where the default is a float and a
     string is taken where it is None (a bool is never an int); a float must
-    be finite. A field whose default is a config is a nested section; one
-    without a plain default (train's `loss_weights`) is not a key."""
+    be finite. A field whose default is a config is a nested section."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(data).__name__}")
     defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
@@ -46,9 +45,7 @@ def _parse(cls, data, where: str):
     values = {}
     for key, value in data.items():
         default = defaults[key]
-        if isinstance(default, TrainConfig):  # its loss weights sit beside its keys
-            value = TrainConfig.from_dict(value)
-        elif is_dataclass(default):
+        if is_dataclass(default):
             value = _parse(type(default), value, key)
         elif type(default) is float and type(value) is int and abs(value) <= sys.float_info.max:
             value = float(value)
@@ -107,25 +104,14 @@ class ModelConfig:
 
 
 @dataclass(frozen=True)
-class LossWeights:
-    lambda_va: float = 1e-5
-    lambda_cc: float = 1.0
-
-    def __post_init__(self):
-        if self.lambda_va < 0 or self.lambda_cc < 0:
-            raise ConfigError("loss weights must be non-negative")
-        if self.lambda_va == 0 and self.lambda_cc == 0:
-            raise ConfigError("loss weights must not both be zero")
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     lr: float = 1e-5
     epochs: int = 15
     batch_size: int = 1
     seed: int = 0
     va_loss_mode: str = "hard"  # hard | soft | off
-    loss_weights: LossWeights = field(default_factory=LossWeights)
+    lambda_va: float = 1e-5
+    lambda_cc: float = 1.0
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -134,21 +120,15 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.va_loss_mode not in ("hard", "soft", "off"):
             raise ConfigError(f"unknown va_loss_mode {self.va_loss_mode!r}")
+        if self.lambda_va < 0 or self.lambda_cc < 0:
+            raise ConfigError("loss weights must be non-negative")
+        if self.lambda_va == 0 and self.lambda_cc == 0:
+            raise ConfigError("loss weights must not both be zero")
 
     @property
     def uses_va(self) -> bool:
         """Whether the VA term is computed (mode not `off` and `lambda_va` > 0)."""
-        return self.va_loss_mode != "off" and self.loss_weights.lambda_va > 0
-
-    @classmethod
-    def from_dict(cls, data) -> "TrainConfig":
-        """`lambda_va` and `lambda_cc` sit beside the other keys; they form `loss_weights`."""
-        weights = {}
-        if isinstance(data, dict):
-            data = dict(data)
-            weights = {key: data.pop(key) for key in ("lambda_va", "lambda_cc") if key in data}
-        return replace(_parse(cls, data, "train"),
-                       loss_weights=_parse(LossWeights, weights, "train"))
+        return self.va_loss_mode != "off" and self.lambda_va > 0
 
 
 @dataclass(frozen=True)
@@ -191,14 +171,9 @@ class RunConfig:
     def from_file(cls, path: str | Path) -> "RunConfig":
         return cls.from_dict(read_json(path))
 
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["train"].update(out["train"].pop("loss_weights"))
-        return out
-
     def echo(self, out_dir: str | Path, name: str = "run_config.json") -> Path:
         path = Path(out_dir) / name
         path.parent.mkdir(parents=True, exist_ok=True)
-        text = json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n"
+        text = json.dumps(asdict(self), indent=1, sort_keys=True) + "\n"
         write_atomic(path, [text.encode()])
         return path

@@ -12,6 +12,17 @@ from .training import TrainSample
 from .tokenizer import encode
 
 
+def read_midi_ids(path: str | Path, model_cfg: ModelConfig) -> tuple[int, ...]:
+    """Token ids of the MIDI file at `path` in the model's vocabulary; a file
+    that cannot be read is a MissingArtifacts."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise MissingArtifacts(f"cannot read MIDI {path}: {exc}") from exc
+    return encode(parse_midi(raw), model_cfg.vocabulary(), model_cfg.steps_per_beat,
+                  model_cfg.max_len).ids
+
+
 def load_training_samples(data_cfg: DataConfig, model_cfg: ModelConfig,
                           split: str | None = None) -> list[TrainSample]:
     """Resolve manifest pairs of a split into tokenized TrainSamples.
@@ -34,7 +45,6 @@ def load_training_samples(data_cfg: DataConfig, model_cfg: ModelConfig,
     images = {item.id: item for item in load_catalog(data_cfg.image_catalog, "image", dictionary)}
     manifest = load_manifest(data_cfg.manifest)
 
-    vocab = model_cfg.vocabulary()
     samples: list[TrainSample] = []
     piece_cache: dict[str, tuple[int, ...]] = {}
     for pair in manifest.pairs:
@@ -47,13 +57,7 @@ def load_training_samples(data_cfg: DataConfig, model_cfg: ModelConfig,
             raise MissingArtifacts(f"manifest image id {image_id!r} not in catalog")
         midi_path = midis[midi_id].payload_path
         if midi_path not in piece_cache:
-            try:
-                raw = Path(midi_path).read_bytes()
-            except OSError as exc:
-                raise MissingArtifacts(f"cannot read MIDI {midi_path}: {exc}") from exc
-            piece = parse_midi(raw)
-            piece_cache[midi_path] = encode(piece, vocab, model_cfg.steps_per_beat,
-                                            model_cfg.max_len).ids
+            piece_cache[midi_path] = read_midi_ids(midi_path, model_cfg)
         samples.append(TrainSample(image=images[image_id].payload_path,
                                    token_ids=piece_cache[midi_path],
                                    pair_id=f"{midi_id}:{image_id}"))

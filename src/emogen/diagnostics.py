@@ -30,10 +30,8 @@ def standard_gradchecks(model_dim: int = 16, head_count: int = 2, ff_dim: int = 
     x = Tensor(rng.normal(size=(seq_len, model_dim)), requires_grad=True)
     reports: dict[str, GradCheckReport] = {}
 
-    def run(name, module_or_leaves, fn):
-        leaves = (module_or_leaves.parameters() if hasattr(module_or_leaves, "parameters")
-                  else module_or_leaves)
-        reports[name] = gradcheck(fn, leaves + [("input", x)], tolerance=tolerance,
+    def run(name, module, fn):
+        reports[name] = gradcheck(fn, module.parameters() + [("input", x)], tolerance=tolerance,
                                   max_coords_per_block=max_coords_per_block)
 
     linear = Linear(model_dim, model_dim, rng)
@@ -55,7 +53,7 @@ def standard_gradchecks(model_dim: int = 16, head_count: int = 2, ff_dim: int = 
 
     mha = MultiHeadAttention(model_dim, head_count, rng)
     run("attention", mha,
-        lambda: _weighted_sum(mha(x, x, x, causal=True), np.random.default_rng(5)))
+        lambda: _weighted_sum(mha(x, causal=True), np.random.default_rng(5)))
 
     encoder = Block(model_dim, head_count, ff_dim, rng)
     run("encoder_block", encoder,

@@ -1,10 +1,12 @@
-"""Image-conditioned MIDI sequence model.
+"""Image-conditioned MIDI sequence model, its VA predictor and file formats.
 
-Pipeline: image feature extractor (tiny trainable CNN or ingestion of
-precomputed 512-d features) -> MIDI transformer encoder with global
-average pooling -> merge -> causal transformer decoder with a vocabulary
-head, plus a separately pretrained Valence-Arousal predictor. The joint
-image/MIDI vector conditions the decoder as a prepended memory position.
+The image feature (a precomputed 512-d vector or the tiny CNN's output) is
+projected to `model_dim` and concatenated with the MIDI context: the mean of
+the encoder blocks' output over the one input [BOS]. `mem_proj` maps the
+pair to a memory row, which the causal decoder blocks see as position 0 (or
+which is added to every position when there are no decoder blocks); the
+vocabulary head reads the decoder's rows. Generation caches the memory row
+and each decoder block's keys and values, so a step decodes one row.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ from .errors import (BadFeatureFile, BadImage, CheckpointCorrupt, ConfigError,
 from .nn import (BatchNorm, Conv2d, Embedding, FeedForward, KVCache, LayerNorm, Linear,
                  Module, MultiHeadAttention, Tensor, avg_pool2d, concat,
                  global_avg_pool, no_grad, relu, reshape, sinusoidal_positions,
-                 softmax, take, tensor_sum)
+                 softmax, take, tensor_mean)
 from .pairing import VaPoint
-from .tokenizer import BOS, EOS, PAD, TokenSequence
+from .tokenizer import BOS, EOS, TokenSequence
 
 IMAGE_FEATURE_DIM = 512
 
@@ -110,11 +112,10 @@ class Block(Module):
         self.ffn = FeedForward(dim, ff_dim, rng)
         self.norm2 = LayerNorm(dim)
 
-    def __call__(self, x: Tensor, causal: bool = False, key_mask: np.ndarray | None = None,
-                 cache: KVCache | None = None) -> Tensor:
+    def __call__(self, x: Tensor, causal: bool = False, cache: KVCache | None = None) -> Tensor:
         """With a `cache`, `x` holds only the rows after those cached and also
         attends to the cached rows."""
-        x = self.norm1(x + self.attn(x, x, x, causal=causal, key_mask=key_mask, cache=cache))
+        x = self.norm1(x + self.attn(x, causal=causal, cache=cache))
         return self.norm2(x + self.ffn(x))
 
 
@@ -222,8 +223,6 @@ class EmoModel(Module):
 
     def image_feature(self, source) -> Tensor:
         """512-d image feature from an image array, feature vector, or file path."""
-        if isinstance(source, Tensor):
-            return source
         if isinstance(source, (str, Path)):
             path = Path(source)
             if path.suffix == ".emf" or self.extractor is None:
@@ -244,18 +243,14 @@ class EmoModel(Module):
         return ids
 
     def encode_midi(self, ids) -> Tensor:
-        """Embed, run the encoder stack, mean-pool over non-PAD positions."""
+        """Embed, run the encoder stack, mean-pool over the positions."""
         ids = self._check_ids(ids)
         if ids.size > self.config.max_len:
             raise PrefixTooLong(f"{ids.size} tokens exceed max_len {self.config.max_len}")
-        mask = ids != PAD
         x = self.embedding(ids) + Tensor(self.positions[1:ids.size + 1])
         for block in self.encoder_stack:
-            x = block(x, key_mask=mask)
-        weights = mask.astype(self.dtype)
-        total = weights.sum()
-        weights = weights / total if total > 0 else np.full_like(weights, 1.0 / len(weights))
-        return tensor_sum(x * Tensor(weights[:, None]), axis=0)  # (model_dim,)
+            x = block(x)
+        return tensor_mean(x, axis=0)  # (model_dim,)
 
     def merge(self, image_feature: Tensor, midi_context: Tensor) -> Tensor:
         """Project the image feature and concatenate with the MIDI context."""

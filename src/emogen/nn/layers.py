@@ -124,24 +124,18 @@ class MultiHeadAttention(Module):
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
-    def __call__(self, q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
-                 key_mask: np.ndarray | None = None, cache: KVCache | None = None) -> Tensor:
-        """With a `cache`, `k` and `v` are the newest rows: their projections
-        are appended to it and all cached rows serve as keys and values. The
-        rows of `q` are the last rows of the keys, so a causal query sees the
-        keys up to its own row; a single query row sees them all."""
-        keys, values = self.wk(k), self.wv(v)
+    def __call__(self, x: Tensor, causal: bool = False, cache: KVCache | None = None) -> Tensor:
+        """Self-attention over the rows of `x`. With a `cache`, the projections
+        of `x` are appended to it and all cached rows serve as keys and values;
+        the rows of `x` are the last of them, so a causal query sees the keys
+        up to its own row and a single query row sees them all."""
+        keys, values = self.wk(x), self.wv(x)
         if cache is not None:
             keys, values = cache.extend(keys, values)
-        tq, tk = q.shape[0], keys.shape[0]
-        mask = np.triu(np.full((tq, tk), MASK_VALUE), k=tk - tq + 1) if causal and tq > 1 else None
-        if key_mask is not None and not np.all(key_mask):
-            keys_ok = np.where(np.asarray(key_mask, dtype=bool), 0.0, MASK_VALUE)
-            mask = keys_ok if mask is None else mask + keys_ok
-        if mask is not None:
-            mask = mask.astype(q.data.dtype, copy=False)
-        heads = attention(self.wq(q), keys, values, self.heads, mask)
-        return self.wo(heads)
+        tq, tk = x.shape[0], keys.shape[0]
+        mask = (np.triu(np.full((tq, tk), MASK_VALUE, x.data.dtype), k=tk - tq + 1)
+                if causal and tq > 1 else None)
+        return self.wo(attention(self.wq(x), keys, values, self.heads, mask))
 
 
 class KVCache:
@@ -176,8 +170,6 @@ class FeedForward(Module):
 # --- convolution (im2col via gather, so backward comes from the graph) ---
 
 def _pad2d(x: Tensor, p: int) -> Tensor:
-    if p == 0:
-        return x
     data = np.pad(x.data, ((0, 0), (p, p), (p, p)))
 
     def backward(grad):
@@ -188,15 +180,14 @@ def _pad2d(x: Tensor, p: int) -> Tensor:
 
 
 class Conv2d(Module):
-    """3x3-style conv on (C, H, W) maps, stride 1, zero padding."""
+    """3x3-style conv on (C, H, W) maps, stride 1, zero padding of 1."""
 
     def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 rng: np.random.Generator, padding: int = 1):
+                 rng: np.random.Generator):
         fan_in = in_channels * kernel * kernel
         self.weight = Parameter(_uniform_init(rng, fan_in, (out_channels, fan_in)))
         self.bias = Parameter(np.zeros(out_channels))
         self.kernel = kernel
-        self.padding = padding
         self.in_channels = in_channels
         self.out_channels = out_channels
 
@@ -204,7 +195,7 @@ class Conv2d(Module):
         c, h, w = x.shape
         if c != self.in_channels:
             raise ShapeMismatch(f"conv expects {self.in_channels} channels, got {c}")
-        k, p = self.kernel, self.padding
+        k, p = self.kernel, 1
         oh, ow = h + 2 * p - k + 1, w + 2 * p - k + 1
         xp = _pad2d(x, p)
 

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ._files import write_csv
-from .config import LossWeights, TrainConfig
+from .config import TrainConfig
 from .errors import (CatalogTooSmall, ConfigError, NonFiniteError,
                      PredictorMissing, ShapeMismatch)
 from .model import EmoModel, VaPredictor, token_histogram
@@ -83,9 +83,9 @@ def va_loss(true_ids, pred_probs: Tensor, predictor: VaPredictor,
     raise ConfigError(f"unknown va_loss mode {mode!r}")
 
 
-def total_loss(cce: float, va: float, weights: LossWeights) -> float:
+def total_loss(cce: float, va: float, config: TrainConfig) -> float:
     """Weighted sum of the two objective terms."""
-    return weights.lambda_va * va + weights.lambda_cc * cce
+    return config.lambda_va * va + config.lambda_cc * cce
 
 
 # --- VA-predictor pretraining ---
@@ -163,7 +163,6 @@ def fit(model: EmoModel, samples: Sequence[TrainSample], config: TrainConfig,
     if not samples:
         raise CatalogTooSmall("no training samples")
     mode = config.va_loss_mode
-    weights = config.loss_weights
     if config.uses_va:
         if predictor is None:
             raise PredictorMissing("va_loss_mode requires pretrained predictor weights")
@@ -190,13 +189,13 @@ def fit(model: EmoModel, samples: Sequence[TrainSample], config: TrainConfig,
                 logits = model.forward_logits(sample.image, prefix)
                 keep = targets != PAD
                 cce = cce_loss(logits, targets, pad_mask=keep)
-                objective = cce * weights.lambda_cc
+                objective = cce * config.lambda_cc
                 va_value = 0.0
                 if config.uses_va:
                     probs = softmax(logits, axis=-1)
                     if mode == "soft":
                         va_term = va_loss(targets[keep], probs, predictor, mode="soft")
-                        objective = objective + va_term * weights.lambda_va
+                        objective = objective + va_term * config.lambda_va
                         va_value = va_term.item()
                     else:
                         va_value = va_loss(targets[keep], probs, predictor, mode="hard")
@@ -207,7 +206,7 @@ def fit(model: EmoModel, samples: Sequence[TrainSample], config: TrainConfig,
                 objective.backward()
                 sum_cc += cc_value
                 sum_va += va_value
-                sum_total += total_loss(cc_value, va_value, weights)
+                sum_total += total_loss(cc_value, va_value, config)
             optimizer.step()
         n = len(samples)
         history.append(EpochStats(epoch=epoch, l_cc=sum_cc / n, l_va=sum_va / n,

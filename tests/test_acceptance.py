@@ -20,7 +20,7 @@ from emogen.model import (IMAGE_FEATURE_DIM, EmoModel, VaPredictor,
 from emogen.nn import Tensor
 from emogen.pairing import PairManifest, TaggedItem, VaPoint, pair_datasets, split
 from emogen.tokenizer import BOS, Vocabulary, decode
-from emogen.training import (LossWeights, TrainConfig, TrainSample, fit,
+from emogen.training import (TrainConfig, TrainSample, fit,
                              pretrain_va_predictor, total_loss, va_loss)
 
 from test_metrics import (oracle_groove, oracle_pitch_entropy,
@@ -171,7 +171,7 @@ def _synthetic_samples(rng, model, n=16, body=10, token_pool=None):
 
 @criterion(7, "objective equals lambda-weighted sum; lambda_va=0 bit-matches off")
 def test_objective_fidelity():
-    weights = LossWeights()
+    weights = TrainConfig()
     assert (weights.lambda_va, weights.lambda_cc) == (1e-5, 1.0)
     rng = np.random.default_rng(107)
     for _ in range(100):
@@ -183,8 +183,7 @@ def test_objective_fidelity():
         model = EmoModel(small_config())
         samples = _synthetic_samples(np.random.default_rng(1), model, n=4, body=6)
         config = TrainConfig(lr=1e-3, epochs=2, batch_size=2, seed=2,
-                             va_loss_mode=mode,
-                             loss_weights=LossWeights(lambda_va=lam))
+                             va_loss_mode=mode, lambda_va=lam)
         predictor = VaPredictor(model.vocab.total_size, 8, np.random.default_rng(0))
         fit(model, samples, config, predictor=predictor)
         checkpoints.append(np.concatenate([p.data.reshape(-1)

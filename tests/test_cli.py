@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import os
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from emogen import cli
 from emogen.cli import main
 from emogen.config import MetricConfig, RunConfig
-from emogen.errors import ConfigError
+from emogen.errors import ConfigError, EmogenError
 from emogen.metrics import evaluate_piece
 from emogen.midi_io import MidiPiece, NoteEvent, parse_midi, write_midi
 from emogen.model import (IMAGE_FEATURE_DIM, EmoModel, ModelConfig,
@@ -91,10 +92,11 @@ class TestPair:
         assert code == 1
 
     def test_malformed_split_exit_1(self, workspace, tmp_path):
-        code = main(["pair", "--images", str(workspace / "images.csv"),
-                     "--midis", str(workspace / "midis.csv"),
-                     "--out", str(tmp_path / "x.json"), "--split", "two,0,0"])
-        assert code == 1
+        for counts in ("two,0,0", "1,2"):  # not integers; not three counts
+            code = main(["pair", "--images", str(workspace / "images.csv"),
+                         "--midis", str(workspace / "midis.csv"),
+                         "--out", str(tmp_path / "x.json"), "--split", counts])
+            assert code == 1
 
     def test_missing_catalog_exit_2(self, tmp_path):
         code = main(["pair", "--images", str(tmp_path / "none.csv"),
@@ -339,11 +341,38 @@ class TestAblate:
         assert table.count("\n") == 5  # header + divider + three variants
         assert (out_dir / "dec1" / "checkpoint.emc").exists()
 
-    def test_empty_grid_exit_1(self, tmp_path):
+    def test_scores_match_generated_files(self, workspace, tmp_path):
+        base = json.loads((workspace / "run.json").read_text())
+        base["metrics"] = {"steps_per_measure": 2}
         grid_path = tmp_path / "grid.json"
-        grid_path.write_text(json.dumps({"base": {}, "variants": []}))
+        grid_path.write_text(json.dumps({"base": base, "variants": [
+            {"name": "dec1"}, {"name": "dec0", "model": {"decoder_blocks": 0}}]}))
+        out_dir = tmp_path / "ablation"
         assert main(["ablate", "--config-grid", str(grid_path),
-                     "--out-dir", str(tmp_path / "out")]) == 1
+                     "--out-dir", str(out_dir)]) == 0
+        with open(out_dir / "ablation.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["model"] for row in rows] == ["dec1", "dec0"]
+        for row in rows:
+            losses = []
+            for path in sorted((out_dir / row["model"] / "generated").glob("*.mid")):
+                try:
+                    losses.append(evaluate_piece(parse_midi(path.read_bytes()),
+                                                 steps_per_measure=2)[1])
+                except EmogenError:
+                    continue  # too short or empty; the sweep skips it too
+            assert int(row["evaluated_pieces"]) == len(losses)
+            mean = sum(losses) / len(losses) if losses else math.nan
+            assert row["music_quality_loss"] == f"{mean:.6f}"
+        assert sum(int(row["evaluated_pieces"]) for row in rows) > 0
+
+    def test_empty_grid_exit_1(self, tmp_path):
+        # also a grid with a top-level key other than base and variants
+        for grid in ({"base": {}, "variants": []}, {"base": {}, "variants": [{}], "seed": 1}):
+            grid_path = tmp_path / "grid.json"
+            grid_path.write_text(json.dumps(grid))
+            assert main(["ablate", "--config-grid", str(grid_path),
+                         "--out-dir", str(tmp_path / "out")]) == 1
 
     def test_missing_grid_exit_1(self, tmp_path, capsys):
         assert main(["ablate", "--config-grid", str(tmp_path / "none.json"),
@@ -362,8 +391,12 @@ BAD_SECTIONS = [
     ("model", {"model_dim": "x"}),
     ("model", {"model_dim": -16}),
     ("model", [1]),
+    ("model", {"image_size": 6}),
     ("train", {"lr": "x"}),
     ("train", {"epochs": 2.5}),
+    ("train", {"lr": 0}),
+    ("train", {"epochs": 0}),
+    ("train", {"lambda_va": -1}),
     ("metrics", {"steps_per_beat": "x"}),
     ("data", {"split": None}),
 ]
@@ -427,6 +460,54 @@ def test_manifest_id_not_string_exit_2(workspace, tmp_path, capsys):
     assert "CatalogError" in err and "Traceback" not in err
 
 
+def _midi_catalog_at(workspace, tmp_path, midi_path):
+    """A copy of the MIDI catalog whose first row points at `midi_path`."""
+    with open(workspace / "midis.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    rows[1][1] = str(midi_path)
+    with open(tmp_path / "midis.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    return tmp_path / "midis.csv"
+
+
+def _train_with(workspace, tmp_path, data=None, pair=None):
+    """`train` args for the workspace config with `data` keys and manifest
+    pair 0's keys replaced."""
+    payload = json.loads((workspace / "run.json").read_text())
+    payload["data"].update(data or {})
+    if pair:
+        manifest = json.loads((workspace / "pairs.json").read_text())
+        manifest["pairs"][0].update(pair)
+        (tmp_path / "pairs.json").write_text(json.dumps(manifest))
+        payload["data"]["manifest"] = str(tmp_path / "pairs.json")
+    (tmp_path / "run.json").write_text(json.dumps(payload))
+    return ["train", "--config", str(tmp_path / "run.json"), "--out-dir", str(tmp_path / "out")]
+
+
+# Each missing input of `train` and `pretrain-va` is a MissingArtifacts (exit 1).
+MISSING_ARTIFACT_CASES = {
+    "train-missing-midi": lambda ws, tmp: _train_with(ws, tmp, data={
+        "midi_catalog": str(_midi_catalog_at(ws, tmp, tmp / "none.mid"))}),
+    "train-unreadable-midi": lambda ws, tmp: _train_with(ws, tmp, data={
+        "midi_catalog": str(_midi_catalog_at(ws, tmp, tmp))}),  # a directory
+    "train-unset-manifest": lambda ws, tmp: _train_with(ws, tmp, data={"manifest": ""}),
+    "train-unknown-midi-id": lambda ws, tmp: _train_with(ws, tmp, pair={"midi_id": "m9"}),
+    "train-unknown-image-id": lambda ws, tmp: _train_with(ws, tmp, pair={"image_id": "i9"}),
+    "pretrain-va-missing-midi": lambda ws, tmp: [
+        "pretrain-va", "--midis", str(_midi_catalog_at(ws, tmp, tmp / "none.mid")),
+        "--out", str(tmp / "va.emc")],
+}
+
+
+@pytest.mark.parametrize("case", list(MISSING_ARTIFACT_CASES))
+def test_missing_artifact_exit_1(workspace, tmp_path, capsys, case):
+    assert main(MISSING_ARTIFACT_CASES[case](workspace, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [MissingArtifacts]") and "Traceback" not in err
+    assert not (tmp_path / "out" / "checkpoint.emc").exists()
+    assert not (tmp_path / "va.emc").exists()
+
+
 def test_interrupted_ablation_midi_write_keeps_previous_file(workspace, tmp_path, monkeypatch):
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(json.dumps({"base": json.loads((workspace / "run.json").read_text()),
@@ -468,13 +549,15 @@ def _ablate_one(workspace, tmp_path, variant, name="bad"):
     assert [(r["model"], r["status"]) for r in rows] == [(name, "failed: ConfigError")]
 
 
+VARIANT_SECTIONS = [(section, value) for section, value in BAD_CASES
+                    if section in ("model", "train")] + [("data", {"split": "val"})]
+
+
 @pytest.mark.parametrize("variant, name", [
-    *[({"name": "bad", section: value}, "bad")
-      for section, value in BAD_SECTIONS if section in ("model", "train")],
+    *[({"name": "bad", section: value}, "bad") for section, value in VARIANT_SECTIONS],
     (5, "variant0"),
-    ({"name": "bad", "data": {"split": "val"}}, "bad"),
-    *[({"name": "bad", section: value}, "bad") for section, value in NON_FINITE + REMOVED_SETTINGS],
-])
+], ids=[f"{section}={json.dumps(value)}" for section, value in VARIANT_SECTIONS]
+    + ["not-an-object"])
 def test_malformed_ablation_variant_fails_alone(workspace, tmp_path, variant, name):
     _ablate_one(workspace, tmp_path, variant, name)
 

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from emogen.config import ModelConfig
+from emogen.config import ModelConfig, RunConfig
 from emogen.errors import ConfigError
 from emogen.model import (IMAGE_FEATURE_DIM, DecoderCache, EmoModel, VaPredictor,
                           save_checkpoint, write_feature_file)
@@ -16,7 +16,7 @@ from emogen.nn import (Tensor, absolute, attention, concat, layer_norm, linear,
                        tensor_mean, tensor_sum, transpose)
 from emogen.nn.layers import MASK_VALUE
 from emogen.tokenizer import BOS, EOS
-from emogen.training import TrainConfig, TrainSample, fit
+from emogen.training import TrainSample, fit
 
 from test_model import small_config
 
@@ -124,8 +124,8 @@ def _samples(model):
 def test_fit_stays_float32(float64_arrays, mode):
     model = EmoModel(small_config())
     predictor = VaPredictor(model.vocab.total_size, 8, np.random.default_rng(0))
-    config = TrainConfig.from_dict({"lr": 1e-3, "epochs": 1, "batch_size": 2,
-                                    "va_loss_mode": mode, "lambda_va": 0.5})
+    config = RunConfig.from_dict({"train": {"lr": 1e-3, "epochs": 1, "batch_size": 2,
+                                            "va_loss_mode": mode, "lambda_va": 0.5}}).train
     fit(model, _samples(model), config, predictor=predictor)
     assert float64_arrays == []
     assert {arr.dtype for _, p in model.parameters()

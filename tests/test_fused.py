@@ -30,7 +30,7 @@ def ref_layer_norm(norm, x):
     return normed * norm.gamma + norm.beta
 
 
-def ref_attention(mha, q, k, v, causal=False, key_mask=None, cache=None):
+def ref_attention(mha, q, k, v, causal=False, cache=None):
     assert cache is None  # the reference attends over `k` and `v` only
     tq, tk, d = q.shape[0], k.shape[0], q.shape[1]
     head_dim = d // mha.heads
@@ -43,32 +43,40 @@ def ref_attention(mha, q, k, v, causal=False, key_mask=None, cache=None):
     vh = split_heads(ref_linear(mha.wv, v), tk)
     scores = matmul(qh, transpose(kh, (0, 2, 1))) * (1.0 / np.sqrt(head_dim))
     # the query rows are the last rows of the keys
-    mask = np.triu(np.full((tq, tk), MASK_VALUE), k=tk - tq + 1) if causal else None
-    if key_mask is not None and not np.all(key_mask):
-        keys = np.where(np.asarray(key_mask, dtype=bool), 0.0, MASK_VALUE)
-        mask = keys if mask is None else mask + keys
-    if mask is not None:
-        scores = scores + mask
+    if causal:
+        scores = scores + np.triu(np.full((tq, tk), MASK_VALUE), k=tk - tq + 1)
     heads = matmul(softmax(scores, axis=-1), vh)
     merged = reshape(transpose(heads, (1, 0, 2)), (tq, d))
     return ref_linear(mha.wo, merged)
+
+
+def ref_self_attention(mha, x, causal=False, cache=None):
+    return ref_attention(mha, x, x, x, causal, cache)
 
 
 def _weighted(out, seed):
     return tensor_sum(out * Tensor(np.random.default_rng(seed).normal(size=out.shape)))
 
 
-# (name, causal, key_mask, query rows); "last_row" is generation's newest row,
-# which attends to every key without a mask; the causal query rows are the
-# last rows of the keys, as in cached decoding
+# (name, causal, query rows); "last_row" is generation's newest row, which
+# attends to every key without a mask; the causal query rows are the last
+# rows of the keys, as in cached decoding
 ATTENTION_CASES = [
-    ("causal", True, None, None),
-    ("key_mask", False, np.array([True, True, False, True, False]), None),
-    ("causal_key_mask", True, np.array([True, False, True, True, False]), None),
-    ("last_row", False, None, slice(-1, None)),
-    ("causal_last_row", True, None, slice(-1, None)),
-    ("causal_last_rows", True, None, slice(-2, None)),
+    ("causal", True, None),
+    ("last_row", False, slice(-1, None)),
+    ("causal_last_row", True, slice(-1, None)),
+    ("causal_last_rows", True, slice(-2, None)),
 ]
+
+
+def fused_attention(mha, q, x, causal):
+    """`mha(x)`; or, when the query rows `q` are only the last rows of `x`,
+    the fused `attention` on the projections, as a cached decoding step runs it."""
+    if q is x:
+        return mha(x, causal=causal)
+    tq, tk = q.shape[0], x.shape[0]
+    mask = np.triu(np.full((tq, tk), MASK_VALUE), k=tk - tq + 1) if causal and tq > 1 else None
+    return mha.wo(attention(mha.wq(q), mha.wk(x), mha.wv(x), mha.heads, mask))
 
 
 def _mha(seed=0, d=8, heads=2):
@@ -98,14 +106,14 @@ class TestGradcheck:
                            [("x", x)] + norm.parameters())
         assert report.worst < 1e-4, report.max_errors
 
-    @pytest.mark.parametrize("name,causal,key_mask,rows", ATTENTION_CASES,
+    @pytest.mark.parametrize("name,causal,rows", ATTENTION_CASES,
                              ids=[case[0] for case in ATTENTION_CASES])
-    def test_attention(self, name, causal, key_mask, rows):
+    def test_attention(self, name, causal, rows):
         mha, x = _mha(5)
         q = Tensor(x.data[rows].copy(), requires_grad=True) if rows else x
 
         def fn():
-            return _weighted(mha(q, x, x, causal=causal, key_mask=key_mask), 6)
+            return _weighted(fused_attention(mha, q, x, causal), 6)
 
         leaves = [("x", x)] + ([("q", q)] if rows else []) + mha.parameters()
         report = gradcheck(fn, leaves)
@@ -164,19 +172,19 @@ class TestBitIdenticalForward:
         x = Tensor(rng.normal(size=(9, 16)) * 3 + 5)
         assert np.array_equal(norm(x).data, ref_layer_norm(norm, x).data)
 
-    @pytest.mark.parametrize("name,causal,key_mask,rows", ATTENTION_CASES + [
-        ("no_mask", False, None, None)], ids=[case[0] for case in ATTENTION_CASES] + ["no_mask"])
-    def test_attention(self, name, causal, key_mask, rows):
+    @pytest.mark.parametrize("name,causal,rows", ATTENTION_CASES + [
+        ("no_mask", False, None)], ids=[case[0] for case in ATTENTION_CASES] + ["no_mask"])
+    def test_attention(self, name, causal, rows):
         mha, x = _mha(13, d=16, heads=4)
         q = Tensor(x.data[rows]) if rows else x
-        fused = mha(q, x, x, causal=causal, key_mask=key_mask).data
-        assert np.array_equal(fused, ref_attention(mha, q, x, x, causal, key_mask).data)
+        fused = fused_attention(mha, q, x, causal).data
+        assert np.array_equal(fused, ref_attention(mha, q, x, x, causal).data)
 
 
 def _reference_layers(monkeypatch):
     monkeypatch.setattr(Linear, "__call__", ref_linear)
     monkeypatch.setattr(LayerNorm, "__call__", ref_layer_norm)
-    monkeypatch.setattr(MultiHeadAttention, "__call__", ref_attention)
+    monkeypatch.setattr(MultiHeadAttention, "__call__", ref_self_attention)
 
 
 def _model_step(model, feature, ids):

@@ -124,13 +124,6 @@ class TestEncoder:
         ctx = model.encode_midi(np.array([BOS, 5, 7, EOS]))
         assert ctx.shape == (16,)
 
-    def test_pad_suffix_does_not_change_context(self, model):
-        ids = np.array([BOS, 5, 7, EOS])
-        padded = np.concatenate([ids, [PAD] * 6])
-        a = model.encode_midi(ids).data
-        b = model.encode_midi(padded).data
-        assert b == pytest.approx(a, abs=1e-12)
-
     def test_rejects_out_of_vocab_ids(self, model):
         with pytest.raises(VocabMismatch):
             model.encode_midi(np.array([BOS, model.vocab.total_size]))

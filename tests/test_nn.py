@@ -182,49 +182,26 @@ class TestLayers:
         rng = np.random.default_rng(10)
         mha = MultiHeadAttention(8, 2, rng)
         x = Tensor(rng.normal(size=(4, 8)))
-        assert mha(x, x, x).shape == (4, 8)
+        assert mha(x).shape == (4, 8)
 
     def test_attention_causal_first_position_fixed(self):
         rng = np.random.default_rng(11)
         mha = MultiHeadAttention(8, 2, rng)
         x = rng.normal(size=(4, 8))
-        base = mha(Tensor(x), Tensor(x), Tensor(x), causal=True).data
+        base = mha(Tensor(x), causal=True).data
         x2 = x.copy()
         x2[2] += 10.0  # later positions must not affect earlier outputs
-        pert = mha(Tensor(x2), Tensor(x2), Tensor(x2), causal=True).data
+        pert = mha(Tensor(x2), causal=True).data
         assert pert[:2] == pytest.approx(base[:2], abs=1e-12)
         assert not np.allclose(pert[2], base[2])
-
-    def test_attention_key_mask_excludes_position(self):
-        rng = np.random.default_rng(12)
-        mha = MultiHeadAttention(8, 2, rng)
-        x = rng.normal(size=(3, 8))
-        mask = np.array([True, True, False])
-        kv2 = x.copy()
-        kv2[2] += 5.0
-        # the masked key gets exactly zero weight, so its key and value are inert
-        for causal in (False, True):
-            base = mha(Tensor(x), Tensor(x), Tensor(x), causal=causal, key_mask=mask).data
-            pert = mha(Tensor(x), Tensor(kv2), Tensor(kv2), causal=causal,
-                       key_mask=mask).data
-            assert np.array_equal(pert, base)
-
-    def test_attention_all_true_key_mask_is_no_mask(self):
-        rng = np.random.default_rng(17)
-        mha = MultiHeadAttention(8, 2, rng)
-        x = Tensor(rng.normal(size=(4, 8)))
-        for causal in (False, True):
-            assert np.array_equal(mha(x, x, x, causal=causal, key_mask=np.ones(4, bool)).data,
-                                  mha(x, x, x, causal=causal).data)
 
     def test_attention_and_relu_gradchecks(self):
         rng = np.random.default_rng(18)
         mha = MultiHeadAttention(8, 2, rng)
         x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
         weights = Tensor(rng.normal(size=(4, 8)))
-        mask = np.array([True, False, True, True])
         report = gradcheck(
-            lambda: tensor_sum(relu(mha(x, x, x, causal=True, key_mask=mask)) * weights),
+            lambda: tensor_sum(relu(mha(x, causal=True)) * weights),
             [("x", x)] + mha.parameters())
         assert report.passed and report.worst < 1e-4, report.max_errors
 
@@ -232,13 +209,13 @@ class TestLayers:
         rng = np.random.default_rng(13)
         mha = MultiHeadAttention(4, 2, rng)
         x = Tensor(rng.normal(size=(1, 4)))
-        assert mha(x, x, x, causal=True).shape == (1, 4)
+        assert mha(x, causal=True).shape == (1, 4)
 
     def test_attention_config_divisibility(self):
         mha = MultiHeadAttention(10, 3, np.random.default_rng(0))
         x = Tensor(np.ones((2, 10)))
         with pytest.raises(ShapeMismatch, match="3 heads"):
-            mha(x, x, x)
+            mha(x)
 
     def test_conv2d_matches_direct_convolution(self):
         rng = np.random.default_rng(14)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
+from emogen.config import RunConfig
 from emogen.errors import (CatalogTooSmall, ConfigError, NonFiniteError,
                            PredictorMissing, ShapeMismatch)
 from emogen.model import (IMAGE_FEATURE_DIM, EmoModel, VaPredictor,
                           token_histogram)
 from emogen.nn import Tensor, no_grad, softmax
 from emogen.tokenizer import BOS, EOS, PAD
-from emogen.training import (EpochStats, LossWeights, TrainConfig, TrainSample,
+from emogen.training import (EpochStats, TrainConfig, TrainSample,
                              cce_loss, fit, pretrain_va_predictor,
                              total_loss, va_loss, write_loss_csv)
 
@@ -26,24 +27,25 @@ def _samples(rng, n=2, length=8, vocab=20):
 
 class TestConfigs:
     def test_default_weights(self):
-        w = LossWeights()
+        w = TrainConfig()
         assert w.lambda_va == 1e-5 and w.lambda_cc == 1.0
 
     def test_both_zero_rejected(self):
         with pytest.raises(ConfigError):
-            LossWeights(0.0, 0.0)
+            TrainConfig(lambda_va=0.0, lambda_cc=0.0)
 
     def test_train_config_defaults(self):
         cfg = TrainConfig()
         assert (cfg.lr, cfg.epochs) == (1e-5, 15)
 
     def test_from_dict_lambdas(self):
-        cfg = TrainConfig.from_dict({"lr": 0.001, "lambda_va": 0.5, "lambda_cc": 2.0})
-        assert cfg.loss_weights == LossWeights(0.5, 2.0)
+        cfg = RunConfig.from_dict({"train": {"lr": 0.001, "lambda_va": 0.5,
+                                             "lambda_cc": 2.0}}).train
+        assert (cfg.lambda_va, cfg.lambda_cc) == (0.5, 2.0)
 
     def test_from_dict_unknown_key(self):
         with pytest.raises(ConfigError):
-            TrainConfig.from_dict({"learning_rate": 0.001})
+            RunConfig.from_dict({"train": {"learning_rate": 0.001}})
 
     def test_bad_mode(self):
         with pytest.raises(ConfigError):
@@ -94,10 +96,10 @@ class TestCceLoss:
 
 class TestTotalLoss:
     def test_hand_example(self):
-        assert total_loss(3.0, 2.0, LossWeights()) == pytest.approx(3.00002)
+        assert total_loss(3.0, 2.0, TrainConfig()) == pytest.approx(3.00002)
 
     def test_linear_in_both_terms(self):
-        w = LossWeights(0.25, 2.0)
+        w = TrainConfig(lambda_va=0.25, lambda_cc=2.0)
         assert total_loss(1.0, 1.0, w) + total_loss(2.0, 3.0, w) == \
             pytest.approx(total_loss(3.0, 4.0, w))
 
@@ -189,7 +191,7 @@ class TestFit:
         defaults = dict(lr=1e-3, epochs=3, batch_size=2, seed=1,
                         va_loss_mode="off")
         defaults.update(cfg_overrides)
-        return model, samples, TrainConfig.from_dict(defaults)
+        return model, samples, RunConfig.from_dict({"train": defaults}).train
 
     def test_loss_decreases(self):
         model, samples, config = self._setup(epochs=8)
@@ -232,7 +234,7 @@ class TestFit:
         history = fit(model, samples, config, predictor=predictor)
         assert history[0].l_va > 0.0
         assert history[0].l_total == pytest.approx(
-            total_loss(history[0].l_cc, history[0].l_va, config.loss_weights))
+            total_loss(history[0].l_cc, history[0].l_va, config))
 
     def test_soft_mode_runs(self):
         model, samples, config = self._setup(epochs=1, va_loss_mode="soft")
