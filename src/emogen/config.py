@@ -13,11 +13,16 @@ import json
 import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from functools import lru_cache
 from pathlib import Path
 
 from ._files import write_atomic
 from .errors import ConfigError
 from .tokenizer import Vocabulary
+
+# one shared Vocabulary per layout: its velocity tables are then built once,
+# not once per MIDI file that `data.read_midi_ids` encodes
+_vocabulary = lru_cache(maxsize=8)(Vocabulary)
 
 
 def read_json(path: str | Path):
@@ -95,8 +100,7 @@ class ModelConfig:
                               f"{self.head_count} heads")
 
     def vocabulary(self) -> Vocabulary:
-        return Vocabulary(time_shift_bins=self.time_shift_bins,
-                          velocity_bins=self.velocity_bins)
+        return _vocabulary(self.time_shift_bins, self.velocity_bins)
 
     @classmethod
     def from_dict(cls, data) -> "ModelConfig":

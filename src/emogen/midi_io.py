@@ -8,8 +8,9 @@ else is skipped. All functions are pure.
 from __future__ import annotations
 
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 
 import numpy as np
 
@@ -19,24 +20,27 @@ from .errors import (BadMetricSetting, MalformedEvent, MalformedHeader, Malforme
 DEFAULT_TEMPO = 500_000  # microseconds per beat (120 BPM)
 
 
-@dataclass(frozen=True, order=True)
-class NoteEvent:
-    """A single note: pitch and velocity per MIDI, times in ticks."""
+class NoteEvent(namedtuple("NoteEvent", "onset pitch duration velocity")):
+    """A single note: pitch and velocity per MIDI, times in ticks.
 
-    onset: int
-    pitch: int
-    duration: int
-    velocity: int
+    A named tuple, so notes sort in field order and a note equals the plain
+    tuple of its fields. `NoteEvent(...)` checks every range. The readers
+    have already checked theirs and build notes with
+    `tuple.__new__(NoteEvent, fields)`, which skips the checks.
+    """
 
-    def __post_init__(self):
-        if not 0 <= self.pitch <= 127:
-            raise MalformedPiece(f"pitch {self.pitch} outside 0..127")
-        if self.onset < 0:
-            raise MalformedPiece(f"negative onset {self.onset}")
-        if self.duration < 1:
-            raise MalformedPiece(f"duration {self.duration} < 1")
-        if not 1 <= self.velocity <= 127:
-            raise MalformedPiece(f"velocity {self.velocity} outside 1..127")
+    __slots__ = ()
+
+    def __new__(cls, onset: int, pitch: int, duration: int, velocity: int):
+        if not 0 <= pitch <= 127:
+            raise MalformedPiece(f"pitch {pitch} outside 0..127")
+        if onset < 0:
+            raise MalformedPiece(f"negative onset {onset}")
+        if duration < 1:
+            raise MalformedPiece(f"duration {duration} < 1")
+        if not 1 <= velocity <= 127:
+            raise MalformedPiece(f"velocity {velocity} outside 1..127")
+        return tuple.__new__(cls, (onset, pitch, duration, velocity))
 
     @property
     def end(self) -> int:
@@ -56,7 +60,7 @@ class MidiPiece:
             raise MalformedPiece(f"ticks_per_beat {self.ticks_per_beat} <= 0")
         if self.tempo_us_per_beat <= 0:
             raise MalformedPiece(f"tempo {self.tempo_us_per_beat} <= 0")
-        ordered = tuple(sorted(self.notes, key=attrgetter("onset", "pitch")))
+        ordered = tuple(sorted(self.notes, key=itemgetter(0, 1)))
         object.__setattr__(self, "notes", ordered)
 
     def __len__(self) -> int:
@@ -108,6 +112,9 @@ def decode_vlq(data: bytes, pos: int) -> tuple[int, int]:
 
 def _parse_track(data: bytes) -> tuple[list[NoteEvent], int | None]:
     """The track's notes and its first tempo (None without one)."""
+    # every field is range-checked here, so notes skip NoteEvent's checks; the
+    # tick never decreases, so `tick - onset or 1` is a duration of at least 1
+    new = tuple.__new__
     notes: list[NoteEvent] = []
     tempo: int | None = None
     open_notes: dict[int, tuple[int, int]] = {}  # pitch -> (onset, velocity)
@@ -139,7 +146,7 @@ def _parse_track(data: bytes) -> tuple[list[NoteEvent], int | None]:
                 raise MalformedEvent(f"note event data byte >= 0x80 at track byte {pos - 2}")
             if d1 in open_notes:  # note-off, or a later note-on truncating the open note
                 onset, vel = open_notes.pop(d1)
-                notes.append(NoteEvent(onset, d1, max(1, tick - onset), vel))
+                notes.append(new(NoteEvent, (onset, d1, tick - onset or 1, vel)))
             if kind == 0x90 and d2 > 0:
                 open_notes[d1] = (tick, d2)
         elif status == 0xFF:  # meta
@@ -178,7 +185,7 @@ def _parse_track(data: bytes) -> tuple[list[NoteEvent], int | None]:
 
     for pitch in sorted(open_notes):  # notes left open end at the track's last tick
         onset, vel = open_notes[pitch]
-        notes.append(NoteEvent(onset, pitch, max(1, tick - onset), vel))
+        notes.append(new(NoteEvent, (onset, pitch, tick - onset or 1, vel)))
     return notes, tempo
 
 
@@ -226,9 +233,9 @@ def parse_midi(data: bytes) -> MidiPiece:
 def write_midi(piece: MidiPiece) -> bytes:
     """Serialize a MidiPiece as a format-0 SMF byte string."""
     events: list[tuple[int, int, int, int]] = []  # (tick, order, pitch, velocity)
-    for note in piece.notes:
-        events.append((note.onset, 1, note.pitch, note.velocity))
-        events.append((note.onset + note.duration, 0, note.pitch, 0))
+    for onset, pitch, duration, velocity in piece.notes:
+        events.append((onset, 1, pitch, velocity))
+        events.append((onset + duration, 0, pitch, 0))
     events.sort()
 
     track = bytearray()
@@ -253,10 +260,10 @@ def note_spans(piece: MidiPiece, steps_per_beat: int) -> list[tuple[int, int, in
     """(start, end, pitch, velocity) per note, in order; [start, end) spans >= 1 step."""
     tpb = piece.ticks_per_beat
     spans = []
-    for note in piece.notes:
-        start = note.onset * steps_per_beat // tpb
-        end = -((-(note.onset + note.duration) * steps_per_beat) // tpb)  # ceil division
-        spans.append((start, end if end > start else start + 1, note.pitch, note.velocity))
+    for onset, pitch, duration, velocity in piece.notes:
+        start = onset * steps_per_beat // tpb
+        end = -((-(onset + duration) * steps_per_beat) // tpb)  # ceil division
+        spans.append((start, end if end > start else start + 1, pitch, velocity))
     return spans
 
 

@@ -18,6 +18,7 @@ import hashlib
 import json
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -116,6 +117,16 @@ class Vocabulary:
         center = round(1 + (bin_index + 0.5) * 126 / self.velocity_bins)
         return max(1, min(127, center))
 
+    @cached_property
+    def velocity_ids(self) -> tuple[int, ...]:
+        """The VELOCITY id of each MIDI velocity, indexed by velocity (a note's is 1..127)."""
+        return tuple(self.velocity_base + self.velocity_to_bin(v) for v in range(128))
+
+    @cached_property
+    def bin_velocities(self) -> tuple[int, ...]:
+        """The decoded velocity of each velocity bin."""
+        return tuple(map(self.bin_to_velocity, range(self.velocity_bins)))
+
 
 @dataclass(frozen=True)
 class TokenSequence:
@@ -148,11 +159,11 @@ def encode(piece: MidiPiece, vocab: Vocabulary, steps_per_beat: int = 4,
         events += (start, 1, pitch, velocity), (end, 0, pitch, 0)
     events.sort()
 
-    bins, to_bin = vocab.time_shift_bins, vocab.velocity_to_bin
+    bins, velocity_ids = vocab.time_shift_bins, vocab.velocity_ids
     off_base, shift_base = vocab.note_off_base, vocab.time_shift_base  # token_to_id's bases
     ids = [BOS]
     step = 0
-    velocity_bin = None
+    velocity_id = None
     for at, is_on, pitch, velocity in events:
         if at > step:  # greedy largest-bin-first
             if len(ids) >= max_len - 1:
@@ -163,10 +174,10 @@ def encode(piece: MidiPiece, vocab: Vocabulary, steps_per_beat: int = 4,
                 ids.append(shift_base + rest - 1)
         step = at
         if is_on:
-            vbin = to_bin(velocity)
-            if vbin != velocity_bin:
-                ids.append(vocab.velocity_base + vbin)
-                velocity_bin = vbin
+            vid = velocity_ids[velocity]
+            if vid != velocity_id:
+                ids.append(vid)
+                velocity_id = vid
             ids.append(_NUM_SPECIALS + pitch)
         else:
             ids.append(off_base + pitch)
@@ -181,26 +192,26 @@ def decode(tokens: TokenSequence | Iterable[int], vocab: Vocabulary,
     ticks_per_step = max(1, 480 // steps_per_beat) if 480 % steps_per_beat == 0 else 120
     ticks_per_beat = ticks_per_step * steps_per_beat
 
+    # every field is in range by construction, so notes skip NoteEvent's checks;
+    # the step never decreases, so `step - start or 1` is at least 1
+    new = tuple.__new__
     notes: list[NoteEvent] = []
     open_notes: dict[int, tuple[int, int]] = {}  # pitch -> (start step, velocity)
     step = 0
     velocity = DEFAULT_VELOCITY
 
-    def close(pitch: int, at: int):
-        start, vel = open_notes.pop(pitch)
-        notes.append(NoteEvent(onset=start * ticks_per_step, pitch=pitch,
-                               duration=max(1, at - start) * ticks_per_step,
-                               velocity=vel))
-
     # the layout's id ranges, as `id_to_token` reads them
     off_base, shift_base = vocab.note_off_base, vocab.time_shift_base
     velocity_base, total = vocab.velocity_base, vocab.total_size
+    bin_velocities = vocab.bin_velocities
     for idx in ids:
         if idx < shift_base:
             if idx >= _NUM_SPECIALS:  # NOTE_ON or NOTE_OFF: either ends the open note
                 pitch = (idx - _NUM_SPECIALS) % 128
                 if pitch in open_notes:
-                    close(pitch, step)
+                    start, vel = open_notes.pop(pitch)
+                    notes.append(new(NoteEvent, (start * ticks_per_step, pitch,
+                                                 (step - start or 1) * ticks_per_step, vel)))
                 if idx < off_base:
                     open_notes[pitch] = (step, velocity)
             elif idx == EOS:
@@ -208,10 +219,12 @@ def decode(tokens: TokenSequence | Iterable[int], vocab: Vocabulary,
         elif idx < velocity_base:
             step += idx - shift_base + 1
         elif idx < total:
-            velocity = vocab.bin_to_velocity(idx - velocity_base)
+            velocity = bin_velocities[idx - velocity_base]
         # PAD, BOS and out-of-vocabulary ids are ignored
     for pitch in sorted(open_notes):
-        close(pitch, step)
+        start, vel = open_notes[pitch]
+        notes.append(new(NoteEvent, (start * ticks_per_step, pitch,
+                                     (step - start or 1) * ticks_per_step, vel)))
     return MidiPiece(ticks_per_beat=ticks_per_beat, notes=tuple(notes))
 
 

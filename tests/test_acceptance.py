@@ -3,6 +3,7 @@
 import csv
 import functools
 import json
+import math
 import time
 
 import numpy as np
@@ -272,7 +273,9 @@ def test_ablation_harness(tmp_path):
             "data": {"manifest": str(manifest),
                      "midi_catalog": str(root / "midis.csv"),
                      "image_catalog": str(root / "images.csv"),
-                     "va_predictor": str(root / "va.emc")}}
+                     "va_predictor": str(root / "va.emc")},
+            # 2-step measures: pieces of at most 32 tokens span too few 16-step ones
+            "metrics": {"steps_per_measure": 2}}
     cfg_path = root / "base.json"
     cfg_path.write_text(json.dumps({"model": model_cfg}))
     assert cli_main(["pretrain-va", "--midis", str(root / "midis.csv"),
@@ -305,6 +308,10 @@ def test_ablation_harness(tmp_path):
     for name, row in rows.items():
         if name != "broken":
             assert row["status"] == "ok", f"{name}: {row['status']}"
+    scored = [row for row in rows.values() if row["status"] == "ok"
+              and int(row["evaluated_pieces"]) >= 1
+              and math.isfinite(float(row["music_quality_loss"]))]
+    assert scored, "no variant scored a generated piece"
     table = (out_dir / "ablation.md").read_text()
     assert table.splitlines()[0].startswith("| Model | Music_Quality_Loss |")
     assert len(table.strip().splitlines()) == 2 + 19

@@ -1,3 +1,6 @@
+import copy
+import functools
+import pickle
 import struct
 
 import numpy as np
@@ -9,19 +12,25 @@ from emogen.errors import (EmogenError, MalformedEvent, MalformedHeader, Malform
                            TruncatedTrack, UnsupportedFormat)
 from emogen.midi_io import (MidiPiece, NoteEvent, decode_vlq, encode_vlq,
                             parse_midi, to_piano_roll, write_midi)
+from emogen.tokenizer import Vocabulary, decode, encode
 
 from conftest import random_canonical_piece
 
 
+# every field check of a note: its fields and the message it raises
+BAD_NOTES = {
+    "pitch_above_127": ((0, 128, 1, 64), "pitch 128 outside 0..127"),
+    "pitch_below_0": ((0, -1, 1, 64), "pitch -1 outside 0..127"),
+    "negative_onset": ((-1, 60, 1, 64), "negative onset -1"),
+    "zero_duration": ((0, 60, 0, 64), "duration 0 < 1"),
+    "zero_velocity": ((0, 60, 1, 0), "velocity 0 outside 1..127"),
+    "velocity_above_127": ((0, 60, 1, 128), "velocity 128 outside 1..127"),
+}
+
 # every field check of a note or piece, and a negative VLQ (a delta time);
 # each is typed and still a ValueError
 PIECE_RAISE_SITES = {
-    "pitch_above_127": lambda: NoteEvent(0, 128, 1, 64),
-    "pitch_below_0": lambda: NoteEvent(0, -1, 1, 64),
-    "negative_onset": lambda: NoteEvent(-1, 60, 1, 64),
-    "zero_duration": lambda: NoteEvent(0, 60, 0, 64),
-    "zero_velocity": lambda: NoteEvent(0, 60, 1, 0),
-    "velocity_above_127": lambda: NoteEvent(0, 60, 1, 128),
+    **{site: functools.partial(NoteEvent, *fields) for site, (fields, _) in BAD_NOTES.items()},
     "ticks_per_beat": lambda: MidiPiece(0, ()),
     "tempo": lambda: MidiPiece(480, (), tempo_us_per_beat=0),
     "negative_vlq": lambda: encode_vlq(-1),
@@ -38,6 +47,47 @@ def test_piece_raise_sites_are_typed(site):
 def _smf(track_bytes: bytes, fmt: int = 0, division: int = 480) -> bytes:
     header = b"MThd" + struct.pack(">IHHH", 6, fmt, 1, division)
     return header + b"MTrk" + struct.pack(">I", len(track_bytes)) + track_bytes
+
+
+class TestNoteEvent:
+    @pytest.mark.parametrize("site", sorted(BAD_NOTES))
+    def test_positional_and_keyword_construction_check_ranges(self, site):
+        fields, message = BAD_NOTES[site]
+        keywords = dict(zip(("onset", "pitch", "duration", "velocity"), fields))
+        for build in (lambda: NoteEvent(*fields), lambda: NoteEvent(**keywords)):
+            with pytest.raises(MalformedPiece) as info:
+                build()
+            assert str(info.value) == message
+
+    def test_fields_and_end(self):
+        note = NoteEvent(onset=480, pitch=60, duration=240, velocity=64)
+        assert (note.onset, note.pitch, note.duration, note.velocity) == (480, 60, 240, 64)
+        assert note.end == 720
+
+    def test_notes_sort_in_field_order(self):
+        notes = [NoteEvent(10, 60, 5, 64), NoteEvent(0, 72, 1, 1), NoteEvent(10, 60, 5, 9),
+                 NoteEvent(10, 59, 50, 64), NoteEvent(10, 60, 2, 127)]
+        assert sorted(notes) == sorted(notes, key=lambda n: (n.onset, n.pitch, n.duration,
+                                                             n.velocity))
+        assert sorted(notes)[0] == NoteEvent(0, 72, 1, 1)
+
+    def test_pickle_and_copy_round_trip(self):
+        note = NoteEvent(96, 61, 12, 100)
+        for again in (pickle.loads(pickle.dumps(note)), copy.copy(note), copy.deepcopy(note)):
+            assert again == note and type(again) is NoteEvent
+
+    def test_readers_build_note_events(self):
+        piece = parse_midi(write_midi(random_canonical_piece(np.random.default_rng(3))))
+        vocab = Vocabulary()
+        decoded = decode(encode(piece, vocab), vocab)
+        assert piece.notes and decoded.notes
+        assert {type(note) for note in piece.notes + decoded.notes} == {NoteEvent}
+
+    def test_equals_the_plain_tuple_of_its_fields(self):
+        # a note is a tuple, so it also equals (and hashes as) its bare fields
+        note = NoteEvent(0, 60, 480, 64)
+        assert note == (0, 60, 480, 64) and hash(note) == hash((0, 60, 480, 64))
+        assert note != (0, 60, 480, 65)
 
 
 class TestVlq:
@@ -161,6 +211,26 @@ class TestParse:
         track = bytes([0x00, 0xFF, 0x51, 0x03, 0, 0, 0, 0x00, 0xFF, 0x2F, 0x00])
         with pytest.raises(MalformedEvent):
             parse_midi(_smf(track))
+
+    # one file per reader branch that the fuzz tests reach only on some draws
+    @pytest.mark.parametrize("data, error, message", [
+        (_smf(bytes([0x81, 0x80, 0x80, 0x80, 0x00, 0xFF, 0x2F, 0x00])), TruncatedTrack,
+         "variable-length quantity longer than 4 bytes"),
+        (_smf(bytes([0x00, 0xFF])), TruncatedTrack, "truncated meta event"),
+        (_smf(bytes([0x00, 0xA0, 60])), TruncatedTrack, "channel event truncated"),
+        (_smf(bytes([0x00, 0xB0, 7])), TruncatedTrack, "channel event truncated"),
+        (_smf(bytes([0x00, 0xE0])), TruncatedTrack, "channel event truncated"),
+        (_smf(bytes([0x00, 0xC0])), TruncatedTrack, "channel event truncated"),
+        (_smf(bytes([0x00, 0xD5])), TruncatedTrack, "channel event truncated"),
+        (_smf(bytes([0x00, 0xFF, 0x2F, 0x00]), division=0), MalformedHeader,
+         "zero ticks per beat"),
+    ], ids=["vlq_over_4_bytes", "meta_without_type", "aftertouch_one_byte",
+            "controller_one_byte", "pitch_bend_no_bytes", "program_no_byte",
+            "channel_pressure_no_byte", "zero_ticks_per_beat"])
+    def test_reader_branch_errors(self, data, error, message):
+        with pytest.raises(error) as info:
+            parse_midi(data)
+        assert type(info.value) is error and str(info.value) == message
 
 
 _FUZZ_BASE = write_midi(random_canonical_piece(np.random.default_rng(21), max_notes=40))

@@ -1,4 +1,9 @@
+import struct
+import sys
+import types
+import zlib
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +11,7 @@ import pytest
 from emogen.errors import (BadFeatureFile, BadImage, CheckpointCorrupt,
                            ConfigError, PrefixTooLong, VocabMismatch)
 from emogen.model import (IMAGE_FEATURE_DIM, DecoderCache, EmoModel, ModelConfig,
-                          TinyCnnExtractor, VaPredictor, load_checkpoint,
+                          TinyCnnExtractor, VaPredictor, load_checkpoint, load_image,
                           load_va_predictor, read_feature_file,
                           save_checkpoint, save_va_predictor, token_histogram,
                           write_feature_file)
@@ -117,6 +122,88 @@ class TestExtractor:
         path = tmp_path / "img.emf"
         write_feature_file(path, feature)
         assert model.image_feature(path).data == pytest.approx(feature, abs=1e-6)
+
+
+def _png(pixels: np.ndarray) -> bytes:
+    """An 8-bit RGB PNG of an (h, w, 3) uint8 array, written with zlib alone."""
+    height, width, _ = pixels.shape
+    rows = b"".join(b"\x00" + row.tobytes() for row in pixels)  # filter 0: raw rows
+
+    def chunk(tag: bytes, body: bytes) -> bytes:
+        return (struct.pack(">I", len(body)) + tag + body
+                + struct.pack(">I", zlib.crc32(tag + body)))
+
+    header = struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0)
+    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", header)
+            + chunk(b"IDAT", zlib.compress(rows)) + chunk(b"IEND", b""))
+
+
+class _StandInImage:
+    """What `load_image` uses of a Pillow image, read from a `_png` file."""
+
+    def __init__(self, path):
+        data = Path(path).read_bytes()
+        width, height = struct.unpack(">II", data[16:24])
+        (length,) = struct.unpack(">I", data[33:37])  # the IDAT chunk follows IHDR
+        rows = np.frombuffer(zlib.decompress(data[41:41 + length]), dtype=np.uint8)
+        self.pixels = rows.reshape(height, 1 + 3 * width)[:, 1:].reshape(height, width, 3)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def convert(self, mode):
+        assert mode == "RGB"
+        return self
+
+    def resize(self, size):
+        assert size == self.pixels.shape[1::-1]  # the tests load at the file's own size
+        return self
+
+    def __array__(self, dtype=None, copy=None):
+        return self.pixels.astype(dtype)
+
+
+@pytest.fixture(params=["Pillow", "stand-in"])
+def image_reader(request, monkeypatch):
+    """Decode with Pillow where it is installed, and with a stand-in `PIL` module
+    everywhere, so the image path runs with or without Pillow."""
+    if request.param == "Pillow":
+        pytest.importorskip("PIL.Image")
+    else:
+        pil = types.ModuleType("PIL")
+        pil.Image = types.SimpleNamespace(open=_StandInImage)
+        monkeypatch.setitem(sys.modules, "PIL", pil)
+
+
+class TestImageFiles:
+    PIXELS = np.random.default_rng(4).integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
+
+    def test_png_decodes_and_feeds_the_extractor(self, image_reader, tmp_path):
+        path = tmp_path / "img.png"
+        path.write_bytes(_png(self.PIXELS))
+        arr = load_image(path, 8)
+        assert arr.shape == (3, 8, 8) and arr.min() >= 0.0 and arr.max() <= 1.0
+        assert np.array_equal(arr, self.PIXELS.transpose(2, 0, 1) / 255.0)
+        model = EmoModel(small_config(image_extractor="tiny-cnn", image_size=8))
+        feature = model.image_feature(str(path)).data
+        assert feature.shape == (IMAGE_FEATURE_DIM,)
+        assert np.array_equal(feature, model.image_feature(arr).data)
+
+    def test_garbage_png_raises_bad_image(self, image_reader, tmp_path):
+        path = tmp_path / "img.png"
+        path.write_bytes(b"\x00\x01 not an image")
+        with pytest.raises(BadImage):
+            load_image(path, 8)
+        model = EmoModel(small_config(image_extractor="tiny-cnn", image_size=8))
+        with pytest.raises(BadImage):
+            model.image_feature(path)
+
+    def test_missing_image_file_is_not_a_bad_image(self, image_reader, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_image(tmp_path / "none.png", 8)
 
 
 class TestEncoder:
