@@ -116,7 +116,7 @@ class CatalogTooSmall(EmogenError):
 
 
 class MissingArtifacts(EmogenError):
-    """Training inputs (manifest, tokens, features, weights) unresolvable."""
+    """A run input (manifest, MIDI, features, weights) or Pillow cannot be resolved."""
 
 
 class ConfigError(EmogenError):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -27,7 +27,7 @@ class MetricTriple:
         return (self.polyphony_rate, self.pitch_entropy, self.groove_consistency)
 
 
-#: Ground-truth metric triple used as the default quality-loss reference.
+#: Ground-truth metric triple the quality loss is measured against.
 REFERENCE_TRIPLE = MetricTriple(polyphony_rate=0.5303, pitch_entropy=3.9863,
                                 groove_consistency=0.9922)
 
@@ -61,9 +61,8 @@ def polyphony_rate(roll: PianoRoll, denominator: str = "sounding") -> float:
     raise BadMetricSetting(f"unknown denominator mode {denominator!r}")
 
 
-def groove_consistency(roll: PianoRoll, steps_per_measure: int = 16,
-                       normalized: bool = True) -> float:
-    """One minus the mean (normalized) Hamming distance between consecutive
+def groove_consistency(roll: PianoRoll, steps_per_measure: int = 16) -> float:
+    """One minus the mean Hamming distance per step between consecutive
     measures' onset vectors. Trailing partial measures are discarded."""
     if steps_per_measure < 1:
         raise BadMetricSetting("steps_per_measure must be >= 1")
@@ -72,21 +71,18 @@ def groove_consistency(roll: PianoRoll, steps_per_measure: int = 16,
         raise TooShort(f"{measures} full measure(s); need >= 2")
     onset_any = roll.onsets.any(axis=0)[:measures * steps_per_measure]
     vectors = onset_any.reshape(measures, steps_per_measure)
-    distances = (vectors[:-1] != vectors[1:]).sum(axis=1).astype(float)
-    if normalized:
-        distances /= steps_per_measure
+    distances = (vectors[:-1] != vectors[1:]).sum(axis=1) / steps_per_measure
     return 1.0 - float(distances.mean())
 
 
-def music_quality_loss(m: MetricTriple, reference: MetricTriple = REFERENCE_TRIPLE) -> float:
-    """Mean absolute deviation of a metric triple from the reference triple."""
-    deltas = [abs(a - b) for a, b in zip(m.as_tuple(), reference.as_tuple())]
+def music_quality_loss(m: MetricTriple) -> float:
+    """Mean absolute deviation of a metric triple from `REFERENCE_TRIPLE`."""
+    deltas = [abs(a - b) for a, b in zip(m.as_tuple(), REFERENCE_TRIPLE.as_tuple())]
     return sum(deltas) / 3.0
 
 
 def evaluate_piece(piece: MidiPiece, steps_per_beat: int = 4,
                    steps_per_measure: int = 16,
-                   reference: MetricTriple = REFERENCE_TRIPLE,
                    polyphony_denominator: str = "sounding") -> tuple[MetricTriple, float]:
     """All three metrics plus the quality loss for a single piece."""
     roll = to_piano_roll(piece, steps_per_beat)
@@ -95,15 +91,7 @@ def evaluate_piece(piece: MidiPiece, steps_per_beat: int = 4,
         pitch_entropy=pitch_entropy(piece),
         groove_consistency=groove_consistency(roll, steps_per_measure),
     )
-    return triple, music_quality_loss(triple, reference)
-
-
-def evaluate_corpus(pieces: Sequence[MidiPiece], **kwargs) -> tuple[list[tuple[MetricTriple, float]], float]:
-    """Per-piece (triple, loss) in input order, plus the mean of per-piece losses."""
-    results = [evaluate_piece(p, **kwargs) for p in pieces]
-    if not results:
-        return [], math.nan
-    return results, sum(loss for _, loss in results) / len(results)
+    return triple, music_quality_loss(triple)
 
 
 def mean_triple(triples: Iterable[MetricTriple]) -> MetricTriple:

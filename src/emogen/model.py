@@ -22,12 +22,12 @@ import numpy as np
 from ._files import write_atomic
 from .config import ModelConfig
 from .errors import (BadFeatureFile, BadImage, CheckpointCorrupt, ConfigError,
-                     PrefixTooLong, VocabMismatch)
+                     MissingArtifacts, PrefixTooLong, VocabMismatch)
 from .nn import (BatchNorm, Conv2d, Embedding, FeedForward, KVCache, LayerNorm, Linear,
                  Module, MultiHeadAttention, Tensor, avg_pool2d, concat,
                  global_avg_pool, no_grad, relu, reshape, sinusoidal_positions,
                  softmax, take, tensor_mean)
-from .pairing import VaPoint
+from .pairing import VA_MAX, VA_MIN, VaPoint
 from .tokenizer import BOS, EOS, TokenSequence
 
 IMAGE_FEATURE_DIM = 512
@@ -73,14 +73,16 @@ def read_feature_file(path: str | Path) -> np.ndarray:
 
 def load_image(path: str | Path, size: int) -> np.ndarray:
     """Decode an image file to a (3, size, size) float array in [0, 1]."""
-    try:
-        from PIL import Image
-        with Image.open(path) as img:
-            rgb = img.convert("RGB").resize((size, size))
-    except FileNotFoundError:
-        raise
-    except Exception as exc:
-        raise BadImage(f"{path}: {exc}") from exc
+    with open(path, "rb") as fh:  # a missing file is FileNotFoundError, Pillow or not
+        try:
+            from PIL import Image
+        except ImportError as exc:
+            raise MissingArtifacts(f"{path}: decoding an image needs Pillow") from exc
+        try:
+            with Image.open(fh) as img:
+                rgb = img.convert("RGB").resize((size, size))
+        except Exception as exc:
+            raise BadImage(f"{path}: {exc}") from exc
     arr = np.asarray(rgb, dtype=np.float64) / 255.0
     return arr.transpose(2, 0, 1)
 
@@ -137,11 +139,11 @@ class VaPredictor(Module):
         return self.fc3(x)  # (B, 2) unclamped
 
     def predict_va(self, ids) -> VaPoint:
-        """Deterministic eval-mode prediction, clamped onto [1, 9]^2."""
+        """Deterministic eval-mode prediction, clamped onto the VA square."""
         hist = token_histogram(ids, self.vocab_size)
         with no_grad():
             out = self(Tensor(hist[None, :]), train=False).data[0]
-        valence, arousal = np.clip(out, 1.0, 9.0)
+        valence, arousal = np.clip(out, VA_MIN, VA_MAX)
         return VaPoint(float(valence), float(arousal))
 
     def state_extra(self) -> dict:
@@ -256,26 +258,25 @@ class EmoModel(Module):
         """Project the image feature and concatenate with the MIDI context."""
         return concat([self.img_proj(image_feature), midi_context], axis=0)  # (2d,)
 
-    def decode_logits(self, joint: Tensor, prefix_ids,
-                      cache: DecoderCache | None = None) -> Tensor:
+    def decode_logits(self, joint: Tensor, ids, cache: DecoderCache | None = None) -> Tensor:
         """Per-position vocabulary logits for a prefix, conditioned on `joint`.
 
-        With a `cache` the result is the (1, vocab) row of the newest
-        position: the memory row and the keys and values of the ids of
-        earlier calls come from it, so only the ids after those are embedded
-        and run through the blocks. Each call must pass the earlier prefix
-        extended, with the same `joint`.
+        Without a `cache`, `ids` is the whole prefix and the result has a row
+        per id. With one, `ids` are the ids after those already cached (on
+        the first call, a whole prefix): the memory row and the earlier keys
+        and values come from the cache, and the result is the (1, vocab) row
+        of the newest id. Every call on one cache passes the same `joint`.
         """
-        ids = self._check_ids(prefix_ids)
-        n = ids.size
-        if n == 0:
-            raise PrefixTooLong("prefix must contain at least BOS")
+        ids = self._check_ids(ids)
+        if ids.size == 0:
+            raise PrefixTooLong("no ids to decode: a prefix holds at least BOS")
+        done = 0 if cache is None else cache.length  # ids already in the cache
+        n = done + ids.size
         if n > self.config.max_len:
             raise PrefixTooLong(f"prefix of {n} exceeds max_len {self.config.max_len}")
         d = self.config.model_dim
-        done = 0 if cache is None else cache.length  # ids already in the cache
         memory = cache.memory if done else self.mem_proj(joint)  # (d,)
-        x = self.embedding(ids[done:]) + Tensor(self.positions[done + 1:n + 1])
+        x = self.embedding(ids) + Tensor(self.positions[done + 1:n + 1])
         if self.decoder_stack:
             caches = [None] * len(self.decoder_stack) if cache is None else cache.blocks
             if not done:
@@ -320,7 +321,7 @@ class EmoModel(Module):
             joint = self.merge(self.image_feature(image_source), self.encode_midi(FIXED_CONTEXT))
             cache = DecoderCache(self)
             while len(ids) < limit:
-                logits = self.decode_logits(joint, np.array(ids), cache=cache).data[0]
+                logits = self.decode_logits(joint, ids[-1:], cache=cache).data[0]
                 if strategy == "greedy":
                     next_id = int(np.argmax(logits))
                 else:

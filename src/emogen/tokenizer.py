@@ -15,15 +15,12 @@ vocabulary yields a valid, possibly empty, piece).
 from __future__ import annotations
 
 import hashlib
-import json
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
-from ._files import write_atomic
-from .errors import CatalogError, TokenizerError, VocabMismatch
+from .errors import TokenizerError
 from .midi_io import MidiPiece, NoteEvent, note_spans
 
 PAD, BOS, EOS = 0, 1, 2
@@ -227,37 +224,3 @@ def decode(tokens: TokenSequence | Iterable[int], vocab: Vocabulary,
                                      (step - start or 1) * ticks_per_step, vel)))
     return MidiPiece(ticks_per_beat=ticks_per_beat, notes=tuple(notes))
 
-
-# --- tokenized dataset persistence (JSON lines) ---
-
-def save_token_dataset(path: str | Path, records: Iterable[tuple[str, Iterable[int]]],
-                       vocab: Vocabulary) -> None:
-    """One JSON line per record, written atomically."""
-    lines = (json.dumps({"id": rec_id, "ids": list(map(int, ids)),
-                         "vocab_hash": vocab.vocab_hash}) + "\n" for rec_id, ids in records)
-    write_atomic(path, (line.encode("utf-8") for line in lines))
-
-
-def load_token_dataset(path: str | Path, vocab: Vocabulary) -> Iterator[tuple[str, list[int]]]:
-    with open(path, "rb") as fh:
-        for line_no, raw in enumerate(fh, 1):
-            try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                rec_id, ids = rec["id"], rec["ids"]
-                if not isinstance(ids, list) or any(type(i) is not int for i in ids):
-                    raise TypeError(f"ids must be a list of integers, got {ids!r:.80}")
-            # RecursionError: JSON nested too deeply
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                raise CatalogError(f"{path}:{line_no}: bad record: {exc!r}") from exc
-            if rec.get("vocab_hash") != vocab.vocab_hash:
-                raise VocabMismatch(
-                    f"{path}:{line_no}: vocab hash {rec.get('vocab_hash')} "
-                    f"!= expected {vocab.vocab_hash}")
-            outside = [i for i in ids if not 0 <= i < vocab.total_size]
-            if outside:
-                raise CatalogError(f"{path}:{line_no}: id {outside[0]} outside the "
-                                   f"vocabulary's 0..{vocab.total_size - 1}")
-            yield rec_id, ids

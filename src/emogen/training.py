@@ -90,14 +90,17 @@ def total_loss(cce: float, va: float, config: TrainConfig) -> float:
 
 # --- VA-predictor pretraining ---
 
+PREDICTOR_BATCH = 8
+HOLDOUT_FRACTION = 0.2  # of the pieces, leaving at least 2 to train on
+
+
 def pretrain_va_predictor(samples: Sequence[tuple[Sequence[int], tuple[float, float]]],
                           vocab_size: int, hidden: int = 64, epochs: int = 200,
-                          lr: float = 1e-3, batch_size: int = 8, seed: int = 0,
-                          holdout_fraction: float = 0.2) -> tuple[VaPredictor, dict]:
+                          lr: float = 1e-3, seed: int = 0) -> tuple[VaPredictor, dict]:
     """Fit the VA predictor on (token_ids, (valence, arousal)) samples.
 
-    Minimizes MAE with Adam; returns the predictor and a report with
-    train/holdout MAE. Deterministic under `seed`.
+    Minimizes MAE with Adam over batches of `PREDICTOR_BATCH`; returns the
+    predictor and a report with train/holdout MAE. Deterministic under `seed`.
     """
     if len(samples) < 2:
         raise CatalogTooSmall("need at least 2 labeled pieces")
@@ -105,11 +108,9 @@ def pretrain_va_predictor(samples: Sequence[tuple[Sequence[int], tuple[float, fl
     hists = np.stack([token_histogram(ids, vocab_size) for ids, _ in samples])
     labels = np.array([va for _, va in samples], dtype=np.float64)
 
-    n_holdout = min(len(samples) - 2, int(round(holdout_fraction * len(samples))))
+    n_holdout = min(len(samples) - 2, int(round(HOLDOUT_FRACTION * len(samples))))
     order = rng.permutation(len(samples))
     hold_idx, train_idx = order[:n_holdout], order[n_holdout:]
-    if train_idx.size < 2:
-        raise CatalogTooSmall("fewer than 2 training pieces after holdout split")
 
     predictor = VaPredictor(vocab_size, hidden, np.random.default_rng(seed))
     optimizer = Adam(predictor.parameters(), lr=lr)
@@ -122,8 +123,8 @@ def pretrain_va_predictor(samples: Sequence[tuple[Sequence[int], tuple[float, fl
     initial_mae = mae(train_idx)
     for epoch in range(1, epochs + 1):
         epoch_order = rng.permutation(train_idx)
-        for start in range(0, len(epoch_order), batch_size):
-            batch = epoch_order[start:start + batch_size]
+        for start in range(0, len(epoch_order), PREDICTOR_BATCH):
+            batch = epoch_order[start:start + PREDICTOR_BATCH]
             if batch.size < 2:  # train-mode batch norm needs >= 2 rows
                 continue
             predictor.zero_grad()

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,14 @@ class TestPair:
                      "--midis", str(workspace / "midis.csv"),
                      "--out", str(out), "--seed", "1", "--split", "2,0,0"]) == 0
         assert out.read_bytes() == (workspace / "pairs.json").read_bytes()
+
+    def test_seed_recorded_without_split(self, workspace, tmp_path):
+        out = tmp_path / "pairs.json"
+        assert main(["pair", "--images", str(workspace / "images.csv"),
+                     "--midis", str(workspace / "midis.csv"),
+                     "--out", str(out), "--seed", "7"]) == 0
+        manifest = load_manifest(out)
+        assert manifest.seed == 7 and manifest.split_counts() == {"": 2}  # no split tags
 
     def test_bad_split_counts_exit_1(self, workspace, tmp_path):
         code = main(["pair", "--images", str(workspace / "images.csv"),
@@ -271,6 +280,17 @@ class TestMetrics:
         with open(out) as fh:
             assert [row["path"] for row in csv.DictReader(fh)] == \
                 [str(midi_dir / "good.mid"), "MEAN"]
+
+    def test_every_file_skipped_writes_nan_mean(self, tmp_path, capsys):
+        midi_dir = tmp_path / "midis"
+        midi_dir.mkdir()
+        (midi_dir / "short.mid").write_bytes(
+            write_midi(MidiPiece(480, (NoteEvent(0, 60, 480, 64),))))
+        out = tmp_path / "metrics.csv"
+        assert main(["metrics", "--midi-dir", str(midi_dir), "--out", str(out)]) == 0
+        assert "short.mid: TooShort" in capsys.readouterr().err
+        with open(out) as fh:
+            assert list(csv.reader(fh))[1:] == [["MEAN", "nan", "nan", "nan", "nan"]]
 
     def test_empty_dir_exit_1(self, tmp_path):
         assert main(["metrics", "--midi-dir", str(tmp_path),
@@ -470,11 +490,12 @@ def _midi_catalog_at(workspace, tmp_path, midi_path):
     return tmp_path / "midis.csv"
 
 
-def _train_with(workspace, tmp_path, data=None, pair=None):
-    """`train` args for the workspace config with `data` keys and manifest
-    pair 0's keys replaced."""
+def _train_with(workspace, tmp_path, data=None, pair=None, train=None):
+    """`train` args for the workspace config with `data` and `train` keys and
+    manifest pair 0's keys replaced."""
     payload = json.loads((workspace / "run.json").read_text())
     payload["data"].update(data or {})
+    payload["train"].update(train or {})
     if pair:
         manifest = json.loads((workspace / "pairs.json").read_text())
         manifest["pairs"][0].update(pair)
@@ -493,6 +514,8 @@ MISSING_ARTIFACT_CASES = {
     "train-unset-manifest": lambda ws, tmp: _train_with(ws, tmp, data={"manifest": ""}),
     "train-unknown-midi-id": lambda ws, tmp: _train_with(ws, tmp, pair={"midi_id": "m9"}),
     "train-unknown-image-id": lambda ws, tmp: _train_with(ws, tmp, pair={"image_id": "i9"}),
+    "train-va-without-predictor": lambda ws, tmp: _train_with(
+        ws, tmp, train={"va_loss_mode": "hard"}),
     "pretrain-va-missing-midi": lambda ws, tmp: [
         "pretrain-va", "--midis", str(_midi_catalog_at(ws, tmp, tmp / "none.mid")),
         "--out", str(tmp / "va.emc")],
@@ -506,6 +529,20 @@ def test_missing_artifact_exit_1(workspace, tmp_path, capsys, case):
     assert err.startswith("error [MissingArtifacts]") and "Traceback" not in err
     assert not (tmp_path / "out" / "checkpoint.emc").exists()
     assert not (tmp_path / "va.emc").exists()
+
+
+def test_generate_without_pillow_exit_1(tmp_path, capsys, monkeypatch):
+    """An image that needs Pillow to decode, where Pillow is missing."""
+    model = EmoModel(ModelConfig(**dict(SMALL_MODEL, image_extractor="tiny-cnn",
+                                        image_size=8)))
+    model.save(tmp_path / "cnn.emc")
+    (tmp_path / "photo.png").write_bytes(b"\x89PNG\r\n\x1a\n")
+    monkeypatch.setitem(sys.modules, "PIL", None)
+    assert main(["generate", "--image", str(tmp_path / "photo.png"), "--checkpoint",
+                 str(tmp_path / "cnn.emc"), "--out", str(tmp_path / "a.mid")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [MissingArtifacts]") and "Pillow" in err
+    assert "Traceback" not in err and not (tmp_path / "a.mid").exists()
 
 
 def test_interrupted_ablation_midi_write_keeps_previous_file(workspace, tmp_path, monkeypatch):

@@ -179,8 +179,8 @@ def test_float32_fixed_context_logits_agree_with_float64(decoder_blocks):
         joint = models[1].merge(models[1].image_feature(feature),
                                 models[1].encode_midi(np.array([BOS])))
         cache = DecoderCache(models[1])
-        cached = np.concatenate([models[1].decode_logits(joint, ids[:n], cache=cache).data
-                                 for n in range(1, ids.size + 1)])
+        cached = np.concatenate([models[1].decode_logits(joint, ids[n:n + 1], cache=cache).data
+                                 for n in range(ids.size)])
     assert cached.dtype == np.float32
     assert np.linalg.norm(narrow - wide) <= 1e-5 * np.linalg.norm(wide)
     assert np.linalg.norm(cached - wide) <= 1e-5 * np.linalg.norm(wide)

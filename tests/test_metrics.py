@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from emogen.errors import BadMetricSetting, EmogenError, EmptyPiece, EmptyRoll, TooShort
-from emogen.metrics import (REFERENCE_TRIPLE, MetricTriple, evaluate_corpus,
-                            evaluate_piece, groove_consistency, mean_triple,
-                            music_quality_loss, pitch_entropy, polyphony_rate)
+from emogen.metrics import (REFERENCE_TRIPLE, MetricTriple, evaluate_piece,
+                            groove_consistency, mean_triple, music_quality_loss,
+                            pitch_entropy, polyphony_rate)
 from emogen.midi_io import MidiPiece, NoteEvent, PianoRoll, to_piano_roll
 
 from conftest import random_canonical_piece
@@ -145,8 +145,6 @@ class TestGrooveConsistency:
         grid = np.ones((1, 32), dtype=bool)
         roll = _roll(grid, onsets)
         assert groove_consistency(roll, 16) == pytest.approx(1 - 1 / 16)
-        # unnormalized keeps raw Hamming distances: 1 - 1 = 0
-        assert groove_consistency(roll, 16, normalized=False) == pytest.approx(0.0)
 
     def test_complementary_measures(self):
         onsets = np.zeros((1, 8), dtype=bool)
@@ -174,11 +172,6 @@ class TestQualityLoss:
         triple = MetricTriple(0.0, 0.0, 0.9922)
         assert music_quality_loss(triple) == pytest.approx((0.5303 + 3.9863) / 3)
 
-    def test_symmetry(self):
-        a = MetricTriple(0.1, 2.0, 0.5)
-        assert music_quality_loss(a, REFERENCE_TRIPLE) == \
-            pytest.approx(music_quality_loss(REFERENCE_TRIPLE, a))
-
 
 class TestEvaluate:
     def _long_random_piece(self, rng):
@@ -202,17 +195,6 @@ class TestEvaluate:
             assert triple.groove_consistency == pytest.approx(
                 oracle_groove(piece), abs=1e-12)
             assert loss == pytest.approx(music_quality_loss(triple), abs=1e-15)
-
-    def test_corpus_mean(self, rng):
-        pieces = [self._long_random_piece(rng) for _ in range(4)]
-        results, mean_loss = evaluate_corpus(pieces)
-        assert len(results) == 4
-        assert mean_loss == pytest.approx(
-            sum(loss for _, loss in results) / 4, abs=1e-15)
-
-    def test_empty_corpus(self):
-        results, mean_loss = evaluate_corpus([])
-        assert results == [] and math.isnan(mean_loss)
 
     def test_mean_triple(self):
         triples = [MetricTriple(0.0, 2.0, 1.0), MetricTriple(1.0, 4.0, 0.0)]

@@ -207,6 +207,13 @@ class TestParse:
         with pytest.raises(MalformedEvent):
             parse_midi(_smf(track))
 
+    def test_events_without_notes_are_skipped(self):
+        track = bytes([0x00, 0xF0, 0x02, 0x7E, 0xF7,  # sysex
+                       0x00, 0xB0, 7, 100,  # controller: two data bytes
+                       0x00, 0xC0, 5,  # program change: one data byte
+                       0x00, 0x90, 60, 80, 0x60, 0x80, 60, 0, 0x00, 0xFF, 0x2F, 0x00])
+        assert parse_midi(_smf(track)).notes == (NoteEvent(0, 60, 0x60, 80),)
+
     def test_zero_tempo_rejected(self):
         track = bytes([0x00, 0xFF, 0x51, 0x03, 0, 0, 0, 0x00, 0xFF, 0x2F, 0x00])
         with pytest.raises(MalformedEvent):
@@ -217,6 +224,8 @@ class TestParse:
         (_smf(bytes([0x81, 0x80, 0x80, 0x80, 0x00, 0xFF, 0x2F, 0x00])), TruncatedTrack,
          "variable-length quantity longer than 4 bytes"),
         (_smf(bytes([0x00, 0xFF])), TruncatedTrack, "truncated meta event"),
+        (_smf(bytes([0x00, 0xFF, 0x01, 0x00, 0x81, 0x00])), TruncatedTrack,
+         "track ended after a delta time"),
         (_smf(bytes([0x00, 0xA0, 60])), TruncatedTrack, "channel event truncated"),
         (_smf(bytes([0x00, 0xB0, 7])), TruncatedTrack, "channel event truncated"),
         (_smf(bytes([0x00, 0xE0])), TruncatedTrack, "channel event truncated"),
@@ -224,9 +233,18 @@ class TestParse:
         (_smf(bytes([0x00, 0xD5])), TruncatedTrack, "channel event truncated"),
         (_smf(bytes([0x00, 0xFF, 0x2F, 0x00]), division=0), MalformedHeader,
          "zero ticks per beat"),
-    ], ids=["vlq_over_4_bytes", "meta_without_type", "aftertouch_one_byte",
-            "controller_one_byte", "pitch_bend_no_bytes", "program_no_byte",
-            "channel_pressure_no_byte", "zero_ticks_per_beat"])
+        (_smf(bytes([0x00, 0x40])), TruncatedTrack, "data byte with no running status"),
+        (_smf(bytes([0x00, 0xFF, 0x01, 0x05, 0x41])), TruncatedTrack,
+         "meta event payload truncated"),
+        (_smf(bytes([0x00, 0xF0, 0x05, 0x01])), TruncatedTrack, "sysex payload truncated"),
+        (_smf(bytes([0x00, 0xF1])), TruncatedTrack, "unexpected status byte 0xf1"),
+        (_smf(bytes([0x00, 0xFF, 0x2F, 0x00]), fmt=3), MalformedHeader, "unknown SMF format 3"),
+        (_smf(b"")[:14], TruncatedTrack, "expected an MTrk chunk"),
+    ], ids=["vlq_over_4_bytes", "meta_without_type", "delta_time_at_end",
+            "aftertouch_one_byte", "controller_one_byte", "pitch_bend_no_bytes",
+            "program_no_byte", "channel_pressure_no_byte", "zero_ticks_per_beat",
+            "data_byte_first", "meta_payload_short", "sysex_payload_short",
+            "system_common_status", "format_3", "no_track_chunk"])
     def test_reader_branch_errors(self, data, error, message):
         with pytest.raises(error) as info:
             parse_midi(data)

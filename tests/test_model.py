@@ -3,13 +3,12 @@ import sys
 import types
 import zlib
 from dataclasses import asdict
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from emogen.errors import (BadFeatureFile, BadImage, CheckpointCorrupt,
-                           ConfigError, PrefixTooLong, VocabMismatch)
+from emogen.errors import (BadFeatureFile, BadImage, CheckpointCorrupt, ConfigError,
+                           MissingArtifacts, PrefixTooLong, VocabMismatch)
 from emogen.model import (IMAGE_FEATURE_DIM, DecoderCache, EmoModel, ModelConfig,
                           TinyCnnExtractor, VaPredictor, load_checkpoint, load_image,
                           load_va_predictor, read_feature_file,
@@ -20,7 +19,7 @@ from emogen.nn.layers import MASK_VALUE
 from emogen.tokenizer import BOS, EOS, PAD, decode
 from emogen.training import TrainConfig, TrainSample, cce_loss, fit
 
-from test_readers_fuzz import OVERFLOW_CHECKPOINT
+from test_readers_fuzz import OVERFLOW_CHECKPOINT, checkpoint_bytes
 
 
 def small_config(**overrides):
@@ -62,6 +61,15 @@ class TestFeatureFiles:
         write_feature_file(path, feature)
         path.write_bytes(path.read_bytes()[:-4])
         with pytest.raises(BadFeatureFile):
+            read_feature_file(path)
+
+    def test_unsupported_version(self, tmp_path, feature):
+        path = tmp_path / "x.emf"
+        write_feature_file(path, feature)
+        data = bytearray(path.read_bytes())
+        data[8:12] = struct.pack("<I", 2)  # the version follows the 8-byte magic
+        path.write_bytes(bytes(data))
+        with pytest.raises(BadFeatureFile, match="unsupported version 2$"):
             read_feature_file(path)
 
     def test_non_finite_rejected(self, tmp_path, feature):
@@ -141,8 +149,8 @@ def _png(pixels: np.ndarray) -> bytes:
 class _StandInImage:
     """What `load_image` uses of a Pillow image, read from a `_png` file."""
 
-    def __init__(self, path):
-        data = Path(path).read_bytes()
+    def __init__(self, fh):
+        data = fh.read()
         width, height = struct.unpack(">II", data[16:24])
         (length,) = struct.unpack(">I", data[33:37])  # the IDAT chunk follows IHDR
         rows = np.frombuffer(zlib.decompress(data[41:41 + length]), dtype=np.uint8)
@@ -205,6 +213,18 @@ class TestImageFiles:
         with pytest.raises(FileNotFoundError):
             load_image(tmp_path / "none.png", 8)
 
+    def test_missing_pillow_is_not_a_bad_image(self, monkeypatch, tmp_path):
+        monkeypatch.setitem(sys.modules, "PIL", None)  # `import PIL` fails
+        path = tmp_path / "img.png"
+        path.write_bytes(_png(self.PIXELS))
+        with pytest.raises(MissingArtifacts, match="needs Pillow"):
+            load_image(path, 8)
+
+    def test_missing_file_without_pillow_is_not_found(self, monkeypatch, tmp_path):
+        monkeypatch.setitem(sys.modules, "PIL", None)
+        with pytest.raises(FileNotFoundError):
+            load_image(tmp_path / "none.png", 8)
+
 
 class TestEncoder:
     def test_context_shape(self, model):
@@ -246,6 +266,18 @@ class TestDecoder:
                             model.encode_midi(np.array([BOS])))
         with pytest.raises(PrefixTooLong):
             model.decode_logits(joint, np.array([], dtype=np.int64))
+
+    def test_prefix_past_max_len_rejected(self, model, feature):
+        limit = model.config.max_len
+        with no_grad():
+            joint = model.merge(model.image_feature(feature), model.encode_midi(np.array([BOS])))
+            with pytest.raises(PrefixTooLong, match=f"prefix of {limit + 1} exceeds"):
+                model.decode_logits(joint, np.full(limit + 1, BOS))
+            cache = DecoderCache(model)
+            model.decode_logits(joint, np.full(limit - 1, BOS), cache=cache)
+            model.decode_logits(joint, [BOS], cache=cache)  # the last position
+            with pytest.raises(PrefixTooLong, match=f"prefix of {limit + 1} exceeds"):
+                model.decode_logits(joint, [BOS], cache=cache)
 
     def test_dense_decoder_variant(self, feature):
         model = EmoModel(small_config(decoder_blocks=0))
@@ -360,7 +392,7 @@ class TestFixedContext:
                                 model.encode_midi(np.array([BOS])))
             cache = DecoderCache(model)
             for step in range(40):
-                cached = model.decode_logits(joint, np.array(ids), cache=cache).data
+                cached = model.decode_logits(joint, ids[-1:], cache=cache).data
                 full = model.decode_logits(joint, np.array(ids)).data
                 assert cached.shape == (1, model.vocab.total_size)
                 assert cached.dtype == np.dtype(dtype)
@@ -457,6 +489,46 @@ class TestVaPredictor:
             load_va_predictor(path, vocab_hash="beef")
 
 
+def _model_file(tmp_path, blocks=None, **meta):
+    """A small model's checkpoint with `blocks` and `meta` keys replaced."""
+    model = EmoModel(small_config())
+    params = dict(model.parameters())
+    params.update(blocks or {})
+    save_checkpoint(tmp_path / "model.emc",
+                    {"kind": "emomodel", "config": asdict(model.config),
+                     "vocab_hash": model.vocab.vocab_hash, **meta}, params.items())
+    return tmp_path / "model.emc"
+
+
+def _bad_json(tmp_path):
+    path = tmp_path / "model.emc"
+    path.write_bytes(checkpoint_bytes(b"{oops", (1,)))
+    return path
+
+
+def _format_version_2(tmp_path):
+    path = _model_file(tmp_path)
+    path.write_bytes(path.read_bytes().replace(b'"format_version": 1', b'"format_version": 2'))
+    return path
+
+
+# case -> (load a bad checkpoint written under a directory, error, message)
+BAD_CHECKPOINTS = {
+    "vocab_hash": (lambda tmp: EmoModel.load(_model_file(tmp, vocab_hash="0" * 16)),
+                   VocabMismatch, "vocabulary hash mismatch"),
+    "model_as_va_predictor": (lambda tmp: load_va_predictor(_model_file(tmp)),
+                              CheckpointCorrupt, "not a VA-predictor checkpoint"),
+    "block_shape": (lambda tmp: EmoModel.load(_model_file(
+        tmp, blocks={"out_proj.bias": Tensor(np.zeros(3))})),
+        CheckpointCorrupt, r"block out_proj.bias has shape \(3,\)"),
+    "directory": (lambda tmp: EmoModel.load(tmp), CheckpointCorrupt, "Is a directory"),
+    "format_version_2": (lambda tmp: EmoModel.load(_format_version_2(tmp)),
+                         CheckpointCorrupt, "unsupported format version"),
+    "metadata_not_json": (lambda tmp: EmoModel.load(_bad_json(tmp)),
+                          CheckpointCorrupt, "model.emc: Expecting property name"),
+}
+
+
 class TestCheckpoints:
     def test_model_round_trip(self, tmp_path, feature):
         model = EmoModel(small_config(seed=5))
@@ -513,6 +585,8 @@ class TestCheckpoints:
         ("vocab_size", {}), ("hidden", {}), ("extra", {}),
         (None, {"hidden": "8"}), (None, {"vocab_size": True}),
         (None, {"extra": {"running": {"bn1_mean": [0.0]}}}),
+        (None, {"extra": {"running": {"bn1_mean": [0.0] * 7, "bn1_var": [1.0] * 8,
+                                      "bn2_mean": [0.0] * 8, "bn2_var": [1.0] * 8}}}),
     ])
     def test_bad_va_predictor_metadata(self, tmp_path, drop, replace):
         predictor = VaPredictor(16, 8, np.random.default_rng(0))
@@ -535,6 +609,12 @@ class TestCheckpoints:
                                "vocab_hash": model.vocab.vocab_hash}, wide.items())
         with pytest.raises(CheckpointCorrupt, match="out_proj.bias"):
             EmoModel.load(path)
+
+    @pytest.mark.parametrize("case", list(BAD_CHECKPOINTS))
+    def test_bad_checkpoint_is_typed(self, tmp_path, case):
+        load, error, message = BAD_CHECKPOINTS[case]
+        with pytest.raises(error, match=message):
+            load(tmp_path)
 
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path):
         model = EmoModel(small_config())

@@ -260,6 +260,33 @@ class TestLayers:
         assert report.passed, report.max_errors
 
 
+# each shape check of the layers, with the message it raises
+SHAPE_ERRORS = {
+    "embedding_id": (lambda: Embedding(10, 4, np.random.default_rng(0))(np.array([2, 10])),
+                     "token id outside embedding table"),
+    "batch_norm_dim": (lambda: BatchNorm(3)(Tensor(np.ones((4, 5))), train=True),
+                       r"batch norm dim 3 vs input \(4, 5\)"),
+    "conv_channels": (lambda: Conv2d(2, 3, 3, np.random.default_rng(0))(
+        Tensor(np.ones((3, 4, 4)))), "conv expects 2 channels, got 3"),
+    "odd_pool": (lambda: avg_pool2d(Tensor(np.ones((1, 5, 4)))),
+                 r"pooling size 2 does not divide \(5, 4\)"),
+    "backward_non_scalar": (lambda: Tensor(np.ones(3), requires_grad=True).backward(),
+                            r"backward\(\) requires a scalar output"),
+}
+
+
+@pytest.mark.parametrize("case", list(SHAPE_ERRORS))
+def test_shape_errors_are_typed(case):
+    call, message = SHAPE_ERRORS[case]
+    with pytest.raises(ShapeMismatch, match=message):
+        call()
+
+
+def test_tensor_repr():
+    assert repr(Tensor(np.ones((2, 3)), requires_grad=True)) == \
+        "Tensor(shape=(2, 3), requires_grad=True)"
+
+
 class TestAdam:
     def test_zero_grad_is_fixed_point(self):
         p = Parameter(np.array([1.0, -2.0]))

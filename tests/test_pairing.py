@@ -217,6 +217,12 @@ class TestFiles:
         mapping = load_va_dictionary(path)
         assert mapping == {"happy": VaPoint(7.5, 6.0), "sad": VaPoint(2.0, 3.0)}
 
+    def test_va_dictionary_out_of_range_reports_row(self, tmp_path):
+        path = tmp_path / "dict.csv"
+        path.write_text("label,valence,arousal\nhappy,7,6\nwild,5,9.5\n")
+        with pytest.raises(CatalogError, match=r"dict.csv:3: arousal 9.5 outside \[1.0, 9.0\]"):
+            load_va_dictionary(path)
+
     def test_va_dictionary_bad_header(self, tmp_path):
         path = tmp_path / "dict.csv"
         path.write_text("name,v,a\nhappy,7,6\n")

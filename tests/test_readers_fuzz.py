@@ -1,7 +1,6 @@
 """Fuzzed input files: every reader of outside data may only raise `EmogenError`."""
 
 import itertools
-import json
 import struct
 
 import numpy as np
@@ -14,9 +13,7 @@ from emogen.model import (CHECKPOINT_MAGIC, IMAGE_FEATURE_DIM, load_checkpoint,
                           read_feature_file, save_checkpoint, write_feature_file)
 from emogen.nn import Parameter
 from emogen.pairing import load_catalog
-from emogen.tokenizer import Vocabulary, load_token_dataset
 
-VOCAB = Vocabulary()
 FUZZ = settings(max_examples=150, deadline=None)
 DEEP = 100_000  # JSON nesting far past the interpreter's recursion limit
 
@@ -104,26 +101,6 @@ def test_load_checkpoint(scratch, valid_checkpoint, file):
 @given(file=FILES)
 def test_read_feature_file(scratch, valid_feature, file):
     _only_typed_errors(read_feature_file, scratch, _file_bytes(file, valid_feature))
-
-
-JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
-        st.sampled_from(["id", "ids", "vocab_hash"]) | st.text(max_size=3), inner, max_size=4),
-    max_leaves=10)
-RECORDS = st.fixed_dictionaries(
-    {"id": JSON_VALUES, "ids": JSON_VALUES | st.lists(st.integers() | st.floats(), max_size=5)},
-    optional={"vocab_hash": st.just(VOCAB.vocab_hash) | JSON_VALUES})
-
-
-@FUZZ
-@given(lines=st.lists(st.one_of(RECORDS.map(json.dumps), JSON_VALUES.map(json.dumps),
-                                st.binary(max_size=20)), min_size=1, max_size=3))
-@example(lines=['{"id": "a", "ids": [Infinity]}'])
-@example(lines=['{"id": "a", "ids": ' + "[" * DEEP + "]" * DEEP + "}"])
-def test_load_token_dataset(scratch, lines):
-    raw = b"\n".join(line if isinstance(line, bytes) else line.encode() for line in lines)
-    _only_typed_errors(lambda path: load_token_dataset(path, VOCAB), scratch, raw)
 
 
 CSV_CELLS = st.one_of(st.sampled_from(["1", "9", "5.5", "0", "nan", "inf", "-1", "x", ""]),

@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emogen.errors import CatalogError, EmogenError, TokenizerError, VocabMismatch
+from emogen.errors import EmogenError, TokenizerError
 from emogen.midi_io import MidiPiece, NoteEvent
-from emogen.tokenizer import (BOS, EOS, PAD, TokenSequence, Vocabulary,
-                              decode, encode, load_token_dataset,
-                              save_token_dataset)
+from emogen.tokenizer import BOS, EOS, PAD, TokenSequence, Vocabulary, decode, encode
 
 from conftest import random_canonical_piece
 
@@ -164,65 +162,3 @@ class TestDecode:
             again = encode(decode(seq, VOCAB), VOCAB)
             assert again.ids == seq.ids
 
-
-class TestDataset:
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "tokens.jsonl"
-        records = [("a", [1, 2]), ("b", [1, 5, 300, 2])]
-        save_token_dataset(path, records, VOCAB)
-        assert [(i, ids) for i, ids in load_token_dataset(path, VOCAB)] == records
-
-    @pytest.mark.parametrize("line", ["not json", '{"ids": [1, 2]}', '{"id": "a"}',
-                                      '[1, 2]', '{"id": "a", "ids": ["x"]}'])
-    def test_malformed_record_reports_line(self, tmp_path, line):
-        path = tmp_path / "tokens.jsonl"
-        save_token_dataset(path, [("a", [1, 2])], VOCAB)
-        with open(path, "a") as fh:
-            fh.write(line + "\n")
-        with pytest.raises(CatalogError, match="tokens.jsonl:2"):
-            list(load_token_dataset(path, VOCAB))
-
-    @pytest.mark.parametrize("bad_id", ["1.7", "1.0", "true", '"5"', "-5", "-1",
-                                        str(VOCAB.total_size), "99999"])
-    def test_bad_id_reports_line(self, tmp_path, bad_id):
-        """Non-integer (float, bool, string), negative and out-of-vocabulary ids."""
-        path = tmp_path / "tokens.jsonl"
-        save_token_dataset(path, [("a", [1, 2])], VOCAB)
-        with open(path, "a") as fh:
-            fh.write(f'{{"id": "b", "ids": [1, {bad_id}, 2], '
-                     f'"vocab_hash": "{VOCAB.vocab_hash}"}}\n')
-        with pytest.raises(CatalogError, match="tokens.jsonl:2"):
-            list(load_token_dataset(path, VOCAB))
-
-    def test_largest_id_loads(self, tmp_path):
-        path = tmp_path / "tokens.jsonl"
-        save_token_dataset(path, [("a", [1, VOCAB.total_size - 1, 2])], VOCAB)
-        assert list(load_token_dataset(path, VOCAB)) == [("a", [1, VOCAB.total_size - 1, 2])]
-
-    def test_non_utf8_record_reports_line(self, tmp_path):
-        path = tmp_path / "tokens.jsonl"
-        save_token_dataset(path, [("a", [1, 2])], VOCAB)
-        with open(path, "ab") as fh:
-            fh.write(b'{"id": "\xff", "ids": [1, 2]}\n')
-        with pytest.raises(CatalogError, match="tokens.jsonl:2"):
-            list(load_token_dataset(path, VOCAB))
-
-    def test_interrupted_write_keeps_previous_file(self, tmp_path):
-        path = tmp_path / "tokens.jsonl"
-        save_token_dataset(path, [("a", [1, 2])], VOCAB)
-        before = path.read_bytes()
-
-        def records():
-            yield "b", [1, 5, 2]
-            raise RuntimeError("interrupted")
-
-        with pytest.raises(RuntimeError):
-            save_token_dataset(path, records(), VOCAB)
-        assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["tokens.jsonl"]
-
-    def test_vocab_mismatch(self, tmp_path):
-        path = tmp_path / "tokens.jsonl"
-        save_token_dataset(path, [("a", [1, 2])], VOCAB)
-        with pytest.raises(VocabMismatch):
-            list(load_token_dataset(path, Vocabulary(velocity_bins=8)))

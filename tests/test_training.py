@@ -146,6 +146,10 @@ class TestVaLoss:
         with pytest.raises(ShapeMismatch):
             va_loss(np.array([1]), Tensor(np.ones((1, 9)) / 9), self._predictor(12))
 
+    def test_unknown_mode(self):
+        with pytest.raises(ConfigError, match="unknown va_loss mode 'median'"):
+            va_loss(np.array([1]), Tensor(np.ones((1, 12)) / 12), self._predictor(), "median")
+
 
 class TestPretrain:
     def _labeled(self, rng, n=24, vocab=20):
@@ -171,6 +175,13 @@ class TestPretrain:
         _, a = pretrain_va_predictor(samples, 20, hidden=16, epochs=10, seed=3)
         _, b = pretrain_va_predictor(samples, 20, hidden=16, epochs=10, seed=3)
         assert a == b
+
+    def test_one_row_batch_is_skipped(self, rng):
+        """11 pieces hold out 2 and train on 9: a batch of 8, then one row,
+        which train-mode batch norm cannot take."""
+        _, report = pretrain_va_predictor(self._labeled(rng, n=11), 20, hidden=16, epochs=3)
+        assert (report["n_train"], report["n_holdout"]) == (9, 2)
+        assert report["train_mae"] != report["initial_train_mae"]
 
     def test_too_few_samples(self):
         with pytest.raises(CatalogTooSmall):

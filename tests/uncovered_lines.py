@@ -4,9 +4,12 @@ Run from anywhere; extra arguments go to pytest:
 
     python tests/uncovered_lines.py [pytest args]
 
-The tier-1 suite runs in this process under a `sys.settrace` line tracer;
-the executable lines of each module are the line numbers of its code objects
-(`co_lines`). Only the standard library is used for this, no coverage package.
+It exits 1 when it prints a line, and with pytest's status when a test
+fails, so it can gate a CI run. The tier-1 suite runs in this process under
+a `sys.settrace` line tracer; the executable lines of each module are the
+line numbers of its code objects (`co_lines`), less the body of a top-level
+`if __name__ == "__main__":`, which only a script run reaches. Only the
+standard library is used for this, no coverage package.
 Lines that run only in a subprocess (the perfbench smoke tests, the
 fresh-interpreter import checks) count as not executed. pytest does not
 collect this file: its name does not start with `test_`.
@@ -14,6 +17,7 @@ collect this file: its name does not start with `test_`.
 
 from __future__ import annotations
 
+import ast
 import os
 import sys
 import threading
@@ -25,13 +29,18 @@ PACKAGE = ROOT / "src" / "emogen"
 
 
 def executable_lines(path: Path) -> set[int]:
-    """The line numbers of every code object compiled from `path`."""
-    code = compile(path.read_text(encoding="utf-8"), str(path), "exec")
+    """The line numbers of every code object compiled from `path`, less the
+    body of a top-level `if __name__ == "__main__":`."""
+    source = path.read_text(encoding="utf-8")
+    code = compile(source, str(path), "exec")
     stack, lines = [code], set()
     while stack:
         code = stack.pop()
         lines.update(line for _, _, line in code.co_lines() if line)
         stack.extend(const for const in code.co_consts if hasattr(const, "co_lines"))
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'":
+            lines -= set(range(node.body[0].lineno, node.end_lineno + 1))
     return lines
 
 
@@ -93,7 +102,7 @@ def main(argv: list[str]) -> int:
             print(f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
     print(f"{missed} of {total} executable lines in {PACKAGE.relative_to(ROOT)} "
           f"not executed (pytest exit {int(status)})")
-    return int(status)
+    return int(status) or int(missed > 0)
 
 
 if __name__ == "__main__":
