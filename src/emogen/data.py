@@ -62,5 +62,8 @@ def load_training_samples(data_cfg: DataConfig, model_cfg: ModelConfig,
                                    token_ids=piece_cache[midi_path],
                                    pair_id=f"{midi_id}:{image_id}"))
     if not samples:
-        raise MissingArtifacts(f"no pairs with split {split!r} in the manifest")
+        raise MissingArtifacts(
+            f"no pairs with split {split!r} in {data_cfg.manifest} (pairs per split tag: "
+            f"{manifest.split_counts()}); tag the pairs with `emogen pair --split "
+            f"TRAIN,TEST,VAL`, or set data.split to \"\" to train on every pair")
     return samples

@@ -22,7 +22,7 @@ import numpy as np
 from ._files import write_atomic
 from .config import ModelConfig
 from .errors import (BadFeatureFile, BadImage, CheckpointCorrupt, ConfigError,
-                     MissingArtifacts, PrefixTooLong, VocabMismatch)
+                     MissingArtifacts, NonFiniteError, PrefixTooLong, VocabMismatch)
 from .nn import (BatchNorm, Conv2d, Embedding, FeedForward, KVCache, LayerNorm, Linear,
                  Module, MultiHeadAttention, Tensor, avg_pool2d, concat,
                  global_avg_pool, no_grad, relu, reshape, sinusoidal_positions,
@@ -292,10 +292,13 @@ class EmoModel(Module):
             x = take(x, slice(1, None))  # drop the memory row
         return self.out_proj(x)  # (n, vocab), or (1, vocab) with a cache
 
-    def forward_logits(self, image_source, prefix_ids) -> Tensor:
+    def forward_logits(self, image_source, prefix_ids, context: Tensor | None = None) -> Tensor:
         """Teacher-forcing forward: logits over `prefix_ids`, conditioned on
-        the image and the encoder's view of [BOS]."""
-        joint = self.merge(self.image_feature(image_source), self.encode_midi(FIXED_CONTEXT))
+        the image and `context`, the encoder's view of [BOS] (encoded here
+        when None)."""
+        if context is None:
+            context = self.encode_midi(FIXED_CONTEXT)
+        joint = self.merge(self.image_feature(image_source), context)
         return self.decode_logits(joint, prefix_ids)
 
     # --- generation ---
@@ -411,8 +414,8 @@ def _assign_blocks(module: Module, blocks: dict[str, np.ndarray], path) -> None:
 def save_checkpoint(path: str | Path, meta: dict, named_params) -> None:
     """Versioned binary container: magic, JSON metadata, named LE blocks.
 
-    Written atomically: a failure part-way leaves any earlier checkpoint at
-    `path` untouched.
+    Written atomically: a failure part-way, such as a block holding NaN or
+    inf (`NonFiniteError`), leaves any earlier checkpoint at `path` untouched.
     """
     payload = json.dumps(dict(meta, format_version=1), sort_keys=True).encode()
     write_atomic(path, _checkpoint_chunks(payload, named_params))
@@ -425,6 +428,8 @@ def _checkpoint_chunks(payload: bytes, named_params):
     for name, param in named:
         encoded = name.encode()
         arr = np.ascontiguousarray(param.data, dtype="<f8")
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(f"block {name} holds NaN or inf values; no checkpoint written")
         yield struct.pack("<H", len(encoded)) + encoded
         yield struct.pack("<B", arr.ndim)
         yield struct.pack(f"<{arr.ndim}I", *arr.shape)

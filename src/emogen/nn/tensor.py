@@ -1,9 +1,10 @@
 """Reverse-mode autodiff over dense numpy arrays.
 
 Tensors wrap float arrays; operations record a backward closure so that
-`Tensor.backward()` on a scalar accumulates gradients into every
-requires-grad leaf. All reductions use numpy's deterministic row-major
-accumulation, so repeated runs are bit-identical.
+`Tensor.backward()` on a scalar, or `Tensor.backward(grad)` on any output,
+accumulates gradients into every requires-grad leaf. All reductions use
+numpy's deterministic row-major accumulation, so repeated runs are
+bit-identical.
 
 Every op keeps the dtype of its operands: a float array keeps its dtype,
 a constant (Python scalar or array) combined with a Tensor takes that
@@ -82,9 +83,15 @@ class Tensor:
 
     # --- backprop driver ---
 
-    def backward(self) -> None:
-        if self.data.size != 1:
-            raise ShapeMismatch("backward() requires a scalar output")
+    def backward(self, grad: np.ndarray | None = None) -> None:
+        """Accumulate d(self)/d(leaf) into every requires-grad leaf, seeded
+        with `grad` (self's shape), or with 1 when self is a scalar."""
+        if grad is None:
+            if self.data.size != 1:
+                raise ShapeMismatch("backward() requires a scalar output or a seed gradient")
+            grad = np.ones_like(self.data)
+        elif np.shape(grad) != self.data.shape:
+            raise ShapeMismatch(f"seed gradient {np.shape(grad)} vs output {self.data.shape}")
         topo: list[Tensor] = []
         seen: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]
@@ -99,7 +106,7 @@ class Tensor:
             stack.append((node, True))
             for parent in node._parents:
                 stack.append((parent, False))
-        self._accumulate(np.ones_like(self.data))
+        self._accumulate(grad)
         for node in reversed(topo):
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)

@@ -22,7 +22,7 @@ from ._files import write_csv
 from .config import TrainConfig
 from .errors import (CatalogTooSmall, ConfigError, NonFiniteError,
                      PredictorMissing, ShapeMismatch)
-from .model import EmoModel, VaPredictor, token_histogram
+from .model import FIXED_CONTEXT, EmoModel, VaPredictor, token_histogram
 from .nn import (Adam, Tensor, absolute, log_softmax, no_grad, reshape, softmax,
                  take, tensor_mean, tensor_sum)
 from .tokenizer import PAD
@@ -157,9 +157,11 @@ def fit(model: EmoModel, samples: Sequence[TrainSample], config: TrainConfig,
         loss_csv: str | Path | None = None) -> list[EpochStats]:
     """Teacher-forced next-token training over image/MIDI pairs.
 
-    Per pair the encoder sees [BOS] and the decoder is trained on prefix ->
-    next-token targets. Gradients accumulate over each batch before one Adam
-    step. Fully deterministic under config.seed.
+    The decoder is trained on prefix -> next-token targets. The encoder sees
+    only [BOS], so it runs once per batch: every pair reads its output
+    through one leaf, and the leaf's summed gradient goes back through the
+    encoder once, after the batch's pairs. Gradients accumulate over each
+    batch before one Adam step. Fully deterministic under config.seed.
     """
     if not samples:
         raise CatalogTooSmall("no training samples")
@@ -183,11 +185,13 @@ def fit(model: EmoModel, samples: Sequence[TrainSample], config: TrainConfig,
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             model.zero_grad()
+            context = model.encode_midi(FIXED_CONTEXT)
+            shared = Tensor(context.data, requires_grad=True)
             for index in batch:
                 sample = samples[index]
                 ids = np.asarray(sample.token_ids, dtype=np.int64)
                 prefix, targets = ids[:-1], ids[1:]
-                logits = model.forward_logits(sample.image, prefix)
+                logits = model.forward_logits(sample.image, prefix, context=shared)
                 keep = targets != PAD
                 cce = cce_loss(logits, targets, pad_mask=keep)
                 objective = cce * config.lambda_cc
@@ -208,6 +212,7 @@ def fit(model: EmoModel, samples: Sequence[TrainSample], config: TrainConfig,
                 sum_cc += cc_value
                 sum_va += va_value
                 sum_total += total_loss(cc_value, va_value, config)
+            context.backward(shared.grad)
             optimizer.step()
         n = len(samples)
         history.append(EpochStats(epoch=epoch, l_cc=sum_cc / n, l_va=sum_va / n,

@@ -19,6 +19,7 @@ from emogen.model import (IMAGE_FEATURE_DIM, EmoModel, ModelConfig,
                            load_va_predictor, save_checkpoint, write_feature_file)
 from emogen.pairing import load_manifest
 from emogen.tokenizer import EOS
+from emogen.training import fit
 
 from test_readers_fuzz import OVERFLOW_CHECKPOINT
 
@@ -93,6 +94,17 @@ class TestPair:
                      "--out", str(out), "--seed", "7"]) == 0
         manifest = load_manifest(out)
         assert manifest.seed == 7 and manifest.split_counts() == {"": 2}  # no split tags
+
+    def test_train_on_unsplit_manifest_names_both_fixes(self, workspace, tmp_path, capsys):
+        out = tmp_path / "pairs.json"
+        assert main(["pair", "--images", str(workspace / "images.csv"),
+                     "--midis", str(workspace / "midis.csv"), "--out", str(out)]) == 0
+        train = _train_with(workspace, tmp_path, data={"manifest": str(out)})
+        assert main(train) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [MissingArtifacts]") and "{'': 2}" in err
+        assert "emogen pair --split" in err and "data.split" in err
+        assert main(_train_with(workspace, tmp_path, data={"manifest": str(out), "split": ""})) == 0
 
     def test_bad_split_counts_exit_1(self, workspace, tmp_path):
         code = main(["pair", "--images", str(workspace / "images.csv"),
@@ -198,6 +210,23 @@ class TestTrainGenerate:
         assert main(["train", "--config", str(workspace / "run.json"),
                      "--out-dir", str(out)]) == 2
         assert "NonFiniteError" in capsys.readouterr().err
+        assert not (out / "checkpoint.emc").exists()
+
+    def test_non_finite_weights_exit_2_without_checkpoint(self, workspace, tmp_path,
+                                                          monkeypatch, capsys):
+        """Weights that overflow while every loss stays finite (as a huge
+        learning rate does) are refused at the checkpoint."""
+        def overflowing_fit(model, *args, **kwargs):
+            history = fit(model, *args, **kwargs)
+            model.out_proj.weight.data[0, 0] = np.inf
+            return history
+
+        monkeypatch.setattr(cli, "fit", overflowing_fit)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(workspace / "run.json"),
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "NonFiniteError" in err and "out_proj.weight" in err
         assert not (out / "checkpoint.emc").exists()
 
 

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from emogen.errors import (BadFeatureFile, BadImage, CheckpointCorrupt, ConfigError,
-                           MissingArtifacts, PrefixTooLong, VocabMismatch)
+                           MissingArtifacts, NonFiniteError, PrefixTooLong,
+                           VocabMismatch)
 from emogen.model import (IMAGE_FEATURE_DIM, DecoderCache, EmoModel, ModelConfig,
                           TinyCnnExtractor, VaPredictor, load_checkpoint, load_image,
                           load_va_predictor, read_feature_file,
@@ -603,10 +604,15 @@ class TestCheckpoints:
     def test_non_finite_block_rejected(self, tmp_path, value):
         model = EmoModel(small_config())
         wide = {name: Tensor(p.data.astype(np.float64)) for name, p in model.parameters()}
-        wide["out_proj.bias"].data[0] = value
+        marker = struct.pack("<d", 1234.5)
+        wide["out_proj.bias"].data[0] = 1234.5
         path = tmp_path / "model.emc"
         save_checkpoint(path, {"kind": "emomodel", "config": asdict(model.config),
                                "vocab_hash": model.vocab.vocab_hash}, wide.items())
+        # the writer refuses NaN and inf, so the value goes into the written bytes
+        raw = path.read_bytes()
+        assert raw.count(marker) == 1
+        path.write_bytes(raw.replace(marker, struct.pack("<d", value)))
         with pytest.raises(CheckpointCorrupt, match="out_proj.bias"):
             EmoModel.load(path)
 
@@ -630,6 +636,25 @@ class TestCheckpoints:
             save_checkpoint(path, {"kind": "emomodel"}, failing_params())
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["model.emc"]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind, block", [("model", "decoder_stack.0.ffn.fc1.weight"),
+                                             ("va_predictor", "fc2.bias")])
+    def test_non_finite_block_keeps_previous_checkpoint(self, tmp_path, kind, block, value):
+        if kind == "model":
+            module = EmoModel(small_config())
+            save = module.save
+        else:
+            module = VaPredictor(16, 8, np.random.default_rng(0))
+            save = lambda path: save_va_predictor(path, module, vocab_hash="abcd")  # noqa: E731
+        path = tmp_path / "checkpoint.emc"
+        save(path)
+        before = path.read_bytes()
+        dict(module.parameters())[block].data.flat[3] = value
+        with pytest.raises(NonFiniteError, match=rf"block {block} holds NaN or inf"):
+            save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.emc"]
 
     def test_meta_survives(self, tmp_path):
         from emogen.nn import Parameter

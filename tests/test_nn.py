@@ -19,6 +19,12 @@ class TestTensorOps:
         with pytest.raises(ShapeMismatch):
             matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((2, 3))))
 
+    def test_backward_from_a_seed_gradient(self):
+        x = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
+        seed = np.array([[1.0, -1.0], [0.5, 2.0]])
+        (x * x).backward(seed)
+        assert np.array_equal(x.grad, 2.0 * x.data * seed)
+
     def test_transpose_involution(self):
         x = np.arange(6.0).reshape(2, 3)
         assert np.array_equal(transpose(transpose(Tensor(x))).data, x)
@@ -272,6 +278,8 @@ SHAPE_ERRORS = {
                  r"pooling size 2 does not divide \(5, 4\)"),
     "backward_non_scalar": (lambda: Tensor(np.ones(3), requires_grad=True).backward(),
                             r"backward\(\) requires a scalar output"),
+    "backward_seed_shape": (lambda: Tensor(np.ones(3), requires_grad=True).backward(np.ones(2)),
+                            r"seed gradient \(2,\) vs output \(3,\)"),
 }
 
 

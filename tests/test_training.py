@@ -220,6 +220,21 @@ class TestFit:
             outputs.append((csv_path.read_bytes(), ckpt.read_bytes()))
         assert outputs[0] == outputs[1]
 
+    def test_encoder_runs_once_per_batch(self, monkeypatch):
+        model = EmoModel(small_config())
+        samples = _samples(np.random.default_rng(0), n=6, vocab=model.vocab.total_size)
+        config = TrainConfig(lr=1e-3, epochs=2, batch_size=2, va_loss_mode="off")
+        calls = []
+        encode = EmoModel.encode_midi
+
+        def counted(self, ids):
+            calls.append(len(ids))
+            return encode(self, ids)
+
+        monkeypatch.setattr(EmoModel, "encode_midi", counted)
+        fit(model, samples, config)
+        assert calls == [1] * 6  # 2 epochs x 3 batches, each encoding [BOS] alone
+
     def test_va_off_reports_zero_column(self, tmp_path):
         model, samples, config = self._setup()
         history = fit(model, samples, config)
