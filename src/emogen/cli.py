@@ -254,11 +254,19 @@ def cmd_ablate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     base.echo(out_dir, "base_config.json")
 
-    results = []
+    results, taken = [], {"base_config.json", "ablation.csv", "ablation.md"}
     for index, variant in enumerate(variants):
         given = isinstance(variant, dict) and variant.get("name")
         name = str(given or f"variant{index}")
+        repeated = name in taken
+        taken.add(name)
         try:
+            # the name is the variant's directory under out_dir, so it must be one
+            # plain path component that neither the sweep's files nor an earlier
+            # variant took
+            if repeated or name in (".", "..") or Path(name).name != name or "\0" in name:
+                raise ConfigError(f"variant {index}: name {name!r} is not one plain path "
+                                  f"component, or is taken in the output directory")
             if not isinstance(variant, dict) or set(variant) - {"name", "model", "train"}:
                 raise ConfigError(f"variant {index}: not an object of name, model and train")
             merged = asdict(base)

@@ -3,10 +3,10 @@
 The image feature (a precomputed 512-d vector or the tiny CNN's output) is
 projected to `model_dim` and concatenated with the MIDI context: the mean of
 the encoder blocks' output over the one input [BOS]. `mem_proj` maps the
-pair to a memory row, which the causal decoder blocks see as position 0 (or
-which is added to every position when there are no decoder blocks); the
-vocabulary head reads the decoder's rows. Generation caches the memory row
-and each decoder block's keys and values, so a step decodes one row.
+pair to the memory row, which the causal decoder blocks see as position 0
+(or which is added to every position when there are no decoder blocks); the
+vocabulary head reads the decoder's rows. Generation caches each decoder
+block's keys and values, so a step decodes one row.
 """
 
 from __future__ import annotations
@@ -114,10 +114,10 @@ class Block(Module):
         self.ffn = FeedForward(dim, ff_dim, rng)
         self.norm2 = LayerNorm(dim)
 
-    def __call__(self, x: Tensor, causal: bool = False, cache: KVCache | None = None) -> Tensor:
+    def __call__(self, x: Tensor, cache: KVCache | None = None) -> Tensor:
         """With a `cache`, `x` holds only the rows after those cached and also
         attends to the cached rows."""
-        x = self.norm1(x + self.attn(x, causal=causal, cache=cache))
+        x = self.norm1(x + self.attn(x, cache=cache))
         return self.norm2(x + self.ffn(x))
 
 
@@ -180,12 +180,11 @@ FIXED_CONTEXT = np.array([BOS])  # the encoder's input, in training and in gener
 
 class DecoderCache:
     """What `EmoModel.decode_logits` keeps between the steps of one piece:
-    the memory row and each decoder block's keys and values, with room for
-    the memory slot plus `max_len` ids."""
+    each decoder block's keys and values, with room for the memory slot plus
+    `max_len` ids."""
 
     def __init__(self, model: "EmoModel"):
         rows = model.config.max_len + 1
-        self.memory: Tensor | None = None
         self.blocks = [KVCache(rows, model.config.model_dim, model.dtype)
                        for _ in model.decoder_stack]
         self.length = 0  # ids decoded so far
@@ -254,18 +253,21 @@ class EmoModel(Module):
             x = block(x)
         return tensor_mean(x, axis=0)  # (model_dim,)
 
-    def merge(self, image_feature: Tensor, midi_context: Tensor) -> Tensor:
-        """Project the image feature and concatenate with the MIDI context."""
-        return concat([self.img_proj(image_feature), midi_context], axis=0)  # (2d,)
+    def memory(self, image_source, context: Tensor | None = None) -> Tensor:
+        """The (model_dim,) row that conditions the decoder: the projected
+        image feature and `context`, the encoder's view of [BOS] (encoded
+        here when None), mapped through `mem_proj`."""
+        if context is None:
+            context = self.encode_midi(FIXED_CONTEXT)
+        return self.mem_proj(concat([self.img_proj(self.image_feature(image_source)), context],
+                                    axis=0))
 
-    def decode_logits(self, joint: Tensor, ids, cache: DecoderCache | None = None) -> Tensor:
-        """Per-position vocabulary logits for a prefix, conditioned on `joint`.
+    def decode_logits(self, memory: Tensor, ids, cache: DecoderCache | None = None) -> Tensor:
+        """Vocabulary logits, one row per id in `ids`, conditioned on `memory`.
 
-        Without a `cache`, `ids` is the whole prefix and the result has a row
-        per id. With one, `ids` are the ids after those already cached (on
-        the first call, a whole prefix): the memory row and the earlier keys
-        and values come from the cache, and the result is the (1, vocab) row
-        of the newest id. Every call on one cache passes the same `joint`.
+        Without a `cache`, `ids` is the whole prefix. With one, `ids` are the
+        ids after those already cached (on the first call, a whole prefix),
+        and they attend to the cached keys and values as well.
         """
         ids = self._check_ids(ids)
         if ids.size == 0:
@@ -274,32 +276,26 @@ class EmoModel(Module):
         n = done + ids.size
         if n > self.config.max_len:
             raise PrefixTooLong(f"prefix of {n} exceeds max_len {self.config.max_len}")
-        d = self.config.model_dim
-        memory = cache.memory if done else self.mem_proj(joint)  # (d,)
+        memory = reshape(memory, (1, self.config.model_dim))
         x = self.embedding(ids) + Tensor(self.positions[done + 1:n + 1])
         if self.decoder_stack:
             caches = [None] * len(self.decoder_stack) if cache is None else cache.blocks
-            if not done:
-                x = concat([reshape(memory, (1, d)) + Tensor(self.positions[:1]), x], axis=0)
+            if not done:  # the memory row's keys and values go into the caches
+                x = concat([memory + Tensor(self.positions[:1]), x], axis=0)
             for block, kv in zip(self.decoder_stack, caches):
-                x = block(x, causal=True, cache=kv)
+                x = block(x, cache=kv)
+            if not done:
+                x = take(x, slice(1, None))  # drop the memory row
         else:
-            x = self.dense_decoder(x + reshape(memory, (1, d)))
+            x = self.dense_decoder(x + memory)
         if cache is not None:
-            x = take(x, slice(-1, None))
-            cache.memory, cache.length = memory, n
-        elif self.decoder_stack:
-            x = take(x, slice(1, None))  # drop the memory row
-        return self.out_proj(x)  # (n, vocab), or (1, vocab) with a cache
+            cache.length = n
+        return self.out_proj(x)  # (ids.size, vocab)
 
     def forward_logits(self, image_source, prefix_ids, context: Tensor | None = None) -> Tensor:
         """Teacher-forcing forward: logits over `prefix_ids`, conditioned on
-        the image and `context`, the encoder's view of [BOS] (encoded here
-        when None)."""
-        if context is None:
-            context = self.encode_midi(FIXED_CONTEXT)
-        joint = self.merge(self.image_feature(image_source), context)
-        return self.decode_logits(joint, prefix_ids)
+        the image and `context` as in `memory`."""
+        return self.decode_logits(self.memory(image_source, context), prefix_ids)
 
     # --- generation ---
 
@@ -308,9 +304,9 @@ class EmoModel(Module):
                  seed: int = 0) -> TokenSequence:
         """Autoregressive decoding from BOS; greedy or seeded temperature sampling.
 
-        The context, the memory row and each decoder block's keys and values
-        are computed once per piece and cached, so a step runs the decoder on
-        the newest id alone."""
+        The memory row is computed once per piece and each decoder block's
+        keys and values are cached, so a step runs the decoder on the newest
+        id alone."""
         if max_len is not None and max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {max_len}")
         limit = self.config.max_len if max_len is None else min(max_len, self.config.max_len)
@@ -321,10 +317,10 @@ class EmoModel(Module):
         rng = np.random.default_rng(seed)
         ids = [BOS]
         with no_grad():
-            joint = self.merge(self.image_feature(image_source), self.encode_midi(FIXED_CONTEXT))
+            memory = self.memory(image_source)
             cache = DecoderCache(self)
             while len(ids) < limit:
-                logits = self.decode_logits(joint, ids[-1:], cache=cache).data[0]
+                logits = self.decode_logits(memory, ids[-1:], cache=cache).data[0]
                 if strategy == "greedy":
                     next_id = int(np.argmax(logits))
                 else:

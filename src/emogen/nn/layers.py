@@ -124,17 +124,16 @@ class MultiHeadAttention(Module):
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
-    def __call__(self, x: Tensor, causal: bool = False, cache: KVCache | None = None) -> Tensor:
-        """Self-attention over the rows of `x`. With a `cache`, the projections
-        of `x` are appended to it and all cached rows serve as keys and values;
-        the rows of `x` are the last of them, so a causal query sees the keys
-        up to its own row and a single query row sees them all."""
+    def __call__(self, x: Tensor, cache: KVCache | None = None) -> Tensor:
+        """Causal self-attention over the rows of `x`: each row attends to the
+        rows up to itself. With a `cache`, the projections of `x` are appended
+        to it, and the rows of `x` also attend to every row cached before them."""
         keys, values = self.wk(x), self.wv(x)
         if cache is not None:
             keys, values = cache.extend(keys, values)
         tq, tk = x.shape[0], keys.shape[0]
         mask = (np.triu(np.full((tq, tk), MASK_VALUE, x.data.dtype), k=tk - tq + 1)
-                if causal and tq > 1 else None)
+                if tq > 1 else None)
         return self.wo(attention(self.wq(x), keys, values, self.heads, mask))
 
 

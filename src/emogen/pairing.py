@@ -102,6 +102,8 @@ def pair_datasets(midis: Sequence[TaggedItem], images: Sequence[TaggedItem]) -> 
 def split(manifest: PairManifest, counts: tuple[int, int, int], seed: int) -> PairManifest:
     """Assign train/test/val tags by a seeded shuffle then contiguous slices."""
     train, test, val = counts
+    if min(counts) < 0:
+        raise CountMismatch(f"split counts {counts} must not be negative")
     if train + test + val != len(manifest.pairs):
         raise CountMismatch(
             f"split counts {counts} sum to {train + test + val}, "

@@ -102,6 +102,8 @@ def pretrain_va_predictor(samples: Sequence[tuple[Sequence[int], tuple[float, fl
     Minimizes MAE with Adam over batches of `PREDICTOR_BATCH`; returns the
     predictor and a report with train/holdout MAE. Deterministic under `seed`.
     """
+    if epochs < 1 or not lr > 0:
+        raise ConfigError(f"epochs must be >= 1 and lr positive, got epochs {epochs}, lr {lr}")
     if len(samples) < 2:
         raise CatalogTooSmall("need at least 2 labeled pieces")
     rng = np.random.default_rng(seed)

@@ -113,11 +113,13 @@ class TestPair:
         assert code == 1
 
     def test_malformed_split_exit_1(self, workspace, tmp_path):
-        for counts in ("two,0,0", "1,2"):  # not integers; not three counts
+        # not integers; not three counts; a negative count that sums to the 2 pairs
+        for counts in ("two,0,0", "1,2", "1,2,-1"):
             code = main(["pair", "--images", str(workspace / "images.csv"),
                          "--midis", str(workspace / "midis.csv"),
                          "--out", str(tmp_path / "x.json"), "--split", counts])
             assert code == 1
+            assert not (tmp_path / "x.json").exists()
 
     def test_missing_catalog_exit_2(self, tmp_path):
         code = main(["pair", "--images", str(tmp_path / "none.csv"),
@@ -269,6 +271,15 @@ class TestPretrainVa:
         point = predictor.predict_va([1, 5, 5, 2])
         assert 1.0 <= point.valence <= 9.0
 
+    @pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--epochs", "-3"),
+                                             ("--lr", "0"), ("--lr", "-1"), ("--lr", "nan")])
+    def test_non_positive_epochs_or_lr_exit_1(self, workspace, tmp_path, capsys, flag, value):
+        out = tmp_path / "va.emc"
+        assert main(["pretrain-va", "--midis", str(workspace / "midis.csv"),
+                     "--out", str(out), flag, value]) == 1
+        assert capsys.readouterr().err.startswith("error [ConfigError]")
+        assert not out.exists()
+
 
 class TestMetrics:
     def test_rows_match_module(self, tmp_path):
@@ -344,8 +355,11 @@ class TestMetrics:
 class TestGradcheck:
     def test_exit_zero(self, capsys):
         assert main(["gradcheck"]) == 0
-        out = capsys.readouterr().out
-        assert "full_model" in out and "FAIL" not in out
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [row[0] for row in rows] == [
+            "linear", "embedding", "layer_norm", "batch_norm", "attention",
+            "decoder_block", "cce", "soft_va_loss", "full_model"]
+        assert all(row[-1] == "ok" for row in rows)
 
     @pytest.mark.parametrize("content", [None, "{", '{"model": {"model_dim": "x"}}'],
                              ids=["missing", "bad-json", "bad-value"])
@@ -619,13 +633,34 @@ VARIANT_SECTIONS = [(section, value) for section, value in BAD_CASES
                     if section in ("model", "train")] + [("data", {"split": "val"})]
 
 
+# names that are not one plain path component, so the variant's directory
+# would not be a child of --out-dir, or that the sweep's own files take
+PATH_NAMES = ["/escape_abs", "../escape_rel", "a/b", ".", "..", "nul\0byte",
+              "ablation.csv", "ablation.md", "base_config.json"]
+
+
 @pytest.mark.parametrize("variant, name", [
     *[({"name": "bad", section: value}, "bad") for section, value in VARIANT_SECTIONS],
     (5, "variant0"),
+    *[({"name": path}, path) for path in PATH_NAMES],
 ], ids=[f"{section}={json.dumps(value)}" for section, value in VARIANT_SECTIONS]
-    + ["not-an-object"])
+    + ["not-an-object"] + [f"name={json.dumps(path)}" for path in PATH_NAMES])
 def test_malformed_ablation_variant_fails_alone(workspace, tmp_path, variant, name):
     _ablate_one(workspace, tmp_path, variant, name)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ablation", "grid.json"]
+    assert sorted(p.name for p in (tmp_path / "ablation").iterdir()) == [
+        "ablation.csv", "ablation.md", "base_config.json"]
+
+
+def test_repeated_ablation_variant_name_fails(workspace, tmp_path):
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps({"base": json.loads((workspace / "run.json").read_text()),
+                                     "variants": [{"name": "dup"}, {"name": "dup"}]}))
+    out_dir = tmp_path / "ablation"
+    assert main(["ablate", "--config-grid", str(grid_path), "--out-dir", str(out_dir)]) == 0
+    with open(out_dir / "ablation.csv") as fh:
+        rows = [(r["model"], r["status"]) for r in csv.DictReader(fh)]
+    assert rows == [("dup", "ok"), ("dup", "failed: ConfigError")]
 
 
 @pytest.mark.parametrize("flag", ["--steps-per-beat", "--steps-per-measure"])

@@ -176,10 +176,9 @@ def test_float32_fixed_context_logits_agree_with_float64(decoder_blocks):
     ids = np.concatenate([[BOS], rng.integers(3, models[0].vocab.total_size, size=30)])
     with no_grad():
         wide, narrow = (m.forward_logits(feature, ids).data for m in models)
-        joint = models[1].merge(models[1].image_feature(feature),
-                                models[1].encode_midi(np.array([BOS])))
+        memory = models[1].memory(feature)
         cache = DecoderCache(models[1])
-        cached = np.concatenate([models[1].decode_logits(joint, ids[n:n + 1], cache=cache).data
+        cached = np.concatenate([models[1].decode_logits(memory, ids[n:n + 1], cache=cache).data
                                  for n in range(ids.size)])
     assert cached.dtype == np.float32
     assert np.linalg.norm(narrow - wide) <= 1e-5 * np.linalg.norm(wide)

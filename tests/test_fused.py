@@ -50,8 +50,8 @@ def ref_attention(mha, q, k, v, causal=False, cache=None):
     return ref_linear(mha.wo, merged)
 
 
-def ref_self_attention(mha, x, causal=False, cache=None):
-    return ref_attention(mha, x, x, x, causal, cache)
+def ref_self_attention(mha, x, cache=None):
+    return ref_attention(mha, x, x, x, x.shape[0] > 1, cache)
 
 
 def _weighted(out, seed):
@@ -70,10 +70,12 @@ ATTENTION_CASES = [
 
 
 def fused_attention(mha, q, x, causal):
-    """`mha(x)`; or, when the query rows `q` are only the last rows of `x`,
-    the fused `attention` on the projections, as a cached decoding step runs it."""
+    """`mha(x)`, which is causal; or, when the query rows `q` are only the
+    last rows of `x`, the fused `attention` on the projections, as a cached
+    decoding step runs it."""
     if q is x:
-        return mha(x, causal=causal)
+        assert causal
+        return mha(x)
     tq, tk = q.shape[0], x.shape[0]
     mask = np.triu(np.full((tq, tk), MASK_VALUE), k=tk - tq + 1) if causal and tq > 1 else None
     return mha.wo(attention(mha.wq(q), mha.wk(x), mha.wv(x), mha.heads, mask))
@@ -172,8 +174,8 @@ class TestBitIdenticalForward:
         x = Tensor(rng.normal(size=(9, 16)) * 3 + 5)
         assert np.array_equal(norm(x).data, ref_layer_norm(norm, x).data)
 
-    @pytest.mark.parametrize("name,causal,rows", ATTENTION_CASES + [
-        ("no_mask", False, None)], ids=[case[0] for case in ATTENTION_CASES] + ["no_mask"])
+    @pytest.mark.parametrize("name,causal,rows", ATTENTION_CASES,
+                             ids=[case[0] for case in ATTENTION_CASES])
     def test_attention(self, name, causal, rows):
         mha, x = _mha(13, d=16, heads=4)
         q = Tensor(x.data[rows]) if rows else x

@@ -240,10 +240,9 @@ class TestEncoder:
         with pytest.raises(PrefixTooLong):
             model.encode_midi(np.full(33, BOS))
 
-    def test_merge_length(self, model, feature):
-        joint = model.merge(model.image_feature(feature),
-                            model.encode_midi(np.array([BOS, EOS])))
-        assert joint.shape == (32,)
+    def test_memory_row_shape(self, model, feature):
+        assert model.memory(feature, model.encode_midi(np.array([BOS, EOS]))).shape == (16,)
+        assert model.memory(feature).shape == (16,)
 
 
 class TestDecoder:
@@ -254,31 +253,28 @@ class TestDecoder:
         assert probs.sum(axis=-1) == pytest.approx(np.ones(2))
 
     def test_causal(self, model, feature):
-        joint = model.merge(model.image_feature(feature),
-                            model.encode_midi(np.array([BOS, EOS])))
+        memory = model.memory(feature, model.encode_midi(np.array([BOS, EOS])))
         prefix = np.array([BOS, 5, 7, 9])
-        base = model.decode_logits(joint, prefix).data
-        pert = model.decode_logits(joint, np.array([BOS, 5, 7, 200])).data
+        base = model.decode_logits(memory, prefix).data
+        pert = model.decode_logits(memory, np.array([BOS, 5, 7, 200])).data
         assert pert[:3] == pytest.approx(base[:3], abs=1e-12)
         assert not np.allclose(pert[3], base[3])
 
     def test_empty_prefix_rejected(self, model, feature):
-        joint = model.merge(model.image_feature(feature),
-                            model.encode_midi(np.array([BOS])))
         with pytest.raises(PrefixTooLong):
-            model.decode_logits(joint, np.array([], dtype=np.int64))
+            model.decode_logits(model.memory(feature), np.array([], dtype=np.int64))
 
     def test_prefix_past_max_len_rejected(self, model, feature):
         limit = model.config.max_len
         with no_grad():
-            joint = model.merge(model.image_feature(feature), model.encode_midi(np.array([BOS])))
+            memory = model.memory(feature)
             with pytest.raises(PrefixTooLong, match=f"prefix of {limit + 1} exceeds"):
-                model.decode_logits(joint, np.full(limit + 1, BOS))
+                model.decode_logits(memory, np.full(limit + 1, BOS))
             cache = DecoderCache(model)
-            model.decode_logits(joint, np.full(limit - 1, BOS), cache=cache)
-            model.decode_logits(joint, [BOS], cache=cache)  # the last position
+            model.decode_logits(memory, np.full(limit - 1, BOS), cache=cache)
+            model.decode_logits(memory, [BOS], cache=cache)  # the last position
             with pytest.raises(PrefixTooLong, match=f"prefix of {limit + 1} exceeds"):
-                model.decode_logits(joint, [BOS], cache=cache)
+                model.decode_logits(memory, [BOS], cache=cache)
 
     def test_dense_decoder_variant(self, feature):
         model = EmoModel(small_config(decoder_blocks=0))
@@ -327,15 +323,13 @@ class TestGenerate:
 
 def reference_generate(model, feature, max_len, strategy="greedy",
                        temperature=1.0, seed=0):
-    """Decoding loop that re-encodes the context and projects every row with
-    full `decode_logits` at every step, without a cache."""
+    """Decoding loop that recomputes the memory row and projects every row
+    with full `decode_logits` at every step, without a cache."""
     rng = np.random.default_rng(seed)
     ids = [BOS]
     with no_grad():
-        feat = model.image_feature(feature)
         while len(ids) < max_len:
-            joint = model.merge(feat, model.encode_midi(np.array([BOS])))
-            logits = model.decode_logits(joint, np.array(ids)).data[-1]
+            logits = model.decode_logits(model.memory(feature), np.array(ids)).data[-1]
             if strategy == "greedy":
                 next_id = int(np.argmax(logits))
             else:
@@ -348,22 +342,20 @@ def reference_generate(model, feature, max_len, strategy="greedy",
 
 
 class TestLastRowDecoding:
-    """A cache's first call may hold a whole prefix: the blocks run on all of
-    it and the result is the newest row alone."""
+    """A cache's first call may hold a whole prefix: it returns a row per id,
+    exactly as decoding without a cache does."""
 
     @pytest.mark.parametrize("decoder_blocks", [0, 1, 3])
     @pytest.mark.parametrize("n", [1, 2, 17, 32])
-    def test_last_row_matches_full_decode(self, decoder_blocks, n, feature):
+    def test_cached_prefix_matches_full_decode(self, decoder_blocks, n, feature):
         model = EmoModel(small_config(decoder_blocks=decoder_blocks, dtype="float64"))
         ids = np.random.default_rng(n).integers(0, model.vocab.total_size, size=n)
         with no_grad():
-            joint = model.merge(model.image_feature(feature), model.encode_midi(np.array([BOS])))
-            full = model.decode_logits(joint, ids).data
-            last = model.decode_logits(joint, ids, cache=DecoderCache(model)).data
-        assert full.shape == (n, model.vocab.total_size)
-        assert last.shape == (1, model.vocab.total_size)
-        # one row takes another BLAS path, so the last bits may differ
-        assert np.abs(last[0] - full[-1]).max() <= 1e-12 * np.abs(full[-1]).max()
+            memory = model.memory(feature)
+            full = model.decode_logits(memory, ids).data
+            cached = model.decode_logits(memory, ids, cache=DecoderCache(model)).data
+        assert cached.shape == full.shape == (n, model.vocab.total_size)
+        assert np.array_equal(cached, full)
 
 
 # the default config, 2+2 blocks and a dense decoder
@@ -389,12 +381,11 @@ class TestFixedContext:
         model = _fixed_model(name, dtype)
         ids = [BOS]
         with no_grad():
-            joint = model.merge(model.image_feature(feature),
-                                model.encode_midi(np.array([BOS])))
+            memory = model.memory(feature)
             cache = DecoderCache(model)
             for step in range(40):
-                cached = model.decode_logits(joint, ids[-1:], cache=cache).data
-                full = model.decode_logits(joint, np.array(ids)).data
+                cached = model.decode_logits(memory, ids[-1:], cache=cache).data
+                full = model.decode_logits(memory, np.array(ids)).data
                 assert cached.shape == (1, model.vocab.total_size)
                 assert cached.dtype == np.dtype(dtype)
                 err = np.linalg.norm(cached[0] - full[-1]) / np.linalg.norm(full[-1])

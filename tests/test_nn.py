@@ -194,10 +194,10 @@ class TestLayers:
         rng = np.random.default_rng(11)
         mha = MultiHeadAttention(8, 2, rng)
         x = rng.normal(size=(4, 8))
-        base = mha(Tensor(x), causal=True).data
+        base = mha(Tensor(x)).data
         x2 = x.copy()
         x2[2] += 10.0  # later positions must not affect earlier outputs
-        pert = mha(Tensor(x2), causal=True).data
+        pert = mha(Tensor(x2)).data
         assert pert[:2] == pytest.approx(base[:2], abs=1e-12)
         assert not np.allclose(pert[2], base[2])
 
@@ -207,7 +207,7 @@ class TestLayers:
         x = Tensor(rng.normal(size=(4, 8)), requires_grad=True)
         weights = Tensor(rng.normal(size=(4, 8)))
         report = gradcheck(
-            lambda: tensor_sum(relu(mha(x, causal=True)) * weights),
+            lambda: tensor_sum(relu(mha(x)) * weights),
             [("x", x)] + mha.parameters())
         assert report.passed and report.worst < 1e-4, report.max_errors
 
@@ -215,7 +215,7 @@ class TestLayers:
         rng = np.random.default_rng(13)
         mha = MultiHeadAttention(4, 2, rng)
         x = Tensor(rng.normal(size=(1, 4)))
-        assert mha(x, causal=True).shape == (1, 4)
+        assert mha(x).shape == (1, 4)
 
     def test_attention_config_divisibility(self):
         mha = MultiHeadAttention(10, 3, np.random.default_rng(0))

@@ -120,6 +120,11 @@ class TestSplit:
         with pytest.raises(CountMismatch):
             split(self._manifest(10), (5, 4, 2), seed=0)
 
+    def test_negative_count_rejected(self):
+        # (1, 2, -1) sums to the pair count but would tag one train, one test
+        with pytest.raises(CountMismatch, match=r"\(1, 2, -1\)"):
+            split(self._manifest(2), (1, 2, -1), seed=0)
+
     def test_deterministic_under_seed(self):
         a = split(self._manifest(50), (40, 6, 4), seed=7)
         b = split(self._manifest(50), (40, 6, 4), seed=7)

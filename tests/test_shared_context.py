@@ -13,7 +13,7 @@ import pytest
 
 from emogen import training
 from emogen.config import ModelConfig
-from emogen.model import FIXED_CONTEXT, IMAGE_FEATURE_DIM, EmoModel, VaPredictor
+from emogen.model import IMAGE_FEATURE_DIM, EmoModel, VaPredictor
 from emogen.nn import softmax
 from emogen.tokenizer import BOS, EOS, PAD
 from emogen.training import TrainConfig, TrainSample, cce_loss, fit, va_loss
@@ -28,8 +28,7 @@ def ref_batch_gradients(model, samples, batch, config, predictor=None):
         sample = samples[index]
         ids = np.asarray(sample.token_ids, dtype=np.int64)
         prefix, targets = ids[:-1], ids[1:]
-        joint = model.merge(model.image_feature(sample.image), model.encode_midi(FIXED_CONTEXT))
-        logits = model.decode_logits(joint, prefix)
+        logits = model.decode_logits(model.memory(sample.image), prefix)
         keep = targets != PAD
         cce = cce_loss(logits, targets, pad_mask=keep)
         objective = cce * config.lambda_cc
