@@ -70,11 +70,11 @@ ATTENTION_CASES = [
 
 
 def fused_attention(mha, q, x, causal):
-    """`mha(x)`, which is causal; or, when the query rows `q` are only the
-    last rows of `x`, the fused `attention` on the projections, as a cached
-    decoding step runs it."""
+    """`mha(x)`, which is causal over more than one row; or, when the query
+    rows `q` are only the last rows of `x`, the fused `attention` on the
+    projections, as a cached decoding step runs it."""
     if q is x:
-        assert causal
+        assert causal == (x.shape[0] > 1)
         return mha(x)
     tq, tk = q.shape[0], x.shape[0]
     mask = np.triu(np.full((tq, tk), MASK_VALUE), k=tk - tq + 1) if causal and tq > 1 else None
@@ -174,10 +174,12 @@ class TestBitIdenticalForward:
         x = Tensor(rng.normal(size=(9, 16)) * 3 + 5)
         assert np.array_equal(norm(x).data, ref_layer_norm(norm, x).data)
 
-    @pytest.mark.parametrize("name,causal,rows", ATTENTION_CASES,
-                             ids=[case[0] for case in ATTENTION_CASES])
+    @pytest.mark.parametrize("name,causal,rows", ATTENTION_CASES + [
+        ("no_mask", False, None)], ids=[case[0] for case in ATTENTION_CASES] + ["no_mask"])
     def test_attention(self, name, causal, rows):
         mha, x = _mha(13, d=16, heads=4)
+        if name == "no_mask":  # one row, as the [BOS] encoder runs: no mask is built
+            x = Tensor(x.data[:1])
         q = Tensor(x.data[rows]) if rows else x
         fused = fused_attention(mha, q, x, causal).data
         assert np.array_equal(fused, ref_attention(mha, q, x, x, causal).data)

@@ -347,7 +347,7 @@ class TestLastRowDecoding:
 
     @pytest.mark.parametrize("decoder_blocks", [0, 1, 3])
     @pytest.mark.parametrize("n", [1, 2, 17, 32])
-    def test_cached_prefix_matches_full_decode(self, decoder_blocks, n, feature):
+    def test_last_row_matches_full_decode(self, decoder_blocks, n, feature):
         model = EmoModel(small_config(decoder_blocks=decoder_blocks, dtype="float64"))
         ids = np.random.default_rng(n).integers(0, model.vocab.total_size, size=n)
         with no_grad():
