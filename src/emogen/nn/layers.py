@@ -16,6 +16,18 @@ from .tensor import (Tensor, attention, layer_norm, linear, matmul, relu, reshap
 from .tensor import softmax  # noqa: F401  # not called here; perfbench/tracing.py patches this name
 
 MASK_VALUE = -1e30  # additive attention mask; exp() underflows to exactly 0
+_CAUSAL: dict[np.dtype, np.ndarray] = {}  # dtype -> read-only (n, n) mask, n the longest tk yet
+
+
+def causal_mask(tq: int, tk: int, dtype) -> np.ndarray:
+    """Additive mask for `tq` query rows that are the last of `tk` keys:
+    `MASK_VALUE` where a key follows its query row, else 0 (a read-only view)."""
+    dtype = np.dtype(dtype)
+    table = _CAUSAL.get(dtype)
+    if table is None or table.shape[0] < tk:
+        table = _CAUSAL[dtype] = np.triu(np.full((tk, tk), MASK_VALUE, dtype), k=1)
+        table.flags.writeable = False
+    return table[tk - tq:tk, :tk]
 
 
 class Module:
@@ -132,8 +144,7 @@ class MultiHeadAttention(Module):
         if cache is not None:
             keys, values = cache.extend(keys, values)
         tq, tk = x.shape[0], keys.shape[0]
-        mask = (np.triu(np.full((tq, tk), MASK_VALUE, x.data.dtype), k=tk - tq + 1)
-                if tq > 1 else None)
+        mask = causal_mask(tq, tk, x.data.dtype) if tq > 1 else None
         return self.wo(attention(self.wq(x), keys, values, self.heads, mask))
 
 

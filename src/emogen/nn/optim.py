@@ -32,15 +32,21 @@ class Adam:
 
     def step(self) -> None:
         """Update every parameter from its gradient (none counts as zero),
-        then clear the gradient."""
+        then clear the gradient. Moments and weights change in place, in the
+        operation order of `m = beta1 * m + (1 - beta1) * g` and
+        `w -= lr * m_hat / (sqrt(v_hat) + eps)`."""
         beta1, beta2 = self.beta1, self.beta2
         for param in self.params:
             grad = param.grad if param.grad is not None else np.zeros_like(param.data)
             param.step_count += 1
             t = param.step_count
-            param.adam_m = beta1 * param.adam_m + (1.0 - beta1) * grad
-            param.adam_v = beta2 * param.adam_v + (1.0 - beta2) * grad * grad
-            m_hat = param.adam_m / (1.0 - beta1 ** t)
-            v_hat = param.adam_v / (1.0 - beta2 ** t)
-            param.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m, v = param.adam_m, param.adam_v
+            m *= beta1
+            m += (1.0 - beta1) * grad
+            v *= beta2
+            v += (1.0 - beta2) * grad * grad
+            step = m / (1.0 - beta1 ** t)
+            step *= self.lr
+            step /= np.sqrt(v / (1.0 - beta2 ** t)) + self.eps
+            param.data -= step
             param.grad = None

@@ -282,7 +282,10 @@ def take(a, index) -> Tensor:
     def backward(grad):
         if a.requires_grad:
             full = np.zeros_like(a.data)
-            np.add.at(full, index, grad)
+            if isinstance(index, slice):  # no repeats: `np.add.at`'s sums, without its cost
+                full[index] += grad
+            else:
+                np.add.at(full, index, grad)
             a._accumulate(full)
 
     return Tensor._result(data, (a,), backward)
@@ -371,7 +374,9 @@ def linear(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     if x.data.shape[-1] != weight.data.shape[0]:
         raise ShapeMismatch(f"linear expects {weight.data.shape[0]} features, got {x.data.shape}")
     data = x.data @ weight.data
-    if bias is not None:
+    if bias is not None and data.dtype is bias.data.dtype:
+        data += bias.data  # in place on the fresh product
+    elif bias is not None:  # numpy's promotion picks the dtype
         data = data + bias.data
 
     def backward(grad):
@@ -434,7 +439,8 @@ def attention(q, k, v, heads: int, mask: np.ndarray | None = None) -> Tensor:
     qh, kh, vh = (t.data.reshape(t.data.shape[0], heads, head_dim).transpose(1, 0, 2)
                   for t in (q, k, v))
     scale = 1.0 / math.sqrt(head_dim)  # a Python float: float32 stays float32
-    weights = (qh @ kh.transpose(0, 2, 1)) * scale  # (H, Tq, Tk); softmaxed in place
+    weights = qh @ kh.transpose(0, 2, 1)  # (H, Tq, Tk); scaled and softmaxed in place
+    weights *= scale
     if mask is not None:
         weights += mask
     weights -= weights.max(axis=-1, keepdims=True)

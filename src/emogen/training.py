@@ -52,32 +52,33 @@ def cce_loss(logits: Tensor, target_ids, pad_mask: np.ndarray | None = None) -> 
     return -tensor_sum(take(log_softmax(logits, axis=-1), (rows, target_ids[rows])))
 
 
-def va_loss(true_ids, pred_probs: Tensor, predictor: VaPredictor,
-            mode: str = "hard"):
+def va_loss(true_ids, pred: Tensor, predictor: VaPredictor, mode: str = "hard"):
     """VA mean-absolute-error loss between true and predicted sequences.
 
+    `pred` holds one row per predicted position: probabilities in soft mode;
+    in hard mode only each row's argmax is read, so logits serve as well.
     Returns a float in hard mode (no gradient) and a scalar Tensor in soft
     mode (gradient flows through the expected token histogram).
     """
     if predictor is None:
         raise PredictorMissing("va_loss requires a pretrained predictor")
     vocab_size = predictor.vocab_size
-    if pred_probs.shape[-1] != vocab_size:
-        raise ShapeMismatch(f"probability rows of {pred_probs.shape[-1]} "
+    if pred.shape[-1] != vocab_size:
+        raise ShapeMismatch(f"prediction rows of {pred.shape[-1]} "
                             f"!= predictor vocabulary {vocab_size}")
-    dtype = pred_probs.data.dtype  # histograms match it; so should `predictor`'s weights
+    dtype = pred.data.dtype  # histograms match it; so should `predictor`'s weights
     true_hist = token_histogram(true_ids, vocab_size)
     with no_grad():
         true_va = predictor(Tensor(true_hist[None, :], dtype=dtype), train=False).data[0]
 
     if mode == "hard":
-        pred_ids = np.argmax(pred_probs.data, axis=-1)
+        pred_ids = np.argmax(pred.data, axis=-1)
         pred_hist = token_histogram(pred_ids, vocab_size)
         with no_grad():
             pred_va = predictor(Tensor(pred_hist[None, :], dtype=dtype), train=False).data[0]
         return float(np.abs(true_va - pred_va).mean())
     if mode == "soft":
-        expected_hist = tensor_mean(pred_probs, axis=0)  # rows are distributions
+        expected_hist = tensor_mean(pred, axis=0)  # rows are distributions
         pred_va = predictor(reshape(expected_hist, (1, vocab_size)), train=False)
         return tensor_mean(absolute(pred_va - Tensor(true_va[None, :])))
     raise ConfigError(f"unknown va_loss mode {mode!r}")
@@ -198,14 +199,14 @@ def fit(model: EmoModel, samples: Sequence[TrainSample], config: TrainConfig,
                 cce = cce_loss(logits, targets, pad_mask=keep)
                 objective = cce * config.lambda_cc
                 va_value = 0.0
-                if config.uses_va:
-                    probs = softmax(logits, axis=-1)
+                if config.uses_va:  # the predicted piece, like the true one, skips PAD targets
+                    rows = logits if keep.all() else take(logits, np.flatnonzero(keep))
                     if mode == "soft":
-                        va_term = va_loss(targets[keep], probs, predictor, mode="soft")
+                        va_term = va_loss(targets[keep], softmax(rows), predictor, mode="soft")
                         objective = objective + va_term * config.lambda_va
                         va_value = va_term.item()
                     else:
-                        va_value = va_loss(targets[keep], probs, predictor, mode="hard")
+                        va_value = va_loss(targets[keep], rows, predictor, mode="hard")
                 cc_value = cce.item()
                 if not math.isfinite(cc_value + va_value):
                     raise NonFiniteError(f"epoch {epoch}, pair {sample.pair_id or index}: "

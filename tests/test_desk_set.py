@@ -1,0 +1,14 @@
+"""`tests/desk_set.py` completes at its tiny size. Its bytes are compared
+only between two versions of the code, by `diff -r` of two desk sets."""
+
+from desk_set import GENERATE, SHAPES, build
+
+
+def test_tiny_desk_set_completes(tmp_path):
+    build(tmp_path, tiny=True)
+    runs = sorted((tmp_path / "runs").iterdir())
+    assert len(runs) == len(SHAPES) * 3 * 2  # VA modes x dtypes
+    for run in runs:
+        written = {path.name for path in run.iterdir()}
+        assert {"checkpoint.emc", "loss.csv"} <= written
+        assert {f"{name}{ext}" for name in GENERATE for ext in (".mid", ".ids")} <= written

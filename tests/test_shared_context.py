@@ -14,7 +14,7 @@ import pytest
 from emogen import training
 from emogen.config import ModelConfig
 from emogen.model import IMAGE_FEATURE_DIM, EmoModel, VaPredictor
-from emogen.nn import softmax
+from emogen.nn import softmax, take
 from emogen.tokenizer import BOS, EOS, PAD
 from emogen.training import TrainConfig, TrainSample, cce_loss, fit, va_loss
 
@@ -33,9 +33,9 @@ def ref_batch_gradients(model, samples, batch, config, predictor=None):
         cce = cce_loss(logits, targets, pad_mask=keep)
         objective = cce * config.lambda_cc
         if config.uses_va:
-            probs = softmax(logits, axis=-1)
+            rows = logits if keep.all() else take(logits, np.flatnonzero(keep))
             if mode == "soft":
-                va_term = va_loss(targets[keep], probs, predictor, mode="soft")
+                va_term = va_loss(targets[keep], softmax(rows), predictor, mode="soft")
                 objective = objective + va_term * config.lambda_va
         objective.backward()
     return {name: param.grad.copy() for name, param in model.parameters()}

@@ -122,6 +122,16 @@ class TestVaLoss:
                           train=False).data[0]
         assert value == pytest.approx(float(np.abs(t - p).mean()), abs=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_hard_reads_logits_as_their_softmax(self, dtype):
+        predictor = self._predictor()
+        predictor.cast(dtype)
+        true_ids = np.array([1, 3, 3, 5])
+        for seed in range(20):
+            logits = Tensor(np.random.default_rng(seed).normal(0, 3, size=(9, 12)), dtype=dtype)
+            assert va_loss(true_ids, logits, predictor, mode="hard") == \
+                va_loss(true_ids, softmax(logits, axis=-1), predictor, mode="hard")
+
     def test_hard_and_soft_agree_on_one_hot(self):
         predictor = self._predictor()
         true_ids = np.array([2, 4, 4, 7, 9])
@@ -267,6 +277,26 @@ class TestFit:
         predictor = VaPredictor(model.vocab.total_size, 8, np.random.default_rng(0))
         history = fit(model, samples, config, predictor=predictor)
         assert history[0].l_va > 0.0
+
+    @pytest.mark.parametrize("mode", ["hard", "soft"])
+    def test_va_term_skips_pad_positions(self, mode):
+        """The predicted piece is read at the non-PAD targets only, as the true
+        piece is; counting the PAD positions gives another L_VA."""
+        model, samples, config = self._setup(epochs=1, va_loss_mode=mode, lambda_va=0.5)
+        samples[1].token_ids = np.concatenate([samples[1].token_ids, [PAD] * 5])
+        predictor = VaPredictor(model.vocab.total_size, 8, np.random.default_rng(0))
+        expected, every_row = [], []
+        with no_grad():
+            for sample in samples:
+                ids = np.asarray(sample.token_ids)
+                keep = ids[1:] != PAD
+                probs = softmax(model.forward_logits(sample.image, ids[:-1]), axis=-1)
+                for rows, out in ((probs.data[keep], expected), (probs.data, every_row)):
+                    value = va_loss(ids[1:][keep], Tensor(rows), predictor, mode=mode)
+                    out.append(value if mode == "hard" else value.item())
+        history = fit(model, samples, config, predictor=predictor)
+        assert history[0].l_va == pytest.approx(np.mean(expected), rel=1e-5)
+        assert np.mean(every_row) != pytest.approx(np.mean(expected), rel=1e-3)
 
     def test_missing_predictor(self):
         model, samples, config = self._setup(va_loss_mode="hard")
