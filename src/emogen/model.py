@@ -191,9 +191,9 @@ class DecoderCache:
 
 
 class EmoModel(Module):
-    """Parameters, Adam moments and every array fed to the graph have
-    `config.dtype`; weights are drawn in float64 first, so the seeded draws
-    do not depend on it."""
+    """Parameters, Adam moments (once a step allocates them) and every array
+    fed to the graph have `config.dtype`; weights are drawn in float64
+    first, so the seeded draws do not depend on it."""
 
     def __init__(self, config: ModelConfig):
         self.config = config
@@ -340,23 +340,24 @@ class EmoModel(Module):
 
     @classmethod
     def load(cls, path: str | Path) -> "EmoModel":
-        meta, blocks = load_checkpoint(path)
-        if meta.get("kind") != "emomodel":
-            raise CheckpointCorrupt(f"{path}: not a model checkpoint")
-        config = meta.get("config")
-        if isinstance(config, dict):
-            config = {"dtype": "float64", **config}  # written before the dtype knob
-            # older models also recorded how their encoder context was taken;
-            # every model now encodes [BOS], whatever the checkpoint says
-            config.pop("context", None)
-        try:
-            model = cls(ModelConfig.from_dict(config))
-        except ConfigError as exc:
-            raise CheckpointCorrupt(f"{path}: {exc}") from exc
-        if meta.get("vocab_hash") != model.vocab.vocab_hash:
-            raise VocabMismatch(f"{path}: vocabulary hash mismatch")
-        _assign_blocks(model, blocks, path)
-        return model
+        def build(meta: dict) -> EmoModel:
+            if meta.get("kind") != "emomodel":
+                raise CheckpointCorrupt(f"{path}: not a model checkpoint")
+            config = meta.get("config")
+            if isinstance(config, dict):
+                config = {"dtype": "float64", **config}  # written before the dtype knob
+                # older models also recorded how their encoder context was taken;
+                # every model now encodes [BOS], whatever the checkpoint says
+                config.pop("context", None)
+            try:
+                model = cls(ModelConfig.from_dict(config))
+            except ConfigError as exc:
+                raise CheckpointCorrupt(f"{path}: {exc}") from exc
+            if meta.get("vocab_hash") != model.vocab.vocab_hash:
+                raise VocabMismatch(f"{path}: vocabulary hash mismatch")
+            return model
+
+        return load_checkpoint(path, build)[1]
 
 
 def save_va_predictor(path: str | Path, predictor: VaPredictor,
@@ -368,41 +369,23 @@ def save_va_predictor(path: str | Path, predictor: VaPredictor,
 
 
 def load_va_predictor(path: str | Path, vocab_hash: str | None = None) -> VaPredictor:
-    meta, blocks = load_checkpoint(path)
-    if meta.get("kind") != "va_predictor":
-        raise CheckpointCorrupt(f"{path}: not a VA-predictor checkpoint")
-    if vocab_hash is not None and meta.get("vocab_hash") != vocab_hash:
-        raise VocabMismatch(f"{path}: vocabulary hash mismatch")
-    sizes = [meta.get(key) for key in ("vocab_size", "hidden")]
-    if any(type(size) is not int or size < 1 for size in sizes):
-        raise CheckpointCorrupt(f"{path}: metadata 'vocab_size' and 'hidden' must be "
-                                f"positive integers, got {sizes}")
-    predictor = VaPredictor(*sizes, np.random.default_rng(0))
-    _assign_blocks(predictor, blocks, path)
+    def build(meta: dict) -> VaPredictor:
+        if meta.get("kind") != "va_predictor":
+            raise CheckpointCorrupt(f"{path}: not a VA-predictor checkpoint")
+        if vocab_hash is not None and meta.get("vocab_hash") != vocab_hash:
+            raise VocabMismatch(f"{path}: vocabulary hash mismatch")
+        sizes = [meta.get(key) for key in ("vocab_size", "hidden")]
+        if any(type(size) is not int or size < 1 for size in sizes):
+            raise CheckpointCorrupt(f"{path}: metadata 'vocab_size' and 'hidden' must be "
+                                    f"positive integers, got {sizes}")
+        return VaPredictor(*sizes, np.random.default_rng(0))
+
+    meta, predictor = load_checkpoint(path, build)
     try:
         predictor.load_state_extra(meta["extra"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointCorrupt(f"{path}: bad running statistics in metadata: {exc!r}") from exc
     return predictor
-
-
-def _assign_blocks(module: Module, blocks: dict[str, np.ndarray], path) -> None:
-    # older checkpoints hold `*.attn.wk.bias` blocks; such a bias shifts all
-    # of one query's scores alike, which softmax cancels, so they are dropped
-    blocks = {name: block for name, block in blocks.items()
-              if not name.endswith(".attn.wk.bias")}
-    params = dict(module.parameters())
-    if set(params) != set(blocks):
-        raise CheckpointCorrupt(f"{path}: parameter blocks do not match the architecture")
-    for name, param in params.items():
-        if param.data.shape != blocks[name].shape:
-            raise CheckpointCorrupt(f"{path}: block {name} has shape {blocks[name].shape}, "
-                                    f"expected {param.data.shape}")
-        with np.errstate(over="ignore"):  # a float64 value beyond float32 range
-            param.data = blocks[name].astype(param.data.dtype)
-        if not np.isfinite(param.data).all():
-            raise CheckpointCorrupt(f"{path}: block {name} holds values that are not "
-                                    f"finite as {param.data.dtype}")
 
 
 # --- checkpoint container ---
@@ -432,42 +415,74 @@ def _checkpoint_chunks(payload: bytes, named_params):
         yield arr.tobytes()
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict, dict[str, np.ndarray]]:
+def load_checkpoint(path: str | Path, build) -> tuple[dict, Module]:
+    """Read the checkpoint at `path` into the module `build(meta)` returns;
+    return the metadata and the module.
+
+    The blocks are read one at a time, each checked, cast to its parameter's
+    dtype and assigned before the next, so neither the whole file nor a
+    float64 copy of every block is held. They must match the module's
+    parameters one for one: a missing, unknown or repeated name, a wrong
+    shape, a value not finite in the parameter's dtype, a block longer than
+    the bytes left or bytes after the last block is `CheckpointCorrupt`.
+    Older checkpoints hold `*.attn.wk.bias` blocks; such a bias shifts all of
+    one query's scores alike, which softmax cancels, so they are skipped.
+    """
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        fh = open(path, "rb")
     except OSError as exc:
         raise CheckpointCorrupt(f"{path}: {exc}") from exc
-    if len(data) < 12 or data[:8] != CHECKPOINT_MAGIC:
-        raise CheckpointCorrupt(f"{path}: bad magic header")
-    pos = 8
-    try:
-        (meta_len,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        meta = json.loads(data[pos:pos + meta_len])
-        pos += meta_len
-        (count,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        blocks: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (name_len,) = struct.unpack_from("<H", data, pos)
-            pos += 2
-            name = data[pos:pos + name_len].decode()
-            pos += name_len
-            (ndim,) = struct.unpack_from("<B", data, pos)
-            pos += 1
-            shape = struct.unpack_from(f"<{ndim}I", data, pos)
-            pos += 4 * ndim
-            size = math.prod(shape)  # exact: np.prod can overflow to 0
-            raw = data[pos:pos + 8 * size]
-            if len(raw) != 8 * size:
-                raise CheckpointCorrupt(f"{path}: truncated block {name}")
-            pos += 8 * size
-            blocks[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    # ValueError: bad JSON or UTF-8, or more dimensions than numpy allows;
-    # RecursionError: JSON nested too deeply
-    except (struct.error, ValueError, RecursionError) as exc:
-        raise CheckpointCorrupt(f"{path}: {exc}") from exc
-    if not isinstance(meta, dict) or meta.get("format_version") != 1:
-        raise CheckpointCorrupt(f"{path}: unsupported format version")
-    return meta, blocks
+    with fh:
+        size = fh.seek(0, 2)
+        fh.seek(0)
+        if size < 12 or fh.read(8) != CHECKPOINT_MAGIC:
+            raise CheckpointCorrupt(f"{path}: bad magic header")
+        (meta_len,) = struct.unpack("<I", fh.read(4))
+        if meta_len > size - fh.tell():
+            raise CheckpointCorrupt(f"{path}: truncated metadata")
+        try:
+            meta = json.loads(fh.read(meta_len))
+        # ValueError: bad JSON or UTF-8; RecursionError: JSON nested too deeply
+        except (ValueError, RecursionError) as exc:
+            raise CheckpointCorrupt(f"{path}: {exc}") from exc
+        if not isinstance(meta, dict) or meta.get("format_version") != 1:
+            raise CheckpointCorrupt(f"{path}: unsupported format version")
+        module = build(meta)
+        params = dict(module.parameters())
+        seen = set()
+        try:
+            (count,) = struct.unpack("<I", fh.read(4))
+            for _ in range(count):
+                (name_len,) = struct.unpack("<H", fh.read(2))
+                name = fh.read(name_len).decode()
+                (ndim,) = struct.unpack("<B", fh.read(1))
+                shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+                nbytes = 8 * math.prod(shape)  # exact: np.prod can overflow to 0
+                if nbytes > size - fh.tell():
+                    raise CheckpointCorrupt(f"{path}: truncated block {name}")
+                if name in seen:
+                    raise CheckpointCorrupt(f"{path}: repeated block {name}")
+                seen.add(name)
+                if name.endswith(".attn.wk.bias"):
+                    fh.seek(nbytes, 1)
+                    continue
+                if name not in params:
+                    raise CheckpointCorrupt(f"{path}: unexpected block {name}")
+                param = params[name]
+                if param.data.shape != shape:
+                    raise CheckpointCorrupt(f"{path}: block {name} has shape {shape}, "
+                                            f"expected {param.data.shape}")
+                block = np.frombuffer(fh.read(nbytes), "<f8").reshape(shape)
+                with np.errstate(over="ignore"):  # a float64 value beyond float32 range
+                    param.data = block.astype(param.data.dtype)
+                if not np.isfinite(param.data).all():
+                    raise CheckpointCorrupt(f"{path}: block {name} holds values that are not "
+                                            f"finite as {param.data.dtype}")
+        # ValueError: a name that is not UTF-8
+        except (struct.error, ValueError) as exc:
+            raise CheckpointCorrupt(f"{path}: {exc}") from exc
+        if not seen.issuperset(params):
+            raise CheckpointCorrupt(f"{path}: parameter blocks do not match the architecture")
+        if fh.tell() != size:
+            raise CheckpointCorrupt(f"{path}: {size - fh.tell()} bytes after the last block")
+    return meta, module

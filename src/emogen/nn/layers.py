@@ -51,11 +51,12 @@ class Module:
             param.grad = None
 
     def cast(self, dtype) -> None:
-        """Cast every parameter and its Adam moments to `dtype`, in place."""
+        """Cast every parameter and its Adam moments, if any, to `dtype`, in place."""
         for _, param in self.parameters():
             param.data = param.data.astype(dtype, copy=False)
-            param.adam_m = param.adam_m.astype(dtype, copy=False)
-            param.adam_v = param.adam_v.astype(dtype, copy=False)
+            if param.adam_m is not None:
+                param.adam_m = param.adam_m.astype(dtype, copy=False)
+                param.adam_v = param.adam_v.astype(dtype, copy=False)
 
 
 def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:

@@ -8,14 +8,14 @@ from .tensor import Tensor
 
 
 class Parameter(Tensor):
-    """A requires-grad tensor carrying its own Adam moment state."""
+    """A requires-grad tensor carrying its own Adam moment state, which
+    `Adam.step` allocates when it first updates the parameter."""
 
     __slots__ = ("adam_m", "adam_v", "step_count")
 
     def __init__(self, data, dtype=None):
         super().__init__(data, requires_grad=True, dtype=dtype)
-        self.adam_m = np.zeros_like(self.data)
-        self.adam_v = np.zeros_like(self.data)
+        self.adam_m = self.adam_v = None
         self.step_count = 0
 
 
@@ -40,6 +40,8 @@ class Adam:
             grad = param.grad if param.grad is not None else np.zeros_like(param.data)
             param.step_count += 1
             t = param.step_count
+            if param.adam_m is None:
+                param.adam_m, param.adam_v = np.zeros_like(param.data), np.zeros_like(param.data)
             m, v = param.adam_m, param.adam_v
             m *= beta1
             m += (1.0 - beta1) * grad

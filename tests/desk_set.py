@@ -9,10 +9,12 @@ with `emogen pretrain-va`, then runs `emogen train` for the default, 2+2
 and `decoder_blocks: 0` models, each in VA modes off/hard/soft and in
 float32 and float64. From every checkpoint it runs greedy and seeded
 temperature `emogen generate`, and writes the generated ids beside the
-`.mid` files. Each command's output goes to a `.log` file beside what it
-wrote. Every path is relative to OUT_DIR, so two desk sets written by two
-versions of the code compare with `diff -r`. `--tiny` shrinks the models
-and the pieces; it checks only that every command completes.
+`.mid` files, and `logits.f8`: the raw little-endian float64 bytes of
+`decode_logits` on a fixed prefix, from the checkpoint loaded back. Each
+command's output goes to a `.log` file beside what it wrote. Every path is
+relative to OUT_DIR, so two desk sets written by two versions of the code
+compare with `diff -r`. `--tiny` shrinks the models and the pieces; it
+checks only that every command completes.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from emogen.cli import main as emogen  # noqa: E402
 from emogen.midi_io import MidiPiece, NoteEvent, write_midi  # noqa: E402
 from emogen.model import IMAGE_FEATURE_DIM, EmoModel, write_feature_file  # noqa: E402
+from emogen.nn import no_grad  # noqa: E402
+from emogen.tokenizer import BOS  # noqa: E402
 
 SHAPES = {"default": {}, "2+2": {"encoder_blocks": 2, "decoder_blocks": 2},
           "no-decoder-blocks": {"decoder_blocks": 0}}
@@ -41,6 +45,7 @@ TINY_MODEL = {"model_dim": 16, "head_count": 2, "ff_dim": 24, "max_len": 32,
 GENERATE = {"greedy": {"strategy": "greedy", "temperature": 1.0, "seed": 0},
             "temperature": {"strategy": "temperature", "temperature": 0.9, "seed": 5}}
 N_MIDIS, N_IMAGES, SPLIT = 6, 8, "4,1,1"
+PREFIX = [BOS, 5, 140, 9, 200, 31, 77]  # ids in every desk-set vocabulary
 
 
 def run(log: Path, *argv: str) -> None:
@@ -107,6 +112,9 @@ def build(out_dir: Path, tiny: bool = False) -> None:
                         "--out-dir", str(run_dir))
                     checkpoint = run_dir / "checkpoint.emc"
                     model = EmoModel.load(checkpoint)
+                    with no_grad():
+                        logits = model.decode_logits(model.memory("ws/img0.emf"), PREFIX).data
+                    (run_dir / "logits.f8").write_bytes(logits.astype("<f8").tobytes())
                     for name, how in GENERATE.items():
                         run(run_dir / f"{name}.log", "generate", "--image", "ws/img0.emf",
                             "--checkpoint", str(checkpoint), "--out", str(run_dir / f"{name}.mid"),

@@ -10,5 +10,5 @@ def test_tiny_desk_set_completes(tmp_path):
     assert len(runs) == len(SHAPES) * 3 * 2  # VA modes x dtypes
     for run in runs:
         written = {path.name for path in run.iterdir()}
-        assert {"checkpoint.emc", "loss.csv"} <= written
+        assert {"checkpoint.emc", "loss.csv", "logits.f8"} <= written
         assert {f"{name}{ext}" for name in GENERATE for ext in (".mid", ".ids")} <= written

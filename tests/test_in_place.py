@@ -26,6 +26,8 @@ def ref_adam_step(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         grad = param.grad if param.grad is not None else np.zeros_like(param.data)
         param.step_count += 1
         t = param.step_count
+        if param.adam_m is None:  # moments are allocated on the first step
+            param.adam_m, param.adam_v = np.zeros_like(param.data), np.zeros_like(param.data)
         param.adam_m = beta1 * param.adam_m + (1.0 - beta1) * grad
         param.adam_v = beta2 * param.adam_v + (1.0 - beta2) * grad * grad
         m_hat = param.adam_m / (1.0 - beta1 ** t)

@@ -20,7 +20,7 @@ from emogen.nn.layers import MASK_VALUE
 from emogen.tokenizer import BOS, EOS, PAD, decode
 from emogen.training import TrainConfig, TrainSample, cce_loss, fit
 
-from test_readers_fuzz import OVERFLOW_CHECKPOINT, checkpoint_bytes
+from test_readers_fuzz import OVERFLOW_CHECKPOINT, TwoBlocks, checkpoint_bytes, read_two_blocks
 
 
 def small_config(**overrides):
@@ -427,7 +427,8 @@ class TestFixedContext:
         loads as one that encodes [BOS]."""
         model = EmoModel(small_config(dtype=dtype, seed=7))
         model.save(tmp_path / "new.emc")
-        config = load_checkpoint(tmp_path / "new.emc")[0]["config"]
+        config = load_checkpoint(tmp_path / "new.emc",
+                                 lambda meta: EmoModel(model.config))[0]["config"]
         assert "context" not in config
         if context is not None:
             config["context"] = context
@@ -548,7 +549,7 @@ class TestCheckpoints:
         path = tmp_path / "model.emc"
         path.write_bytes(b"JUNKJUNK" + b"\x00" * 64)
         with pytest.raises(CheckpointCorrupt):
-            load_checkpoint(path)
+            read_two_blocks(path)
 
     def test_wrong_kind(self, tmp_path):
         predictor = VaPredictor(16, 8, np.random.default_rng(0))
@@ -648,19 +649,48 @@ class TestCheckpoints:
         assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.emc"]
 
     def test_meta_survives(self, tmp_path):
-        from emogen.nn import Parameter
         path = tmp_path / "c.emc"
-        save_checkpoint(path, {"kind": "test", "foo": [1, 2]},
-                        [("w", Parameter(np.arange(6.0).reshape(2, 3)))])
-        meta, blocks = load_checkpoint(path)
+        saved = TwoBlocks()
+        saved.w.data = np.arange(6.0).reshape(2, 3)
+        save_checkpoint(path, {"kind": "test", "foo": [1, 2]}, saved.parameters())
+        meta, loaded = read_two_blocks(path)
         assert meta["foo"] == [1, 2] and meta["format_version"] == 1
-        assert np.array_equal(blocks["w"], np.arange(6.0).reshape(2, 3))
+        assert loaded.w.data.dtype == np.float32
+        assert np.array_equal(loaded.w.data, np.arange(6.0).reshape(2, 3))
+
+    def test_repeated_block_is_corrupt(self, tmp_path):
+        """A second block of one name would overwrite the first."""
+        model = EmoModel(small_config())
+        path = tmp_path / "model.emc"
+        sevens = Tensor(np.full(model.embedding.weight.shape, 7.0))
+        save_checkpoint(path, {"kind": "emomodel", "config": asdict(model.config),
+                               "vocab_hash": model.vocab.vocab_hash},
+                        [*model.parameters(), ("embedding.weight", sevens)])
+        with pytest.raises(CheckpointCorrupt, match="repeated block embedding.weight"):
+            EmoModel.load(path)
+
+    def test_bytes_after_the_last_block_are_corrupt(self, tmp_path):
+        model = EmoModel(small_config())
+        path = tmp_path / "model.emc"
+        model.save(path)
+        path.write_bytes(path.read_bytes() + bytes(400))
+        with pytest.raises(CheckpointCorrupt, match="400 bytes after the last block"):
+            EmoModel.load(path)
+
+    def test_unknown_block_is_corrupt(self, tmp_path):
+        model = EmoModel(small_config())
+        path = tmp_path / "model.emc"
+        save_checkpoint(path, {"kind": "emomodel", "config": asdict(model.config),
+                               "vocab_hash": model.vocab.vocab_hash},
+                        [*model.parameters(), ("extra.weight", Tensor(np.ones(3)))])
+        with pytest.raises(CheckpointCorrupt, match="unexpected block extra.weight"):
+            EmoModel.load(path)
 
     def test_block_shape_beyond_int64_is_corrupt(self, tmp_path):
         path = tmp_path / "model.emc"
         path.write_bytes(OVERFLOW_CHECKPOINT)
         with pytest.raises(CheckpointCorrupt, match="truncated block w"):
-            load_checkpoint(path)
+            read_two_blocks(path)
 
 
 def _with_key_biases(model, rng):

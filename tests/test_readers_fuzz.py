@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from emogen.errors import EmogenError
 from emogen.model import (CHECKPOINT_MAGIC, IMAGE_FEATURE_DIM, load_checkpoint,
                           read_feature_file, save_checkpoint, write_feature_file)
-from emogen.nn import Parameter
+from emogen.nn import Module, Parameter
 from emogen.pairing import load_catalog
 
 FUZZ = settings(max_examples=150, deadline=None)
@@ -29,6 +29,20 @@ def checkpoint_bytes(meta: bytes, shape: tuple[int, ...]) -> bytes:
 # (65536,)*4 holds 2**64 values, a count np.prod wraps to 0
 OVERFLOW_CHECKPOINT = checkpoint_bytes(b'{"format_version": 1, "kind": "emomodel"}',
                                        (65536,) * 4)
+
+
+class TwoBlocks(Module):
+    """The parameters `valid_checkpoint` holds, in float32, so the reader
+    checks, casts and assigns every block of a fuzzed copy that keeps them."""
+
+    def __init__(self):
+        self.w = Parameter(np.zeros((2, 3)), dtype=np.float32)
+        self.b = Parameter(np.zeros(2), dtype=np.float32)
+
+
+def read_two_blocks(path):
+    return load_checkpoint(path, lambda meta: TwoBlocks())
+
 
 # a fuzzed file: ("raw", bytes), or ("edit", cut, edits) applied to a valid
 # file, with positions wrapped around its length
@@ -94,7 +108,7 @@ def test_load_checkpoint(scratch, valid_checkpoint, file):
     raw = _file_bytes(file, valid_checkpoint)
     if file[0] == "raw" and not raw.startswith(CHECKPOINT_MAGIC):
         raw = CHECKPOINT_MAGIC + raw  # get past the magic check
-    _only_typed_errors(load_checkpoint, scratch, raw)
+    _only_typed_errors(read_two_blocks, scratch, raw)
 
 
 @FUZZ

@@ -1,0 +1,161 @@
+"""A model holds only its weights until it trains: Adam allocates the moments
+on its first step, and `load_checkpoint` reads one block at a time into the
+model's dtype. The whole-file reader it replaced is kept here as the
+reference, and both must give the same parameter bytes."""
+
+import json
+import math
+import struct
+import tracemalloc
+from dataclasses import asdict
+
+import numpy as np
+import pytest
+
+from emogen.config import ModelConfig
+from emogen.model import (CHECKPOINT_MAGIC, IMAGE_FEATURE_DIM, EmoModel, VaPredictor,
+                          load_va_predictor, save_checkpoint, save_va_predictor)
+from emogen.tokenizer import BOS, EOS
+from emogen.training import TrainConfig, TrainSample, fit
+
+from test_model import _with_key_biases, small_config
+
+MB = 1 << 20
+
+
+# --- reference: the replaced whole-file reader ---
+
+def ref_load_checkpoint(path):
+    data = open(path, "rb").read()
+    assert data[:8] == CHECKPOINT_MAGIC
+    pos = 8
+    (meta_len,) = struct.unpack_from("<I", data, pos)
+    pos += 4
+    meta = json.loads(data[pos:pos + meta_len])
+    pos += meta_len
+    (count,) = struct.unpack_from("<I", data, pos)
+    pos += 4
+    blocks = {}
+    for _ in range(count):
+        (name_len,) = struct.unpack_from("<H", data, pos)
+        pos += 2
+        name = data[pos:pos + name_len].decode()
+        pos += name_len
+        (ndim,) = struct.unpack_from("<B", data, pos)
+        pos += 1
+        shape = struct.unpack_from(f"<{ndim}I", data, pos)
+        pos += 4 * ndim
+        size = math.prod(shape)
+        blocks[name] = np.frombuffer(data[pos:pos + 8 * size], dtype="<f8").reshape(shape).copy()
+        pos += 8 * size
+    return meta, blocks
+
+
+def ref_assign_blocks(module, blocks):
+    blocks = {name: block for name, block in blocks.items()
+              if not name.endswith(".attn.wk.bias")}
+    params = dict(module.parameters())
+    assert set(params) == set(blocks)
+    for name, param in params.items():
+        assert param.data.shape == blocks[name].shape
+        param.data = blocks[name].astype(param.data.dtype)
+
+
+def _same_parameters(ours, theirs):
+    assert [name for name, _ in ours.parameters()] == [name for name, _ in theirs.parameters()]
+    for (name, p), (_, q) in zip(ours.parameters(), theirs.parameters()):
+        assert p.data.dtype == q.data.dtype and p.data.shape == q.data.shape, name
+        assert p.data.tobytes() == q.data.tobytes(), name
+
+
+def _samples(n=2, seed=24):
+    rng = np.random.default_rng(seed)
+    return [TrainSample(rng.normal(size=IMAGE_FEATURE_DIM), [BOS, 5, 140, 9, EOS])
+            for _ in range(n)]
+
+
+# --- the streamed reader ---
+
+@pytest.mark.parametrize("key_biases", [False, True], ids=["plain", "key_biases"])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_streamed_load_matches_whole_file_reader(tmp_path, dtype, key_biases):
+    model = EmoModel(small_config(decoder_blocks=2, dtype=dtype, seed=5))
+    # train a step, so the blocks are not the seed's draws the loader starts from
+    fit(model, _samples(), TrainConfig(lr=1e-2, epochs=1, batch_size=2, va_loss_mode="off"))
+    path = tmp_path / "model.emc"
+    blocks = (_with_key_biases(model, np.random.default_rng(9)).items() if key_biases
+              else model.parameters())
+    save_checkpoint(path, {"kind": "emomodel", "config": asdict(model.config),
+                           "vocab_hash": model.vocab.vocab_hash}, blocks)
+    meta, ref_blocks = ref_load_checkpoint(path)
+    reference = EmoModel(model.config)
+    ref_assign_blocks(reference, ref_blocks)
+    _same_parameters(EmoModel.load(path), reference)
+    _same_parameters(EmoModel.load(path), model)
+
+
+def test_streamed_va_predictor_matches_whole_file_reader(tmp_path):
+    predictor = VaPredictor(16, 8, np.random.default_rng(3))
+    path = tmp_path / "va.emc"
+    save_va_predictor(path, predictor, vocab_hash="abcd")
+    reference = VaPredictor(16, 8, np.random.default_rng(0))
+    ref_assign_blocks(reference, ref_load_checkpoint(path)[1])
+    _same_parameters(load_va_predictor(path, "abcd"), reference)
+
+
+# --- Adam moments on the first step ---
+
+def test_built_and_loaded_models_hold_no_moments(tmp_path):
+    model = EmoModel(small_config())
+    model.save(tmp_path / "model.emc")
+    for module in (model, EmoModel.load(tmp_path / "model.emc")):
+        assert all(p.adam_m is None and p.adam_v is None and p.step_count == 0
+                   for _, p in module.parameters())
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_one_step_allocates_moments_in_the_parameter_dtype(dtype):
+    model = EmoModel(small_config(dtype=dtype))
+    fit(model, _samples(), TrainConfig(lr=1e-3, epochs=1, batch_size=2, va_loss_mode="off"))
+    for _, p in model.parameters():
+        assert p.step_count == 1
+        assert p.adam_m.dtype == p.adam_v.dtype == p.data.dtype == np.dtype(dtype)
+        assert p.adam_m.shape == p.adam_v.shape == p.data.shape
+
+
+def test_cast_with_and_without_moments():
+    model = EmoModel(small_config(dtype="float64"))
+    model.cast(np.float32)
+    assert {p.data.dtype for _, p in model.parameters()} == {np.dtype(np.float32)}
+    assert all(p.adam_m is None for _, p in model.parameters())
+    fit(model, _samples(), TrainConfig(lr=1e-3, epochs=1, batch_size=2, va_loss_mode="off"))
+    model.cast(np.float64)
+    assert {arr.dtype for _, p in model.parameters()
+            for arr in (p.data, p.adam_m, p.adam_v)} == {np.dtype(np.float64)}
+
+
+# --- memory of the default model ---
+
+def _traced(call):
+    """`call()`'s result, the bytes it still holds and its peak, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = call()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
+
+
+def test_default_model_build_keeps_its_weights_only():
+    model, kept, _ = _traced(lambda: EmoModel(ModelConfig()))
+    weights = sum(p.data.nbytes for _, p in model.parameters())
+    assert weights < 4.1 * MB  # ~993k float32 values
+    assert kept <= 5 * MB
+
+
+def test_default_model_load_peak(tmp_path):
+    path = tmp_path / "model.emc"
+    EmoModel(ModelConfig()).save(path)
+    _, _, peak = _traced(lambda: EmoModel.load(path))
+    assert peak <= 10 * MB  # the file alone is ~8 MB of float64 blocks
