@@ -178,6 +178,26 @@ def token_histogram(ids, vocab_size: int) -> np.ndarray:
 FIXED_CONTEXT = np.array([BOS])  # the encoder's input, in training and in generation
 
 
+class _Draws:
+    """The seeded generator as the layers see it: each weight array is drawn
+    in float64 and cast to `dtype` before the next draw, the bytes of one
+    whole-model draw cast once. Without `rng`, zeros for a file to fill."""
+
+    def __init__(self, dtype, rng: np.random.Generator | None = None):
+        self.dtype, self.rng = np.dtype(dtype), rng
+
+    def uniform(self, low, high, size):
+        return self._draw("uniform", low, high, size)
+
+    def normal(self, loc, scale, size):
+        return self._draw("normal", loc, scale, size)
+
+    def _draw(self, method: str, a, b, size) -> np.ndarray:
+        if self.rng is None:
+            return np.zeros(size, self.dtype)
+        return getattr(self.rng, method)(a, b, size=size).astype(self.dtype, copy=False)
+
+
 class DecoderCache:
     """What `EmoModel.decode_logits` keeps between the steps of one piece:
     each decoder block's keys and values, with room for the memory slot plus
@@ -192,14 +212,17 @@ class DecoderCache:
 
 class EmoModel(Module):
     """Parameters, Adam moments (once a step allocates them) and every array
-    fed to the graph have `config.dtype`; weights are drawn in float64
-    first, so the seeded draws do not depend on it."""
+    fed to the graph have `config.dtype`; each weight is drawn in float64 and
+    cast before the next draw, so the seeded draws do not depend on it."""
 
     def __init__(self, config: ModelConfig):
+        self._build(config, np.random.default_rng(config.seed))
+
+    def _build(self, config: ModelConfig, rng: np.random.Generator | None) -> None:
         self.config = config
         self.vocab = config.vocabulary()
         self.dtype = np.dtype(config.dtype)
-        rng = np.random.default_rng(config.seed)
+        rng = _Draws(self.dtype, rng)
         d, heads = config.model_dim, config.head_count
 
         self.extractor = TinyCnnExtractor(rng) if config.image_extractor == "tiny-cnn" else None
@@ -216,7 +239,7 @@ class EmoModel(Module):
             self.decoder_stack = []
             self.dense_decoder = FeedForward(d, config.ff_dim, rng)
         self.out_proj = Linear(d, self.vocab.total_size, rng)
-        self.cast(self.dtype)
+        self.cast(self.dtype)  # the biases and norm gains, made in float64
         # positions 0..max_len (slot 0 is the prepended memory position)
         self.positions = sinusoidal_positions(config.max_len + 1, d).astype(self.dtype)
 
@@ -235,6 +258,8 @@ class EmoModel(Module):
                 return Tensor(validate_feature(arr), dtype=self.dtype)
             if self.extractor is None:
                 raise BadImage("raw image given but the extractor is 'precomputed'")
+            if arr.ndim != 3 or arr.size == 0:
+                raise BadImage(f"expected a feature vector or a (3, H, W) image, got {arr.shape}")
         return self.extractor(Tensor(arr, dtype=self.dtype))
 
     def _check_ids(self, ids: np.ndarray) -> np.ndarray:
@@ -349,8 +374,9 @@ class EmoModel(Module):
                 # older models also recorded how their encoder context was taken;
                 # every model now encodes [BOS], whatever the checkpoint says
                 config.pop("context", None)
+            model = cls.__new__(cls)  # no draws: every weight comes from the file
             try:
-                model = cls(ModelConfig.from_dict(config))
+                model._build(ModelConfig.from_dict(config), None)
             except ConfigError as exc:
                 raise CheckpointCorrupt(f"{path}: {exc}") from exc
             if meta.get("vocab_hash") != model.vocab.vocab_hash:
@@ -378,7 +404,7 @@ def load_va_predictor(path: str | Path, vocab_hash: str | None = None) -> VaPred
         if any(type(size) is not int or size < 1 for size in sizes):
             raise CheckpointCorrupt(f"{path}: metadata 'vocab_size' and 'hidden' must be "
                                     f"positive integers, got {sizes}")
-        return VaPredictor(*sizes, np.random.default_rng(0))
+        return VaPredictor(*sizes, _Draws(np.float64))  # zeros, for the file to fill
 
     meta, predictor = load_checkpoint(path, build)
     try:
@@ -419,14 +445,15 @@ def load_checkpoint(path: str | Path, build) -> tuple[dict, Module]:
     """Read the checkpoint at `path` into the module `build(meta)` returns;
     return the metadata and the module.
 
-    The blocks are read one at a time, each checked, cast to its parameter's
-    dtype and assigned before the next, so neither the whole file nor a
-    float64 copy of every block is held. They must match the module's
-    parameters one for one: a missing, unknown or repeated name, a wrong
-    shape, a value not finite in the parameter's dtype, a block longer than
-    the bytes left or bytes after the last block is `CheckpointCorrupt`.
-    Older checkpoints hold `*.attn.wk.bias` blocks; such a bias shifts all of
-    one query's scores alike, which softmax cancels, so they are skipped.
+    The blocks are read one at a time, each checked and copied into its
+    parameter's array, cast to its dtype, before the next, so neither the
+    whole file nor a float64 copy of every block is held. They must match
+    the module's parameters one for one: a missing, unknown or repeated
+    name, a wrong shape, a value not finite in the parameter's dtype, a
+    block longer than the bytes left or bytes after the last block is
+    `CheckpointCorrupt`. Older checkpoints hold `*.attn.wk.bias` blocks;
+    such a bias shifts all of one query's scores alike, which softmax
+    cancels, so they are skipped.
     """
     try:
         fh = open(path, "rb")
@@ -474,7 +501,7 @@ def load_checkpoint(path: str | Path, build) -> tuple[dict, Module]:
                                             f"expected {param.data.shape}")
                 block = np.frombuffer(fh.read(nbytes), "<f8").reshape(shape)
                 with np.errstate(over="ignore"):  # a float64 value beyond float32 range
-                    param.data = block.astype(param.data.dtype)
+                    np.copyto(param.data, block, casting="same_kind")
                 if not np.isfinite(param.data).all():
                     raise CheckpointCorrupt(f"{path}: block {name} holds values that are not "
                                             f"finite as {param.data.dtype}")

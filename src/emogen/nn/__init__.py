@@ -7,7 +7,7 @@ from .layers import (BatchNorm, Conv2d, Embedding, FeedForward, KVCache, LayerNo
 from .optim import Adam, Parameter
 from .tensor import (Tensor, absolute, attention, concat, layer_norm, linear,
                      log_softmax, matmul, no_grad, relu, reshape, softmax, sqrt,
-                     take, tensor_mean, tensor_sum, transpose)
+                     take, tensor_mean, tensor_sum)
 
 __all__ = [
     "Adam", "BatchNorm", "Conv2d", "Embedding", "FeedForward", "GradCheckReport",
@@ -15,5 +15,5 @@ __all__ = [
     "absolute", "attention", "avg_pool2d", "concat", "global_avg_pool",
     "gradcheck", "layer_norm", "linear", "log_softmax", "matmul", "no_grad", "relu",
     "reshape", "sinusoidal_positions", "softmax", "sqrt", "take", "tensor_mean",
-    "tensor_sum", "transpose",
+    "tensor_sum",
 ]

@@ -78,9 +78,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
     # --- backprop driver ---
 
     def backward(self, grad: np.ndarray | None = None) -> None:
@@ -131,20 +128,8 @@ class Tensor:
     def __sub__(self, other):
         return add(self, -_as_tensor(other, self))
 
-    def __rsub__(self, other):
-        return add(_as_tensor(other, self), -self)
-
     def __truediv__(self, other):
         return mul(self, power(_as_tensor(other, self), -1.0))
-
-    def __rtruediv__(self, other):
-        return mul(_as_tensor(other, self), power(self, -1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
 
 
 def _as_tensor(value, like=None) -> Tensor:
@@ -258,18 +243,6 @@ def reshape(a, shape) -> Tensor:
     def backward(grad):
         if a.requires_grad:
             a._accumulate(grad.reshape(a.data.shape))
-
-    return Tensor._result(data, (a,), backward)
-
-
-def transpose(a, axes=None) -> Tensor:
-    a = _as_tensor(a)
-    data = np.transpose(a.data, axes)
-    inverse = None if axes is None else np.argsort(axes)
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(np.transpose(grad, inverse))
 
     return Tensor._result(data, (a,), backward)
 

@@ -10,8 +10,11 @@ and `decoder_blocks: 0` models, each in VA modes off/hard/soft and in
 float32 and float64. From every checkpoint it runs greedy and seeded
 temperature `emogen generate`, and writes the generated ids beside the
 `.mid` files, and `logits.f8`: the raw little-endian float64 bytes of
-`decode_logits` on a fixed prefix, from the checkpoint loaded back. Each
-command's output goes to a `.log` file beside what it wrote. Every path is
+`decode_logits` on a fixed prefix, from the checkpoint loaded back. Last,
+`emogen metrics` scores every generated `.mid` file (`metrics.csv` and
+`metrics.md`) and `emogen gradcheck` runs its battery, which builds a model
+from its seed (`gradcheck.log`). Each command's output goes to a `.log` file
+beside what it wrote. Every path is
 relative to OUT_DIR, so two desk sets written by two versions of the code
 compare with `diff -r`. `--tiny` shrinks the models and the pieces; it
 checks only that every command completes.
@@ -121,6 +124,9 @@ def build(out_dir: Path, tiny: bool = False) -> None:
                             *(f"--{key}={value}" for key, value in how.items()))
                         ids = model.generate("ws/img0.emf", **how).ids
                         (run_dir / f"{name}.ids").write_text(" ".join(map(str, ids)) + "\n")
+        run(Path("metrics.log"), "metrics", "--midi-dir", "runs", "--out", "metrics.csv",
+            "--summary", "metrics.md")
+        run(Path("gradcheck.log"), "gradcheck")
     finally:
         os.chdir(cwd)
 

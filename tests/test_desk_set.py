@@ -12,3 +12,8 @@ def test_tiny_desk_set_completes(tmp_path):
         written = {path.name for path in run.iterdir()}
         assert {"checkpoint.emc", "loss.csv", "logits.f8"} <= written
         assert {f"{name}{ext}" for name in GENERATE for ext in (".mid", ".ids")} <= written
+    assert {"metrics.csv", "metrics.md", "gradcheck.log"} <= {p.name for p in tmp_path.iterdir()}
+    # every generated piece is scored or, at the tiny size, skipped as too short
+    last = (tmp_path / "metrics.log").read_text().splitlines()[-1]
+    evaluated, _, _, skipped, _ = last.split(maxsplit=4)  # "N pieces evaluated, M skipped -> ..."
+    assert int(evaluated) + int(skipped) == len(runs) * len(GENERATE)

@@ -12,9 +12,10 @@ from emogen.errors import ConfigError
 from emogen.model import (IMAGE_FEATURE_DIM, DecoderCache, EmoModel, VaPredictor,
                           save_checkpoint, write_feature_file)
 from emogen.nn import (Tensor, absolute, attention, concat, layer_norm, linear,
-                       log_softmax, no_grad, relu, reshape, softmax, sqrt, take,
-                       tensor_mean, tensor_sum, transpose)
+                       log_softmax, matmul, no_grad, relu, reshape, softmax, sqrt, take,
+                       tensor_mean, tensor_sum)
 from emogen.nn.layers import MASK_VALUE
+from emogen.nn.tensor import power
 from emogen.tokenizer import BOS, EOS
 from emogen.training import TrainSample, fit
 
@@ -39,17 +40,14 @@ OPS = {
     "neg": lambda a, b, w, g: -a,
     "sub": lambda a, b, w, g: a - b,
     "sub_scalar": lambda a, b, w, g: a - 1.0,
-    "rsub_scalar": lambda a, b, w, g: 1.0 - a,
     "sub_float64_array": lambda a, b, w, g: a - np.ones((3, 4)),
     "div_scalar": lambda a, b, w, g: a / 3.0,
-    "rdiv_scalar": lambda a, b, w, g: 3.0 / (a * a + 1.0),
-    "power": lambda a, b, w, g: (a * a + 1.0) ** 1.5,
+    "power": lambda a, b, w, g: power(a * a + 1.0, 1.5),
     "sqrt": lambda a, b, w, g: sqrt(a * a + 1.0),
     "relu": lambda a, b, w, g: relu(a),
     "absolute": lambda a, b, w, g: absolute(a),
-    "matmul": lambda a, b, w, g: a @ w,
+    "matmul": lambda a, b, w, g: matmul(a, w),
     "reshape": lambda a, b, w, g: reshape(a, (4, 3)),
-    "transpose": lambda a, b, w, g: transpose(a),
     "take": lambda a, b, w, g: take(a, (np.array([0, 2]), np.array([1, 3]))),
     "concat": lambda a, b, w, g: concat([a, b], axis=0),
     "sum": lambda a, b, w, g: tensor_sum(a, axis=0),

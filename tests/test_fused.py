@@ -9,7 +9,7 @@ from emogen.errors import ShapeMismatch
 from emogen.model import IMAGE_FEATURE_DIM, EmoModel
 from emogen.nn import (LayerNorm, Linear, MultiHeadAttention, Tensor, attention,
                        gradcheck, layer_norm, linear, matmul, reshape, softmax,
-                       sqrt, tensor_mean, tensor_sum, transpose)
+                       sqrt, tensor_mean, tensor_sum)
 from emogen.nn.layers import MASK_VALUE
 from emogen.tokenizer import BOS, EOS, PAD
 from emogen.training import cce_loss
@@ -30,23 +30,32 @@ def ref_layer_norm(norm, x):
     return normed * norm.gamma + norm.beta
 
 
+def ref_transpose(a, axes):
+    """Permute the axes of `a`; its gradient flows back through the inverse."""
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(np.transpose(grad, np.argsort(axes)))
+
+    return Tensor._result(np.transpose(a.data, axes), (a,), backward)
+
+
 def ref_attention(mha, q, k, v, causal=False, cache=None):
     assert cache is None  # the reference attends over `k` and `v` only
     tq, tk, d = q.shape[0], k.shape[0], q.shape[1]
     head_dim = d // mha.heads
 
     def split_heads(x, t):
-        return transpose(reshape(x, (t, mha.heads, head_dim)), (1, 0, 2))
+        return ref_transpose(reshape(x, (t, mha.heads, head_dim)), (1, 0, 2))
 
     qh = split_heads(ref_linear(mha.wq, q), tq)
     kh = split_heads(ref_linear(mha.wk, k), tk)
     vh = split_heads(ref_linear(mha.wv, v), tk)
-    scores = matmul(qh, transpose(kh, (0, 2, 1))) * (1.0 / np.sqrt(head_dim))
+    scores = matmul(qh, ref_transpose(kh, (0, 2, 1))) * (1.0 / np.sqrt(head_dim))
     # the query rows are the last rows of the keys
     if causal:
         scores = scores + np.triu(np.full((tq, tk), MASK_VALUE), k=tk - tq + 1)
     heads = matmul(softmax(scores, axis=-1), vh)
-    merged = reshape(transpose(heads, (1, 0, 2)), (tq, d))
+    merged = reshape(ref_transpose(heads, (1, 0, 2)), (tq, d))
     return ref_linear(mha.wo, merged)
 
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from emogen.errors import (BadFeatureFile, BadImage, CheckpointCorrupt, ConfigError,
-                           MissingArtifacts, NonFiniteError, PrefixTooLong,
+                           MissingArtifacts, NonFiniteError, PrefixTooLong, ShapeMismatch,
                            VocabMismatch)
 from emogen.model import (IMAGE_FEATURE_DIM, DecoderCache, EmoModel, ModelConfig,
                           TinyCnnExtractor, VaPredictor, load_checkpoint, load_image,
@@ -122,6 +122,16 @@ class TestExtractor:
     def test_precomputed_rejects_raw_image(self, model, rng):
         with pytest.raises(BadImage):
             model.image_feature(rng.random((3, 8, 8)))
+
+    # array shape -> the typed error the tiny CNN's `image_feature` raises
+    CNN_SHAPE_ERRORS = {(32, 32): BadImage, (1, 3, 32, 32): BadImage, (3, 0, 8): BadImage,
+                        (3, 30, 30): ShapeMismatch}  # 15 rows after one pooling: odd
+
+    @pytest.mark.parametrize("shape", list(CNN_SHAPE_ERRORS), ids=str)
+    def test_malformed_raw_image_is_typed(self, rng, shape):
+        model = EmoModel(small_config(image_extractor="tiny-cnn"))
+        with pytest.raises(self.CNN_SHAPE_ERRORS[shape]):
+            model.image_feature(rng.random(shape))
 
     def test_feature_vector_passthrough(self, feature):
         model = EmoModel(small_config(dtype="float64"))

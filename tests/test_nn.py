@@ -6,7 +6,7 @@ from emogen.nn import (Adam, BatchNorm, Conv2d, Embedding, FeedForward,
                        LayerNorm, Linear, MultiHeadAttention, Parameter, Tensor,
                        avg_pool2d, concat, global_avg_pool, gradcheck,
                        log_softmax, matmul, no_grad, relu, sinusoidal_positions,
-                       softmax, take, tensor_mean, tensor_sum, transpose)
+                       softmax, take, tensor_mean, tensor_sum)
 
 
 class TestTensorOps:
@@ -24,10 +24,6 @@ class TestTensorOps:
         seed = np.array([[1.0, -1.0], [0.5, 2.0]])
         (x * x).backward(seed)
         assert np.array_equal(x.grad, 2.0 * x.data * seed)
-
-    def test_transpose_involution(self):
-        x = np.arange(6.0).reshape(2, 3)
-        assert np.array_equal(transpose(transpose(Tensor(x))).data, x)
 
     def test_softmax_example(self):
         out = softmax(Tensor([0.0, np.log(3.0)]))
@@ -288,11 +284,6 @@ def test_shape_errors_are_typed(case):
     call, message = SHAPE_ERRORS[case]
     with pytest.raises(ShapeMismatch, match=message):
         call()
-
-
-def test_tensor_repr():
-    assert repr(Tensor(np.ones((2, 3)), requires_grad=True)) == \
-        "Tensor(shape=(2, 3), requires_grad=True)"
 
 
 class TestAdam:

@@ -1,7 +1,9 @@
-"""A model holds only its weights until it trains: Adam allocates the moments
-on its first step, and `load_checkpoint` reads one block at a time into the
-model's dtype. The whole-file reader it replaced is kept here as the
-reference, and both must give the same parameter bytes."""
+"""A model holds only its weights, once, in its dtype, until it trains: a
+build casts each weight as it is drawn, a load draws nothing and copies one
+block at a time into the weights, and Adam allocates the moments on its first
+step. The whole-model constructor and the whole-file reader these replaced
+are kept here as the references, and each pair must give the same parameter
+bytes."""
 
 import json
 import math
@@ -13,14 +15,49 @@ import numpy as np
 import pytest
 
 from emogen.config import ModelConfig
-from emogen.model import (CHECKPOINT_MAGIC, IMAGE_FEATURE_DIM, EmoModel, VaPredictor,
-                          load_va_predictor, save_checkpoint, save_va_predictor)
+from emogen.errors import CheckpointCorrupt
+from emogen.model import (CHECKPOINT_MAGIC, IMAGE_FEATURE_DIM, Block, EmoModel,
+                          TinyCnnExtractor, VaPredictor, load_va_predictor, save_checkpoint,
+                          save_va_predictor)
+from emogen.nn import Embedding, FeedForward, Linear, Tensor, sinusoidal_positions
 from emogen.tokenizer import BOS, EOS
 from emogen.training import TrainConfig, TrainSample, fit
 
 from test_model import _with_key_biases, small_config
 
 MB = 1 << 20
+SHAPES = {"default": {}, "2+2": {"encoder_blocks": 2, "decoder_blocks": 2},
+          "no-decoder-blocks": {"decoder_blocks": 0}, "tiny-cnn": {"image_extractor": "tiny-cnn"}}
+
+
+# --- reference: the replaced constructor, float64 draws then one cast ---
+
+def ref_build(config):
+    self = EmoModel.__new__(EmoModel)
+    self.config = config
+    self.vocab = config.vocabulary()
+    self.dtype = np.dtype(config.dtype)
+    rng = np.random.default_rng(config.seed)
+    d, heads = config.model_dim, config.head_count
+
+    self.extractor = TinyCnnExtractor(rng) if config.image_extractor == "tiny-cnn" else None
+    self.embedding = Embedding(self.vocab.total_size, d, rng)
+    self.encoder_stack = [Block(d, heads, config.ff_dim, rng)
+                          for _ in range(config.encoder_blocks)]
+    self.img_proj = Linear(IMAGE_FEATURE_DIM, d, rng)
+    self.mem_proj = Linear(2 * d, d, rng)
+    if config.decoder_blocks > 0:
+        self.decoder_stack = [Block(d, heads, config.ff_dim, rng)
+                              for _ in range(config.decoder_blocks)]
+        self.dense_decoder = None
+    else:
+        self.decoder_stack = []
+        self.dense_decoder = FeedForward(d, config.ff_dim, rng)
+    self.out_proj = Linear(d, self.vocab.total_size, rng)
+    self.cast(self.dtype)
+    # positions 0..max_len (slot 0 is the prepended memory position)
+    self.positions = sinusoidal_positions(config.max_len + 1, d).astype(self.dtype)
+    return self
 
 
 # --- reference: the replaced whole-file reader ---
@@ -68,13 +105,43 @@ def _same_parameters(ours, theirs):
         assert p.data.tobytes() == q.data.tobytes(), name
 
 
+def _forbid_draws(monkeypatch):
+    def draw(*args, **kwargs):
+        raise AssertionError("a load draws no weights: every one comes from the file")
+
+    monkeypatch.setattr(np.random, "default_rng", draw)
+
+
 def _samples(n=2, seed=24):
     rng = np.random.default_rng(seed)
     return [TrainSample(rng.normal(size=IMAGE_FEATURE_DIM), [BOS, 5, 140, 9, EOS])
             for _ in range(n)]
 
 
+# --- the build casts each draw ---
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_build_matches_whole_model_draw_then_cast(shape, dtype):
+    config = ModelConfig(**SHAPES[shape], dtype=dtype)
+    model, reference = EmoModel(config), ref_build(config)
+    _same_parameters(model, reference)
+    assert model.positions.tobytes() == reference.positions.tobytes()
+
+
 # --- the streamed reader ---
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+@pytest.mark.parametrize("shape", list(SHAPES))
+def test_load_matches_whole_file_reader_in_every_shape(tmp_path, monkeypatch, shape, dtype):
+    config = small_config(**SHAPES[shape], dtype=dtype, image_size=8, seed=7)
+    path = tmp_path / "model.emc"
+    EmoModel(config).save(path)
+    reference = ref_build(config)
+    ref_assign_blocks(reference, ref_load_checkpoint(path)[1])
+    _forbid_draws(monkeypatch)
+    _same_parameters(EmoModel.load(path), reference)
+
 
 @pytest.mark.parametrize("key_biases", [False, True], ids=["plain", "key_biases"])
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -94,13 +161,32 @@ def test_streamed_load_matches_whole_file_reader(tmp_path, dtype, key_biases):
     _same_parameters(EmoModel.load(path), model)
 
 
-def test_streamed_va_predictor_matches_whole_file_reader(tmp_path):
+def test_streamed_va_predictor_matches_whole_file_reader(tmp_path, monkeypatch):
     predictor = VaPredictor(16, 8, np.random.default_rng(3))
     path = tmp_path / "va.emc"
     save_va_predictor(path, predictor, vocab_hash="abcd")
     reference = VaPredictor(16, 8, np.random.default_rng(0))
     ref_assign_blocks(reference, ref_load_checkpoint(path)[1])
+    _forbid_draws(monkeypatch)
     _same_parameters(load_va_predictor(path, "abcd"), reference)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_block_beyond_float32_range(tmp_path, dtype):
+    """Finite in the file's float64 is not enough: the value must be finite
+    in the model's dtype once copied in."""
+    model = EmoModel(small_config(dtype=dtype))
+    wide = {name: Tensor(p.data.astype(np.float64)) for name, p in model.parameters()}
+    wide["out_proj.weight"].data[3, 1] = 1e39
+    path = tmp_path / "model.emc"
+    save_checkpoint(path, {"kind": "emomodel", "config": asdict(model.config),
+                           "vocab_hash": model.vocab.vocab_hash}, wide.items())
+    if dtype == "float64":
+        assert EmoModel.load(path).out_proj.weight.data[3, 1] == 1e39
+        return
+    with pytest.raises(CheckpointCorrupt, match="out_proj.weight holds values that are not "
+                                                "finite as float32"):
+        EmoModel.load(path)
 
 
 # --- Adam moments on the first step ---
@@ -148,14 +234,15 @@ def _traced(call):
 
 
 def test_default_model_build_keeps_its_weights_only():
-    model, kept, _ = _traced(lambda: EmoModel(ModelConfig()))
+    model, kept, peak = _traced(lambda: EmoModel(ModelConfig()))
     weights = sum(p.data.nbytes for _, p in model.parameters())
     assert weights < 4.1 * MB  # ~993k float32 values
     assert kept <= 5 * MB
+    assert peak <= 6 * MB  # no float64 copy of the model: only one array's draw at a time
 
 
 def test_default_model_load_peak(tmp_path):
     path = tmp_path / "model.emc"
     EmoModel(ModelConfig()).save(path)
     _, _, peak = _traced(lambda: EmoModel.load(path))
-    assert peak <= 10 * MB  # the file alone is ~8 MB of float64 blocks
+    assert peak <= 6 * MB  # the weights, plus one float64 block of the ~8 MB file at a time
