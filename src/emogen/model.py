@@ -6,7 +6,10 @@ the encoder blocks' output over the one input [BOS]. `mem_proj` maps the
 pair to the memory row, which the causal decoder blocks see as position 0
 (or which is added to every position when there are no decoder blocks); the
 vocabulary head reads the decoder's rows. Generation caches each decoder
-block's keys and values, so a step decodes one row.
+block's keys and values, so a step decodes one row; that cached step runs
+forward only, on plain arrays through the graph ops' own forward kernels
+(`nn.affine`, `nn.normalize`, `nn.attend`), so its logits are the same bytes
+as the graph's.
 """
 
 from __future__ import annotations
@@ -23,10 +26,11 @@ from ._files import write_atomic
 from .config import ModelConfig
 from .errors import (BadFeatureFile, BadImage, CheckpointCorrupt, ConfigError,
                      MissingArtifacts, NonFiniteError, PrefixTooLong, VocabMismatch)
-from .nn import (BatchNorm, Conv2d, Embedding, FeedForward, KVCache, LayerNorm, Linear,
-                 Module, MultiHeadAttention, Tensor, avg_pool2d, concat,
-                 global_avg_pool, no_grad, relu, reshape, sinusoidal_positions,
-                 softmax, take, tensor_mean)
+from .nn import (BatchNorm, Conv2d, Embedding, FeedForward, LayerNorm, Linear, Module,
+                 MultiHeadAttention, Tensor, affine, attend, avg_pool2d, concat,
+                 global_avg_pool, no_grad, normalize, relu, reshape,
+                 sinusoidal_positions, softmax, take, tensor_mean)
+from .nn.layers import causal_mask
 from .pairing import VA_MAX, VA_MIN, VaPoint
 from .tokenizer import BOS, EOS, TokenSequence
 
@@ -114,11 +118,36 @@ class Block(Module):
         self.ffn = FeedForward(dim, ff_dim, rng)
         self.norm2 = LayerNorm(dim)
 
-    def __call__(self, x: Tensor, cache: KVCache | None = None) -> Tensor:
-        """With a `cache`, `x` holds only the rows after those cached and also
-        attends to the cached rows."""
-        x = self.norm1(x + self.attn(x, cache=cache))
+    def __call__(self, x: Tensor) -> Tensor:
+        x = self.norm1(x + self.attn(x))
         return self.norm2(x + self.ffn(x))
+
+    def decode(self, x: np.ndarray, keys: np.ndarray, values: np.ndarray,
+               mask: np.ndarray | None) -> np.ndarray:
+        """`self(x)` forward only, on arrays, for rows `x` that follow those
+        already in `keys` and `values`: their keys and values are written into
+        the last `len(x)` rows there, and each row attends to all the rows
+        `mask` lets it see."""
+        attn, new = self.attn, slice(len(keys) - len(x), None)
+        keys[new] = _dense(attn.wk, x)
+        values[new] = _dense(attn.wv, x)
+        out, _ = attend(_dense(attn.wq, x), keys, values, attn.heads, mask)
+        x = _norm(self.norm1, x + _dense(attn.wo, out))
+        return _norm(self.norm2, x + _feed_forward(self.ffn, x))
+
+
+# array forms of the layers' forward passes, for decoding without a graph
+
+def _dense(layer: Linear, x: np.ndarray) -> np.ndarray:
+    return affine(x, layer.weight.data, None if layer.bias is None else layer.bias.data)
+
+
+def _norm(layer: LayerNorm, x: np.ndarray) -> np.ndarray:
+    return normalize(x, layer.gamma.data, layer.beta.data, layer.eps)[0]
+
+
+def _feed_forward(layer: FeedForward, x: np.ndarray) -> np.ndarray:
+    return _dense(layer.fc2, np.maximum(_dense(layer.fc1, x), 0.0))  # as `relu` computes it
 
 
 class VaPredictor(Module):
@@ -164,11 +193,17 @@ class VaPredictor(Module):
 
 
 def token_histogram(ids, vocab_size: int) -> np.ndarray:
-    """L1-normalized token-count histogram; zero vector for empty input."""
-    ids = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=np.int64)
+    """L1-normalized token-count histogram; zero vector for empty input. An
+    id outside `[0, vocab_size)` is `VocabMismatch`."""
+    try:
+        ids = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=np.int64)
+    except OverflowError as exc:  # an int beyond int64 is outside every vocabulary
+        raise VocabMismatch(f"token id outside vocabulary of {vocab_size}: {exc}") from exc
     hist = np.zeros(vocab_size)
     if ids.size == 0:
         return hist
+    if ids.min() < 0 or ids.max() >= vocab_size:
+        raise VocabMismatch(f"token id outside vocabulary of {vocab_size}")
     np.add.at(hist, ids, 1.0)
     return hist / ids.size
 
@@ -200,13 +235,13 @@ class _Draws:
 
 class DecoderCache:
     """What `EmoModel.decode_logits` keeps between the steps of one piece:
-    each decoder block's keys and values, with room for the memory slot plus
-    `max_len` ids."""
+    each decoder block's keys and values (`keys[block, row]`), with room for
+    the memory row plus `max_len` ids."""
 
     def __init__(self, model: "EmoModel"):
-        rows = model.config.max_len + 1
-        self.blocks = [KVCache(rows, model.config.model_dim, model.dtype)
-                       for _ in model.decoder_stack]
+        shape = (len(model.decoder_stack), model.config.max_len + 1, model.config.model_dim)
+        self.keys = np.empty(shape, model.dtype)
+        self.values = np.empty(shape, model.dtype)
         self.length = 0  # ids decoded so far
 
 
@@ -290,9 +325,13 @@ class EmoModel(Module):
     def decode_logits(self, memory: Tensor, ids, cache: DecoderCache | None = None) -> Tensor:
         """Vocabulary logits, one row per id in `ids`, conditioned on `memory`.
 
-        Without a `cache`, `ids` is the whole prefix. With one, `ids` are the
-        ids after those already cached (on the first call, a whole prefix),
-        and they attend to the cached keys and values as well.
+        Without a `cache`, `ids` is the whole prefix and the logits are a graph
+        node. With one, `ids` are the ids after those already cached (on the
+        first call, a whole prefix), and they attend to the cached keys and
+        values as well. That path is forward only: it runs on plain arrays
+        through the graph ops' forward kernels, so its logits are the same
+        bytes as the graph's, but they never require grad and no graph node is
+        kept, even with grad enabled and a `memory` that requires grad.
         """
         ids = self._check_ids(ids)
         if ids.size == 0:
@@ -301,20 +340,29 @@ class EmoModel(Module):
         n = done + ids.size
         if n > self.config.max_len:
             raise PrefixTooLong(f"prefix of {n} exceeds max_len {self.config.max_len}")
+        if cache is not None:  # the path below, step for step on arrays
+            x = self.embedding.weight.data[ids] + self.positions[done + 1:n + 1]
+            memory = memory.data.reshape(1, self.config.model_dim)
+            if self.decoder_stack:
+                if not done:  # the memory row's keys and values go into the caches
+                    x = np.concatenate([memory + self.positions[:1], x])
+                mask = causal_mask(len(x), n + 1, x.dtype) if len(x) > 1 else None
+                for block, keys, values in zip(self.decoder_stack, cache.keys, cache.values):
+                    x = block.decode(x, keys[:n + 1], values[:n + 1], mask)
+                x = x if done else x[1:]
+            else:
+                x = _feed_forward(self.dense_decoder, x + memory)
+            cache.length = n
+            return Tensor(_dense(self.out_proj, x))
         memory = reshape(memory, (1, self.config.model_dim))
-        x = self.embedding(ids) + Tensor(self.positions[done + 1:n + 1])
+        x = self.embedding(ids) + Tensor(self.positions[1:n + 1])
         if self.decoder_stack:
-            caches = [None] * len(self.decoder_stack) if cache is None else cache.blocks
-            if not done:  # the memory row's keys and values go into the caches
-                x = concat([memory + Tensor(self.positions[:1]), x], axis=0)
-            for block, kv in zip(self.decoder_stack, caches):
-                x = block(x, cache=kv)
-            if not done:
-                x = take(x, slice(1, None))  # drop the memory row
+            x = concat([memory + Tensor(self.positions[:1]), x], axis=0)
+            for block in self.decoder_stack:
+                x = block(x)
+            x = take(x, slice(1, None))  # drop the memory row
         else:
             x = self.dense_decoder(x + memory)
-        if cache is not None:
-            cache.length = n
         return self.out_proj(x)  # (ids.size, vocab)
 
     def forward_logits(self, image_source, prefix_ids, context: Tensor | None = None) -> Tensor:

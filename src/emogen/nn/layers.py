@@ -137,34 +137,11 @@ class MultiHeadAttention(Module):
         self.wv = Linear(dim, dim, rng)
         self.wo = Linear(dim, dim, rng)
 
-    def __call__(self, x: Tensor, cache: KVCache | None = None) -> Tensor:
+    def __call__(self, x: Tensor) -> Tensor:
         """Causal self-attention over the rows of `x`: each row attends to the
-        rows up to itself. With a `cache`, the projections of `x` are appended
-        to it, and the rows of `x` also attend to every row cached before them."""
-        keys, values = self.wk(x), self.wv(x)
-        if cache is not None:
-            keys, values = cache.extend(keys, values)
-        tq, tk = x.shape[0], keys.shape[0]
-        mask = causal_mask(tq, tk, x.data.dtype) if tq > 1 else None
-        return self.wo(attention(self.wq(x), keys, values, self.heads, mask))
-
-
-class KVCache:
-    """The projected keys and values of every row one attention layer has
-    seen, in arrays preallocated to `rows` rows; for decoding under `no_grad`,
-    since no gradient flows into the cache."""
-
-    def __init__(self, rows: int, dim: int, dtype):
-        self.keys = np.empty((rows, dim), dtype)
-        self.values = np.empty((rows, dim), dtype)
-        self.length = 0
-
-    def extend(self, keys: Tensor, values: Tensor) -> tuple[Tensor, Tensor]:
-        """Append the new rows; return the keys and values of all rows so far."""
-        start, self.length = self.length, self.length + keys.shape[0]
-        self.keys[start:self.length] = keys.data
-        self.values[start:self.length] = values.data
-        return Tensor(self.keys[:self.length]), Tensor(self.values[:self.length])
+        rows up to itself."""
+        mask = causal_mask(x.shape[0], x.shape[0], x.data.dtype) if x.shape[0] > 1 else None
+        return self.wo(attention(self.wq(x), self.wk(x), self.wv(x), self.heads, mask))
 
 
 class FeedForward(Module):

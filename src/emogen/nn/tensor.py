@@ -335,10 +335,22 @@ def log_softmax(a, axis: int = -1) -> Tensor:
 
 
 # --- fused layers: one node each; every forward repeats the numpy steps of
-# the composite ops it replaces, in the same order, so outputs are unchanged ---
+# the composite ops it replaces, in the same order, so outputs are unchanged.
+# The forward of each is an array kernel of its own, which cached decoding
+# also calls, so the two paths give the same bytes ---
 
 def _rows(a: np.ndarray) -> np.ndarray:
     return a.reshape(-1, a.shape[-1])
+
+
+def affine(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """`x @ weight + bias` on arrays, or `x @ weight` without a bias."""
+    out = x @ weight
+    if bias is not None and out.dtype is bias.dtype:
+        out += bias  # in place on the fresh product
+    elif bias is not None:  # numpy's promotion picks the dtype
+        out = out + bias
+    return out
 
 
 def linear(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -346,11 +358,7 @@ def linear(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     x = _as_tensor(x)
     if x.data.shape[-1] != weight.data.shape[0]:
         raise ShapeMismatch(f"linear expects {weight.data.shape[0]} features, got {x.data.shape}")
-    data = x.data @ weight.data
-    if bias is not None and data.dtype is bias.data.dtype:
-        data += bias.data  # in place on the fresh product
-    elif bias is not None:  # numpy's promotion picks the dtype
-        data = data + bias.data
+    data = affine(x.data, weight.data, None if bias is None else bias.data)
 
     def backward(grad):
         if x.requires_grad:
@@ -364,18 +372,27 @@ def linear(x, weight: Tensor, bias: Tensor | None = None) -> Tensor:
     return Tensor._result(data, parents, backward)
 
 
+def normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
+              eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Layer norm on arrays: `(out, normed, inv_std)`, where `normed` is `x`
+    at zero mean and unit (biased) variance over the last axis and `out` is
+    `normed * gamma + beta`."""
+    scale = 1.0 / x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) * scale
+    var = (centered * centered).sum(axis=-1, keepdims=True) * scale
+    inv_std = ((var + eps) ** 0.5) ** -1.0
+    normed = centered * inv_std
+    return normed * gamma + beta, normed, inv_std
+
+
 def layer_norm(x, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """Normalise the last axis to zero mean and unit (biased) variance, then
     scale by `gamma` and shift by `beta`."""
     x = _as_tensor(x)
     if x.data.shape[-1] != gamma.data.shape[0]:
         raise ShapeMismatch(f"layer norm dim {gamma.data.shape[0]} vs input {x.data.shape}")
+    data, normed, inv_std = normalize(x.data, gamma.data, beta.data, eps)
     scale = 1.0 / x.data.shape[-1]
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) * scale
-    var = (centered * centered).sum(axis=-1, keepdims=True) * scale
-    inv_std = ((var + eps) ** 0.5) ** -1.0
-    normed = centered * inv_std
-    data = normed * gamma.data + beta.data
 
     def backward(grad):
         if x.requires_grad:
@@ -396,30 +413,38 @@ def _merge_heads(h: np.ndarray) -> np.ndarray:
     return h.transpose(1, 0, 2).reshape(h.shape[1], -1)
 
 
-def attention(q, k, v, heads: int, mask: np.ndarray | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention over (T, d) projections.
+def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
+           mask: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
+    """Multi-head scaled dot-product attention on (T, d) arrays:
+    `(out, (qh, kh, vh, weights))`, the per-head views and softmax weights
+    being what the backward pass reads.
 
     Splits the last axis into `heads` heads, adds the additive `mask`
     (broadcast to (Tq, Tk)) to the scaled scores, softmaxes each row over
     the keys and merges the heads back into a (Tq, d) result.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    (tq, d), tk = q.data.shape, k.data.shape[0]
-    if heads < 1 or d % heads or k.data.shape != (tk, d) or v.data.shape != (tk, d):
-        raise ShapeMismatch(f"attention over {heads} heads: q {q.data.shape}, "
-                            f"k {k.data.shape}, v {v.data.shape}")
+    (_, d), tk = q.shape, k.shape[0]
+    if heads < 1 or d % heads or k.shape != (tk, d) or v.shape != (tk, d):
+        raise ShapeMismatch(f"attention over {heads} heads: q {q.shape}, "
+                            f"k {k.shape}, v {v.shape}")
     head_dim = d // heads
-    qh, kh, vh = (t.data.reshape(t.data.shape[0], heads, head_dim).transpose(1, 0, 2)
-                  for t in (q, k, v))
-    scale = 1.0 / math.sqrt(head_dim)  # a Python float: float32 stays float32
+    qh, kh, vh = (a.reshape(a.shape[0], heads, head_dim).transpose(1, 0, 2) for a in (q, k, v))
     weights = qh @ kh.transpose(0, 2, 1)  # (H, Tq, Tk); scaled and softmaxed in place
-    weights *= scale
+    weights *= 1.0 / math.sqrt(head_dim)  # a Python float: float32 stays float32
     if mask is not None:
         weights += mask
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
-    data = _merge_heads(weights @ vh)
+    return _merge_heads(weights @ vh), (qh, kh, vh, weights)
+
+
+def attention(q, k, v, heads: int, mask: np.ndarray | None = None) -> Tensor:
+    """`attend` as one graph node over the (T, d) projections `q`, `k`, `v`."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    data, (qh, kh, vh, weights) = attend(q.data, k.data, v.data, heads, mask)
+    tq, head_dim = qh.shape[1:]
+    scale = 1.0 / math.sqrt(head_dim)
 
     def backward(grad):
         gh = grad.reshape(tq, heads, head_dim).transpose(1, 0, 2)

@@ -9,8 +9,10 @@ with `emogen pretrain-va`, then runs `emogen train` for the default, 2+2
 and `decoder_blocks: 0` models, each in VA modes off/hard/soft and in
 float32 and float64. From every checkpoint it runs greedy and seeded
 temperature `emogen generate`, and writes the generated ids beside the
-`.mid` files, and `logits.f8`: the raw little-endian float64 bytes of
-`decode_logits` on a fixed prefix, from the checkpoint loaded back. Last,
+`.mid` files. From the checkpoint loaded back it writes `logits.f8`, the raw
+little-endian float64 bytes of `decode_logits` on a fixed prefix, and
+`steps.f8`, those of the cached logits of every step of the greedy piece,
+one row per step, as generation computes them. Last,
 `emogen metrics` scores every generated `.mid` file (`metrics.csv` and
 `metrics.md`) and `emogen gradcheck` runs its battery, which builds a model
 from its seed (`gradcheck.log`). Each command's output goes to a `.log` file
@@ -37,7 +39,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from emogen.cli import main as emogen  # noqa: E402
 from emogen.midi_io import MidiPiece, NoteEvent, write_midi  # noqa: E402
-from emogen.model import IMAGE_FEATURE_DIM, EmoModel, write_feature_file  # noqa: E402
+from emogen.model import (IMAGE_FEATURE_DIM, DecoderCache, EmoModel,  # noqa: E402
+                          write_feature_file)
 from emogen.nn import no_grad  # noqa: E402
 from emogen.tokenizer import BOS  # noqa: E402
 
@@ -87,6 +90,15 @@ def workspace(rng: np.random.Generator, max_notes: int) -> None:
     _catalog(Path("ws/images.csv"), images)
 
 
+def cached_steps(model: EmoModel, image: str, ids) -> np.ndarray:
+    """The logits row of every step that chose `ids[1:]`, decoded one id at
+    a time through a `DecoderCache`, as `EmoModel.generate` does."""
+    with no_grad():
+        memory, cache = model.memory(image), DecoderCache(model)
+        return np.concatenate([model.decode_logits(memory, [i], cache=cache).data
+                               for i in ids[:-1]])
+
+
 def build(out_dir: Path, tiny: bool = False) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     cwd = Path.cwd()
@@ -124,6 +136,9 @@ def build(out_dir: Path, tiny: bool = False) -> None:
                             *(f"--{key}={value}" for key, value in how.items()))
                         ids = model.generate("ws/img0.emf", **how).ids
                         (run_dir / f"{name}.ids").write_text(" ".join(map(str, ids)) + "\n")
+                        if name == "greedy":
+                            steps = cached_steps(model, "ws/img0.emf", ids)
+                            (run_dir / "steps.f8").write_bytes(steps.astype("<f8").tobytes())
         run(Path("metrics.log"), "metrics", "--midi-dir", "runs", "--out", "metrics.csv",
             "--summary", "metrics.md")
         run(Path("gradcheck.log"), "gradcheck")

@@ -1,6 +1,8 @@
 """`tests/desk_set.py` completes at its tiny size. Its bytes are compared
 only between two versions of the code, by `diff -r` of two desk sets."""
 
+import numpy as np
+
 from desk_set import GENERATE, SHAPES, build
 
 
@@ -10,8 +12,12 @@ def test_tiny_desk_set_completes(tmp_path):
     assert len(runs) == len(SHAPES) * 3 * 2  # VA modes x dtypes
     for run in runs:
         written = {path.name for path in run.iterdir()}
-        assert {"checkpoint.emc", "loss.csv", "logits.f8"} <= written
+        assert {"checkpoint.emc", "loss.csv", "logits.f8", "steps.f8"} <= written
         assert {f"{name}{ext}" for name in GENERATE for ext in (".mid", ".ids")} <= written
+        # one row per greedy step, whose argmax is the id that step chose
+        ids = [int(i) for i in (run / "greedy.ids").read_text().split()]
+        steps = np.frombuffer((run / "steps.f8").read_bytes(), "<f8").reshape(len(ids) - 1, -1)
+        assert np.argmax(steps, axis=1).tolist() == ids[1:]
     assert {"metrics.csv", "metrics.md", "gradcheck.log"} <= {p.name for p in tmp_path.iterdir()}
     # every generated piece is scored or, at the tiny size, skipped as too short
     last = (tmp_path / "metrics.log").read_text().splitlines()[-1]

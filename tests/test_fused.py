@@ -39,8 +39,7 @@ def ref_transpose(a, axes):
     return Tensor._result(np.transpose(a.data, axes), (a,), backward)
 
 
-def ref_attention(mha, q, k, v, causal=False, cache=None):
-    assert cache is None  # the reference attends over `k` and `v` only
+def ref_attention(mha, q, k, v, causal=False):
     tq, tk, d = q.shape[0], k.shape[0], q.shape[1]
     head_dim = d // mha.heads
 
@@ -59,8 +58,8 @@ def ref_attention(mha, q, k, v, causal=False, cache=None):
     return ref_linear(mha.wo, merged)
 
 
-def ref_self_attention(mha, x, cache=None):
-    return ref_attention(mha, x, x, x, x.shape[0] > 1, cache)
+def ref_self_attention(mha, x):
+    return ref_attention(mha, x, x, x, x.shape[0] > 1)
 
 
 def _weighted(out, seed):
@@ -81,7 +80,7 @@ ATTENTION_CASES = [
 def fused_attention(mha, q, x, causal):
     """`mha(x)`, which is causal over more than one row; or, when the query
     rows `q` are only the last rows of `x`, the fused `attention` on the
-    projections, as a cached decoding step runs it."""
+    projections, whose forward `attend` a cached decoding step runs."""
     if q is x:
         assert causal == (x.shape[0] > 1)
         return mha(x)

@@ -351,21 +351,47 @@ def reference_generate(model, feature, max_len, strategy="greedy",
     return tuple(ids)
 
 
+# (n, decoder_blocks, dtype); the float64 cases keep their ids from before
+# the dtype parameter
+LAST_ROW_CASES = [pytest.param(n, blocks, dtype, id=f"{n}-{blocks}" + suffix)
+                  for n in (1, 2, 17, 32) for blocks in (0, 1, 3)
+                  for dtype, suffix in (("float64", ""), ("float32", "-float32"))]
+
+
 class TestLastRowDecoding:
     """A cache's first call may hold a whole prefix: it returns a row per id,
     exactly as decoding without a cache does."""
 
-    @pytest.mark.parametrize("decoder_blocks", [0, 1, 3])
-    @pytest.mark.parametrize("n", [1, 2, 17, 32])
-    def test_last_row_matches_full_decode(self, decoder_blocks, n, feature):
-        model = EmoModel(small_config(decoder_blocks=decoder_blocks, dtype="float64"))
+    @pytest.mark.parametrize("n, decoder_blocks, dtype", LAST_ROW_CASES)
+    def test_last_row_matches_full_decode(self, decoder_blocks, n, dtype, feature):
+        model = EmoModel(small_config(decoder_blocks=decoder_blocks, dtype=dtype))
         ids = np.random.default_rng(n).integers(0, model.vocab.total_size, size=n)
         with no_grad():
             memory = model.memory(feature)
             full = model.decode_logits(memory, ids).data
             cached = model.decode_logits(memory, ids, cache=DecoderCache(model)).data
         assert cached.shape == full.shape == (n, model.vocab.total_size)
+        assert cached.dtype == np.dtype(dtype)
         assert np.array_equal(cached, full)
+
+    @pytest.mark.parametrize("decoder_blocks", [0, 1, 3])
+    def test_cached_decode_builds_no_graph(self, decoder_blocks, feature, monkeypatch):
+        """With grad enabled and a `memory` that requires grad, cached logits
+        require no grad and no graph node is made on the way."""
+        model = EmoModel(small_config(decoder_blocks=decoder_blocks))
+        memory = model.memory(feature)
+        assert memory.requires_grad
+        nodes = []
+        make_node = Tensor._result
+        monkeypatch.setattr(Tensor, "_result",
+                            staticmethod(lambda *args: nodes.append(args) or make_node(*args)))
+        cache = DecoderCache(model)
+        for ids in ([BOS, 5, 7], [9], [11]):
+            logits = model.decode_logits(memory, ids, cache=cache)
+            assert logits.shape == (len(ids), model.vocab.total_size)
+            assert not logits.requires_grad
+            assert logits._parents == () and logits._backward_fn is None
+        assert nodes == []
 
 
 # the default config, 2+2 blocks and a dense decoder
@@ -461,6 +487,14 @@ class TestVaPredictor:
 
     def test_empty_histogram(self):
         assert token_histogram([], 8).sum() == 0.0
+
+    @pytest.mark.parametrize("ids", [[-1, 2], [7], [0, 5], np.array([4, -3]), [2 ** 63]],
+                             ids=["negative", "past_end", "vocab_size", "array", "beyond_int64"])
+    def test_histogram_rejects_ids_outside_vocabulary(self, ids):
+        with pytest.raises(VocabMismatch):
+            token_histogram(ids, 5)
+        with pytest.raises(VocabMismatch):
+            VaPredictor(5, 4, np.random.default_rng(0)).predict_va(ids)
 
     def test_prediction_clamped(self):
         predictor = VaPredictor(16, 8, np.random.default_rng(0))
