@@ -69,10 +69,11 @@ def full_model_gradcheck(tolerance: float = 1e-4,
                          velocity_bins=2, seed=3, dtype="float64")
     model = EmoModel(config)
     feature = np.random.default_rng(13).normal(size=512)
-    vocab = model.vocab
-    body = [vocab.token_to_id(("VELOCITY", 0)), vocab.token_to_id(("NOTE_ON", 60)),
-            vocab.token_to_id(("TIME_SHIFT", 2)), vocab.token_to_id(("NOTE_OFF", 60))]
+    vocab = model.vocab  # VELOCITY bin 0, NOTE_ON 60, TIME_SHIFT 2, NOTE_OFF 60
+    body = [vocab.velocity_base, vocab.note_on_base + 60, vocab.time_shift_base + 1,
+            vocab.note_off_base + 60]
     ids = np.array([BOS] + body + [EOS])
-    return gradcheck(lambda: cce_loss(model.forward_logits(feature, ids[:-1]), ids[1:]),
+    return gradcheck(lambda: cce_loss(model.decode_logits(model.memory(feature), ids[:-1]),
+                                      ids[1:]),
                      model.parameters(), tolerance=tolerance,
                      max_coords_per_block=max_coords_per_block)

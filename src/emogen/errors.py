@@ -53,10 +53,6 @@ class BadMetricSetting(EmogenError, ValueError):
 
 # --- pairing ---
 
-class DegenerateRange(EmogenError):
-    """Normalization source range has zero width."""
-
-
 class OutOfRange(EmogenError):
     """Value outside its declared range."""
 

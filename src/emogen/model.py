@@ -192,18 +192,29 @@ class VaPredictor(Module):
         self.bn2.running_mean, self.bn2.running_var = stats["bn2_mean"], stats["bn2_var"]
 
 
-def token_histogram(ids, vocab_size: int) -> np.ndarray:
-    """L1-normalized token-count histogram; zero vector for empty input. An
-    id outside `[0, vocab_size)` is `VocabMismatch`."""
+def _token_ids(ids, vocab_size: int) -> np.ndarray:
+    """`ids` as a 1-D integer array, each id in `[0, vocab_size)`; it may be
+    empty. Anything else is `VocabMismatch`: a float, bool or string id, a
+    nested or ragged list, or an int beyond int64."""
     try:
-        ids = np.asarray(list(ids) if not isinstance(ids, np.ndarray) else ids, dtype=np.int64)
-    except OverflowError as exc:  # an int beyond int64 is outside every vocabulary
-        raise VocabMismatch(f"token id outside vocabulary of {vocab_size}: {exc}") from exc
+        ids = np.asarray(ids)
+    except ValueError as exc:  # a ragged list
+        raise VocabMismatch(f"token ids must be a flat sequence of integers: {exc}") from exc
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise VocabMismatch(f"token ids must be a flat sequence of integers, got "
+                            f"{ids.dtype} of shape {ids.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        raise VocabMismatch(f"token id outside vocabulary of {vocab_size}")
+    return ids
+
+
+def token_histogram(ids, vocab_size: int) -> np.ndarray:
+    """L1-normalized token-count histogram; zero vector for empty input. Ids
+    are checked as `_token_ids` checks them."""
+    ids = _token_ids(ids, vocab_size)
     hist = np.zeros(vocab_size)
     if ids.size == 0:
         return hist
-    if ids.min() < 0 or ids.max() >= vocab_size:
-        raise VocabMismatch(f"token id outside vocabulary of {vocab_size}")
     np.add.at(hist, ids, 1.0)
     return hist / ids.size
 
@@ -297,15 +308,9 @@ class EmoModel(Module):
                 raise BadImage(f"expected a feature vector or a (3, H, W) image, got {arr.shape}")
         return self.extractor(Tensor(arr, dtype=self.dtype))
 
-    def _check_ids(self, ids: np.ndarray) -> np.ndarray:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.vocab.total_size):
-            raise VocabMismatch(f"token id outside vocabulary of {self.vocab.total_size}")
-        return ids
-
     def encode_midi(self, ids) -> Tensor:
         """Embed, run the encoder stack, mean-pool over the positions."""
-        ids = self._check_ids(ids)
+        ids = _token_ids(ids, self.vocab.total_size)
         if ids.size > self.config.max_len:
             raise PrefixTooLong(f"{ids.size} tokens exceed max_len {self.config.max_len}")
         x = self.embedding(ids) + Tensor(self.positions[1:ids.size + 1])
@@ -333,7 +338,7 @@ class EmoModel(Module):
         bytes as the graph's, but they never require grad and no graph node is
         kept, even with grad enabled and a `memory` that requires grad.
         """
-        ids = self._check_ids(ids)
+        ids = _token_ids(ids, self.vocab.total_size)
         if ids.size == 0:
             raise PrefixTooLong("no ids to decode: a prefix holds at least BOS")
         done = 0 if cache is None else cache.length  # ids already in the cache
@@ -365,11 +370,6 @@ class EmoModel(Module):
             x = self.dense_decoder(x + memory)
         return self.out_proj(x)  # (ids.size, vocab)
 
-    def forward_logits(self, image_source, prefix_ids, context: Tensor | None = None) -> Tensor:
-        """Teacher-forcing forward: logits over `prefix_ids`, conditioned on
-        the image and `context` as in `memory`."""
-        return self.decode_logits(self.memory(image_source, context), prefix_ids)
-
     # --- generation ---
 
     def generate(self, image_source, max_len: int | None = None,
@@ -397,7 +397,12 @@ class EmoModel(Module):
                 if strategy == "greedy":
                     next_id = int(np.argmax(logits))
                 else:
-                    probs = softmax(Tensor(logits * (1.0 / temperature))).data
+                    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+                        scaled = logits * (1.0 / temperature)
+                    if not np.isfinite(scaled).all():
+                        raise ConfigError(f"temperature {temperature} is too small for these "
+                                          f"logits: scaled by 1/temperature they overflow")
+                    probs = softmax(Tensor(scaled)).data
                     next_id = int(rng.choice(len(probs), p=probs / probs.sum()))
                 ids.append(next_id)
                 if next_id == EOS:

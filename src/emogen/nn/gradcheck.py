@@ -20,9 +20,6 @@ class GradCheckReport:
     def passed(self) -> bool:
         return self.worst < self.tolerance
 
-    def failures(self) -> dict[str, float]:
-        return {k: v for k, v in self.max_errors.items() if v >= self.tolerance}
-
 
 def _rel_err(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))

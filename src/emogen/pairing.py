@@ -1,9 +1,9 @@
 """Emotionally paired image/MIDI dataset construction.
 
-Valence-Arousal annotations are normalized onto [1, 9], each MIDI is
-matched to its most emotionally similar image (reciprocal Euclidean
-distance in VA space, image reuse allowed), and the resulting pairs are
-split deterministically under a seed.
+Valence-Arousal annotations lie on [1, 9]. Each MIDI is matched to its
+most emotionally similar image (reciprocal Euclidean distance in VA space,
+image reuse allowed), and the resulting pairs are split deterministically
+under a seed.
 """
 
 from __future__ import annotations
@@ -19,8 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._files import write_atomic
-from .errors import (CatalogError, CountMismatch, DegenerateRange,
-                     EmptyCatalog, OutOfRange)
+from .errors import CatalogError, CountMismatch, EmptyCatalog, OutOfRange
 
 VA_MIN, VA_MAX = 1.0, 9.0
 
@@ -60,15 +59,6 @@ class PairManifest:
             tag = pair.get("split", "")
             counts[tag] = counts.get(tag, 0) + 1
         return counts
-
-
-def normalize_va(value: float, source_min: float, source_max: float) -> float:
-    """Affine map of `value` from [source_min, source_max] onto [1, 9]."""
-    if source_max <= source_min:
-        raise DegenerateRange(f"source range [{source_min}, {source_max}] has no width")
-    if not source_min <= value <= source_max:
-        raise OutOfRange(f"value {value} outside [{source_min}, {source_max}]")
-    return VA_MIN + (VA_MAX - VA_MIN) * (value - source_min) / (source_max - source_min)
 
 
 def similarity(x: VaPoint, y: VaPoint) -> float:
@@ -177,20 +167,12 @@ def load_catalog(path: str | Path, kind: str,
     return items
 
 
-def _manifest_payload(manifest: PairManifest) -> dict:
-    pairs = []
-    for pair in manifest.pairs:
-        entry = dict(pair)
-        if entry["similarity"] == MAX_SIMILARITY:
-            entry["similarity"] = "inf"
-        pairs.append(entry)
-    return {"format": "emogen-pair-manifest-v1", "seed": manifest.seed,
-            "config_hash": manifest.config_hash, "pairs": pairs}
-
-
 def save_manifest(manifest: PairManifest, path: str | Path) -> None:
-    text = json.dumps(_manifest_payload(manifest), indent=1, sort_keys=True) + "\n"
-    write_atomic(path, [text.encode()])
+    pairs = [dict(pair, similarity="inf") if pair["similarity"] == MAX_SIMILARITY else pair
+             for pair in manifest.pairs]
+    payload = {"format": "emogen-pair-manifest-v1", "seed": manifest.seed,
+               "config_hash": manifest.config_hash, "pairs": pairs}
+    write_atomic(path, [(json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()])
 
 
 def load_manifest(path: str | Path) -> PairManifest:
@@ -215,11 +197,6 @@ def load_manifest(path: str | Path) -> PairManifest:
         pairs.append(entry)
     return PairManifest(pairs=pairs, seed=payload.get("seed", 0),
                         config_hash=payload.get("config_hash", ""))
-
-
-def manifest_bytes(manifest: PairManifest) -> bytes:
-    """Canonical serialized form, for determinism checks."""
-    return json.dumps(_manifest_payload(manifest), sort_keys=True).encode()
 
 
 def config_hash(config: dict) -> str:

@@ -8,8 +8,9 @@ Token-ID layout (stable, serialized into checkpoints via `vocab_hash`):
     259..259+K-1              TIME_SHIFT(1..K grid steps)
     259+K..259+K+V-1          VELOCITY(bin 0..V-1)
 
-Encoding is deterministic; decoding is total (any ID sequence over the
-vocabulary yields a valid, possibly empty, piece).
+Encoding is deterministic; decoding is total over integer IDs (any such
+sequence yields a valid, possibly empty, piece; IDs outside the vocabulary
+are ignored).
 """
 
 from __future__ import annotations
@@ -64,48 +65,6 @@ class Vocabulary:
         key = f"layout=v1;specials=3;ts={self.time_shift_bins};vel={self.velocity_bins}"
         return hashlib.sha256(key.encode()).hexdigest()[:16]
 
-    # token <-> id, tokens are ("PAD",), ("NOTE_ON", pitch), ("TIME_SHIFT", steps), ...
-    def token_to_id(self, token: tuple) -> int:
-        name = token[0]
-        if name == "PAD":
-            return PAD
-        if name == "BOS":
-            return BOS
-        if name == "EOS":
-            return EOS
-        if name in ("NOTE_ON", "NOTE_OFF"):
-            if not 0 <= token[1] <= 127:
-                raise TokenizerError(f"pitch {token[1]} outside 0..127")
-            base = self.note_on_base if name == "NOTE_ON" else self.note_off_base
-            return base + token[1]
-        if name == "TIME_SHIFT":
-            if not 1 <= token[1] <= self.time_shift_bins:
-                raise TokenizerError(f"time shift {token[1]} outside 1..{self.time_shift_bins}")
-            return self.time_shift_base + token[1] - 1
-        if name == "VELOCITY":
-            if not 0 <= token[1] < self.velocity_bins:
-                raise TokenizerError(
-                    f"velocity bin {token[1]} outside 0..{self.velocity_bins - 1}")
-            return self.velocity_base + token[1]
-        raise TokenizerError(f"unknown token {token!r}")
-
-    def id_to_token(self, idx: int) -> tuple:
-        if not 0 <= idx < self.total_size:
-            raise TokenizerError(f"id {idx} outside vocabulary of {self.total_size}")
-        if idx == PAD:
-            return ("PAD",)
-        if idx == BOS:
-            return ("BOS",)
-        if idx == EOS:
-            return ("EOS",)
-        if idx < self.note_off_base:
-            return ("NOTE_ON", idx - self.note_on_base)
-        if idx < self.time_shift_base:
-            return ("NOTE_OFF", idx - self.note_off_base)
-        if idx < self.velocity_base:
-            return ("TIME_SHIFT", idx - self.time_shift_base + 1)
-        return ("VELOCITY", idx - self.velocity_base)
-
     # velocity quantization: uniform bins over 1..127, decode to bin center
     def velocity_to_bin(self, velocity: int) -> int:
         return min(self.velocity_bins - 1, (velocity - 1) * self.velocity_bins // 126)
@@ -135,15 +94,22 @@ class TokenSequence:
     def __post_init__(self):
         if len(self.ids) > self.max_len:
             raise TokenizerError(f"{len(self.ids)} ids exceed max_len {self.max_len}")
-        if bool in map(type, self.ids):  # operator.index takes a bool
-            raise TokenizerError(f"ids must be integers, got {self.ids!r:.80}")
-        try:  # numpy integers pass; floats and strings do not
-            object.__setattr__(self, "ids", tuple(map(operator.index, self.ids)))
-        except TypeError as exc:
-            raise TokenizerError(f"ids must be integers, got {self.ids!r:.80}") from exc
+        object.__setattr__(self, "ids", _int_ids(self.ids))
 
     def __len__(self) -> int:
         return len(self.ids)
+
+
+def _int_ids(ids: Iterable[int]) -> tuple[int, ...]:
+    """`ids` as a tuple of ints; numpy integers pass, and a bool, float, string
+    or any other id is a TokenizerError."""
+    ids = tuple(ids)
+    if bool in map(type, ids):  # operator.index takes a bool
+        raise TokenizerError(f"ids must be integers, got {ids!r:.80}")
+    try:
+        return tuple(map(operator.index, ids))
+    except TypeError as exc:
+        raise TokenizerError(f"ids must be integers, got {ids!r:.80}") from exc
 
 
 def encode(piece: MidiPiece, vocab: Vocabulary, steps_per_beat: int = 4,
@@ -157,7 +123,7 @@ def encode(piece: MidiPiece, vocab: Vocabulary, steps_per_beat: int = 4,
     events.sort()
 
     bins, velocity_ids = vocab.time_shift_bins, vocab.velocity_ids
-    off_base, shift_base = vocab.note_off_base, vocab.time_shift_base  # token_to_id's bases
+    off_base, shift_base = vocab.note_off_base, vocab.time_shift_base
     ids = [BOS]
     step = 0
     velocity_id = None
@@ -184,8 +150,9 @@ def encode(piece: MidiPiece, vocab: Vocabulary, steps_per_beat: int = 4,
 
 def decode(tokens: TokenSequence | Iterable[int], vocab: Vocabulary,
            steps_per_beat: int = 4) -> MidiPiece:
-    """Decode token IDs into a piece; total over arbitrary ID sequences."""
-    ids = tokens.ids if isinstance(tokens, TokenSequence) else tuple(tokens)
+    """Decode token IDs into a piece; total over arbitrary integer ID sequences.
+    An id that is not an integer is a TokenizerError."""
+    ids = tokens.ids if isinstance(tokens, TokenSequence) else _int_ids(tokens)
     ticks_per_step = max(1, 480 // steps_per_beat) if 480 % steps_per_beat == 0 else 120
     ticks_per_beat = ticks_per_step * steps_per_beat
 
@@ -197,7 +164,7 @@ def decode(tokens: TokenSequence | Iterable[int], vocab: Vocabulary,
     step = 0
     velocity = DEFAULT_VELOCITY
 
-    # the layout's id ranges, as `id_to_token` reads them
+    # the layout's id ranges
     off_base, shift_base = vocab.note_off_base, vocab.time_shift_base
     velocity_base, total = vocab.velocity_base, vocab.total_size
     bin_velocities = vocab.bin_velocities

@@ -194,7 +194,7 @@ def fit(model: EmoModel, samples: Sequence[TrainSample], config: TrainConfig,
                 sample = samples[index]
                 ids = np.asarray(sample.token_ids, dtype=np.int64)
                 prefix, targets = ids[:-1], ids[1:]
-                logits = model.forward_logits(sample.image, prefix, context=shared)
+                logits = model.decode_logits(model.memory(sample.image, shared), prefix)
                 keep = targets != PAD
                 cce = cce_loss(logits, targets, pad_mask=keep)
                 objective = cce * config.lambda_cc

@@ -12,10 +12,14 @@ temperature `emogen generate`, and writes the generated ids beside the
 `.mid` files. From the checkpoint loaded back it writes `logits.f8`, the raw
 little-endian float64 bytes of `decode_logits` on a fixed prefix, and
 `steps.f8`, those of the cached logits of every step of the greedy piece,
-one row per step, as generation computes them. Last,
+one row per step, as generation computes them, and `grads.f8`, those of
+every parameter's gradient of `cce_loss` on the same prefix, in
+`parameters()` order (zeros for a parameter that gets none). Then
 `emogen metrics` scores every generated `.mid` file (`metrics.csv` and
-`metrics.md`) and `emogen gradcheck` runs its battery, which builds a model
-from its seed (`gradcheck.log`). Each command's output goes to a `.log` file
+`metrics.md`), `emogen ablate` runs a grid of two variants, one of them
+invalid, into ablate/ (`ablation.csv` and `ablation.md`), and last
+`emogen gradcheck` runs its battery, which builds a model from its seed
+(`gradcheck.log`). Each command's output goes to a `.log` file
 beside what it wrote. Every path is
 relative to OUT_DIR, so two desk sets written by two versions of the code
 compare with `diff -r`. `--tiny` shrinks the models and the pieces; it
@@ -43,6 +47,7 @@ from emogen.model import (IMAGE_FEATURE_DIM, DecoderCache, EmoModel,  # noqa: E4
                           write_feature_file)
 from emogen.nn import no_grad  # noqa: E402
 from emogen.tokenizer import BOS  # noqa: E402
+from emogen.training import cce_loss  # noqa: E402
 
 SHAPES = {"default": {}, "2+2": {"encoder_blocks": 2, "decoder_blocks": 2},
           "no-decoder-blocks": {"decoder_blocks": 0}}
@@ -52,6 +57,9 @@ GENERATE = {"greedy": {"strategy": "greedy", "temperature": 1.0, "seed": 0},
             "temperature": {"strategy": "temperature", "temperature": 0.9, "seed": 5}}
 N_MIDIS, N_IMAGES, SPLIT = 6, 8, "4,1,1"
 PREFIX = [BOS, 5, 140, 9, 200, 31, 77]  # ids in every desk-set vocabulary
+# the second variant is invalid: 3 heads divide neither model_dim 16 nor 128
+ABLATE = [{"name": "one-decoder-block", "model": {"decoder_blocks": 1}},
+          {"name": "three-heads", "model": {"head_count": 3}}]
 
 
 def run(log: Path, *argv: str) -> None:
@@ -99,6 +107,16 @@ def cached_steps(model: EmoModel, image: str, ids) -> np.ndarray:
                                for i in ids[:-1]])
 
 
+def gradients(model: EmoModel, image: str) -> np.ndarray:
+    """Every parameter's gradient of `cce_loss` on PREFIX, teacher-forced, in
+    `parameters()` order and flattened; zeros for a parameter that gets none."""
+    model.zero_grad()
+    ids = np.array(PREFIX)
+    cce_loss(model.decode_logits(model.memory(image), ids[:-1]), ids[1:]).backward()
+    return np.concatenate([np.zeros(param.data.size) if param.grad is None
+                           else param.grad.reshape(-1) for _, param in model.parameters()])
+
+
 def build(out_dir: Path, tiny: bool = False) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     cwd = Path.cwd()
@@ -130,6 +148,8 @@ def build(out_dir: Path, tiny: bool = False) -> None:
                     with no_grad():
                         logits = model.decode_logits(model.memory("ws/img0.emf"), PREFIX).data
                     (run_dir / "logits.f8").write_bytes(logits.astype("<f8").tobytes())
+                    grads = gradients(model, "ws/img0.emf")
+                    (run_dir / "grads.f8").write_bytes(grads.astype("<f8").tobytes())
                     for name, how in GENERATE.items():
                         run(run_dir / f"{name}.log", "generate", "--image", "ws/img0.emf",
                             "--checkpoint", str(checkpoint), "--out", str(run_dir / f"{name}.mid"),
@@ -141,6 +161,12 @@ def build(out_dir: Path, tiny: bool = False) -> None:
                             (run_dir / "steps.f8").write_bytes(steps.astype("<f8").tobytes())
         run(Path("metrics.log"), "metrics", "--midi-dir", "runs", "--out", "metrics.csv",
             "--summary", "metrics.md")
+        grid = {"base": {"model": base_model, "data": data,
+                         "train": {"lr": 1e-3, "epochs": 2, "batch_size": 2, "seed": 3,
+                                   "va_loss_mode": "off"}},
+                "variants": ABLATE}
+        Path("ws/grid.json").write_text(json.dumps(grid, indent=1))
+        run(Path("ablate.log"), "ablate", "--config-grid", "ws/grid.json", "--out-dir", "ablate")
         run(Path("gradcheck.log"), "gradcheck")
     finally:
         os.chdir(cwd)

@@ -150,7 +150,7 @@ def test_forward_logits_stays_float32(float64_arrays, tmp_path, source):
     if source == "emf":
         write_feature_file(image, rng.normal(size=IMAGE_FEATURE_DIM))
     ids = np.array([BOS, 5, 9, 14, EOS])
-    logits = model.forward_logits(image, ids[:-1])
+    logits = model.decode_logits(model.memory(image), ids[:-1])
     tensor_sum(logits).backward()
     assert logits.data.dtype == np.float32 and float64_arrays == []
 
@@ -173,7 +173,7 @@ def test_float32_fixed_context_logits_agree_with_float64(decoder_blocks):
     feature = rng.normal(size=IMAGE_FEATURE_DIM)
     ids = np.concatenate([[BOS], rng.integers(3, models[0].vocab.total_size, size=30)])
     with no_grad():
-        wide, narrow = (m.forward_logits(feature, ids).data for m in models)
+        wide, narrow = (m.decode_logits(m.memory(feature), ids).data for m in models)
         memory = models[1].memory(feature)
         cache = DecoderCache(models[1])
         cached = np.concatenate([models[1].decode_logits(memory, ids[n:n + 1], cache=cache).data
@@ -195,5 +195,5 @@ def test_checkpoint_without_dtype_loads_as_float64(tmp_path):
     assert loaded.config.dtype == "float64"
     feature = np.random.default_rng(8).normal(size=IMAGE_FEATURE_DIM)
     ids = np.array([BOS, 7, 11, EOS])
-    assert np.array_equal(loaded.forward_logits(feature, ids[:-1]).data,
-                          model.forward_logits(feature, ids[:-1]).data)
+    assert np.array_equal(loaded.decode_logits(loaded.memory(feature), ids[:-1]).data,
+                          model.decode_logits(model.memory(feature), ids[:-1]).data)

@@ -202,7 +202,7 @@ def _reference_layers(monkeypatch):
 def _model_step(model, feature, ids):
     """Logits and every parameter gradient of one teacher-forced loss."""
     model.zero_grad()
-    logits = model.forward_logits(feature, ids[:-1])
+    logits = model.decode_logits(model.memory(feature), ids[:-1])
     cce_loss(logits, ids[1:], pad_mask=ids[1:] != PAD).backward()
     return logits.data, {name: p.grad.copy() for name, p in model.parameters()
                          if p.grad is not None}

@@ -257,7 +257,7 @@ class TestEncoder:
 
 class TestDecoder:
     def test_logit_shape_and_distribution(self, model, feature):
-        logits = model.forward_logits(feature, np.array([BOS, 5]))
+        logits = model.decode_logits(model.memory(feature), np.array([BOS, 5]))
         assert logits.shape == (2, model.vocab.total_size)
         probs = softmax(logits, axis=-1).data
         assert probs.sum(axis=-1) == pytest.approx(np.ones(2))
@@ -289,8 +289,36 @@ class TestDecoder:
     def test_dense_decoder_variant(self, feature):
         model = EmoModel(small_config(decoder_blocks=0))
         assert model.dense_decoder is not None and model.decoder_stack == []
-        logits = model.forward_logits(feature, np.array([BOS]))
+        logits = model.decode_logits(model.memory(feature), np.array([BOS]))
         assert logits.shape == (1, model.vocab.total_size)
+
+
+# ids that are not a flat sequence of integers: each was truncated, decoded
+# as ints or failed with a bare ValueError before it was checked
+NOT_INTEGER_IDS = {"float": [1, 2.7], "float_array": np.array([1.0, 1.9]), "nan": [1, np.nan],
+                   "string": [1, "3"], "bool": [True, False], "nested": [[1, 3], [2, 4]],
+                   "ragged": [[1, 3], [2]]}
+ID_SITES = {
+    "token_histogram": lambda model, memory, ids: token_histogram(ids, 5),
+    "predict_va": lambda model, memory, ids:
+        VaPredictor(5, 4, np.random.default_rng(0)).predict_va(ids),
+    "decode_logits": lambda model, memory, ids: model.decode_logits(memory, ids),
+    "decode_logits_cached": lambda model, memory, ids:
+        model.decode_logits(memory, ids, cache=DecoderCache(model)),
+}
+
+
+@pytest.mark.parametrize("site", sorted(ID_SITES))
+@pytest.mark.parametrize("case", sorted(NOT_INTEGER_IDS))
+def test_ids_that_are_not_integers_are_vocab_mismatch(model, feature, site, case):
+    with pytest.raises(VocabMismatch, match="flat sequence of integers"):
+        ID_SITES[site](model, model.memory(feature), NOT_INTEGER_IDS[case])
+
+
+@pytest.mark.parametrize("site", ["decode_logits", "decode_logits_cached"])
+def test_decoded_id_beyond_int64_is_vocab_mismatch(model, feature, site):
+    with pytest.raises(VocabMismatch):
+        ID_SITES[site](model, model.memory(feature), [BOS, 2 ** 70])
 
 
 class TestGenerate:
@@ -321,7 +349,8 @@ class TestGenerate:
             model.generate(feature, strategy="beam")
 
     def test_bad_temperature(self, model, feature):
-        for temperature in (0.0, -1.0, float("nan")):
+        # 1e-300: float32 logits times its inverse overflow, and their softmax is NaN
+        for temperature in (0.0, -1.0, float("nan"), 1e-300):
             with pytest.raises(ConfigError):
                 model.generate(feature, strategy="temperature", temperature=temperature)
 
@@ -446,7 +475,7 @@ class TestFixedContext:
         model.out_proj.bias.data[EOS] = -1e4
         model.generate(feature)
         ids = np.array([BOS, 5, 140, 270, EOS])
-        model.forward_logits(feature, ids[:-1])
+        model.decode_logits(model.memory(feature), ids[:-1])
         assert seen == [1, 1]
 
     def test_bad_context_rejected(self):
@@ -474,8 +503,8 @@ class TestFixedContext:
         loaded = EmoModel.load(tmp_path / "old.emc")
         assert loaded.config == model.config
         ids = np.array([BOS, 5, 140, 270, EOS])
-        assert np.array_equal(loaded.forward_logits(feature, ids[:-1]).data,
-                              model.forward_logits(feature, ids[:-1]).data)
+        assert np.array_equal(loaded.decode_logits(loaded.memory(feature), ids[:-1]).data,
+                              model.decode_logits(model.memory(feature), ids[:-1]).data)
         assert loaded.generate(feature, max_len=12).ids == model.generate(feature, max_len=12).ids
 
 
@@ -748,7 +777,7 @@ def _with_key_biases(model, rng):
 
 def _gradient_norms(model, feature):
     ids = np.array([BOS, 5, 140, 270, 9, 144, EOS, PAD])
-    logits = model.forward_logits(feature, ids[:-1])
+    logits = model.decode_logits(model.memory(feature), ids[:-1])
     cce_loss(logits, ids[1:], pad_mask=ids[1:] != PAD).backward()
     return {name: np.linalg.norm(p.grad) if p.grad is not None else 0.0
             for name, p in model.parameters()}
@@ -763,8 +792,8 @@ def _check_key_bias_checkpoint_loads(tmp_path, feature, dtype):
     loaded = EmoModel.load(path)
     assert [name for name, _ in loaded.parameters()] == [name for name, _ in model.parameters()]
     ids = np.array([BOS, 5, 140, 270, EOS])
-    assert np.array_equal(loaded.forward_logits(feature, ids[:-1]).data,
-                          model.forward_logits(feature, ids[:-1]).data)
+    assert np.array_equal(loaded.decode_logits(loaded.memory(feature), ids[:-1]).data,
+                          model.decode_logits(model.memory(feature), ids[:-1]).data)
 
 
 ENCODER_QUERY_KEY = {"encoder_stack.0.attn.wq.weight", "encoder_stack.0.attn.wq.bias",

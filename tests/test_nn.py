@@ -125,7 +125,7 @@ class TestGradcheckHarness:
 
         report = gradcheck(fn, [("a", a)])
         assert not report.passed
-        assert "a" in dict(report.failures())
+        assert report.max_errors["a"] >= report.tolerance
 
     def test_subsampling_is_deterministic(self):
         base = np.random.default_rng(5).normal(size=50)

@@ -6,12 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emogen.errors import (CatalogError, CountMismatch, DegenerateRange,
-                           EmogenError, EmptyCatalog, OutOfRange)
+from emogen.errors import CatalogError, CountMismatch, EmogenError, EmptyCatalog
 from emogen.pairing import (MAX_SIMILARITY, PairManifest, TaggedItem, VaPoint,
                             load_catalog, load_manifest, load_va_dictionary,
-                            manifest_bytes, normalize_va, pair_datasets,
-                            save_manifest, similarity, split)
+                            pair_datasets, save_manifest, similarity, split)
 
 va_values = st.floats(min_value=1.0, max_value=9.0, allow_nan=False)
 
@@ -19,32 +17,6 @@ va_values = st.floats(min_value=1.0, max_value=9.0, allow_nan=False)
 def _item(item_id, v, a, kind="image"):
     return TaggedItem(id=item_id, kind=kind, va=VaPoint(v, a),
                       payload_path=f"/tmp/{item_id}")
-
-
-class TestNormalize:
-    def test_endpoints_and_midpoint(self):
-        assert normalize_va(0.0, 0.0, 1.0) == 1.0
-        assert normalize_va(1.0, 0.0, 1.0) == 9.0
-        assert normalize_va(0.5, 0.0, 1.0) == 5.0
-
-    def test_symmetric_source_range(self):
-        assert normalize_va(0.5, -1.0, 1.0) == 7.0
-
-    def test_degenerate_range(self):
-        with pytest.raises(DegenerateRange):
-            normalize_va(0.0, 2.0, 2.0)
-
-    def test_out_of_range_value(self):
-        with pytest.raises(OutOfRange):
-            normalize_va(1.5, 0.0, 1.0)
-
-    @given(st.floats(-5, 5), st.floats(-5, 5))
-    def test_output_always_in_target_range(self, a, b):
-        lo, hi = min(a, b), max(a, b)
-        if hi - lo < 1e-6:
-            return
-        mid = (lo + hi) / 2
-        assert 1.0 <= normalize_va(mid, lo, hi) <= 9.0
 
 
 class TestSimilarity:
@@ -125,15 +97,19 @@ class TestSplit:
         with pytest.raises(CountMismatch, match=r"\(1, 2, -1\)"):
             split(self._manifest(2), (1, 2, -1), seed=0)
 
-    def test_deterministic_under_seed(self):
+    def _file_bytes(self, manifest, path):
+        save_manifest(manifest, path)
+        return path.read_bytes()
+
+    def test_deterministic_under_seed(self, tmp_path):
         a = split(self._manifest(50), (40, 6, 4), seed=7)
         b = split(self._manifest(50), (40, 6, 4), seed=7)
-        assert manifest_bytes(a) == manifest_bytes(b)
+        assert self._file_bytes(a, tmp_path / "a.json") == self._file_bytes(b, tmp_path / "b.json")
 
-    def test_seed_changes_assignment(self):
+    def test_seed_changes_assignment(self, tmp_path):
         a = split(self._manifest(50), (40, 6, 4), seed=7)
         b = split(self._manifest(50), (40, 6, 4), seed=8)
-        assert manifest_bytes(a) != manifest_bytes(b)
+        assert self._file_bytes(a, tmp_path / "a.json") != self._file_bytes(b, tmp_path / "b.json")
 
     def test_order_preserved(self):
         tagged = split(self._manifest(20), (10, 5, 5), seed=1)

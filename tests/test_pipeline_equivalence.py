@@ -3,7 +3,8 @@
 `encode`, `decode`, `_parse_track`/`parse_midi`, `write_midi`,
 `note_to_steps`/`to_piano_roll` and `pitch_entropy` below are the
 implementations the integer-arithmetic tokenizer and the inline SMF byte
-loops replaced. Every output of the current code must equal theirs
+loops replaced; `token_to_id` and `id_to_token`, which the reference
+tokenizer reads the id layout through, were `Vocabulary` methods. Every output of the current code must equal theirs
 exactly: the same ids, pieces, bytes, arrays and floats, and for a corrupt
 file the same exception type and message.
 """
@@ -188,6 +189,51 @@ def to_piano_roll(piece: MidiPiece, steps_per_beat: int = 4) -> PianoRoll:
     return PianoRoll(steps_per_beat=steps_per_beat, grid=grid, onsets=onsets)
 
 
+# tokens are ("PAD",), ("NOTE_ON", pitch), ("TIME_SHIFT", steps), ...
+
+def token_to_id(vocab: Vocabulary, token: tuple) -> int:
+    name = token[0]
+    if name == "PAD":
+        return PAD
+    if name == "BOS":
+        return BOS
+    if name == "EOS":
+        return EOS
+    if name in ("NOTE_ON", "NOTE_OFF"):
+        if not 0 <= token[1] <= 127:
+            raise TokenizerError(f"pitch {token[1]} outside 0..127")
+        base = vocab.note_on_base if name == "NOTE_ON" else vocab.note_off_base
+        return base + token[1]
+    if name == "TIME_SHIFT":
+        if not 1 <= token[1] <= vocab.time_shift_bins:
+            raise TokenizerError(f"time shift {token[1]} outside 1..{vocab.time_shift_bins}")
+        return vocab.time_shift_base + token[1] - 1
+    if name == "VELOCITY":
+        if not 0 <= token[1] < vocab.velocity_bins:
+            raise TokenizerError(
+                f"velocity bin {token[1]} outside 0..{vocab.velocity_bins - 1}")
+        return vocab.velocity_base + token[1]
+    raise TokenizerError(f"unknown token {token!r}")
+
+
+def id_to_token(vocab: Vocabulary, idx: int) -> tuple:
+    if not 0 <= idx < vocab.total_size:
+        raise TokenizerError(f"id {idx} outside vocabulary of {vocab.total_size}")
+    if idx == PAD:
+        return ("PAD",)
+    if idx == BOS:
+        return ("BOS",)
+    if idx == EOS:
+        return ("EOS",)
+    if idx < vocab.note_off_base:
+        return ("NOTE_ON", idx - vocab.note_on_base)
+    if idx < vocab.time_shift_base:
+        return ("NOTE_OFF", idx - vocab.note_off_base)
+    if idx < vocab.velocity_base:
+        return ("TIME_SHIFT", idx - vocab.time_shift_base + 1)
+    return ("VELOCITY", idx - vocab.velocity_base)
+
+
 def encode(piece: MidiPiece, vocab: Vocabulary, steps_per_beat: int = 4,
            max_len: int = 256) -> TokenSequence:
     """Encode a piece as a deterministic event stream, truncated at max_len."""
@@ -207,17 +253,17 @@ def encode(piece: MidiPiece, vocab: Vocabulary, steps_per_beat: int = 4,
         gap = at - step
         while gap > 0:  # greedy largest-bin-first
             shift = min(gap, vocab.time_shift_bins)
-            ids.append(vocab.token_to_id(("TIME_SHIFT", shift)))
+            ids.append(token_to_id(vocab, ("TIME_SHIFT", shift)))
             gap -= shift
         step = at
         for pitch in sorted(offs):
-            ids.append(vocab.token_to_id(("NOTE_OFF", pitch)))
+            ids.append(token_to_id(vocab, ("NOTE_OFF", pitch)))
         for pitch, velocity in sorted(ons):
             vbin = vocab.velocity_to_bin(velocity)
             if vbin != velocity_bin:
-                ids.append(vocab.token_to_id(("VELOCITY", vbin)))
+                ids.append(token_to_id(vocab, ("VELOCITY", vbin)))
                 velocity_bin = vbin
-            ids.append(vocab.token_to_id(("NOTE_ON", pitch)))
+            ids.append(token_to_id(vocab, ("NOTE_ON", pitch)))
     ids = ids[:max_len - 1]
     ids.append(EOS)
     return TokenSequence(ids=tuple(ids), max_len=max_len)
@@ -244,7 +290,7 @@ def decode(tokens: TokenSequence | Iterable[int], vocab: Vocabulary,
     for idx in ids:
         if not 0 <= idx < vocab.total_size:
             continue  # robustness: ignore out-of-vocabulary ids
-        token = vocab.id_to_token(idx)
+        token = id_to_token(vocab, idx)
         name = token[0]
         if name == "EOS":
             break
@@ -300,7 +346,7 @@ def _ids(vocab: Vocabulary):
     ons, offs and shifts of two pitches so that notes open and close often."""
     special = st.sampled_from([PAD, BOS, EOS, -1, -300, vocab.total_size,
                                vocab.total_size + 1000])
-    near = st.sampled_from([vocab.token_to_id(token) for token in (
+    near = st.sampled_from([token_to_id(vocab, token) for token in (
         ("NOTE_ON", 60), ("NOTE_ON", 61), ("NOTE_OFF", 60), ("NOTE_OFF", 61),
         ("TIME_SHIFT", 1), ("VELOCITY", vocab.velocity_bins - 1))])
     return st.lists(st.one_of(st.integers(0, vocab.total_size - 1), special, near),

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from emogen.errors import EmogenError, TokenizerError
 from emogen.midi_io import MidiPiece, NoteEvent
-from emogen.tokenizer import BOS, EOS, PAD, TokenSequence, Vocabulary, decode, encode
+from emogen.tokenizer import (BOS, DEFAULT_VELOCITY, EOS, PAD, TokenSequence, Vocabulary,
+                              decode, encode)
 
 from conftest import random_canonical_piece
 
@@ -14,16 +15,9 @@ VOCAB = Vocabulary()
 # every raise site in the tokenizer; each is typed and still a ValueError
 RAISE_SITES = {
     "bin_count": lambda: Vocabulary(time_shift_bins=0),
-    "time_shift": lambda: VOCAB.token_to_id(("TIME_SHIFT", 101)),
-    "velocity_bin": lambda: VOCAB.token_to_id(("VELOCITY", 32)),
-    # without a range check these land on NOTE_OFF 0, EOS and TIME_SHIFT 1
-    "note_on_above_127": lambda: VOCAB.token_to_id(("NOTE_ON", 128)),
-    "note_on_below_0": lambda: VOCAB.token_to_id(("NOTE_ON", -1)),
-    "note_off_above_127": lambda: VOCAB.token_to_id(("NOTE_OFF", 128)),
-    "unknown_token": lambda: VOCAB.token_to_id(("CHORD", 60)),
-    "id_range": lambda: VOCAB.id_to_token(391),
     "sequence_length": lambda: TokenSequence(ids=(BOS,) * 6, max_len=5),
     "non_integer_id": lambda: TokenSequence(ids=(1, 5.7, True), max_len=4),
+    "decode_non_integer_id": lambda: decode([1, 5.5, 300, 2], VOCAB),
     "encode_max_len": lambda: encode(MidiPiece(480, ()), VOCAB, max_len=1),
 }
 
@@ -43,16 +37,12 @@ class TestVocabulary:
         # sized so the id space can match external token inventories
         assert Vocabulary(time_shift_bins=512, velocity_bins=206).total_size == 977
 
-    def test_id_token_round_trip_all_ids(self):
-        for idx in range(VOCAB.total_size):
-            assert VOCAB.token_to_id(VOCAB.id_to_token(idx)) == idx
-
     def test_layout_anchors(self):
-        assert VOCAB.token_to_id(("PAD",)) == PAD == 0
-        assert VOCAB.token_to_id(("NOTE_ON", 0)) == 3
-        assert VOCAB.token_to_id(("NOTE_OFF", 0)) == 131
-        assert VOCAB.token_to_id(("TIME_SHIFT", 1)) == 259
-        assert VOCAB.token_to_id(("VELOCITY", 0)) == 359
+        assert (PAD, BOS, EOS) == (0, 1, 2)
+        assert VOCAB.note_on_base == 3
+        assert VOCAB.note_off_base == 131
+        assert VOCAB.time_shift_base == 259
+        assert VOCAB.velocity_base == 359
 
     def test_hash_depends_on_shape(self):
         assert VOCAB.vocab_hash != Vocabulary(velocity_bins=16).vocab_hash
@@ -81,22 +71,23 @@ class TestEncode:
         seq = encode(piece, VOCAB, steps_per_beat=4)
         assert seq.ids == (
             BOS,
-            VOCAB.token_to_id(("VELOCITY", 16)),   # velocity 64 -> bin 16
-            VOCAB.token_to_id(("NOTE_ON", 60)),
-            VOCAB.token_to_id(("TIME_SHIFT", 4)),  # one beat at 4 steps/beat
-            VOCAB.token_to_id(("NOTE_OFF", 60)),
+            VOCAB.velocity_base + 16,        # velocity 64 -> bin 16
+            VOCAB.note_on_base + 60,
+            VOCAB.time_shift_base + 4 - 1,   # one beat at 4 steps/beat
+            VOCAB.note_off_base + 60,
             EOS,
         )
 
     def test_velocity_token_only_on_change(self):
         piece = MidiPiece(480, (NoteEvent(0, 60, 120, 64), NoteEvent(120, 64, 120, 64)))
-        tokens = [VOCAB.id_to_token(i) for i in encode(piece, VOCAB).ids]
-        assert sum(1 for t in tokens if t[0] == "VELOCITY") == 1
+        ids = encode(piece, VOCAB).ids
+        assert sum(1 for i in ids if i >= VOCAB.velocity_base) == 1
 
     def test_long_gap_uses_greedy_shifts(self):
         piece = MidiPiece(480, (NoteEvent(0, 60, 480 * 60, 64),))  # 240 steps
-        tokens = [VOCAB.id_to_token(i) for i in encode(piece, VOCAB, max_len=512).ids]
-        shifts = [t[1] for t in tokens if t[0] == "TIME_SHIFT"]
+        ids = encode(piece, VOCAB, max_len=512).ids
+        shifts = [i - VOCAB.time_shift_base + 1 for i in ids
+                  if VOCAB.time_shift_base <= i < VOCAB.velocity_base]
         assert shifts == [100, 100, 40]
 
     def test_truncation_keeps_eos(self):
@@ -115,10 +106,16 @@ class TestEncode:
     def test_non_integer_id_rejected(self, bad_id):
         with pytest.raises(TokenizerError, match="ids must be integers"):
             TokenSequence(ids=(1, bad_id, 2), max_len=4)
+        with pytest.raises(TokenizerError, match="ids must be integers"):
+            decode([1, bad_id, 2], VOCAB)
 
     def test_numpy_integer_ids_become_ints(self):
         seq = TokenSequence(ids=tuple(np.array([1, 60, 2])), max_len=4)
         assert seq.ids == (1, 60, 2) and all(type(i) is int for i in seq.ids)
+        ids = np.array([BOS, VOCAB.note_on_base + 60, VOCAB.time_shift_base])
+        notes = decode(ids, VOCAB).notes
+        assert notes == (NoteEvent(0, 60, 120, DEFAULT_VELOCITY),)
+        assert all(type(field) is int for field in notes[0])
 
 
 class TestDecode:
@@ -134,17 +131,16 @@ class TestDecode:
         assert out.notes[0].velocity == VOCAB.bin_to_velocity(VOCAB.velocity_to_bin(64))
 
     def test_unclosed_note_on_closed_at_end(self):
-        ids = [BOS, VOCAB.token_to_id(("NOTE_ON", 60)),
-               VOCAB.token_to_id(("TIME_SHIFT", 3)), EOS]
+        ids = [BOS, VOCAB.note_on_base + 60, VOCAB.time_shift_base + 3 - 1, EOS]
         out = decode(ids, VOCAB)
         assert len(out.notes) == 1 and out.notes[0].duration == 3 * 120
 
     def test_orphan_note_off_ignored(self):
-        ids = [BOS, VOCAB.token_to_id(("NOTE_OFF", 60)), EOS]
+        ids = [BOS, VOCAB.note_off_base + 60, EOS]
         assert decode(ids, VOCAB).notes == ()
 
     def test_stops_at_eos(self):
-        ids = [BOS, EOS, VOCAB.token_to_id(("NOTE_ON", 60))]
+        ids = [BOS, EOS, VOCAB.note_on_base + 60]
         assert decode(ids, VOCAB).notes == ()
 
     @settings(max_examples=300, deadline=None)

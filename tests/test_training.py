@@ -290,7 +290,7 @@ class TestFit:
             for sample in samples:
                 ids = np.asarray(sample.token_ids)
                 keep = ids[1:] != PAD
-                probs = softmax(model.forward_logits(sample.image, ids[:-1]), axis=-1)
+                probs = softmax(model.decode_logits(model.memory(sample.image), ids[:-1]), axis=-1)
                 for rows, out in ((probs.data[keep], expected), (probs.data, every_row)):
                     value = va_loss(ids[1:][keep], Tensor(rows), predictor, mode=mode)
                     out.append(value if mode == "hard" else value.item())
