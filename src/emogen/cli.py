@@ -40,6 +40,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error [io]: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # say, a config asking for sizes beyond this machine's memory
+        print(f"error [memory]: {str(exc) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 def build_parser() -> argparse.ArgumentParser:

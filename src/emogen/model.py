@@ -122,16 +122,18 @@ class Block(Module):
         x = self.norm1(x + self.attn(x))
         return self.norm2(x + self.ffn(x))
 
-    def decode(self, x: np.ndarray, keys: np.ndarray, values: np.ndarray,
+    def decode(self, x: np.ndarray, qkv: np.ndarray, keys: np.ndarray, values: np.ndarray,
                mask: np.ndarray | None) -> np.ndarray:
         """`self(x)` forward only, on arrays, for rows `x` that follow those
         already in `keys` and `values`: their keys and values are written into
         the last `len(x)` rows there, and each row attends to all the rows
-        `mask` lets it see."""
-        attn, new = self.attn, slice(len(keys) - len(x), None)
-        keys[new] = _dense(attn.wk, x)
-        values[new] = _dense(attn.wv, x)
-        out, _ = attend(_dense(attn.wq, x), keys, values, attn.heads, mask)
+        `mask` lets it see. `qkv` is `[wq | wk | wv]` as one (d, 3d) weight."""
+        attn, new, d = self.attn, slice(len(keys) - len(x), None), x.shape[1]
+        proj = x @ qkv  # the biases in place, as `affine` adds them
+        proj[:, :d] += attn.wq.bias.data
+        proj[:, 2 * d:] += attn.wv.bias.data
+        keys[new], values[new] = proj[:, d:2 * d], proj[:, 2 * d:]
+        out, _ = attend(proj[:, :d], keys, values, attn.heads, mask)
         x = _norm(self.norm1, x + _dense(attn.wo, out))
         return _norm(self.norm2, x + _feed_forward(self.ffn, x))
 
@@ -147,7 +149,8 @@ def _norm(layer: LayerNorm, x: np.ndarray) -> np.ndarray:
 
 
 def _feed_forward(layer: FeedForward, x: np.ndarray) -> np.ndarray:
-    return _dense(layer.fc2, np.maximum(_dense(layer.fc1, x), 0.0))  # as `relu` computes it
+    hidden = _dense(layer.fc1, x)
+    return _dense(layer.fc2, np.maximum(hidden, 0.0, out=hidden))  # as `relu` computes it
 
 
 class VaPredictor(Module):
@@ -247,12 +250,15 @@ class _Draws:
 class DecoderCache:
     """What `EmoModel.decode_logits` keeps between the steps of one piece:
     each decoder block's keys and values (`keys[block, row]`), with room for
-    the memory row plus `max_len` ids."""
+    the memory row plus `max_len` ids, and its `[wq | wk | wv]` weights as
+    one array, copied here: a cache built before a weight update is stale."""
 
     def __init__(self, model: "EmoModel"):
         shape = (len(model.decoder_stack), model.config.max_len + 1, model.config.model_dim)
         self.keys = np.empty(shape, model.dtype)
         self.values = np.empty(shape, model.dtype)
+        self.qkv = [np.concatenate([b.attn.wq.weight.data, b.attn.wk.weight.data,
+                                    b.attn.wv.weight.data], axis=1) for b in model.decoder_stack]
         self.length = 0  # ids decoded so far
 
 
@@ -345,20 +351,8 @@ class EmoModel(Module):
         n = done + ids.size
         if n > self.config.max_len:
             raise PrefixTooLong(f"prefix of {n} exceeds max_len {self.config.max_len}")
-        if cache is not None:  # the path below, step for step on arrays
-            x = self.embedding.weight.data[ids] + self.positions[done + 1:n + 1]
-            memory = memory.data.reshape(1, self.config.model_dim)
-            if self.decoder_stack:
-                if not done:  # the memory row's keys and values go into the caches
-                    x = np.concatenate([memory + self.positions[:1], x])
-                mask = causal_mask(len(x), n + 1, x.dtype) if len(x) > 1 else None
-                for block, keys, values in zip(self.decoder_stack, cache.keys, cache.values):
-                    x = block.decode(x, keys[:n + 1], values[:n + 1], mask)
-                x = x if done else x[1:]
-            else:
-                x = _feed_forward(self.dense_decoder, x + memory)
-            cache.length = n
-            return Tensor(_dense(self.out_proj, x))
+        if cache is not None:
+            return Tensor(self._decode_step(memory.data.reshape(1, -1), ids, cache))
         memory = reshape(memory, (1, self.config.model_dim))
         x = self.embedding(ids) + Tensor(self.positions[1:n + 1])
         if self.decoder_stack:
@@ -370,6 +364,24 @@ class EmoModel(Module):
             x = self.dense_decoder(x + memory)
         return self.out_proj(x)  # (ids.size, vocab)
 
+    def _decode_step(self, memory: np.ndarray, ids: np.ndarray, cache: DecoderCache) -> np.ndarray:
+        """The cached branch of `decode_logits`, step for step the graph path
+        on arrays, for a (1, d) `memory` row and `ids` it has checked."""
+        done, n = cache.length, cache.length + ids.size
+        x = self.embedding.weight.data[ids] + self.positions[done + 1:n + 1]
+        if self.decoder_stack:
+            if not done:  # the memory row's keys and values go into the caches
+                x = np.concatenate([memory + self.positions[:1], x])
+            mask = causal_mask(len(x), n + 1, x.dtype) if len(x) > 1 else None
+            for block, qkv, keys, values in zip(self.decoder_stack, cache.qkv,
+                                                cache.keys, cache.values):
+                x = block.decode(x, qkv, keys[:n + 1], values[:n + 1], mask)
+            x = x if done else x[1:]
+        else:
+            x = _feed_forward(self.dense_decoder, x + memory)
+        cache.length = n
+        return _dense(self.out_proj, x)
+
     # --- generation ---
 
     def generate(self, image_source, max_len: int | None = None,
@@ -379,7 +391,7 @@ class EmoModel(Module):
 
         The memory row is computed once per piece and each decoder block's
         keys and values are cached, so a step runs the decoder on the newest
-        id alone."""
+        id alone: `decode_logits`' cached branch, minus its id check."""
         if max_len is not None and max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {max_len}")
         limit = self.config.max_len if max_len is None else min(max_len, self.config.max_len)
@@ -388,14 +400,14 @@ class EmoModel(Module):
         if strategy == "temperature" and not temperature > 0:
             raise ConfigError(f"temperature must be positive, got {temperature}")
         rng = np.random.default_rng(seed)
-        ids = [BOS]
+        ids, newest = [BOS], np.array([BOS])
         with no_grad():
-            memory = self.memory(image_source)
+            memory = self.memory(image_source).data.reshape(1, -1)
             cache = DecoderCache(self)
             while len(ids) < limit:
-                logits = self.decode_logits(memory, ids[-1:], cache=cache).data[0]
+                logits = self._decode_step(memory, newest, cache)[0]
                 if strategy == "greedy":
-                    next_id = int(np.argmax(logits))
+                    next_id = int(logits.argmax())
                 else:
                     with np.errstate(over="ignore", invalid="ignore"):  # checked below
                         scaled = logits * (1.0 / temperature)
@@ -405,6 +417,7 @@ class EmoModel(Module):
                     probs = softmax(Tensor(scaled)).data
                     next_id = int(rng.choice(len(probs), p=probs / probs.sum()))
                 ids.append(next_id)
+                newest[0] = next_id
                 if next_id == EOS:
                     break
         return TokenSequence(ids=tuple(ids), max_len=limit)

@@ -377,9 +377,9 @@ def normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
     """Layer norm on arrays: `(out, normed, inv_std)`, where `normed` is `x`
     at zero mean and unit (biased) variance over the last axis and `out` is
     `normed * gamma + beta`."""
-    scale = 1.0 / x.shape[-1]
-    centered = x - x.sum(axis=-1, keepdims=True) * scale
-    var = (centered * centered).sum(axis=-1, keepdims=True) * scale
+    scale = 1.0 / x.shape[-1]  # the reductions are `ndarray.sum`'s ufunc, without its wrapper
+    centered = x - np.add.reduce(x, axis=-1, keepdims=True) * scale
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) * scale
     inv_std = ((var + eps) ** 0.5) ** -1.0
     normed = centered * inv_std
     return normed * gamma + beta, normed, inv_std
@@ -433,9 +433,9 @@ def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
     weights *= 1.0 / math.sqrt(head_dim)  # a Python float: float32 stays float32
     if mask is not None:
         weights += mask
-    weights -= weights.max(axis=-1, keepdims=True)
+    weights -= np.maximum.reduce(weights, axis=-1, keepdims=True)
     np.exp(weights, out=weights)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
     return _merge_heads(weights @ vh), (qh, kh, vh, weights)
 
 

@@ -191,10 +191,12 @@ def load_manifest(path: str | Path) -> PairManifest:
             raise CatalogError(f"{path}: pair {index} lacks midi_id, image_id or similarity")
         if not (isinstance(pair["midi_id"], str) and isinstance(pair["image_id"], str)):
             raise CatalogError(f"{path}: pair {index} midi_id and image_id must be strings")
-        entry = dict(pair)
-        if entry["similarity"] == "inf":
-            entry["similarity"] = MAX_SIMILARITY
-        pairs.append(entry)
+        if not isinstance(pair.get("split", ""), str):
+            raise CatalogError(f"{path}: pair {index} split must be a string")
+        score = MAX_SIMILARITY if pair["similarity"] == "inf" else pair["similarity"]
+        if type(score) not in (int, float) or score != score:  # a bool, a string or NaN
+            raise CatalogError(f"{path}: pair {index} similarity {score!r} is not a number")
+        pairs.append(dict(pair, similarity=score))
     return PairManifest(pairs=pairs, seed=payload.get("seed", 0),
                         config_hash=payload.get("config_hash", ""))
 

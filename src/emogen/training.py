@@ -22,7 +22,7 @@ from ._files import write_csv
 from .config import TrainConfig
 from .errors import (CatalogTooSmall, ConfigError, NonFiniteError,
                      PredictorMissing, ShapeMismatch)
-from .model import FIXED_CONTEXT, EmoModel, VaPredictor, token_histogram
+from .model import FIXED_CONTEXT, EmoModel, VaPredictor, _token_ids, token_histogram
 from .nn import (Adam, Tensor, absolute, log_softmax, no_grad, reshape, softmax,
                  take, tensor_mean, tensor_sum)
 from .tokenizer import PAD
@@ -42,10 +42,10 @@ class TrainSample:
 def cce_loss(logits: Tensor, target_ids, pad_mask: np.ndarray | None = None) -> Tensor:
     """Natural-log cross-entropy summed over positions; PAD positions skipped.
 
-    `logits` is (N, C), `target_ids` holds N class ids and `pad_mask` is
-    True where a position counts.
+    `logits` is (N, C), `target_ids` holds N class ids, checked as
+    `model._token_ids` checks ids, and `pad_mask` is True where a position counts.
     """
-    target_ids = np.asarray(target_ids, dtype=np.int64)
+    target_ids = _token_ids(target_ids, logits.shape[-1])
     if logits.shape[:-1] != target_ids.shape:
         raise ShapeMismatch(f"logits {logits.shape} vs targets {target_ids.shape}")
     rows = np.arange(target_ids.size) if pad_mask is None else np.flatnonzero(pad_mask)
@@ -192,7 +192,7 @@ def fit(model: EmoModel, samples: Sequence[TrainSample], config: TrainConfig,
             shared = Tensor(context.data, requires_grad=True)
             for index in batch:
                 sample = samples[index]
-                ids = np.asarray(sample.token_ids, dtype=np.int64)
+                ids = _token_ids(sample.token_ids, model.vocab.total_size)
                 prefix, targets = ids[:-1], ids[1:]
                 logits = model.decode_logits(model.memory(sample.image, shared), prefix)
                 keep = targets != PAD

@@ -1,7 +1,7 @@
 """Write a desk set: the outputs of `emogen train` and `emogen generate` on a
 seeded workspace, for comparing two versions of the code file by file.
 
-    python tests/desk_set.py OUT_DIR [--tiny]
+    python tests/desk_set.py OUT_DIR [--tiny] [--src DIR]
 
 It builds a workspace of MIDI files, feature files and VA catalogs under
 OUT_DIR, pairs and splits it with `emogen pair`, pretrains a VA predictor
@@ -23,7 +23,9 @@ invalid, into ablate/ (`ablation.csv` and `ablation.md`), and last
 beside what it wrote. Every path is
 relative to OUT_DIR, so two desk sets written by two versions of the code
 compare with `diff -r`. `--tiny` shrinks the models and the pieces; it
-checks only that every command completes.
+checks only that every command completes. `--src DIR` imports emogen from
+the `src/` directory DIR, say another version's checkout, instead of this
+one's, so one script writes the desk sets of both versions.
 """
 
 from __future__ import annotations
@@ -39,7 +41,20 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def arguments() -> argparse.Namespace:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out_dir", type=Path, help="directory to write; created if missing")
+    parser.add_argument("--tiny", action="store_true", help="small models and pieces")
+    parser.add_argument("--src", type=Path, default=SRC,
+                        help="the src/ directory to import emogen from (default: this checkout's)")
+    return parser.parse_args()
+
+
+ARGS = arguments() if __name__ == "__main__" else None  # parsed before emogen is imported
+sys.path.insert(0, str((ARGS.src if ARGS else SRC).resolve()))
 
 from emogen.cli import main as emogen  # noqa: E402
 from emogen.midi_io import MidiPiece, NoteEvent, write_midi  # noqa: E402
@@ -173,8 +188,4 @@ def build(out_dir: Path, tiny: bool = False) -> None:
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out_dir", type=Path, help="directory to write; created if missing")
-    parser.add_argument("--tiny", action="store_true", help="small models and pieces")
-    args = parser.parse_args()
-    build(args.out_dir, args.tiny)
+    build(ARGS.out_dir, ARGS.tiny)

@@ -765,3 +765,14 @@ def test_exit_code_table(workspace, run_dir, tmp_path, capsys, command, code):
         assert "FAIL" in out
     else:
         assert err.startswith("error [")
+
+
+def test_memory_error_exits_2(monkeypatch, capsys):
+    """A handler that runs out of memory (patched in: no test allocates that
+    much) ends as exit 2 with a one-line message, not a traceback."""
+    def exhausted(args):
+        raise MemoryError
+    monkeypatch.setattr(cli, "cmd_gradcheck", exhausted)
+    assert main(["gradcheck"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error [memory]: out of memory\n" and out == ""

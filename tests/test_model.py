@@ -466,6 +466,36 @@ class TestFixedContext:
         assert sampled.ids == reference_generate(model, feature, 40, "temperature",
                                                  temperature=1.3, seed=4)
 
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("name", list(FIXED_MODELS))
+    def test_generate_agrees_with_cached_decode_logits(self, name, dtype, feature):
+        """`generate` steps without `decode_logits`: replayed one id at a time
+        through it, each step's row picks the id `generate` chose."""
+        model = _fixed_model(name, dtype)
+        ids = model.generate(feature).ids
+        assert len(ids) == model.config.max_len  # EOS is suppressed: a full piece
+        with no_grad():
+            memory, cache = model.memory(feature), DecoderCache(model)
+            for step, (newest, chosen) in enumerate(zip(ids[:-1], ids[1:])):
+                row = model.decode_logits(memory, [newest], cache=cache).data
+                assert row.shape == (1, model.vocab.total_size)
+                assert int(row[0].argmax()) == chosen, step
+
+    def test_new_cache_sees_weights_edited_in_place(self, feature):
+        """The fused query/key/value weight belongs to a cache, not to the
+        model: after an in-place edit, as Adam makes, a new cache decodes
+        with the new weights."""
+        model = _fixed_model("two_two", "float64")
+        ids = np.array([BOS, 5, 9, 13])
+        with no_grad():
+            memory = model.memory(feature)
+            before = model.decode_logits(memory, ids, cache=DecoderCache(model)).data
+            model.decoder_stack[0].attn.wk.weight.data *= 1.5
+            cached = model.decode_logits(memory, ids, cache=DecoderCache(model)).data
+            full = model.decode_logits(memory, ids).data
+        assert not np.array_equal(before, full)
+        assert np.array_equal(cached, full)
+
     def test_encoder_runs_once_per_piece_on_one_row(self, feature, monkeypatch):
         model = EmoModel(small_config())
         seen = []

@@ -158,6 +158,29 @@ class TestFiles:
         with pytest.raises(CatalogError, match="pairs.json"):
             load_manifest(path)
 
+    # each was accepted: a pair with a non-string split was left out of every
+    # split, and a similarity that is not a number was carried as it was
+    @pytest.mark.parametrize("field", [{"split": 3}, {"split": None}, {"split": ["train"]},
+                                       {"similarity": "x"}, {"similarity": True},
+                                       {"similarity": None}, {"similarity": [1]},
+                                       {"similarity": float("nan")}],
+                             ids=["split-int", "split-null", "split-list", "similarity-str",
+                                  "similarity-bool", "similarity-null", "similarity-list",
+                                  "similarity-nan"])
+    def test_load_manifest_bad_field(self, tmp_path, field):
+        pair = {"midi_id": "m", "image_id": "i", "similarity": 0.5, "split": "train", **field}
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"format": "emogen-pair-manifest-v1", "pairs": [pair]}))
+        with pytest.raises(CatalogError, match="pairs.json: pair 0"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("score", [0, 2.5, "inf", float("inf")])
+    def test_load_manifest_similarity_numbers(self, tmp_path, score):
+        path = tmp_path / "pairs.json"
+        path.write_text(json.dumps({"format": "emogen-pair-manifest-v1", "pairs": [
+            {"midi_id": "m", "image_id": "i", "similarity": score}]}))
+        assert load_manifest(path).pairs[0]["similarity"] == float(score)
+
     def test_failed_save_keeps_previous_manifest(self, tmp_path):
         path = tmp_path / "pairs.json"
         save_manifest(PairManifest(pairs=[{"midi_id": "m", "image_id": "i",

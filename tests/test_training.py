@@ -3,7 +3,7 @@ import pytest
 
 from emogen.config import RunConfig
 from emogen.errors import (CatalogTooSmall, ConfigError, NonFiniteError,
-                           PredictorMissing, ShapeMismatch)
+                           PredictorMissing, ShapeMismatch, VocabMismatch)
 from emogen.model import (IMAGE_FEATURE_DIM, EmoModel, VaPredictor,
                           token_histogram)
 from emogen.nn import Tensor, no_grad, softmax
@@ -79,6 +79,14 @@ class TestCceLoss:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
             cce_loss(Tensor(np.ones((2, 3))), np.array([0, 1, 2]))
+
+    # each was truncated to an int (the first gave 3.2189 as a loss) or indexed past the row
+    @pytest.mark.parametrize("targets", [[1.7, 3.2], np.array([0.0, 4.0]), [True, False],
+                                         [0, 5], [-1, 0]], ids=["float", "float-array", "bool",
+                                                                "beyond-vocab", "negative"])
+    def test_targets_are_checked_ids(self, targets):
+        with pytest.raises(VocabMismatch):
+            cce_loss(Tensor(np.zeros((2, 5))), targets)
 
     def test_gradient_direction(self):
         logits = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
@@ -307,6 +315,16 @@ class TestFit:
         model, _, config = self._setup()
         with pytest.raises(CatalogTooSmall):
             fit(model, [], config)
+
+    def test_float_ids_are_vocab_mismatch(self):
+        """They were truncated: [BOS, 5.9, 7.5, EOS] trained as [BOS, 5, 7, EOS]."""
+        model, samples, config = self._setup()
+        bad = TrainSample(image=samples[0].image, token_ids=[BOS, 5.9, 7.5, EOS])
+        before = [param.data.copy() for _, param in model.parameters()]
+        with pytest.raises(VocabMismatch, match="flat sequence of integers"):
+            fit(model, [bad], config)
+        assert all(np.array_equal(param.data, old)
+                   for (_, param), old in zip(model.parameters(), before))
 
     @pytest.mark.parametrize("mode", ["off", "soft"])
     def test_non_finite_loss_raises_before_step(self, mode):
