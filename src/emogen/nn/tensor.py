@@ -6,6 +6,11 @@ accumulates gradients into every requires-grad leaf. All reductions use
 numpy's deterministic row-major accumulation, so repeated runs are
 bit-identical.
 
+`backward` frees the graph as it walks it: once a node has passed its
+gradient to its parents, it drops that gradient, its closure (and with it
+the activations the closure saved) and its parents. Afterwards only leaves,
+the tensors made with `requires_grad=True`, hold a `.grad`.
+
 Every op keeps the dtype of its operands: a float array keeps its dtype,
 a constant (Python scalar or array) combined with a Tensor takes that
 Tensor's dtype, and anything else becomes `DEFAULT_DTYPE`.
@@ -104,11 +109,13 @@ class Tensor:
             for parent in node._parents:
                 stack.append((parent, False))
         self._accumulate(grad)
-        for node in reversed(topo):
+        while topo:  # popped, so each node is released once its closure has run
+            node = topo.pop()
             if node._backward_fn is not None:
                 node._backward_fn(node.grad)
                 node._parents = ()
                 node._backward_fn = None
+                node.grad = None
 
     # --- operators ---
 

@@ -194,11 +194,14 @@ def load_manifest(path: str | Path) -> PairManifest:
         if not isinstance(pair.get("split", ""), str):
             raise CatalogError(f"{path}: pair {index} split must be a string")
         score = MAX_SIMILARITY if pair["similarity"] == "inf" else pair["similarity"]
-        if type(score) not in (int, float) or score != score:  # a bool, a string or NaN
-            raise CatalogError(f"{path}: pair {index} similarity {score!r} is not a number")
+        # a bool, a string, NaN or below 0, which a reciprocal distance never is
+        if type(score) not in (int, float) or not score >= 0:
+            raise CatalogError(f"{path}: pair {index} similarity {score!r} is not a number >= 0")
         pairs.append(dict(pair, similarity=score))
-    return PairManifest(pairs=pairs, seed=payload.get("seed", 0),
-                        config_hash=payload.get("config_hash", ""))
+    seed = payload.get("seed", 0)
+    if type(seed) is not int:  # a bool is not a seed either
+        raise CatalogError(f"{path}: seed {seed!r} is not an integer")
+    return PairManifest(pairs=pairs, seed=seed, config_hash=payload.get("config_hash", ""))
 
 
 def config_hash(config: dict) -> str:

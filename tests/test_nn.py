@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 
 from emogen.errors import BatchTooSmall, ShapeMismatch
+from emogen.model import EmoModel, VaPredictor
 from emogen.nn import (Adam, BatchNorm, Conv2d, Embedding, FeedForward,
                        LayerNorm, Linear, MultiHeadAttention, Parameter, Tensor,
-                       avg_pool2d, concat, global_avg_pool, gradcheck,
-                       log_softmax, matmul, no_grad, relu, sinusoidal_positions,
-                       softmax, take, tensor_mean, tensor_sum)
+                       attention, avg_pool2d, concat, global_avg_pool, gradcheck,
+                       layer_norm, linear, log_softmax, matmul, no_grad, relu,
+                       sinusoidal_positions, softmax, take, tensor_mean, tensor_sum)
+from emogen.training import TrainConfig, fit
+
+from test_model import small_config
+from test_training import _samples
 
 
 class TestTensorOps:
@@ -89,6 +94,108 @@ class TestTensorOps:
     def test_mean_over_tuple_axes(self):
         x = np.arange(24.0).reshape(2, 3, 4)
         assert tensor_mean(Tensor(x), axis=(0, 2)).data == pytest.approx(x.mean(axis=(0, 2)))
+
+
+# --- reference: the backward walk that kept every node's gradient until it returned ---
+
+def ref_backward(self, grad=None):
+    if grad is None:
+        if self.data.size != 1:
+            raise ShapeMismatch("backward() requires a scalar output or a seed gradient")
+        grad = np.ones_like(self.data)
+    elif np.shape(grad) != self.data.shape:
+        raise ShapeMismatch(f"seed gradient {np.shape(grad)} vs output {self.data.shape}")
+    topo = []
+    seen = set()
+    stack = [(self, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            topo.append(node)
+            continue
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for parent in node._parents:
+            stack.append((parent, False))
+    self._accumulate(grad)
+    for node in reversed(topo):
+        if node._backward_fn is not None:
+            node._backward_fn(node.grad)
+            node._parents = ()
+            node._backward_fn = None
+
+
+def _leaves(dtype):
+    rng = np.random.default_rng(11)
+    return [Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+            for shape in ((5, 4), (4, 4), (4,), (4,))]
+
+
+def _graph(x, w, gamma, beta):
+    """A scalar loss that reads `x` twice, and every node it made on the way."""
+    nodes = [linear(x, w)]
+    nodes.append(nodes[-1] + x)
+    nodes.append(layer_norm(nodes[-1], gamma, beta, 1e-5))
+    nodes.append(attention(nodes[-1], nodes[-1], nodes[-1], 2))
+    nodes.append(log_softmax(nodes[-1]) * relu(nodes[2]))
+    nodes.append(tensor_sum(nodes[-1]))
+    return nodes[-1], nodes
+
+
+class TestBackwardRelease:
+    """After `backward`, only leaves keep `.grad`: each node drops its
+    gradient, closure and parents once its gradient has gone to its parents."""
+
+    def test_nodes_keep_no_gradient(self):
+        leaves = _leaves(np.float64)
+        loss, nodes = _graph(*leaves)
+        loss.backward()
+        assert all(node.grad is None and node._backward_fn is None and node._parents == ()
+                   for node in nodes)
+        assert all(leaf.grad is not None for leaf in leaves)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaf_gradients_match_the_retaining_walk(self, dtype, monkeypatch):
+        ours, theirs = _leaves(dtype), _leaves(dtype)
+        _graph(*ours)[0].backward()
+        monkeypatch.setattr(Tensor, "backward", ref_backward)
+        loss, nodes = _graph(*theirs)
+        loss.backward()
+        assert all(node.grad is not None for node in nodes)  # the reference kept them
+        for a, b in zip(ours, theirs):
+            assert a.grad.dtype == b.grad.dtype and a.grad.tobytes() == b.grad.tobytes()
+
+    def test_second_graph_accumulates_into_the_leaves(self, monkeypatch):
+        ours, theirs = _leaves(np.float64), _leaves(np.float64)
+        for _ in range(2):
+            _graph(*ours)[0].backward()
+        monkeypatch.setattr(Tensor, "backward", ref_backward)
+        for _ in range(2):
+            _graph(*theirs)[0].backward()
+        for a, b in zip(ours, theirs):
+            assert a.grad.tobytes() == b.grad.tobytes()
+
+    # `fit` seeds the encoder's backward with its shared-context leaf's gradient,
+    # `context.backward(shared.grad)`; at full size the desk set pins the same
+    # path against another tree (`runs/*/checkpoint.emc`, `loss.csv`, `grads.f8`)
+    @pytest.mark.parametrize("mode", ["off", "hard", "soft"])
+    def test_fit_trains_as_with_the_retaining_walk(self, mode, monkeypatch):
+        def train():
+            model = EmoModel(small_config())
+            vocab = model.vocab.total_size
+            predictor = VaPredictor(vocab, 8, np.random.default_rng(3))
+            config = TrainConfig(lr=1e-2, epochs=2, batch_size=2, va_loss_mode=mode,
+                                 lambda_va=0.5)
+            history = fit(model, _samples(np.random.default_rng(0), n=4, vocab=vocab),
+                          config, predictor=predictor)
+            return history, [arr.tobytes() for _, p in model.parameters()
+                             for arr in (p.data, p.adam_m, p.adam_v)]
+
+        ours = train()
+        monkeypatch.setattr(Tensor, "backward", ref_backward)
+        assert train() == ours
 
 
 class TestGradcheckHarness:

@@ -159,19 +159,27 @@ class TestFiles:
             load_manifest(path)
 
     # each was accepted: a pair with a non-string split was left out of every
-    # split, and a similarity that is not a number was carried as it was
+    # split, a similarity that is not a number >= 0 was carried as it was, and
+    # so was a manifest seed that is not an int
     @pytest.mark.parametrize("field", [{"split": 3}, {"split": None}, {"split": ["train"]},
                                        {"similarity": "x"}, {"similarity": True},
                                        {"similarity": None}, {"similarity": [1]},
-                                       {"similarity": float("nan")}],
+                                       {"similarity": float("nan")}, {"similarity": -0.5},
+                                       {"similarity": float("-inf")}, {"seed": "x"},
+                                       {"seed": True}, {"seed": 1.5}, {"seed": None}],
                              ids=["split-int", "split-null", "split-list", "similarity-str",
                                   "similarity-bool", "similarity-null", "similarity-list",
-                                  "similarity-nan"])
+                                  "similarity-nan", "similarity-negative",
+                                  "similarity-minus-inf", "seed-str", "seed-bool",
+                                  "seed-float", "seed-null"])
     def test_load_manifest_bad_field(self, tmp_path, field):
         pair = {"midi_id": "m", "image_id": "i", "similarity": 0.5, "split": "train", **field}
+        seed = pair.pop("seed", 0)
         path = tmp_path / "pairs.json"
-        path.write_text(json.dumps({"format": "emogen-pair-manifest-v1", "pairs": [pair]}))
-        with pytest.raises(CatalogError, match="pairs.json: pair 0"):
+        path.write_text(json.dumps({"format": "emogen-pair-manifest-v1", "seed": seed,
+                                    "pairs": [pair]}))
+        where = "seed" if "seed" in field else "pair 0"
+        with pytest.raises(CatalogError, match=f"pairs.json: {where}"):
             load_manifest(path)
 
     @pytest.mark.parametrize("score", [0, 2.5, "inf", float("inf")])
