@@ -83,12 +83,12 @@ class ModelConfig:
     dtype: str = "float32"  # or "float64"; a checkpoint without it is float64
 
     def __post_init__(self):
-        minimum = {"decoder_blocks": 0, "max_len": 2}  # other sizes 1; seed is free
-        too_small = [f.name for f in fields(self) if type(f.default) is int and f.name != "seed"
+        minimum = {"decoder_blocks": 0, "max_len": 2, "seed": 0}  # other sizes 1
+        too_small = [f.name for f in fields(self) if type(f.default) is int
                      and getattr(self, f.name) < minimum.get(f.name, 1)]
         if too_small:
             raise ConfigError(f"model sizes below their minimum (1, decoder_blocks 0, "
-                              f"max_len 2): {too_small}")
+                              f"max_len 2, seed 0): {too_small}")
         if self.image_extractor not in ("precomputed", "tiny-cnn"):
             raise ConfigError(f"unknown image_extractor {self.image_extractor!r}")
         if self.dtype not in ("float32", "float64"):
@@ -120,8 +120,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        if self.epochs < 1 or self.batch_size < 1 or self.seed < 0:
+            raise ConfigError("epochs and batch_size must be >= 1, seed >= 0")
         if self.va_loss_mode not in ("hard", "soft", "off"):
             raise ConfigError(f"unknown va_loss_mode {self.va_loss_mode!r}")
         if self.lambda_va < 0 or self.lambda_cc < 0:

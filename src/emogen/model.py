@@ -178,21 +178,30 @@ class VaPredictor(Module):
         valence, arousal = np.clip(out, VA_MIN, VA_MAX)
         return VaPoint(float(valence), float(arousal))
 
+    def running_stats(self) -> dict[str, np.ndarray]:
+        return {"bn1_mean": self.bn1.running_mean, "bn1_var": self.bn1.running_var,
+                "bn2_mean": self.bn2.running_mean, "bn2_var": self.bn2.running_var}
+
     def state_extra(self) -> dict:
-        return {"running": {"bn1_mean": self.bn1.running_mean.tolist(),
-                            "bn1_var": self.bn1.running_var.tolist(),
-                            "bn2_mean": self.bn2.running_mean.tolist(),
-                            "bn2_var": self.bn2.running_var.tolist()}}
+        return {"running": {key: value.tolist() for key, value in self.running_stats().items()}}
 
     def load_state_extra(self, extra: dict) -> None:
         running = extra["running"]
-        stats = {key: np.array(running[key], dtype=np.float64)
-                 for key in ("bn1_mean", "bn1_var", "bn2_mean", "bn2_var")}
+        stats = {key: np.array(running[key], dtype=np.float64) for key in self.running_stats()}
         for key, value in stats.items():
             if value.shape != (self.hidden,):
                 raise ValueError(f"{key} has shape {value.shape}, expected ({self.hidden},)")
+        _check_running_stats(stats, ValueError)
         self.bn1.running_mean, self.bn1.running_var = stats["bn1_mean"], stats["bn1_var"]
         self.bn2.running_mean, self.bn2.running_var = stats["bn2_mean"], stats["bn2_var"]
+
+
+def _check_running_stats(stats: dict[str, np.ndarray], error: type[Exception]) -> None:
+    """`error` unless every statistic is finite and every `*_var` at least 0:
+    eval-mode batch norm divides by `sqrt(var + eps)`."""
+    for key, value in stats.items():
+        if not np.isfinite(value).all() or (key.endswith("_var") and (value < 0).any()):
+            raise error(f"running statistic {key} holds NaN, inf or a variance below 0")
 
 
 def _token_ids(ids, vocab_size: int) -> np.ndarray:
@@ -248,7 +257,7 @@ class _Draws:
 
 
 class DecoderCache:
-    """What `EmoModel.decode_logits` keeps between the steps of one piece:
+    """What `EmoModel.generate` keeps between the steps of one piece:
     each decoder block's keys and values (`keys[block, row]`), with room for
     the memory row plus `max_len` ids, and its `[wq | wk | wv]` weights as
     one array, copied here: a cache built before a weight update is stale."""
@@ -333,28 +342,15 @@ class EmoModel(Module):
         return self.mem_proj(concat([self.img_proj(self.image_feature(image_source)), context],
                                     axis=0))
 
-    def decode_logits(self, memory: Tensor, ids, cache: DecoderCache | None = None) -> Tensor:
-        """Vocabulary logits, one row per id in `ids`, conditioned on `memory`.
-
-        Without a `cache`, `ids` is the whole prefix and the logits are a graph
-        node. With one, `ids` are the ids after those already cached (on the
-        first call, a whole prefix), and they attend to the cached keys and
-        values as well. That path is forward only: it runs on plain arrays
-        through the graph ops' forward kernels, so its logits are the same
-        bytes as the graph's, but they never require grad and no graph node is
-        kept, even with grad enabled and a `memory` that requires grad.
-        """
+    def decode_logits(self, memory: Tensor, ids) -> Tensor:
+        """Logits of the prefix `ids` given `memory`: a graph node, a row per id."""
         ids = _token_ids(ids, self.vocab.total_size)
         if ids.size == 0:
             raise PrefixTooLong("no ids to decode: a prefix holds at least BOS")
-        done = 0 if cache is None else cache.length  # ids already in the cache
-        n = done + ids.size
-        if n > self.config.max_len:
-            raise PrefixTooLong(f"prefix of {n} exceeds max_len {self.config.max_len}")
-        if cache is not None:
-            return Tensor(self._decode_step(memory.data.reshape(1, -1), ids, cache))
+        if ids.size > self.config.max_len:
+            raise PrefixTooLong(f"prefix of {ids.size} exceeds max_len {self.config.max_len}")
         memory = reshape(memory, (1, self.config.model_dim))
-        x = self.embedding(ids) + Tensor(self.positions[1:n + 1])
+        x = self.embedding(ids) + Tensor(self.positions[1:ids.size + 1])
         if self.decoder_stack:
             x = concat([memory + Tensor(self.positions[:1]), x], axis=0)
             for block in self.decoder_stack:
@@ -365,8 +361,8 @@ class EmoModel(Module):
         return self.out_proj(x)  # (ids.size, vocab)
 
     def _decode_step(self, memory: np.ndarray, ids: np.ndarray, cache: DecoderCache) -> np.ndarray:
-        """The cached branch of `decode_logits`, step for step the graph path
-        on arrays, for a (1, d) `memory` row and `ids` it has checked."""
+        """`decode_logits` of checked `ids` after those in `cache` (at first, a
+        prefix) for a (1, d) `memory` row: forward only, on arrays, same bytes."""
         done, n = cache.length, cache.length + ids.size
         x = self.embedding.weight.data[ids] + self.positions[done + 1:n + 1]
         if self.decoder_stack:
@@ -390,8 +386,8 @@ class EmoModel(Module):
         """Autoregressive decoding from BOS; greedy or seeded temperature sampling.
 
         The memory row is computed once per piece and each decoder block's
-        keys and values are cached, so a step runs the decoder on the newest
-        id alone: `decode_logits`' cached branch, minus its id check."""
+        keys and values are cached in a `DecoderCache`, so a step runs the
+        decoder on the newest id alone, through `_decode_step`."""
         if max_len is not None and max_len < 1:
             raise ConfigError(f"max_len must be >= 1, got {max_len}")
         limit = self.config.max_len if max_len is None else min(max_len, self.config.max_len)
@@ -399,6 +395,8 @@ class EmoModel(Module):
             raise ConfigError(f"unknown strategy {strategy!r}")
         if strategy == "temperature" and not temperature > 0:
             raise ConfigError(f"temperature must be positive, got {temperature}")
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         rng = np.random.default_rng(seed)
         ids, newest = [BOS], np.array([BOS])
         with no_grad():
@@ -454,17 +452,18 @@ class EmoModel(Module):
 
 def save_va_predictor(path: str | Path, predictor: VaPredictor,
                       vocab_hash: str, extra: dict | None = None) -> None:
+    _check_running_stats(predictor.running_stats(), NonFiniteError)  # so no file is written
     meta = {"kind": "va_predictor", "vocab_hash": vocab_hash,
             "vocab_size": predictor.vocab_size, "hidden": predictor.hidden,
             "extra": dict(extra or {}, **predictor.state_extra())}
     save_checkpoint(path, meta, predictor.parameters())
 
 
-def load_va_predictor(path: str | Path, vocab_hash: str | None = None) -> VaPredictor:
+def load_va_predictor(path: str | Path, vocab_hash: str) -> VaPredictor:
     def build(meta: dict) -> VaPredictor:
         if meta.get("kind") != "va_predictor":
             raise CheckpointCorrupt(f"{path}: not a VA-predictor checkpoint")
-        if vocab_hash is not None and meta.get("vocab_hash") != vocab_hash:
+        if meta.get("vocab_hash") != vocab_hash:
             raise VocabMismatch(f"{path}: vocabulary hash mismatch")
         sizes = [meta.get(key) for key in ("vocab_size", "hidden")]
         if any(type(size) is not int or size < 1 for size in sizes):

@@ -25,7 +25,7 @@ def _rel_err(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
 
 
-def gradcheck(fn, leaves, h: float = 1e-5, tolerance: float = 1e-4,
+def gradcheck(fn, leaves, tolerance: float = 1e-4,
               max_coords_per_block: int | None = None) -> GradCheckReport:
     """Compare analytic gradients of `fn` against central differences.
 
@@ -34,6 +34,7 @@ def gradcheck(fn, leaves, h: float = 1e-5, tolerance: float = 1e-4,
     data is perturbed in place. Every coordinate is checked unless
     `max_coords_per_block` caps large blocks (deterministic subsample).
     """
+    h = 1e-5  # the central difference's half-width
     leaves = list(leaves)
     for _, leaf in leaves:
         leaf.grad = None

@@ -85,10 +85,11 @@ class Embedding(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    eps = 1e-5
+
+    def __init__(self, dim: int):
         self.gamma = Parameter(np.ones(dim))
         self.beta = Parameter(np.zeros(dim))
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta, self.eps)
@@ -97,11 +98,11 @@ class LayerNorm(Module):
 class BatchNorm(Module):
     """1-D batch norm over axis 0; biased batch variance, momentum running stats."""
 
-    def __init__(self, dim: int, eps: float = 1e-5, momentum: float = 0.1):
+    eps, momentum = 1e-5, 0.1
+
+    def __init__(self, dim: int):
         self.gamma = Parameter(np.ones(dim))
         self.beta = Parameter(np.zeros(dim))
-        self.eps = eps
-        self.momentum = momentum
         self.running_mean = np.zeros(dim)
         self.running_var = np.ones(dim)
 
@@ -198,11 +199,11 @@ class Conv2d(Module):
         return reshape(out, (self.out_channels, oh, ow))
 
 
-def avg_pool2d(x: Tensor, size: int = 2) -> Tensor:
+def avg_pool2d(x: Tensor) -> Tensor:
     c, h, w = x.shape
-    if h % size or w % size:
-        raise ShapeMismatch(f"pooling size {size} does not divide {(h, w)}")
-    windows = reshape(x, (c, h // size, size, w // size, size))
+    if h % 2 or w % 2:
+        raise ShapeMismatch(f"pooling size 2 does not divide {(h, w)}")
+    windows = reshape(x, (c, h // 2, 2, w // 2, 2))
     return tensor_mean(windows, axis=(2, 4))
 
 

@@ -6,6 +6,8 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 class Parameter(Tensor):
     """A requires-grad tensor carrying its own Adam moment state, which
@@ -13,29 +15,24 @@ class Parameter(Tensor):
 
     __slots__ = ("adam_m", "adam_v", "step_count")
 
-    def __init__(self, data, dtype=None):
-        super().__init__(data, requires_grad=True, dtype=dtype)
+    def __init__(self, data):
+        super().__init__(data, requires_grad=True)
         self.adam_m = self.adam_v = None
         self.step_count = 0
 
 
 class Adam:
-    """Bias-corrected Adam over a fixed parameter list, in a stable order."""
+    """Bias-corrected Adam over the (name, Parameter) pairs of `parameters()`."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.params = [p for _, p in params] if params and isinstance(params[0], tuple) else list(params)
+    def __init__(self, params, lr: float):
+        self.params = [p for _, p in params]
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
 
     def step(self) -> None:
         """Update every parameter from its gradient (none counts as zero),
         then clear the gradient. Moments and weights change in place, in the
-        operation order of `m = beta1 * m + (1 - beta1) * g` and
-        `w -= lr * m_hat / (sqrt(v_hat) + eps)`."""
-        beta1, beta2 = self.beta1, self.beta2
+        operation order of `m = BETA1 * m + (1 - BETA1) * g` and
+        `w -= lr * m_hat / (sqrt(v_hat) + EPS)`."""
         for param in self.params:
             grad = param.grad if param.grad is not None else np.zeros_like(param.data)
             param.step_count += 1
@@ -43,12 +40,12 @@ class Adam:
             if param.adam_m is None:
                 param.adam_m, param.adam_v = np.zeros_like(param.data), np.zeros_like(param.data)
             m, v = param.adam_m, param.adam_v
-            m *= beta1
-            m += (1.0 - beta1) * grad
-            v *= beta2
-            v += (1.0 - beta2) * grad * grad
-            step = m / (1.0 - beta1 ** t)
+            m *= BETA1
+            m += (1.0 - BETA1) * grad
+            v *= BETA2
+            v += (1.0 - BETA2) * grad * grad
+            step = m / (1.0 - BETA1 ** t)
             step *= self.lr
-            step /= np.sqrt(v / (1.0 - beta2 ** t)) + self.eps
+            step /= np.sqrt(v / (1.0 - BETA2 ** t)) + EPS
             param.data -= step
             param.grad = None

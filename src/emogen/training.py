@@ -103,8 +103,8 @@ def pretrain_va_predictor(samples: Sequence[tuple[Sequence[int], tuple[float, fl
     Minimizes MAE with Adam over batches of `PREDICTOR_BATCH`; returns the
     predictor and a report with train/holdout MAE. Deterministic under `seed`.
     """
-    if epochs < 1 or not lr > 0:
-        raise ConfigError(f"epochs must be >= 1 and lr positive, got epochs {epochs}, lr {lr}")
+    if epochs < 1 or not lr > 0 or seed < 0:
+        raise ConfigError(f"need epochs >= 1, lr > 0, seed >= 0; got {epochs}, {lr}, {seed}")
     if len(samples) < 2:
         raise CatalogTooSmall("need at least 2 labeled pieces")
     rng = np.random.default_rng(seed)

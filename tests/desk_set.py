@@ -117,8 +117,8 @@ def cached_steps(model: EmoModel, image: str, ids) -> np.ndarray:
     """The logits row of every step that chose `ids[1:]`, decoded one id at
     a time through a `DecoderCache`, as `EmoModel.generate` does."""
     with no_grad():
-        memory, cache = model.memory(image), DecoderCache(model)
-        return np.concatenate([model.decode_logits(memory, [i], cache=cache).data
+        memory, cache = model.memory(image).data.reshape(1, -1), DecoderCache(model)
+        return np.concatenate([model._decode_step(memory, np.array([i]), cache)
                                for i in ids[:-1]])
 
 

@@ -167,6 +167,14 @@ class TestTrainGenerate:
         assert "ConfigError" in capsys.readouterr().err
         assert not (tmp_path / "a.mid").exists()
 
+    def test_generate_negative_seed_exit_1(self, workspace, run_dir, tmp_path, capsys):
+        assert main(["generate", "--image", str(workspace / "img0.emf"),
+                     "--checkpoint", str(run_dir / "checkpoint.emc"),
+                     "--out", str(tmp_path / "a.mid"), "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [ConfigError]") and "Traceback" not in err
+        assert not (tmp_path / "a.mid").exists()
+
     def test_generate_corrupt_metadata_exit_2(self, workspace, tmp_path, capsys):
         model = EmoModel(ModelConfig.from_dict(SMALL_MODEL))
         checkpoint = tmp_path / "model.emc"
@@ -267,12 +275,13 @@ class TestPretrainVa:
         assert main(["pretrain-va", "--midis", str(workspace / "midis.csv"),
                      "--config", str(cfg_path), "--out", str(out),
                      "--epochs", "5"]) == 0
-        predictor = load_va_predictor(out)
+        predictor = load_va_predictor(out, ModelConfig(**SMALL_MODEL).vocabulary().vocab_hash)
         point = predictor.predict_va([1, 5, 5, 2])
         assert 1.0 <= point.valence <= 9.0
 
     @pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--epochs", "-3"),
-                                             ("--lr", "0"), ("--lr", "-1"), ("--lr", "nan")])
+                                             ("--lr", "0"), ("--lr", "-1"), ("--lr", "nan"),
+                                             ("--seed", "-1")])
     def test_non_positive_epochs_or_lr_exit_1(self, workspace, tmp_path, capsys, flag, value):
         out = tmp_path / "va.emc"
         assert main(["pretrain-va", "--midis", str(workspace / "midis.csv"),
@@ -455,11 +464,13 @@ BAD_SECTIONS = [
     ("model", {"model_dim": -16}),
     ("model", [1]),
     ("model", {"image_size": 6}),
+    ("model", {"seed": -1}),
     ("train", {"lr": "x"}),
     ("train", {"epochs": 2.5}),
     ("train", {"lr": 0}),
     ("train", {"epochs": 0}),
     ("train", {"lambda_va": -1}),
+    ("train", {"seed": -1}),
     ("metrics", {"steps_per_beat": "x"}),
     ("data", {"split": None}),
 ]

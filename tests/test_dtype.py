@@ -19,7 +19,7 @@ from emogen.nn.tensor import power
 from emogen.tokenizer import BOS, EOS
 from emogen.training import TrainSample, fit
 
-from test_model import small_config
+from test_model import cached_logits, small_config
 
 
 def _leaf(shape, seed):
@@ -176,7 +176,7 @@ def test_float32_fixed_context_logits_agree_with_float64(decoder_blocks):
         wide, narrow = (m.decode_logits(m.memory(feature), ids).data for m in models)
         memory = models[1].memory(feature)
         cache = DecoderCache(models[1])
-        cached = np.concatenate([models[1].decode_logits(memory, ids[n:n + 1], cache=cache).data
+        cached = np.concatenate([cached_logits(models[1], memory, ids[n:n + 1], cache)
                                  for n in range(ids.size)])
     assert cached.dtype == np.float32
     assert np.linalg.norm(narrow - wide) <= 1e-5 * np.linalg.norm(wide)

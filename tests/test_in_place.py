@@ -74,9 +74,9 @@ def test_take_backward_matches_add_at(name, dtype):
 def test_adam_matches_out_of_place_step(dtype):
     rng = np.random.default_rng(1)
     shapes = [(3, 4), (4,), (2, 2, 2)]
-    ours = [Parameter(rng.normal(size=s), dtype=dtype) for s in shapes]
+    ours = [Parameter(rng.normal(size=s).astype(dtype)) for s in shapes]
     theirs = [Parameter(p.data.copy()) for p in ours]
-    optimizer = Adam(ours, lr=0.01)
+    optimizer = Adam([(str(k), p) for k, p in enumerate(ours)], lr=0.01)
     for step in range(4):
         for k, (p, q) in enumerate(zip(ours, theirs)):
             if (step, k) == (1, 2):
@@ -117,8 +117,8 @@ def test_causal_mask_matches_triu_across_one_growth(dtype, monkeypatch):
 def test_linear_bias_add(x_shape, x_dtype, bias_dtype):
     rng = np.random.default_rng(2)
     x = Tensor(rng.normal(size=x_shape).astype(x_dtype))
-    weight = Parameter(rng.normal(size=(4, 5)), dtype=x_dtype)
-    bias = Parameter(rng.normal(size=5), dtype=bias_dtype)
+    weight = Parameter(rng.normal(size=(4, 5)).astype(x_dtype))
+    bias = Parameter(rng.normal(size=5).astype(bias_dtype))
     before = bias.data.copy()
     out = linear(x, weight, bias)
     expected = x.data @ weight.data + bias.data

@@ -30,6 +30,11 @@ def small_config(**overrides):
     return ModelConfig(**base)
 
 
+def cached_logits(model, memory, ids, cache):
+    """Logits of `ids` after those already in `cache`, as `generate` steps."""
+    return model._decode_step(memory.data.reshape(1, -1), np.asarray(ids), cache)
+
+
 @pytest.fixture(scope="module")
 def model():
     return EmoModel(small_config())
@@ -280,11 +285,6 @@ class TestDecoder:
             memory = model.memory(feature)
             with pytest.raises(PrefixTooLong, match=f"prefix of {limit + 1} exceeds"):
                 model.decode_logits(memory, np.full(limit + 1, BOS))
-            cache = DecoderCache(model)
-            model.decode_logits(memory, np.full(limit - 1, BOS), cache=cache)
-            model.decode_logits(memory, [BOS], cache=cache)  # the last position
-            with pytest.raises(PrefixTooLong, match=f"prefix of {limit + 1} exceeds"):
-                model.decode_logits(memory, [BOS], cache=cache)
 
     def test_dense_decoder_variant(self, feature):
         model = EmoModel(small_config(decoder_blocks=0))
@@ -303,8 +303,6 @@ ID_SITES = {
     "predict_va": lambda model, memory, ids:
         VaPredictor(5, 4, np.random.default_rng(0)).predict_va(ids),
     "decode_logits": lambda model, memory, ids: model.decode_logits(memory, ids),
-    "decode_logits_cached": lambda model, memory, ids:
-        model.decode_logits(memory, ids, cache=DecoderCache(model)),
 }
 
 
@@ -315,7 +313,7 @@ def test_ids_that_are_not_integers_are_vocab_mismatch(model, feature, site, case
         ID_SITES[site](model, model.memory(feature), NOT_INTEGER_IDS[case])
 
 
-@pytest.mark.parametrize("site", ["decode_logits", "decode_logits_cached"])
+@pytest.mark.parametrize("site", ["decode_logits"])
 def test_decoded_id_beyond_int64_is_vocab_mismatch(model, feature, site):
     with pytest.raises(VocabMismatch):
         ID_SITES[site](model, model.memory(feature), [BOS, 2 ** 70])
@@ -398,7 +396,7 @@ class TestLastRowDecoding:
         with no_grad():
             memory = model.memory(feature)
             full = model.decode_logits(memory, ids).data
-            cached = model.decode_logits(memory, ids, cache=DecoderCache(model)).data
+            cached = cached_logits(model, memory, ids, DecoderCache(model))
         assert cached.shape == full.shape == (n, model.vocab.total_size)
         assert cached.dtype == np.dtype(dtype)
         assert np.array_equal(cached, full)
@@ -406,7 +404,7 @@ class TestLastRowDecoding:
     @pytest.mark.parametrize("decoder_blocks", [0, 1, 3])
     def test_cached_decode_builds_no_graph(self, decoder_blocks, feature, monkeypatch):
         """With grad enabled and a `memory` that requires grad, cached logits
-        require no grad and no graph node is made on the way."""
+        are a plain array and no graph node is made on the way."""
         model = EmoModel(small_config(decoder_blocks=decoder_blocks))
         memory = model.memory(feature)
         assert memory.requires_grad
@@ -416,10 +414,9 @@ class TestLastRowDecoding:
                             staticmethod(lambda *args: nodes.append(args) or make_node(*args)))
         cache = DecoderCache(model)
         for ids in ([BOS, 5, 7], [9], [11]):
-            logits = model.decode_logits(memory, ids, cache=cache)
+            logits = cached_logits(model, memory, ids, cache)
+            assert type(logits) is np.ndarray
             assert logits.shape == (len(ids), model.vocab.total_size)
-            assert not logits.requires_grad
-            assert logits._parents == () and logits._backward_fn is None
         assert nodes == []
 
 
@@ -449,7 +446,7 @@ class TestFixedContext:
             memory = model.memory(feature)
             cache = DecoderCache(model)
             for step in range(40):
-                cached = model.decode_logits(memory, ids[-1:], cache=cache).data
+                cached = cached_logits(model, memory, ids[-1:], cache)
                 full = model.decode_logits(memory, np.array(ids)).data
                 assert cached.shape == (1, model.vocab.total_size)
                 assert cached.dtype == np.dtype(dtype)
@@ -469,15 +466,15 @@ class TestFixedContext:
     @pytest.mark.parametrize("dtype", ["float64", "float32"])
     @pytest.mark.parametrize("name", list(FIXED_MODELS))
     def test_generate_agrees_with_cached_decode_logits(self, name, dtype, feature):
-        """`generate` steps without `decode_logits`: replayed one id at a time
-        through it, each step's row picks the id `generate` chose."""
+        """Replayed one id at a time through the cached step, each step's row
+        picks the id `generate` chose."""
         model = _fixed_model(name, dtype)
         ids = model.generate(feature).ids
         assert len(ids) == model.config.max_len  # EOS is suppressed: a full piece
         with no_grad():
             memory, cache = model.memory(feature), DecoderCache(model)
             for step, (newest, chosen) in enumerate(zip(ids[:-1], ids[1:])):
-                row = model.decode_logits(memory, [newest], cache=cache).data
+                row = cached_logits(model, memory, [newest], cache)
                 assert row.shape == (1, model.vocab.total_size)
                 assert int(row[0].argmax()) == chosen, step
 
@@ -489,9 +486,9 @@ class TestFixedContext:
         ids = np.array([BOS, 5, 9, 13])
         with no_grad():
             memory = model.memory(feature)
-            before = model.decode_logits(memory, ids, cache=DecoderCache(model)).data
+            before = cached_logits(model, memory, ids, DecoderCache(model))
             model.decoder_stack[0].attn.wk.weight.data *= 1.5
-            cached = model.decode_logits(memory, ids, cache=DecoderCache(model)).data
+            cached = cached_logits(model, memory, ids, DecoderCache(model))
             full = model.decode_logits(memory, ids).data
         assert not np.array_equal(before, full)
         assert np.array_equal(cached, full)
@@ -612,7 +609,7 @@ def _format_version_2(tmp_path):
 BAD_CHECKPOINTS = {
     "vocab_hash": (lambda tmp: EmoModel.load(_model_file(tmp, vocab_hash="0" * 16)),
                    VocabMismatch, "vocabulary hash mismatch"),
-    "model_as_va_predictor": (lambda tmp: load_va_predictor(_model_file(tmp)),
+    "model_as_va_predictor": (lambda tmp: load_va_predictor(_model_file(tmp), "x"),
                               CheckpointCorrupt, "not a VA-predictor checkpoint"),
     "block_shape": (lambda tmp: EmoModel.load(_model_file(
         tmp, blocks={"out_proj.bias": Tensor(np.zeros(3))})),
@@ -623,6 +620,18 @@ BAD_CHECKPOINTS = {
     "metadata_not_json": (lambda tmp: EmoModel.load(_bad_json(tmp)),
                           CheckpointCorrupt, "model.emc: Expecting property name"),
 }
+
+
+# running statistics that eval-mode batch norm cannot use
+BAD_RUNNING = [("bn1_mean", np.nan), ("bn2_var", np.inf), ("bn1_var", -1.0)]
+
+
+def _running_with(key, value):
+    """A hidden-8 predictor's running statistics, `value` in one row of `key`."""
+    running = {"bn1_mean": [0.0] * 8, "bn1_var": [1.0] * 8,
+               "bn2_mean": [0.0] * 8, "bn2_var": [1.0] * 8}
+    running[key][3] = value
+    return {"running": running}
 
 
 class TestCheckpoints:
@@ -683,6 +692,7 @@ class TestCheckpoints:
         (None, {"extra": {"running": {"bn1_mean": [0.0]}}}),
         (None, {"extra": {"running": {"bn1_mean": [0.0] * 7, "bn1_var": [1.0] * 8,
                                       "bn2_mean": [0.0] * 8, "bn2_var": [1.0] * 8}}}),
+        *[(None, {"extra": _running_with(key, value)}) for key, value in BAD_RUNNING],
     ])
     def test_bad_va_predictor_metadata(self, tmp_path, drop, replace):
         predictor = VaPredictor(16, 8, np.random.default_rng(0))
@@ -693,7 +703,15 @@ class TestCheckpoints:
         path = tmp_path / "va.emc"
         save_checkpoint(path, meta, predictor.parameters())
         with pytest.raises(CheckpointCorrupt):
-            load_va_predictor(path)
+            load_va_predictor(path, "x")
+
+    @pytest.mark.parametrize("key, value", BAD_RUNNING)
+    def test_bad_running_statistic_is_not_saved(self, tmp_path, key, value):
+        predictor = VaPredictor(16, 8, np.random.default_rng(0))
+        predictor.running_stats()[key][3] = value
+        with pytest.raises(NonFiniteError, match=f"{key} holds NaN, inf or a variance below 0"):
+            save_va_predictor(tmp_path / "va.emc", predictor, vocab_hash="x")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])  # 1e39 overflows float32
     def test_non_finite_block_rejected(self, tmp_path, value):

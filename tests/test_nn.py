@@ -397,25 +397,25 @@ class TestAdam:
     def test_zero_grad_is_fixed_point(self):
         p = Parameter(np.array([1.0, -2.0]))
         p.grad = np.zeros(2)
-        Adam([p], lr=0.1).step()
+        Adam([("p", p)], lr=0.1).step()
         assert p.data.tolist() == [1.0, -2.0]
 
     def test_first_step_is_signed_lr(self):
         p = Parameter(np.array([1.0, -2.0]))
         p.grad = np.array([0.3, -4.0])
-        Adam([p], lr=0.1).step()
+        Adam([("p", p)], lr=0.1).step()
         assert p.data == pytest.approx([0.9, -1.9], abs=1e-6)
 
     def test_grad_cleared_after_step(self):
         p = Parameter(np.array([1.0]))
         p.grad = np.array([1.0])
-        Adam([p], lr=0.1).step()
+        Adam([("p", p)], lr=0.1).step()
         assert p.grad is None
 
     def test_deterministic_trajectory(self):
         def run():
             p = Parameter(np.array([0.5, -0.5]))
-            opt = Adam([p], lr=0.05)
+            opt = Adam([("p", p)], lr=0.05)
             for t in range(10):
                 p.grad = np.array([np.sin(t + 1.0), np.cos(t + 1.0)])
                 opt.step()
@@ -426,7 +426,7 @@ class TestAdam:
     def test_quadratic_descent(self):
         target = np.array([2.0, -3.0])
         p = Parameter(np.zeros(2))
-        opt = Adam([p], lr=0.1)
+        opt = Adam([("p", p)], lr=0.1)
         for _ in range(200):
             x = Tensor(p.data, requires_grad=False)
             p.grad = 2.0 * (p.data - target)

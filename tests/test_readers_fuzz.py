@@ -36,8 +36,8 @@ class TwoBlocks(Module):
     checks, casts and assigns every block of a fuzzed copy that keeps them."""
 
     def __init__(self):
-        self.w = Parameter(np.zeros((2, 3)), dtype=np.float32)
-        self.b = Parameter(np.zeros(2), dtype=np.float32)
+        self.w = Parameter(np.zeros((2, 3), np.float32))
+        self.b = Parameter(np.zeros(2, np.float32))
 
 
 def read_two_blocks(path):
