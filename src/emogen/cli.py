@@ -94,7 +94,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_metrics)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all blocks")
-    p.add_argument("--config", help="run config JSON to validate (its sizes are not used)")
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.set_defaults(handler=cmd_gradcheck)
 
@@ -232,8 +231,6 @@ def _summary_table(entries) -> str:
 def cmd_gradcheck(args) -> int:
     if not args.tolerance > 0:
         raise ConfigError(f"--tolerance must be positive, got {args.tolerance}")
-    if args.config:  # validated only: the battery runs at its own fixed sizes
-        RunConfig.from_file(args.config)
     reports = standard_gradchecks(tolerance=args.tolerance)
     reports["full_model"] = full_model_gradcheck(tolerance=args.tolerance)
     failed = False

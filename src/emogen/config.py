@@ -1,10 +1,10 @@
 """Run configuration: one JSON file covering every module knob.
 
-Every section is read by `_parse`, the one place where config keys and
-value types are checked; range rules sit in each class's `__post_init__`,
-so direct construction is checked too. Every command echoes its effective
-configuration into the output directory so a run is reconstructible from
-its artifacts alone.
+Every section is read by `_parse`, which rejects unknown keys. Each class's
+`__post_init__` checks the types of its values (`_check_types`), then their
+ranges, so direct construction is checked by the same rules. Every command
+echoes its effective configuration into the output directory so a run is
+reconstructible from its artifacts alone.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from functools import lru_cache
 from pathlib import Path
 
@@ -35,32 +35,41 @@ def read_json(path: str | Path):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def check_int(name: str, value, minimum: int) -> None:
+    """ConfigError unless `value` is an int (a bool is not) of at least `minimum`."""
+    if type(value) is not int or value < minimum:
+        raise ConfigError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
 def _parse(cls, data, where: str):
-    """Build `cls` from the JSON object `data`: unknown keys are rejected and
-    each value must have its field default's type, except that an int within
-    float range is stored as a float where the default is a float and a
-    string is taken where it is None (a bool is never an int); a float must
-    be finite. A field whose default is a config is a nested section."""
+    """Build `cls` from the JSON object `data`: unknown keys are rejected and a
+    field whose default is a config is a nested section; `cls` checks the values."""
     if not isinstance(data, dict):
         raise ConfigError(f"{where} must be a JSON object, got {type(data).__name__}")
-    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+    defaults = {f.name: f.default for f in fields(cls)}
     unknown = set(data) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    values = {}
-    for key, value in data.items():
-        default = defaults[key]
-        if is_dataclass(default):
-            value = _parse(type(default), value, key)
-        elif type(default) is float and type(value) is int and abs(value) <= sys.float_info.max:
+    return cls(**{key: _parse(type(defaults[key]), value, key)
+                  if is_dataclass(defaults[key]) else value
+                  for key, value in data.items()})
+
+
+def _check_types(config, where: str) -> None:
+    """ConfigError unless each field of `config` has its default's type, except
+    that a string is taken where the default is None and an int within float
+    range, stored as a float, where it is a float (a bool is never an int);
+    a float must be finite."""
+    for f in fields(config):
+        value, default = getattr(config, f.name), f.default
+        if type(default) is float and type(value) is int and abs(value) <= sys.float_info.max:
             value = float(value)
-        elif type(value) is not type(default) and not (default is None and type(value) is str):
+            object.__setattr__(config, f.name, value)  # the dataclass is frozen
+        if type(value) is not type(default) and not (default is None and type(value) is str):
             kind = "str or null" if default is None else type(default).__name__
-            raise ConfigError(f"{where}.{key} must be {kind}, got {value!r}")
+            raise ConfigError(f"{where}.{f.name} must be {kind}, got {value!r}")
         if type(value) is float and not math.isfinite(value):  # json reads NaN, Infinity
-            raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
-        values[key] = value
-    return cls(**values)
+            raise ConfigError(f"{where}.{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,7 @@ class ModelConfig:
     dtype: str = "float32"  # or "float64"; a checkpoint without it is float64
 
     def __post_init__(self):
+        _check_types(self, "model")
         minimum = {"decoder_blocks": 0, "max_len": 2, "seed": 0}  # other sizes 1
         too_small = [f.name for f in fields(self) if type(f.default) is int
                      and getattr(self, f.name) < minimum.get(f.name, 1)]
@@ -118,6 +128,7 @@ class TrainConfig:
     lambda_cc: float = 1.0
 
     def __post_init__(self):
+        _check_types(self, "train")
         if self.lr <= 0:
             raise ConfigError("lr must be positive")
         if self.epochs < 1 or self.batch_size < 1 or self.seed < 0:
@@ -144,6 +155,9 @@ class DataConfig:
     va_predictor: str | None = None
     split: str = "train"
 
+    def __post_init__(self):
+        _check_types(self, "data")
+
 
 @dataclass(frozen=True)
 class MetricConfig:
@@ -152,6 +166,7 @@ class MetricConfig:
     polyphony_denominator: str = "sounding"
 
     def __post_init__(self):
+        _check_types(self, "metrics")
         if self.steps_per_beat < 1 or self.steps_per_measure < 1:
             raise ConfigError("steps_per_beat and steps_per_measure must be >= 1")
         if self.polyphony_denominator not in ("sounding", "total"):
@@ -166,6 +181,9 @@ class RunConfig:
     train: TrainConfig = TrainConfig()
     data: DataConfig = DataConfig()
     metrics: MetricConfig = MetricConfig()
+
+    def __post_init__(self):
+        _check_types(self, "config")
 
     @classmethod
     def from_dict(cls, data) -> "RunConfig":

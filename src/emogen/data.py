@@ -46,7 +46,6 @@ def load_training_samples(data_cfg: DataConfig, model_cfg: ModelConfig,
     manifest = load_manifest(data_cfg.manifest)
 
     samples: list[TrainSample] = []
-    piece_cache: dict[str, tuple[int, ...]] = {}
     for pair in manifest.pairs:
         if split and pair.get("split", "") != split:
             continue
@@ -55,11 +54,8 @@ def load_training_samples(data_cfg: DataConfig, model_cfg: ModelConfig,
             raise MissingArtifacts(f"manifest MIDI id {midi_id!r} not in catalog")
         if image_id not in images:
             raise MissingArtifacts(f"manifest image id {image_id!r} not in catalog")
-        midi_path = midis[midi_id].payload_path
-        if midi_path not in piece_cache:
-            piece_cache[midi_path] = read_midi_ids(midi_path, model_cfg)
         samples.append(TrainSample(image=images[image_id].payload_path,
-                                   token_ids=piece_cache[midi_path],
+                                   token_ids=read_midi_ids(midis[midi_id].payload_path, model_cfg),
                                    pair_id=f"{midi_id}:{image_id}"))
     if not samples:
         raise MissingArtifacts(

@@ -54,16 +54,15 @@ def standard_gradchecks(tolerance: float = 1e-4) -> dict[str, GradCheckReport]:
         "attention": (lambda: _weighted_sum(mha(x), 5), on_input(mha)),
         "decoder_block": (lambda: _weighted_sum(decoder(x), 7), on_input(decoder)),
         "cce": (lambda: cce_loss(logits, targets), [("logits", logits)]),
-        "soft_va_loss": (lambda: va_loss(true_ids, softmax(va_logits, axis=-1), predictor,
+        "soft_va_loss": (lambda: va_loss(true_ids, softmax(va_logits), predictor,
                                          mode="soft"), [("logits", va_logits)]),
     }
     return {name: gradcheck(fn, leaves, tolerance=tolerance, max_coords_per_block=200)
             for name, (fn, leaves) in table.items()}
 
 
-def full_model_gradcheck(tolerance: float = 1e-4,
-                         max_coords_per_block: int | None = 60) -> GradCheckReport:
-    """Gradcheck the reduced end-to-end model: encoder + memory + decoder + CCE."""
+def full_model_gradcheck(tolerance: float = 1e-4) -> GradCheckReport:
+    """Gradcheck encoder + memory + decoder + CCE of a reduced model, 60 coordinates per block."""
     config = ModelConfig(encoder_blocks=1, decoder_blocks=1, model_dim=16,
                          head_count=2, ff_dim=24, max_len=16, time_shift_bins=4,
                          velocity_bins=2, seed=3, dtype="float64")
@@ -75,5 +74,4 @@ def full_model_gradcheck(tolerance: float = 1e-4,
     ids = np.array([BOS] + body + [EOS])
     return gradcheck(lambda: cce_loss(model.decode_logits(model.memory(feature), ids[:-1]),
                                       ids[1:]),
-                     model.parameters(), tolerance=tolerance,
-                     max_coords_per_block=max_coords_per_block)
+                     model.parameters(), tolerance=tolerance, max_coords_per_block=60)

@@ -71,7 +71,6 @@ class MidiPiece:
 class PianoRoll:
     """Boolean pitch-by-time grid; `onsets` marks only the first step of each note."""
 
-    steps_per_beat: int
     grid: np.ndarray  # (128, T) bool
     onsets: np.ndarray  # (128, T) bool
 
@@ -278,4 +277,4 @@ def to_piano_roll(piece: MidiPiece, steps_per_beat: int = 4) -> PianoRoll:
     for start, end, pitch, _ in spans:
         grid[pitch, start:end] = True
         onsets[pitch, start] = True
-    return PianoRoll(steps_per_beat=steps_per_beat, grid=grid, onsets=onsets)
+    return PianoRoll(grid=grid, onsets=onsets)

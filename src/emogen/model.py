@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ._files import write_atomic
-from .config import ModelConfig
+from .config import ModelConfig, check_int
 from .errors import (BadFeatureFile, BadImage, CheckpointCorrupt, ConfigError,
                      MissingArtifacts, NonFiniteError, PrefixTooLong, VocabMismatch)
 from .nn import (BatchNorm, Conv2d, Embedding, FeedForward, LayerNorm, Linear, Module,
@@ -95,9 +95,9 @@ class TinyCnnExtractor(Module):
     """Three conv blocks then global average pooling down to 512 features."""
 
     def __init__(self, rng: np.random.Generator):
-        self.conv1 = Conv2d(3, 16, 3, rng)
-        self.conv2 = Conv2d(16, 64, 3, rng)
-        self.conv3 = Conv2d(64, IMAGE_FEATURE_DIM, 3, rng)
+        self.conv1 = Conv2d(3, 16, rng)
+        self.conv2 = Conv2d(16, 64, rng)
+        self.conv3 = Conv2d(64, IMAGE_FEATURE_DIM, rng)
 
     def __call__(self, image: Tensor) -> Tensor:
         x = avg_pool2d(relu(self.conv1(image)))
@@ -181,19 +181,6 @@ class VaPredictor(Module):
     def running_stats(self) -> dict[str, np.ndarray]:
         return {"bn1_mean": self.bn1.running_mean, "bn1_var": self.bn1.running_var,
                 "bn2_mean": self.bn2.running_mean, "bn2_var": self.bn2.running_var}
-
-    def state_extra(self) -> dict:
-        return {"running": {key: value.tolist() for key, value in self.running_stats().items()}}
-
-    def load_state_extra(self, extra: dict) -> None:
-        running = extra["running"]
-        stats = {key: np.array(running[key], dtype=np.float64) for key in self.running_stats()}
-        for key, value in stats.items():
-            if value.shape != (self.hidden,):
-                raise ValueError(f"{key} has shape {value.shape}, expected ({self.hidden},)")
-        _check_running_stats(stats, ValueError)
-        self.bn1.running_mean, self.bn1.running_var = stats["bn1_mean"], stats["bn1_var"]
-        self.bn2.running_mean, self.bn2.running_var = stats["bn2_mean"], stats["bn2_var"]
 
 
 def _check_running_stats(stats: dict[str, np.ndarray], error: type[Exception]) -> None:
@@ -339,8 +326,7 @@ class EmoModel(Module):
         here when None), mapped through `mem_proj`."""
         if context is None:
             context = self.encode_midi(FIXED_CONTEXT)
-        return self.mem_proj(concat([self.img_proj(self.image_feature(image_source)), context],
-                                    axis=0))
+        return self.mem_proj(concat([self.img_proj(self.image_feature(image_source)), context]))
 
     def decode_logits(self, memory: Tensor, ids) -> Tensor:
         """Logits of the prefix `ids` given `memory`: a graph node, a row per id."""
@@ -352,7 +338,7 @@ class EmoModel(Module):
         memory = reshape(memory, (1, self.config.model_dim))
         x = self.embedding(ids) + Tensor(self.positions[1:ids.size + 1])
         if self.decoder_stack:
-            x = concat([memory + Tensor(self.positions[:1]), x], axis=0)
+            x = concat([memory + Tensor(self.positions[:1]), x])
             for block in self.decoder_stack:
                 x = block(x)
             x = take(x, slice(1, None))  # drop the memory row
@@ -388,15 +374,14 @@ class EmoModel(Module):
         The memory row is computed once per piece and each decoder block's
         keys and values are cached in a `DecoderCache`, so a step runs the
         decoder on the newest id alone, through `_decode_step`."""
-        if max_len is not None and max_len < 1:
-            raise ConfigError(f"max_len must be >= 1, got {max_len}")
+        if max_len is not None:
+            check_int("max_len", max_len, 1)
         limit = self.config.max_len if max_len is None else min(max_len, self.config.max_len)
         if strategy not in ("greedy", "temperature"):
             raise ConfigError(f"unknown strategy {strategy!r}")
         if strategy == "temperature" and not temperature > 0:
             raise ConfigError(f"temperature must be positive, got {temperature}")
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
+        check_int("seed", seed, 0)
         rng = np.random.default_rng(seed)
         ids, newest = [BOS], np.array([BOS])
         with no_grad():
@@ -452,10 +437,12 @@ class EmoModel(Module):
 
 def save_va_predictor(path: str | Path, predictor: VaPredictor,
                       vocab_hash: str, extra: dict | None = None) -> None:
-    _check_running_stats(predictor.running_stats(), NonFiniteError)  # so no file is written
+    stats = predictor.running_stats()
+    _check_running_stats(stats, NonFiniteError)  # so no file is written
+    running = {key: value.tolist() for key, value in stats.items()}
     meta = {"kind": "va_predictor", "vocab_hash": vocab_hash,
             "vocab_size": predictor.vocab_size, "hidden": predictor.hidden,
-            "extra": dict(extra or {}, **predictor.state_extra())}
+            "extra": dict(extra or {}, running=running)}
     save_checkpoint(path, meta, predictor.parameters())
 
 
@@ -473,9 +460,16 @@ def load_va_predictor(path: str | Path, vocab_hash: str) -> VaPredictor:
 
     meta, predictor = load_checkpoint(path, build)
     try:
-        predictor.load_state_extra(meta["extra"])
+        running = meta["extra"]["running"]
+        stats = {key: np.array(running[key], np.float64) for key in predictor.running_stats()}
+        for key, value in stats.items():
+            if value.shape != (predictor.hidden,):
+                raise ValueError(f"{key} has shape {value.shape}, expected ({predictor.hidden},)")
+        _check_running_stats(stats, ValueError)
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointCorrupt(f"{path}: bad running statistics in metadata: {exc!r}") from exc
+    predictor.bn1.running_mean, predictor.bn1.running_var = stats["bn1_mean"], stats["bn1_var"]
+    predictor.bn2.running_mean, predictor.bn2.running_var = stats["bn2_mean"], stats["bn2_var"]
     return predictor
 
 

@@ -158,25 +158,23 @@ class FeedForward(Module):
 
 # --- convolution (im2col via gather, so backward comes from the graph) ---
 
-def _pad2d(x: Tensor, p: int) -> Tensor:
-    data = np.pad(x.data, ((0, 0), (p, p), (p, p)))
+def _pad2d(x: Tensor) -> Tensor:
+    data = np.pad(x.data, ((0, 0), (1, 1), (1, 1)))
 
     def backward(grad):
         if x.requires_grad:
-            x._accumulate(grad[:, p:-p, p:-p])
+            x._accumulate(grad[:, 1:-1, 1:-1])
 
     return Tensor._result(data, (x,), backward)
 
 
 class Conv2d(Module):
-    """3x3-style conv on (C, H, W) maps, stride 1, zero padding of 1."""
+    """3x3 conv on (C, H, W) maps, stride 1, zero padding of 1: (C', H, W) out."""
 
-    def __init__(self, in_channels: int, out_channels: int, kernel: int,
-                 rng: np.random.Generator):
-        fan_in = in_channels * kernel * kernel
+    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
+        fan_in = in_channels * 9
         self.weight = Parameter(_uniform_init(rng, fan_in, (out_channels, fan_in)))
         self.bias = Parameter(np.zeros(out_channels))
-        self.kernel = kernel
         self.in_channels = in_channels
         self.out_channels = out_channels
 
@@ -184,19 +182,15 @@ class Conv2d(Module):
         c, h, w = x.shape
         if c != self.in_channels:
             raise ShapeMismatch(f"conv expects {self.in_channels} channels, got {c}")
-        k, p = self.kernel, 1
-        oh, ow = h + 2 * p - k + 1, w + 2 * p - k + 1
-        xp = _pad2d(x, p)
-
-        ci, ki, kj = np.meshgrid(np.arange(c), np.arange(k), np.arange(k), indexing="ij")
-        oi, oj = np.meshgrid(np.arange(oh), np.arange(ow), indexing="ij")
+        ci, ki, kj = np.meshgrid(np.arange(c), np.arange(3), np.arange(3), indexing="ij")
+        oi, oj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
         rows = ki.reshape(-1, 1) + oi.reshape(1, -1)
         cols = kj.reshape(-1, 1) + oj.reshape(1, -1)
         chans = np.broadcast_to(ci.reshape(-1, 1), rows.shape)
 
-        patches = take(xp, (chans, rows, cols))  # (C*k*k, oh*ow)
+        patches = take(_pad2d(x), (chans, rows, cols))  # (C*9, H*W)
         out = matmul(self.weight, patches) + reshape(self.bias, (self.out_channels, 1))
-        return reshape(out, (self.out_channels, oh, ow))
+        return reshape(out, (self.out_channels, h, w))
 
 
 def avg_pool2d(x: Tensor) -> Tensor:

@@ -271,18 +271,16 @@ def take(a, index) -> Tensor:
     return Tensor._result(data, (a,), backward)
 
 
-def concat(tensors, axis=0) -> Tensor:
+def concat(tensors) -> Tensor:
+    """Join `tensors` along axis 0."""
     tensors = [_as_tensor(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    data = np.concatenate([t.data for t in tensors])
+    offsets = np.cumsum([0] + [t.data.shape[0] for t in tensors])
 
     def backward(grad):
         for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
             if tensor.requires_grad:
-                slicer = [slice(None)] * grad.ndim
-                slicer[axis] = slice(start, stop)
-                tensor._accumulate(grad[tuple(slicer)])
+                tensor._accumulate(grad[start:stop])
 
     return Tensor._result(data, tuple(tensors), backward)
 
@@ -315,28 +313,28 @@ def tensor_mean(a, axis=None, keepdims=False) -> Tensor:
 
 # --- normalized exponentials ---
 
-def softmax(a, axis: int = -1) -> Tensor:
-    """Max-subtracted, numerically stable softmax along `axis`."""
+def softmax(a) -> Tensor:
+    """Max-subtracted, numerically stable softmax along the last axis."""
     a = _as_tensor(a)
-    data = np.exp(a.data - a.data.max(axis=axis, keepdims=True))
-    data /= data.sum(axis=axis, keepdims=True)
+    data = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+    data /= data.sum(axis=-1, keepdims=True)
 
     def backward(grad):
         if a.requires_grad:
-            a._accumulate(data * (grad - (grad * data).sum(axis=axis, keepdims=True)))
+            a._accumulate(data * (grad - (grad * data).sum(axis=-1, keepdims=True)))
 
     return Tensor._result(data, (a,), backward)
 
 
-def log_softmax(a, axis: int = -1) -> Tensor:
-    """Log of softmax via max-shifted log-sum-exp; finite for any finite input."""
+def log_softmax(a) -> Tensor:
+    """Log of softmax along the last axis by max-shifted log-sum-exp; finite for finite input."""
     a = _as_tensor(a)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    data = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = a.data - a.data.max(axis=-1, keepdims=True)
+    data = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
     def backward(grad):
         if a.requires_grad:
-            a._accumulate(grad - np.exp(data) * grad.sum(axis=axis, keepdims=True))
+            a._accumulate(grad - np.exp(data) * grad.sum(axis=-1, keepdims=True))
 
     return Tensor._result(data, (a,), backward)
 

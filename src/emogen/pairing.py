@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._files import write_atomic
+from .config import check_int
 from .errors import CatalogError, CountMismatch, EmptyCatalog, OutOfRange
 
 VA_MIN, VA_MAX = 1.0, 9.0
@@ -92,8 +93,9 @@ def pair_datasets(midis: Sequence[TaggedItem], images: Sequence[TaggedItem]) -> 
 def split(manifest: PairManifest, counts: tuple[int, int, int], seed: int) -> PairManifest:
     """Assign train/test/val tags by a seeded shuffle then contiguous slices."""
     train, test, val = counts
-    if min(counts) < 0:
-        raise CountMismatch(f"split counts {counts} must not be negative")
+    if any(type(count) is not int for count in counts) or min(counts) < 0:
+        raise CountMismatch(f"split counts {counts} must be integers >= 0")
+    check_int("seed", seed, 0)  # `random.Random` would take -1 as 1
     if train + test + val != len(manifest.pairs):
         raise CountMismatch(
             f"split counts {counts} sum to {train + test + val}, "

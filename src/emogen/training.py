@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from ._files import write_csv
-from .config import TrainConfig
+from .config import TrainConfig, check_int
 from .errors import (CatalogTooSmall, ConfigError, NonFiniteError,
                      PredictorMissing, ShapeMismatch)
 from .model import FIXED_CONTEXT, EmoModel, VaPredictor, _token_ids, token_histogram
@@ -49,7 +49,7 @@ def cce_loss(logits: Tensor, target_ids, pad_mask: np.ndarray | None = None) -> 
     if logits.shape[:-1] != target_ids.shape:
         raise ShapeMismatch(f"logits {logits.shape} vs targets {target_ids.shape}")
     rows = np.arange(target_ids.size) if pad_mask is None else np.flatnonzero(pad_mask)
-    return -tensor_sum(take(log_softmax(logits, axis=-1), (rows, target_ids[rows])))
+    return -tensor_sum(take(log_softmax(logits), (rows, target_ids[rows])))
 
 
 def va_loss(true_ids, pred: Tensor, predictor: VaPredictor, mode: str = "hard"):
@@ -103,8 +103,10 @@ def pretrain_va_predictor(samples: Sequence[tuple[Sequence[int], tuple[float, fl
     Minimizes MAE with Adam over batches of `PREDICTOR_BATCH`; returns the
     predictor and a report with train/holdout MAE. Deterministic under `seed`.
     """
-    if epochs < 1 or not lr > 0 or seed < 0:
-        raise ConfigError(f"need epochs >= 1, lr > 0, seed >= 0; got {epochs}, {lr}, {seed}")
+    for name, value, minimum in (("epochs", epochs, 1), ("seed", seed, 0), ("hidden", hidden, 1)):
+        check_int(name, value, minimum)
+    if not lr > 0:
+        raise ConfigError(f"lr must be > 0, got {lr}")
     if len(samples) < 2:
         raise CatalogTooSmall("need at least 2 labeled pieces")
     rng = np.random.default_rng(seed)

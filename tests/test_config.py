@@ -11,6 +11,15 @@ from emogen.config import DataConfig, MetricConfig, ModelConfig, RunConfig, Trai
 from emogen.errors import ConfigError
 
 
+DIRECT_TYPE_ERRORS = [
+    (ModelConfig, "seed", 1.5), (ModelConfig, "model_dim", 16.0), (ModelConfig, "max_len", True),
+    (TrainConfig, "epochs", 2.5), (TrainConfig, "batch_size", 2.5),
+    (TrainConfig, "lr", float("nan")), (TrainConfig, "lr", "0.1"),
+    (DataConfig, "manifest", None), (DataConfig, "dictionary", 3),
+    (MetricConfig, "steps_per_beat", 4.0), (RunConfig, "train", {"epochs": 2}),
+]
+
+
 class TestTypeRules:
     def test_int_taken_as_float(self):
         cfg = RunConfig.from_dict({"train": {"lr": 1, "lambda_va": 0, "lambda_cc": 2}})
@@ -40,6 +49,18 @@ class TestTypeRules:
     def test_rejected(self, section):
         with pytest.raises(ConfigError):
             RunConfig.from_dict(section)
+
+    @pytest.mark.parametrize("cls, key, value", DIRECT_TYPE_ERRORS,
+                             ids=[f"{cls.__name__}.{key}={value!r}"
+                                  for cls, key, value in DIRECT_TYPE_ERRORS])
+    def test_direct_construction_rejected(self, cls, key, value):
+        """The types JSON must have hold on direct construction too."""
+        with pytest.raises(ConfigError, match=f"{key} must be"):
+            cls(**{key: value})
+
+    def test_direct_construction_stores_an_int_as_a_float(self):
+        cfg = TrainConfig(lr=1, lambda_va=0)
+        assert (type(cfg.lr), type(cfg.lambda_va)) == (float, float)
 
     @pytest.mark.parametrize("payload", [[], "x", 3, None])
     def test_top_level_must_be_object(self, payload):

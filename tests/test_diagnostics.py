@@ -5,6 +5,6 @@ from test_model import small_config
 
 
 def test_full_model_gradcheck_covers_every_block():
-    report = full_model_gradcheck(max_coords_per_block=4)
+    report = full_model_gradcheck()
     assert report.passed
     assert set(report.max_errors) == {name for name, _ in EmoModel(small_config()).parameters()}

@@ -49,11 +49,11 @@ OPS = {
     "matmul": lambda a, b, w, g: matmul(a, w),
     "reshape": lambda a, b, w, g: reshape(a, (4, 3)),
     "take": lambda a, b, w, g: take(a, (np.array([0, 2]), np.array([1, 3]))),
-    "concat": lambda a, b, w, g: concat([a, b], axis=0),
+    "concat": lambda a, b, w, g: concat([a, b]),
     "sum": lambda a, b, w, g: tensor_sum(a, axis=0),
     "mean": lambda a, b, w, g: tensor_mean(a),
-    "softmax": lambda a, b, w, g: softmax(a, axis=-1),
-    "log_softmax": lambda a, b, w, g: log_softmax(a, axis=-1),
+    "softmax": lambda a, b, w, g: softmax(a),
+    "log_softmax": lambda a, b, w, g: log_softmax(a),
     "linear": lambda a, b, w, g: linear(a, w, g),
     "linear_no_bias": lambda a, b, w, g: linear(a, w),
     "layer_norm": lambda a, b, w, g: layer_norm(a, g, g, 1e-5),

@@ -53,7 +53,7 @@ def ref_attention(mha, q, k, v, causal=False):
     # the query rows are the last rows of the keys
     if causal:
         scores = scores + np.triu(np.full((tq, tk), MASK_VALUE), k=tk - tq + 1)
-    heads = matmul(softmax(scores, axis=-1), vh)
+    heads = matmul(softmax(scores), vh)
     merged = reshape(ref_transpose(heads, (1, 0, 2)), (tq, d))
     return ref_linear(mha.wo, merged)
 

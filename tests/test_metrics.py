@@ -30,7 +30,7 @@ def _roll(grid, onsets=None):
     else:
         onset_full = np.zeros_like(full)
         onset_full[:np.asarray(onsets).shape[0]] = np.asarray(onsets, dtype=bool)
-    return PianoRoll(steps_per_beat=4, grid=full, onsets=onset_full)
+    return PianoRoll(grid=full, onsets=onset_full)
 
 
 # --- independent slow oracles ---

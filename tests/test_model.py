@@ -264,7 +264,7 @@ class TestDecoder:
     def test_logit_shape_and_distribution(self, model, feature):
         logits = model.decode_logits(model.memory(feature), np.array([BOS, 5]))
         assert logits.shape == (2, model.vocab.total_size)
-        probs = softmax(logits, axis=-1).data
+        probs = softmax(logits).data
         assert probs.sum(axis=-1) == pytest.approx(np.ones(2))
 
     def test_causal(self, model, feature):
@@ -353,9 +353,14 @@ class TestGenerate:
                 model.generate(feature, strategy="temperature", temperature=temperature)
 
     def test_bad_max_len(self, model, feature):
-        for max_len in (0, -3):
+        for max_len in (0, -3, 2.5, True):  # a bool is not an int
             with pytest.raises(ConfigError):
                 model.generate(feature, max_len=max_len)
+
+    def test_bad_seed(self, model, feature):
+        for seed in (-1, 1.5, True):
+            with pytest.raises(ConfigError, match="seed must be an int >= 0"):
+                model.generate(feature, seed=seed)
 
 
 def reference_generate(model, feature, max_len, strategy="greedy",
@@ -697,7 +702,7 @@ class TestCheckpoints:
     def test_bad_va_predictor_metadata(self, tmp_path, drop, replace):
         predictor = VaPredictor(16, 8, np.random.default_rng(0))
         meta = {"kind": "va_predictor", "vocab_hash": "x", "vocab_size": 16,
-                "hidden": 8, "extra": predictor.state_extra()}
+                "hidden": 8, "extra": _running_with("bn1_mean", 0.0)}  # a fresh predictor's
         meta.pop(drop, None)
         meta.update(replace)
         path = tmp_path / "va.emc"

@@ -36,7 +36,7 @@ class TestTensorOps:
 
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
-        out = softmax(Tensor(rng.normal(size=(5, 7))), axis=-1)
+        out = softmax(Tensor(rng.normal(size=(5, 7))))
         assert out.data.sum(axis=-1) == pytest.approx(np.ones(5))
 
     def test_softmax_shift_invariant(self):
@@ -204,7 +204,7 @@ class TestGradcheckHarness:
         a = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
 
         def fn():
-            return tensor_sum(softmax(matmul(a, a), axis=-1) * relu(a))
+            return tensor_sum(softmax(matmul(a, a)) * relu(a))
 
         report = gradcheck(fn, [("a", a)])
         assert report.passed and report.worst < 1e-6
@@ -213,7 +213,7 @@ class TestGradcheckHarness:
         rng = np.random.default_rng(12)
         a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         weights = Tensor(rng.normal(size=(3, 4)))
-        report = gradcheck(lambda: tensor_sum(log_softmax(a, axis=0) * weights), [("a", a)])
+        report = gradcheck(lambda: tensor_sum(log_softmax(a) * weights), [("a", a)])
         assert report.passed and report.worst < 1e-6
 
     def test_negative_control_detects_corruption(self):
@@ -328,7 +328,7 @@ class TestLayers:
 
     def test_conv2d_matches_direct_convolution(self):
         rng = np.random.default_rng(14)
-        conv = Conv2d(2, 3, 3, rng)
+        conv = Conv2d(2, 3, rng)
         x = rng.normal(size=(2, 5, 5))
         out = conv(Tensor(x)).data
         padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
@@ -375,7 +375,7 @@ SHAPE_ERRORS = {
                      "token id outside embedding table"),
     "batch_norm_dim": (lambda: BatchNorm(3)(Tensor(np.ones((4, 5))), train=True),
                        r"batch norm dim 3 vs input \(4, 5\)"),
-    "conv_channels": (lambda: Conv2d(2, 3, 3, np.random.default_rng(0))(
+    "conv_channels": (lambda: Conv2d(2, 3, np.random.default_rng(0))(
         Tensor(np.ones((3, 4, 4)))), "conv expects 2 channels, got 3"),
     "odd_pool": (lambda: avg_pool2d(Tensor(np.ones((1, 5, 4)))),
                  r"pooling size 2 does not divide \(5, 4\)"),

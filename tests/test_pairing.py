@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emogen.errors import CatalogError, CountMismatch, EmogenError, EmptyCatalog
+from emogen.errors import (CatalogError, ConfigError, CountMismatch, EmogenError,
+                           EmptyCatalog)
 from emogen.pairing import (MAX_SIMILARITY, PairManifest, TaggedItem, VaPoint,
                             load_catalog, load_manifest, load_va_dictionary,
                             pair_datasets, save_manifest, similarity, split)
@@ -96,6 +97,17 @@ class TestSplit:
         # (1, 2, -1) sums to the pair count but would tag one train, one test
         with pytest.raises(CountMismatch, match=r"\(1, 2, -1\)"):
             split(self._manifest(2), (1, 2, -1), seed=0)
+
+    @pytest.mark.parametrize("counts", [(True, 1, 0), (1.5, 0.5, 0)])
+    def test_counts_that_are_not_ints_rejected(self, counts):
+        with pytest.raises(CountMismatch, match="must be integers"):
+            split(self._manifest(2), counts, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_bad_seed_rejected(self, seed):
+        # `random.Random(-1)` shuffles as `random.Random(1)` does
+        with pytest.raises(ConfigError, match="seed must be an int >= 0"):
+            split(self._manifest(10), (5, 3, 2), seed=seed)
 
     def _file_bytes(self, manifest, path):
         save_manifest(manifest, path)

@@ -186,7 +186,7 @@ def to_piano_roll(piece: MidiPiece, steps_per_beat: int = 4) -> PianoRoll:
     for pitch, start, end in spans:
         grid[pitch, start:end] = True
         onsets[pitch, start] = True
-    return PianoRoll(steps_per_beat=steps_per_beat, grid=grid, onsets=onsets)
+    return PianoRoll(grid=grid, onsets=onsets)
 
 
 # tokens are ("PAD",), ("NOTE_ON", pitch), ("TIME_SHIFT", steps), ...

@@ -138,7 +138,7 @@ class TestVaLoss:
         for seed in range(20):
             logits = Tensor(np.random.default_rng(seed).normal(0, 3, size=(9, 12)), dtype=dtype)
             assert va_loss(true_ids, logits, predictor, mode="hard") == \
-                va_loss(true_ids, softmax(logits, axis=-1), predictor, mode="hard")
+                va_loss(true_ids, softmax(logits), predictor, mode="hard")
 
     def test_hard_and_soft_agree_on_one_hot(self):
         predictor = self._predictor()
@@ -152,7 +152,7 @@ class TestVaLoss:
         predictor = self._predictor()
         logits = Tensor(np.random.default_rng(2).normal(size=(5, 12)),
                         requires_grad=True)
-        probs = softmax(logits, axis=-1)
+        probs = softmax(logits)
         va_loss(np.array([1, 2, 3]), probs, predictor, mode="soft").backward()
         assert logits.grad is not None and np.abs(logits.grad).sum() > 0
 
@@ -204,6 +204,12 @@ class TestPretrain:
     def test_too_few_samples(self):
         with pytest.raises(CatalogTooSmall):
             pretrain_va_predictor([(np.array([1]), (5.0, 5.0))], 20)
+
+    @pytest.mark.parametrize("key, value", [("epochs", 1.5), ("epochs", True), ("seed", 1.5),
+                                            ("hidden", 2.5), ("hidden", 0)])
+    def test_bad_arguments(self, rng, key, value):
+        with pytest.raises(ConfigError, match=f"{key} must be an int"):
+            pretrain_va_predictor(self._labeled(rng), 20, **{key: value})
 
     def test_non_finite_mae_raises(self, rng):
         samples = self._labeled(rng)
@@ -298,7 +304,7 @@ class TestFit:
             for sample in samples:
                 ids = np.asarray(sample.token_ids)
                 keep = ids[1:] != PAD
-                probs = softmax(model.decode_logits(model.memory(sample.image), ids[:-1]), axis=-1)
+                probs = softmax(model.decode_logits(model.memory(sample.image), ids[:-1]))
                 for rows, out in ((probs.data[keep], expected), (probs.data, every_row)):
                     value = va_loss(ids[1:][keep], Tensor(rows), predictor, mode=mode)
                     out.append(value if mode == "hard" else value.item())
