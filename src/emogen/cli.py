@@ -17,8 +17,8 @@ from ._files import write_atomic, write_csv
 from .config import MetricConfig, RunConfig, read_json
 from .data import load_training_samples, read_midi_ids
 from .diagnostics import full_model_gradcheck, standard_gradchecks
-from .errors import (ConfigError, CountMismatch, EmogenError,
-                     MissingArtifacts)
+from .errors import (ConfigError, CountMismatch, EmogenError, MissingArtifacts,
+                     check_positive)
 from .midi_io import parse_midi, write_midi
 from .model import EmoModel, load_va_predictor, save_va_predictor
 from .pairing import (MAX_SIMILARITY, config_hash, load_catalog,
@@ -114,6 +114,7 @@ def cmd_pair(args) -> int:
     manifest = pair_datasets(midis, images)
     manifest.config_hash = config_hash({"images": str(args.images),
                                         "midis": str(args.midis), "seed": args.seed})
+    manifest.seed = args.seed
     if args.split:
         try:
             counts = tuple(int(c) for c in args.split.split(","))
@@ -122,8 +123,6 @@ def cmd_pair(args) -> int:
         if len(counts) != 3:
             raise ConfigError("--split needs exactly three comma-separated counts")
         manifest = split(manifest, counts, args.seed)
-    else:
-        manifest.seed = args.seed
     save_manifest(manifest, args.out)
 
     finite = [p["similarity"] for p in manifest.pairs if p["similarity"] != MAX_SIMILARITY]
@@ -196,17 +195,7 @@ def cmd_metrics(args) -> int:
     paths = sorted(midi_dir.rglob("*.mid")) + sorted(midi_dir.rglob("*.midi"))
     if not paths:
         raise MissingArtifacts(f"no .mid files under {midi_dir}")
-    rows, errors = [], []
-    for path in paths:
-        try:
-            triple, loss = metrics_mod.evaluate_piece(parse_midi(path.read_bytes()),
-                                                      **asdict(cfg))
-            rows.append((str(path), triple, loss))
-        except EmogenError as exc:
-            errors.append((str(path), type(exc).__name__))
-
-    mean = metrics_mod.mean_triple([t for _, t, _ in rows])
-    mean_loss = (sum(l for _, _, l in rows) / len(rows)) if rows else math.nan
+    rows, errors, mean_loss, mean = _score(paths, lambda path: parse_midi(path.read_bytes()), cfg)
     write_csv(args.out, [["path", "polyphony_rate", "pitch_entropy",
                           "groove_consistency", "music_quality_loss"]]
               + [[path, *_triple_cells(triple), f"{loss:.6f}"] for path, triple, loss in rows]
@@ -219,6 +208,20 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+def _score(sources, read, cfg: MetricConfig):
+    """Score the piece `read(source)` of each source by `cfg`, skipping any that
+    fails with an EmogenError: the (source, triple, loss) rows, the skipped
+    (source, error name) pairs, and the rows' mean loss and triple (NaN if none)."""
+    rows, skipped = [], []
+    for source in sources:
+        try:
+            rows.append((source, *metrics_mod.evaluate_piece(read(source), **asdict(cfg))))
+        except EmogenError as exc:
+            skipped.append((source, type(exc).__name__))
+    mean_loss = sum(loss for _, _, loss in rows) / len(rows) if rows else math.nan
+    return rows, skipped, mean_loss, metrics_mod.mean_triple(t for _, t, _ in rows)
+
+
 def _summary_table(entries) -> str:
     lines = ["| Model | Music_Quality_Loss | Polyphony Rate | Pitch Entropy | Groove Consistency |",
              "|---|---|---|---|---|"]
@@ -229,8 +232,7 @@ def _summary_table(entries) -> str:
 
 
 def cmd_gradcheck(args) -> int:
-    if not args.tolerance > 0:
-        raise ConfigError(f"--tolerance must be positive, got {args.tolerance}")
+    check_positive("--tolerance", args.tolerance)
     reports = standard_gradchecks(tolerance=args.tolerance)
     reports["full_model"] = full_model_gradcheck(tolerance=args.tolerance)
     failed = False
@@ -279,10 +281,11 @@ def cmd_ablate(args) -> int:
             variant_dir.mkdir(parents=True, exist_ok=True)
             run_cfg.echo(variant_dir)
             model = _train_one(run_cfg, variant_dir)
-            loss, triple, n_eval = _evaluate_variant(model, run_cfg, variant_dir)
+            rows, _, loss, triple = _score(_generate_variant(model, run_cfg, variant_dir),
+                                           lambda piece: piece, run_cfg.metrics)
             results.append({"name": name, "status": "ok", "loss": loss,
-                            "triple": triple, "evaluated": n_eval})
-            print(f"{name}: quality loss {loss:.4f} over {n_eval} generated pieces")
+                            "triple": triple, "evaluated": len(rows)})
+            print(f"{name}: quality loss {loss:.4f} over {len(rows)} generated pieces")
         except (EmogenError, OSError) as exc:
             results.append({"name": name, "status": f"failed: {type(exc).__name__}",
                             "loss": math.nan, "triple": None, "evaluated": 0})
@@ -293,8 +296,10 @@ def cmd_ablate(args) -> int:
     return 0
 
 
-def _evaluate_variant(model: EmoModel, run_cfg: RunConfig, variant_dir: Path):
-    """Generate from the eval split's images and score the output corpus."""
+def _generate_variant(model: EmoModel, run_cfg: RunConfig, variant_dir: Path) -> list:
+    """Generate from the eval split's images, write each piece to `generated/` and
+    return the pieces, to be scored as decoded: SMF cannot hold two notes of one
+    pitch and onset, which `decode` can emit, so a file read back can differ."""
     eval_split = "val"
     try:
         samples = load_training_samples(run_cfg.data, run_cfg.model, split=eval_split)
@@ -303,21 +308,13 @@ def _evaluate_variant(model: EmoModel, run_cfg: RunConfig, variant_dir: Path):
                                         split=run_cfg.data.split)
     gen_dir = variant_dir / "generated"
     gen_dir.mkdir(exist_ok=True)
-    losses, triples = [], []
+    pieces = []
     for i, sample in enumerate(samples):
         tokens = model.generate(sample.image, strategy="greedy",
                                 seed=run_cfg.train.seed)
-        piece = decode(tokens, model.vocab, run_cfg.model.steps_per_beat)
-        write_atomic(gen_dir / f"gen_{i:03d}.mid", [write_midi(piece)])
-        try:
-            triple, loss = metrics_mod.evaluate_piece(piece, **asdict(run_cfg.metrics))
-        except EmogenError:
-            continue  # degenerate output (empty or too short); skip this piece
-        losses.append(loss)
-        triples.append(triple)
-    if not losses:
-        return math.nan, metrics_mod.MetricTriple(math.nan, math.nan, math.nan), 0
-    return sum(losses) / len(losses), metrics_mod.mean_triple(triples), len(losses)
+        pieces.append(decode(tokens, model.vocab, run_cfg.model.steps_per_beat))
+        write_atomic(gen_dir / f"gen_{i:03d}.mid", [write_midi(pieces[-1])])
+    return pieces
 
 
 def _triple_cells(triple) -> list[str]:

@@ -17,7 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from ._files import write_atomic
-from .errors import ConfigError
+from .errors import ConfigError, check_positive
 from .tokenizer import Vocabulary
 
 # one shared Vocabulary per layout: its velocity tables are then built once,
@@ -33,12 +33,6 @@ def read_json(path: str | Path):
     # OSError: unreadable file; ValueError: bad JSON or UTF-8; RecursionError: too deep
     except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-
-
-def check_int(name: str, value, minimum: int) -> None:
-    """ConfigError unless `value` is an int (a bool is not) of at least `minimum`."""
-    if type(value) is not int or value < minimum:
-        raise ConfigError(f"{name} must be an int >= {minimum}, got {value!r}")
 
 
 def _parse(cls, data, where: str):
@@ -129,8 +123,7 @@ class TrainConfig:
 
     def __post_init__(self):
         _check_types(self, "train")
-        if self.lr <= 0:
-            raise ConfigError("lr must be positive")
+        check_positive("train.lr", self.lr)
         if self.epochs < 1 or self.batch_size < 1 or self.seed < 0:
             raise ConfigError("epochs and batch_size must be >= 1, seed >= 0")
         if self.va_loss_mode not in ("hard", "soft", "off"):

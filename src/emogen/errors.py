@@ -1,4 +1,6 @@
-"""Exception hierarchy shared by all emogen modules."""
+"""Exception hierarchy shared by all emogen modules, and the argument rules."""
+
+import sys
 
 
 class EmogenError(Exception):
@@ -117,3 +119,17 @@ class MissingArtifacts(EmogenError):
 
 class ConfigError(EmogenError):
     """Run configuration file invalid or contains unknown keys."""
+
+
+# --- argument rules: each is written once, here ---
+
+def check_int(name: str, value, minimum: int, error: type[EmogenError] = ConfigError) -> None:
+    """`error` unless `value` is an int (a bool is not) of at least `minimum`."""
+    if type(value) is not int or value < minimum:
+        raise error(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
+def check_positive(name: str, value) -> None:
+    """ConfigError unless `value` is an int or float (not a bool), finite as a float and > 0."""
+    if type(value) not in (int, float) or not 0 < value <= sys.float_info.max:
+        raise ConfigError(f"{name} must be a finite number > 0, got {value!r}")

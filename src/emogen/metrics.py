@@ -13,7 +13,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import BadMetricSetting, EmptyPiece, EmptyRoll, TooShort
+from .errors import BadMetricSetting, EmptyPiece, EmptyRoll, TooShort, check_int
 from .midi_io import MidiPiece, PianoRoll, to_piano_roll
 
 
@@ -64,8 +64,7 @@ def polyphony_rate(roll: PianoRoll, denominator: str = "sounding") -> float:
 def groove_consistency(roll: PianoRoll, steps_per_measure: int = 16) -> float:
     """One minus the mean Hamming distance per step between consecutive
     measures' onset vectors. Trailing partial measures are discarded."""
-    if steps_per_measure < 1:
-        raise BadMetricSetting("steps_per_measure must be >= 1")
+    check_int("steps_per_measure", steps_per_measure, 1, BadMetricSetting)
     measures = roll.num_steps // steps_per_measure
     if measures < 2:
         raise TooShort(f"{measures} full measure(s); need >= 2")

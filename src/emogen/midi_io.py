@@ -15,7 +15,7 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import (BadMetricSetting, MalformedEvent, MalformedHeader, MalformedPiece,
-                     TruncatedTrack, UnsupportedFormat)
+                     TruncatedTrack, UnsupportedFormat, check_int)
 
 DEFAULT_TEMPO = 500_000  # microseconds per beat (120 BPM)
 
@@ -268,8 +268,7 @@ def note_spans(piece: MidiPiece, steps_per_beat: int) -> list[tuple[int, int, in
 
 def to_piano_roll(piece: MidiPiece, steps_per_beat: int = 4) -> PianoRoll:
     """Rasterize a piece onto a boolean 128 x T pitch/time grid."""
-    if steps_per_beat <= 0:
-        raise BadMetricSetting("steps_per_beat must be positive")
+    check_int("steps_per_beat", steps_per_beat, 1, BadMetricSetting)
     spans = note_spans(piece, steps_per_beat)
     total = max((end for _, end, _, _ in spans), default=0)
     grid = np.zeros((128, total), dtype=bool)

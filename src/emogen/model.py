@@ -23,14 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from ._files import write_atomic
-from .config import ModelConfig, check_int
-from .errors import (BadFeatureFile, BadImage, CheckpointCorrupt, ConfigError,
-                     MissingArtifacts, NonFiniteError, PrefixTooLong, VocabMismatch)
+from .config import ModelConfig
+from .errors import (BadFeatureFile, BadImage, CheckpointCorrupt, ConfigError, MissingArtifacts,
+                     NonFiniteError, PrefixTooLong, VocabMismatch, check_int, check_positive)
 from .nn import (BatchNorm, Conv2d, Embedding, FeedForward, LayerNorm, Linear, Module,
                  MultiHeadAttention, Tensor, affine, attend, avg_pool2d, concat,
                  global_avg_pool, no_grad, normalize, relu, reshape,
                  sinusoidal_positions, softmax, take, tensor_mean)
-from .nn.layers import causal_mask
+from .nn.layers import _token_ids, causal_mask
 from .pairing import VA_MAX, VA_MIN, VaPoint
 from .tokenizer import BOS, EOS, TokenSequence
 
@@ -191,25 +191,9 @@ def _check_running_stats(stats: dict[str, np.ndarray], error: type[Exception]) -
             raise error(f"running statistic {key} holds NaN, inf or a variance below 0")
 
 
-def _token_ids(ids, vocab_size: int) -> np.ndarray:
-    """`ids` as a 1-D integer array, each id in `[0, vocab_size)`; it may be
-    empty. Anything else is `VocabMismatch`: a float, bool or string id, a
-    nested or ragged list, or an int beyond int64."""
-    try:
-        ids = np.asarray(ids)
-    except ValueError as exc:  # a ragged list
-        raise VocabMismatch(f"token ids must be a flat sequence of integers: {exc}") from exc
-    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
-        raise VocabMismatch(f"token ids must be a flat sequence of integers, got "
-                            f"{ids.dtype} of shape {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
-        raise VocabMismatch(f"token id outside vocabulary of {vocab_size}")
-    return ids
-
-
 def token_histogram(ids, vocab_size: int) -> np.ndarray:
     """L1-normalized token-count histogram; zero vector for empty input. Ids
-    are checked as `_token_ids` checks them."""
+    are checked as `nn.layers._token_ids` checks them."""
     ids = _token_ids(ids, vocab_size)
     hist = np.zeros(vocab_size)
     if ids.size == 0:
@@ -312,10 +296,10 @@ class EmoModel(Module):
 
     def encode_midi(self, ids) -> Tensor:
         """Embed, run the encoder stack, mean-pool over the positions."""
-        ids = _token_ids(ids, self.vocab.total_size)
-        if ids.size > self.config.max_len:
-            raise PrefixTooLong(f"{ids.size} tokens exceed max_len {self.config.max_len}")
-        x = self.embedding(ids) + Tensor(self.positions[1:ids.size + 1])
+        x = self.embedding(ids)  # checks the ids
+        if x.shape[0] > self.config.max_len:
+            raise PrefixTooLong(f"{x.shape[0]} tokens exceed max_len {self.config.max_len}")
+        x = x + Tensor(self.positions[1:x.shape[0] + 1])
         for block in self.encoder_stack:
             x = block(x)
         return tensor_mean(x, axis=0)  # (model_dim,)
@@ -330,13 +314,13 @@ class EmoModel(Module):
 
     def decode_logits(self, memory: Tensor, ids) -> Tensor:
         """Logits of the prefix `ids` given `memory`: a graph node, a row per id."""
-        ids = _token_ids(ids, self.vocab.total_size)
-        if ids.size == 0:
+        x = self.embedding(ids)  # checks the ids
+        if x.shape[0] == 0:
             raise PrefixTooLong("no ids to decode: a prefix holds at least BOS")
-        if ids.size > self.config.max_len:
-            raise PrefixTooLong(f"prefix of {ids.size} exceeds max_len {self.config.max_len}")
+        if x.shape[0] > self.config.max_len:
+            raise PrefixTooLong(f"prefix of {x.shape[0]} exceeds max_len {self.config.max_len}")
         memory = reshape(memory, (1, self.config.model_dim))
-        x = self.embedding(ids) + Tensor(self.positions[1:ids.size + 1])
+        x = x + Tensor(self.positions[1:x.shape[0] + 1])
         if self.decoder_stack:
             x = concat([memory + Tensor(self.positions[:1]), x])
             for block in self.decoder_stack:
@@ -379,8 +363,8 @@ class EmoModel(Module):
         limit = self.config.max_len if max_len is None else min(max_len, self.config.max_len)
         if strategy not in ("greedy", "temperature"):
             raise ConfigError(f"unknown strategy {strategy!r}")
-        if strategy == "temperature" and not temperature > 0:
-            raise ConfigError(f"temperature must be positive, got {temperature}")
+        if strategy == "temperature":
+            check_positive("temperature", temperature)
         check_int("seed", seed, 0)
         rng = np.random.default_rng(seed)
         ids, newest = [BOS], np.array([BOS])
@@ -452,11 +436,9 @@ def load_va_predictor(path: str | Path, vocab_hash: str) -> VaPredictor:
             raise CheckpointCorrupt(f"{path}: not a VA-predictor checkpoint")
         if meta.get("vocab_hash") != vocab_hash:
             raise VocabMismatch(f"{path}: vocabulary hash mismatch")
-        sizes = [meta.get(key) for key in ("vocab_size", "hidden")]
-        if any(type(size) is not int or size < 1 for size in sizes):
-            raise CheckpointCorrupt(f"{path}: metadata 'vocab_size' and 'hidden' must be "
-                                    f"positive integers, got {sizes}")
-        return VaPredictor(*sizes, _Draws(np.float64))  # zeros, for the file to fill
+        for key in ("vocab_size", "hidden"):
+            check_int(f"{path}: metadata {key!r}", meta.get(key), 1, CheckpointCorrupt)
+        return VaPredictor(meta["vocab_size"], meta["hidden"], _Draws(np.float64))  # zeros to fill
 
     meta, predictor = load_checkpoint(path, build)
     try:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import BatchTooSmall, ShapeMismatch
+from ..errors import BatchTooSmall, ShapeMismatch, VocabMismatch
 from .optim import Parameter
 from .tensor import (Tensor, attention, layer_norm, linear, matmul, relu, reshape,
                      sqrt, take, tensor_mean)
@@ -73,15 +73,28 @@ class Linear(Module):
         return linear(x, self.weight, self.bias)
 
 
+def _token_ids(ids, vocab_size: int) -> np.ndarray:
+    """`ids` as a 1-D integer array, each id in `[0, vocab_size)`; it may be
+    empty. Anything else is `VocabMismatch`: a float, bool or string id, a
+    nested or ragged list, or an int beyond int64."""
+    try:
+        ids = np.asarray(ids)
+    except ValueError as exc:  # a ragged list
+        raise VocabMismatch(f"token ids must be a flat sequence of integers: {exc}") from exc
+    if ids.ndim != 1 or (ids.size and ids.dtype.kind not in "iu"):
+        raise VocabMismatch(f"token ids must be a flat sequence of integers, got "
+                            f"{ids.dtype} of shape {ids.shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= vocab_size):
+        raise VocabMismatch(f"token id outside vocabulary of {vocab_size}")
+    return ids
+
+
 class Embedding(Module):
     def __init__(self, vocab_size: int, dim: int, rng: np.random.Generator):
         self.weight = Parameter(rng.normal(0.0, 0.02, size=(vocab_size, dim)))
 
-    def __call__(self, ids: np.ndarray) -> Tensor:
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size and (ids.min() < 0 or ids.max() >= self.weight.shape[0]):
-            raise ShapeMismatch("token id outside embedding table")
-        return take(self.weight, ids)
+    def __call__(self, ids) -> Tensor:
+        return take(self.weight, _token_ids(ids, self.weight.shape[0]))
 
 
 class LayerNorm(Module):

@@ -19,8 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from ._files import write_atomic
-from .config import check_int
-from .errors import CatalogError, CountMismatch, EmptyCatalog, OutOfRange
+from .errors import CatalogError, CountMismatch, EmptyCatalog, OutOfRange, check_int
 
 VA_MIN, VA_MAX = 1.0, 9.0
 
@@ -93,8 +92,8 @@ def pair_datasets(midis: Sequence[TaggedItem], images: Sequence[TaggedItem]) -> 
 def split(manifest: PairManifest, counts: tuple[int, int, int], seed: int) -> PairManifest:
     """Assign train/test/val tags by a seeded shuffle then contiguous slices."""
     train, test, val = counts
-    if any(type(count) is not int for count in counts) or min(counts) < 0:
-        raise CountMismatch(f"split counts {counts} must be integers >= 0")
+    for name, count in zip(("train", "test", "val"), counts):
+        check_int(f"split count {name}", count, 0, CountMismatch)
     check_int("seed", seed, 0)  # `random.Random` would take -1 as 1
     if train + test + val != len(manifest.pairs):
         raise CountMismatch(
@@ -172,6 +171,7 @@ def load_catalog(path: str | Path, kind: str,
 def save_manifest(manifest: PairManifest, path: str | Path) -> None:
     pairs = [dict(pair, similarity="inf") if pair["similarity"] == MAX_SIMILARITY else pair
              for pair in manifest.pairs]
+    check_int("seed", manifest.seed, 0)
     payload = {"format": "emogen-pair-manifest-v1", "seed": manifest.seed,
                "config_hash": manifest.config_hash, "pairs": pairs}
     write_atomic(path, [(json.dumps(payload, indent=1, sort_keys=True) + "\n").encode()])
@@ -201,8 +201,7 @@ def load_manifest(path: str | Path) -> PairManifest:
             raise CatalogError(f"{path}: pair {index} similarity {score!r} is not a number >= 0")
         pairs.append(dict(pair, similarity=score))
     seed = payload.get("seed", 0)
-    if type(seed) is not int:  # a bool is not a seed either
-        raise CatalogError(f"{path}: seed {seed!r} is not an integer")
+    check_int(f"{path}: seed", seed, 0, CatalogError)
     return PairManifest(pairs=pairs, seed=seed, config_hash=payload.get("config_hash", ""))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-from .errors import TokenizerError
+from .errors import TokenizerError, check_int
 from .midi_io import MidiPiece, NoteEvent, note_spans
 
 PAD, BOS, EOS = 0, 1, 2
@@ -37,8 +37,8 @@ class Vocabulary:
     velocity_bins: int = 32
 
     def __post_init__(self):
-        if self.time_shift_bins < 1 or self.velocity_bins < 1:
-            raise TokenizerError("bin counts must be >= 1")
+        check_int("time_shift_bins", self.time_shift_bins, 1, TokenizerError)
+        check_int("velocity_bins", self.velocity_bins, 1, TokenizerError)
 
     @property
     def note_on_base(self) -> int:
@@ -115,8 +115,7 @@ def _int_ids(ids: Iterable[int]) -> tuple[int, ...]:
 def encode(piece: MidiPiece, vocab: Vocabulary, steps_per_beat: int = 4,
            max_len: int = 256) -> TokenSequence:
     """Encode a piece as a deterministic event stream, truncated at max_len."""
-    if max_len < 2:
-        raise TokenizerError("max_len must be >= 2")
+    check_int("max_len", max_len, 2, TokenizerError)
     events = []  # offs (step, 0, pitch, 0) sort before ons (step, 1, pitch, velocity)
     for start, end, pitch, velocity in note_spans(piece, steps_per_beat):
         events += (start, 1, pitch, velocity), (end, 0, pitch, 0)
@@ -151,7 +150,8 @@ def encode(piece: MidiPiece, vocab: Vocabulary, steps_per_beat: int = 4,
 def decode(tokens: TokenSequence | Iterable[int], vocab: Vocabulary,
            steps_per_beat: int = 4) -> MidiPiece:
     """Decode token IDs into a piece; total over arbitrary integer ID sequences.
-    An id that is not an integer is a TokenizerError."""
+    An id that is not an integer, or `steps_per_beat` below 1, is a TokenizerError."""
+    check_int("steps_per_beat", steps_per_beat, 1, TokenizerError)
     ids = tokens.ids if isinstance(tokens, TokenSequence) else _int_ids(tokens)
     ticks_per_step = max(1, 480 // steps_per_beat) if 480 % steps_per_beat == 0 else 120
     ticks_per_beat = ticks_per_step * steps_per_beat

@@ -19,12 +19,13 @@ from typing import Sequence
 import numpy as np
 
 from ._files import write_csv
-from .config import TrainConfig, check_int
+from .config import TrainConfig
 from .errors import (CatalogTooSmall, ConfigError, NonFiniteError,
-                     PredictorMissing, ShapeMismatch)
-from .model import FIXED_CONTEXT, EmoModel, VaPredictor, _token_ids, token_histogram
+                     PredictorMissing, ShapeMismatch, check_int, check_positive)
+from .model import FIXED_CONTEXT, EmoModel, VaPredictor, token_histogram
 from .nn import (Adam, Tensor, absolute, log_softmax, no_grad, reshape, softmax,
                  take, tensor_mean, tensor_sum)
+from .nn.layers import _token_ids
 from .tokenizer import PAD
 
 
@@ -43,7 +44,7 @@ def cce_loss(logits: Tensor, target_ids, pad_mask: np.ndarray | None = None) -> 
     """Natural-log cross-entropy summed over positions; PAD positions skipped.
 
     `logits` is (N, C), `target_ids` holds N class ids, checked as
-    `model._token_ids` checks ids, and `pad_mask` is True where a position counts.
+    `nn.layers._token_ids` checks ids, and `pad_mask` is True where a position counts.
     """
     target_ids = _token_ids(target_ids, logits.shape[-1])
     if logits.shape[:-1] != target_ids.shape:
@@ -105,8 +106,7 @@ def pretrain_va_predictor(samples: Sequence[tuple[Sequence[int], tuple[float, fl
     """
     for name, value, minimum in (("epochs", epochs, 1), ("seed", seed, 0), ("hidden", hidden, 1)):
         check_int(name, value, minimum)
-    if not lr > 0:
-        raise ConfigError(f"lr must be > 0, got {lr}")
+    check_positive("lr", lr)
     if len(samples) < 2:
         raise CatalogTooSmall("need at least 2 labeled pieces")
     rng = np.random.default_rng(seed)

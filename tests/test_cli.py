@@ -95,6 +95,15 @@ class TestPair:
         manifest = load_manifest(out)
         assert manifest.seed == 7 and manifest.split_counts() == {"": 2}  # no split tags
 
+    def test_negative_seed_without_split_exit_1(self, workspace, tmp_path, capsys):
+        # the manifest was written with "seed": -1, and it loaded
+        out = tmp_path / "pairs.json"
+        assert main(["pair", "--images", str(workspace / "images.csv"),
+                     "--midis", str(workspace / "midis.csv"),
+                     "--out", str(out), "--seed", "-1"]) == 1
+        assert capsys.readouterr().err.startswith("error [ConfigError]")
+        assert not out.exists()
+
     def test_train_on_unsplit_manifest_names_both_fixes(self, workspace, tmp_path, capsys):
         out = tmp_path / "pairs.json"
         assert main(["pair", "--images", str(workspace / "images.csv"),
@@ -167,6 +176,15 @@ class TestTrainGenerate:
                      "--out", str(tmp_path / "a.mid"), "--strategy", "temperature",
                      "--temperature", "0"]) == 1
         assert "ConfigError" in capsys.readouterr().err
+        assert not (tmp_path / "a.mid").exists()
+
+    def test_generate_infinite_temperature_exit_1(self, workspace, run_dir, tmp_path, capsys):
+        # an infinite temperature sampled every id alike, and exited 0
+        assert main(["generate", "--image", str(workspace / "img0.emf"),
+                     "--checkpoint", str(run_dir / "checkpoint.emc"),
+                     "--out", str(tmp_path / "a.mid"), "--strategy", "temperature",
+                     "--temperature", "inf"]) == 1
+        assert capsys.readouterr().err.startswith("error [ConfigError]")
         assert not (tmp_path / "a.mid").exists()
 
     def test_generate_negative_seed_exit_1(self, workspace, run_dir, tmp_path, capsys):
@@ -283,7 +301,7 @@ class TestPretrainVa:
 
     @pytest.mark.parametrize("flag, value", [("--epochs", "0"), ("--epochs", "-3"),
                                              ("--lr", "0"), ("--lr", "-1"), ("--lr", "nan"),
-                                             ("--seed", "-1")])
+                                             ("--seed", "-1"), ("--lr", "inf")])
     def test_non_positive_epochs_or_lr_exit_1(self, workspace, tmp_path, capsys, flag, value):
         out = tmp_path / "va.emc"
         assert main(["pretrain-va", "--midis", str(workspace / "midis.csv"),
@@ -371,6 +389,12 @@ class TestGradcheck:
             "linear", "embedding", "layer_norm", "batch_norm", "attention",
             "decoder_block", "cce", "soft_va_loss", "full_model"]
         assert all(row[-1] == "ok" for row in rows)
+
+    def test_infinite_tolerance_exit_1(self, capsys):
+        # every block passed at an infinite tolerance
+        assert main(["gradcheck", "--tolerance", "inf"]) == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error [ConfigError]") and out == ""
 
 
 class TestAblate:

@@ -125,7 +125,16 @@ class TestPolyphonyRate:
     lambda: polyphony_rate(_roll([[1]]), "weird"),
     lambda: groove_consistency(_roll([[1] * 32]), steps_per_measure=0),
     lambda: evaluate_piece(_piece([60]), steps_per_beat=0),
-], ids=["denominator", "steps_per_measure", "steps_per_beat"])
+    # each was accepted or failed as a bare TypeError
+    lambda: groove_consistency(_roll([[1] * 32]), steps_per_measure=True),
+    lambda: groove_consistency(_roll([[1] * 32]), steps_per_measure=1.5),
+    lambda: groove_consistency(_roll([[1] * 32]), steps_per_measure="x"),
+    lambda: to_piano_roll(_piece([60]), steps_per_beat=True),
+    lambda: to_piano_roll(_piece([60]), steps_per_beat=1.5),
+    lambda: evaluate_piece(_piece([60]), steps_per_beat="x"),
+], ids=["denominator", "steps_per_measure", "steps_per_beat", "steps_per_measure_bool",
+        "steps_per_measure_float", "steps_per_measure_str", "steps_per_beat_bool",
+        "steps_per_beat_float", "steps_per_beat_str"])
 def test_bad_settings_are_typed(call):
     with pytest.raises(BadMetricSetting) as info:
         call()

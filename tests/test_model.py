@@ -347,8 +347,10 @@ class TestGenerate:
             model.generate(feature, strategy="beam")
 
     def test_bad_temperature(self, model, feature):
-        # 1e-300: float32 logits times its inverse overflow, and their softmax is NaN
-        for temperature in (0.0, -1.0, float("nan"), 1e-300):
+        # 1e-300: float32 logits times its inverse overflow, and their softmax is NaN;
+        # "x" and 10**400 failed as a bare TypeError and OverflowError, and True and
+        # inf (uniform sampling) were taken
+        for temperature in (0.0, -1.0, float("nan"), 1e-300, "x", True, float("inf"), 10**400):
             with pytest.raises(ConfigError):
                 model.generate(feature, strategy="temperature", temperature=temperature)
 
@@ -698,6 +700,7 @@ class TestCheckpoints:
         (None, {"extra": {"running": {"bn1_mean": [0.0] * 7, "bn1_var": [1.0] * 8,
                                       "bn2_mean": [0.0] * 8, "bn2_var": [1.0] * 8}}}),
         *[(None, {"extra": _running_with(key, value)}) for key, value in BAD_RUNNING],
+        (None, {"hidden": 1.5}), (None, {"vocab_size": 0}),  # refused already, untested
     ])
     def test_bad_va_predictor_metadata(self, tmp_path, drop, replace):
         predictor = VaPredictor(16, 8, np.random.default_rng(0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emogen.errors import BatchTooSmall, ShapeMismatch
+from emogen.errors import BatchTooSmall, ShapeMismatch, VocabMismatch
 from emogen.model import EmoModel, VaPredictor
 from emogen.nn import (Adam, BatchNorm, Conv2d, Embedding, FeedForward,
                        LayerNorm, Linear, MultiHeadAttention, Parameter, Tensor,
@@ -371,8 +371,6 @@ class TestLayers:
 
 # each shape check of the layers, with the message it raises
 SHAPE_ERRORS = {
-    "embedding_id": (lambda: Embedding(10, 4, np.random.default_rng(0))(np.array([2, 10])),
-                     "token id outside embedding table"),
     "batch_norm_dim": (lambda: BatchNorm(3)(Tensor(np.ones((4, 5))), train=True),
                        r"batch norm dim 3 vs input \(4, 5\)"),
     "conv_channels": (lambda: Conv2d(2, 3, np.random.default_rng(0))(
@@ -391,6 +389,14 @@ def test_shape_errors_are_typed(case):
     call, message = SHAPE_ERRORS[case]
     with pytest.raises(ShapeMismatch, match=message):
         call()
+
+
+# each was a ShapeMismatch, a row picked by truncation or a bare ValueError
+@pytest.mark.parametrize("ids", [[2, 10], [-1], [1.7], [float("nan")], [True], ["x"], [[1]]],
+                         ids=["above", "below", "float", "nan", "bool", "str", "nested"])
+def test_embedding_ids_are_checked(ids):
+    with pytest.raises(VocabMismatch, match="token id"):
+        Embedding(10, 4, np.random.default_rng(0))(ids)
 
 
 class TestAdam:

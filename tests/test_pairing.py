@@ -95,12 +95,12 @@ class TestSplit:
 
     def test_negative_count_rejected(self):
         # (1, 2, -1) sums to the pair count but would tag one train, one test
-        with pytest.raises(CountMismatch, match=r"\(1, 2, -1\)"):
+        with pytest.raises(CountMismatch, match="split count val must be an int >= 0, got -1"):
             split(self._manifest(2), (1, 2, -1), seed=0)
 
-    @pytest.mark.parametrize("counts", [(True, 1, 0), (1.5, 0.5, 0)])
+    @pytest.mark.parametrize("counts", [(True, 1, 0), (1.5, 0.5, 0), (1, "1", 0)])
     def test_counts_that_are_not_ints_rejected(self, counts):
-        with pytest.raises(CountMismatch, match="must be integers"):
+        with pytest.raises(CountMismatch, match="split count (train|test) must be an int >= 0"):
             split(self._manifest(2), counts, seed=0)
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True])
@@ -172,18 +172,19 @@ class TestFiles:
 
     # each was accepted: a pair with a non-string split was left out of every
     # split, a similarity that is not a number >= 0 was carried as it was, and
-    # so was a manifest seed that is not an int
+    # so was a manifest seed that is not an int >= 0
     @pytest.mark.parametrize("field", [{"split": 3}, {"split": None}, {"split": ["train"]},
                                        {"similarity": "x"}, {"similarity": True},
                                        {"similarity": None}, {"similarity": [1]},
                                        {"similarity": float("nan")}, {"similarity": -0.5},
                                        {"similarity": float("-inf")}, {"seed": "x"},
-                                       {"seed": True}, {"seed": 1.5}, {"seed": None}],
+                                       {"seed": True}, {"seed": 1.5}, {"seed": None},
+                                       {"seed": -1}],
                              ids=["split-int", "split-null", "split-list", "similarity-str",
                                   "similarity-bool", "similarity-null", "similarity-list",
                                   "similarity-nan", "similarity-negative",
                                   "similarity-minus-inf", "seed-str", "seed-bool",
-                                  "seed-float", "seed-null"])
+                                  "seed-float", "seed-null", "seed-negative"])
     def test_load_manifest_bad_field(self, tmp_path, field):
         pair = {"midi_id": "m", "image_id": "i", "similarity": 0.5, "split": "train", **field}
         seed = pair.pop("seed", 0)
@@ -200,6 +201,13 @@ class TestFiles:
         path.write_text(json.dumps({"format": "emogen-pair-manifest-v1", "pairs": [
             {"midi_id": "m", "image_id": "i", "similarity": score}]}))
         assert load_manifest(path).pairs[0]["similarity"] == float(score)
+
+    # each was written, and each but -1 then failed to load
+    @pytest.mark.parametrize("seed", [-1, True, 1.5, "x"])
+    def test_save_manifest_bad_seed(self, tmp_path, seed):
+        with pytest.raises(ConfigError, match="seed must be an int >= 0"):
+            save_manifest(PairManifest(seed=seed), tmp_path / "pairs.json")
+        assert list(tmp_path.iterdir()) == []
 
     def test_failed_save_keeps_previous_manifest(self, tmp_path):
         path = tmp_path / "pairs.json"

@@ -19,6 +19,18 @@ RAISE_SITES = {
     "non_integer_id": lambda: TokenSequence(ids=(1, 5.7, True), max_len=4),
     "decode_non_integer_id": lambda: decode([1, 5.5, 300, 2], VOCAB),
     "encode_max_len": lambda: encode(MidiPiece(480, ()), VOCAB, max_len=1),
+    # each was accepted, or failed as a bare TypeError or ZeroDivisionError,
+    # but for max_len=True, refused already as 1 < 2
+    "bin_count_bool": lambda: Vocabulary(velocity_bins=True),
+    "bin_count_float": lambda: Vocabulary(time_shift_bins=1.5),
+    "bin_count_str": lambda: Vocabulary(velocity_bins="x"),
+    "encode_max_len_bool": lambda: encode(MidiPiece(480, ()), VOCAB, max_len=True),
+    "encode_max_len_float": lambda: encode(MidiPiece(480, ()), VOCAB, max_len=2.5),
+    "encode_max_len_str": lambda: encode(MidiPiece(480, ()), VOCAB, max_len="x"),
+    "decode_steps_per_beat_bool": lambda: decode([1, 40, 300], VOCAB, steps_per_beat=True),
+    "decode_steps_per_beat_float": lambda: decode([1, 40, 300], VOCAB, steps_per_beat=1.5),
+    "decode_steps_per_beat_str": lambda: decode([1, 40, 300], VOCAB, steps_per_beat="x"),
+    "decode_steps_per_beat_zero": lambda: decode([1, 40, 300], VOCAB, steps_per_beat=0),
 }
 
 

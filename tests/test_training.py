@@ -205,10 +205,13 @@ class TestPretrain:
         with pytest.raises(CatalogTooSmall):
             pretrain_va_predictor([(np.array([1]), (5.0, 5.0))], 20)
 
+    # lr: "x" failed as a bare TypeError, True was taken, and inf gave NaN weights
     @pytest.mark.parametrize("key, value", [("epochs", 1.5), ("epochs", True), ("seed", 1.5),
-                                            ("hidden", 2.5), ("hidden", 0)])
+                                            ("hidden", 2.5), ("hidden", 0), ("lr", "x"),
+                                            ("lr", True), ("lr", float("inf")), ("lr", 0.0)])
     def test_bad_arguments(self, rng, key, value):
-        with pytest.raises(ConfigError, match=f"{key} must be an int"):
+        rule = "a finite number > 0" if key == "lr" else "an int"
+        with pytest.raises(ConfigError, match=f"{key} must be {rule}"):
             pretrain_va_predictor(self._labeled(rng), 20, **{key: value})
 
     def test_non_finite_mae_raises(self, rng):
