@@ -8,8 +8,8 @@ pair to the memory row, which the causal decoder blocks see as position 0
 vocabulary head reads the decoder's rows. Generation caches each decoder
 block's keys and values, so a step decodes one row; that cached step runs
 forward only, on plain arrays through the graph ops' own forward kernels
-(`nn.affine`, `nn.normalize`, `nn.attend`), so its logits are the same bytes
-as the graph's.
+(`nn.affine`, `nn.normalize`, and `nn.attend`'s head-level core over the
+cache's head-major views), so its logits are the same bytes as the graph's.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .config import ModelConfig
 from .errors import (BadFeatureFile, BadImage, CheckpointCorrupt, ConfigError, MissingArtifacts,
                      NonFiniteError, PrefixTooLong, VocabMismatch, check_int, check_positive)
 from .nn import (BatchNorm, Conv2d, Embedding, FeedForward, LayerNorm, Linear, Module,
-                 MultiHeadAttention, Tensor, affine, attend, avg_pool2d, concat,
+                 MultiHeadAttention, Tensor, affine, attend_heads, avg_pool2d, concat,
                  global_avg_pool, no_grad, normalize, relu, reshape,
                  sinusoidal_positions, softmax, take, tensor_mean)
 from .nn.layers import _token_ids, causal_mask
@@ -123,17 +123,20 @@ class Block(Module):
         return self.norm2(x + self.ffn(x))
 
     def decode(self, x: np.ndarray, qkv: np.ndarray, keys: np.ndarray, values: np.ndarray,
+               key_heads: np.ndarray, value_heads: np.ndarray,
                mask: np.ndarray | None) -> np.ndarray:
         """`self(x)` forward only, on arrays, for rows `x` that follow those
         already in `keys` and `values`: their keys and values are written into
         the last `len(x)` rows there, and each row attends to all the rows
-        `mask` lets it see. `qkv` is `[wq | wk | wv]` as one (d, 3d) weight."""
+        `mask` lets it see, read through `key_heads` and `value_heads`, the
+        cache's head-major views of those rows. `qkv` is `[wq | wk | wv]`."""
         attn, new, d = self.attn, slice(len(keys) - len(x), None), x.shape[1]
         proj = x @ qkv  # the biases in place, as `affine` adds them
         proj[:, :d] += attn.wq.bias.data
         proj[:, 2 * d:] += attn.wv.bias.data
         keys[new], values[new] = proj[:, d:2 * d], proj[:, 2 * d:]
-        out, _ = attend(proj[:, :d], keys, values, attn.heads, mask)
+        queries = proj[:, :d].reshape(len(x), attn.heads, -1).transpose(1, 0, 2)
+        out, _ = attend_heads(queries, key_heads, value_heads, mask)
         x = _norm(self.norm1, x + _dense(attn.wo, out))
         return _norm(self.norm2, x + _feed_forward(self.ffn, x))
 
@@ -231,12 +234,17 @@ class DecoderCache:
     """What `EmoModel.generate` keeps between the steps of one piece:
     each decoder block's keys and values (`keys[block, row]`), with room for
     the memory row plus `max_len` ids, and its `[wq | wk | wv]` weights as
-    one array, copied here: a cache built before a weight update is stale."""
+    one array, copied here: a cache built before a weight update is stale.
+    `key_heads` (H, head_dim, rows) and `value_heads` (H, rows, head_dim) view
+    that storage as `attend_heads` reads it, with `attend`'s strides."""
 
     def __init__(self, model: "EmoModel"):
-        shape = (len(model.decoder_stack), model.config.max_len + 1, model.config.model_dim)
+        rows, heads = model.config.max_len + 1, model.config.head_count
+        shape = (len(model.decoder_stack), rows, model.config.model_dim)
         self.keys = np.empty(shape, model.dtype)
         self.values = np.empty(shape, model.dtype)
+        self.key_heads = [k.reshape(rows, heads, -1).transpose(1, 2, 0) for k in self.keys]
+        self.value_heads = [v.reshape(rows, heads, -1).transpose(1, 0, 2) for v in self.values]
         self.qkv = [np.concatenate([b.attn.wq.weight.data, b.attn.wk.weight.data,
                                     b.attn.wv.weight.data], axis=1) for b in model.decoder_stack]
         self.length = 0  # ids decoded so far
@@ -339,9 +347,11 @@ class EmoModel(Module):
             if not done:  # the memory row's keys and values go into the caches
                 x = np.concatenate([memory + self.positions[:1], x])
             mask = causal_mask(len(x), n + 1, x.dtype) if len(x) > 1 else None
-            for block, qkv, keys, values in zip(self.decoder_stack, cache.qkv,
-                                                cache.keys, cache.values):
-                x = block.decode(x, qkv, keys[:n + 1], values[:n + 1], mask)
+            for block, qkv, keys, values, key_heads, value_heads in zip(
+                    self.decoder_stack, cache.qkv, cache.keys, cache.values,
+                    cache.key_heads, cache.value_heads):
+                x = block.decode(x, qkv, keys[:n + 1], values[:n + 1],
+                                 key_heads[:, :, :n + 1], value_heads[:, :n + 1], mask)
             x = x if done else x[1:]
         else:
             x = _feed_forward(self.dense_decoder, x + memory)

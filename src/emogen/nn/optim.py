@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import check_positive
 from .tensor import Tensor
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -25,6 +26,7 @@ class Adam:
     """Bias-corrected Adam over the (name, Parameter) pairs of `parameters()`."""
 
     def __init__(self, params, lr: float):
+        check_positive("lr", lr)
         self.params = [p for _, p in params]
         self.lr = lr
 

@@ -381,11 +381,19 @@ def normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
               eps: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Layer norm on arrays: `(out, normed, inv_std)`, where `normed` is `x`
     at zero mean and unit (biased) variance over the last axis and `out` is
-    `normed * gamma + beta`."""
-    scale = 1.0 / x.shape[-1]  # the reductions are `ndarray.sum`'s ufunc, without its wrapper
-    centered = x - np.add.reduce(x, axis=-1, keepdims=True) * scale
-    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) * scale
-    inv_std = ((var + eps) ** 0.5) ** -1.0
+    `normed * gamma + beta`. On one row (shape (d,) or (1, d), as a cached
+    decoding step has) the mean, variance and `inv_std` are numpy scalars,
+    not (1, 1) arrays: the same steps in the same order, so the same bytes,
+    at less cost per call. Each constant is in `x.dtype`, so that numpy 1.x's
+    value-based casting cannot make a float32 scalar float64 (only numpy 2
+    is tested), and `np.sqrt` and `1 /` are spelled out: they are what
+    `** 0.5` and `** -1.0` compute on arrays, but not on scalars."""
+    t = x.dtype.type
+    axis, keepdims = (None, False) if x.size == x.shape[-1] else (-1, True)
+    scale = t(1.0 / x.shape[-1])  # the reductions are `ndarray.sum`'s ufunc, without its wrapper
+    centered = x - np.add.reduce(x, axis=axis, keepdims=keepdims) * scale
+    var = np.add.reduce(centered * centered, axis=axis, keepdims=keepdims) * scale
+    inv_std = t(1.0) / np.sqrt(var + t(eps))
     normed = centered * inv_std
     return normed * gamma + beta, normed, inv_std
 
@@ -418,30 +426,36 @@ def _merge_heads(h: np.ndarray) -> np.ndarray:
     return h.transpose(1, 0, 2).reshape(h.shape[1], -1)
 
 
+def attend_heads(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
+                 mask: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Scaled dot-product attention on head-major arrays: queries `qh`
+    (H, Tq, head_dim), transposed keys `kt` (H, head_dim, Tk) and values `vh`
+    (H, Tk, head_dim). Adds the additive `mask` (broadcast to (Tq, Tk)) to
+    the scaled scores, softmaxes each row over the keys and returns the heads
+    merged into a (Tq, H * head_dim) result, with the (H, Tq, Tk) weights."""
+    weights = qh @ kt  # (H, Tq, Tk); scaled and softmaxed in place
+    weights *= 1.0 / math.sqrt(qh.shape[-1])  # a Python float: float32 stays float32
+    if mask is not None:
+        weights += mask
+    weights -= np.maximum.reduce(weights, axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
+    return _merge_heads(weights @ vh), weights
+
+
 def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
            mask: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
-    """Multi-head scaled dot-product attention on (T, d) arrays:
-    `(out, (qh, kh, vh, weights))`, the per-head views and softmax weights
-    being what the backward pass reads.
-
-    Splits the last axis into `heads` heads, adds the additive `mask`
-    (broadcast to (Tq, Tk)) to the scaled scores, softmaxes each row over
-    the keys and merges the heads back into a (Tq, d) result.
-    """
+    """Multi-head `attend_heads` on (T, d) arrays: `(out, (qh, kh, vh,
+    weights))`, the per-head views and softmax weights being what the
+    backward pass reads. Splits the last axis into `heads` heads."""
     (_, d), tk = q.shape, k.shape[0]
     if heads < 1 or d % heads or k.shape != (tk, d) or v.shape != (tk, d):
         raise ShapeMismatch(f"attention over {heads} heads: q {q.shape}, "
                             f"k {k.shape}, v {v.shape}")
     head_dim = d // heads
     qh, kh, vh = (a.reshape(a.shape[0], heads, head_dim).transpose(1, 0, 2) for a in (q, k, v))
-    weights = qh @ kh.transpose(0, 2, 1)  # (H, Tq, Tk); scaled and softmaxed in place
-    weights *= 1.0 / math.sqrt(head_dim)  # a Python float: float32 stays float32
-    if mask is not None:
-        weights += mask
-    weights -= np.maximum.reduce(weights, axis=-1, keepdims=True)
-    np.exp(weights, out=weights)
-    weights /= np.add.reduce(weights, axis=-1, keepdims=True)
-    return _merge_heads(weights @ vh), (qh, kh, vh, weights)
+    out, weights = attend_heads(qh, kh.transpose(0, 2, 1), vh, mask)
+    return out, (qh, kh, vh, weights)
 
 
 def attention(q, k, v, heads: int, mask: np.ndarray | None = None) -> Tensor:

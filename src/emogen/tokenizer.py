@@ -115,6 +115,7 @@ def _int_ids(ids: Iterable[int]) -> tuple[int, ...]:
 def encode(piece: MidiPiece, vocab: Vocabulary, steps_per_beat: int = 4,
            max_len: int = 256) -> TokenSequence:
     """Encode a piece as a deterministic event stream, truncated at max_len."""
+    check_int("steps_per_beat", steps_per_beat, 1, TokenizerError)
     check_int("max_len", max_len, 2, TokenizerError)
     events = []  # offs (step, 0, pitch, 0) sort before ons (step, 1, pitch, velocity)
     for start, end, pitch, velocity in note_spans(piece, steps_per_beat):

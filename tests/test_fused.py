@@ -3,11 +3,13 @@ composite graphs they replaced, kept here as the reference."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emogen.config import ModelConfig
 from emogen.errors import ShapeMismatch
 from emogen.model import IMAGE_FEATURE_DIM, EmoModel
-from emogen.nn import (LayerNorm, Linear, MultiHeadAttention, Tensor, attention,
+from emogen.nn import (LayerNorm, Linear, MultiHeadAttention, Tensor, attention, normalize,
                        gradcheck, layer_norm, linear, matmul, reshape, softmax,
                        sqrt, tensor_mean, tensor_sum)
 from emogen.nn.layers import MASK_VALUE
@@ -231,3 +233,46 @@ class TestWholeModelAgainstReference:
         for name, grad in grads.items():
             diff = np.linalg.norm(grad - ref_grads[name])
             assert diff <= 1e-10 * np.linalg.norm(ref_grads[name]), name
+
+
+# --- `normalize` on one row against its array statistics ---
+
+def ref_normalize(x, gamma, beta, eps):
+    """`nn.normalize` before it kept one row's statistics as scalars, verbatim."""
+    scale = 1.0 / x.shape[-1]  # the reductions are `ndarray.sum`'s ufunc, without its wrapper
+    centered = x - np.add.reduce(x, axis=-1, keepdims=True) * scale
+    var = np.add.reduce(centered * centered, axis=-1, keepdims=True) * scale
+    inv_std = ((var + eps) ** 0.5) ** -1.0
+    normed = centered * inv_std
+    return normed * gamma + beta, normed, inv_std
+
+
+@settings(max_examples=300, deadline=None)
+@given(dtype=st.sampled_from([np.float32, np.float64]), d=st.integers(1, 160),
+       flat=st.booleans(), log_magnitude=st.floats(-4, 4), constant=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_one_row_normalize_matches_array_statistics(dtype, d, flat, log_magnitude, constant,
+                                                    seed):
+    """Shapes (d,) and (1, d), magnitudes 1e-4..1e4, and rows of one value
+    (variance 0): `out`, `normed` and `inv_std` are the reference's bytes.
+    Each example checks 50 rows: a rounding slip shows on few rows in 1,000."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(50, 1 if constant else d)) * 10.0 ** log_magnitude
+    for row in np.broadcast_to(rows, (50, d)).astype(dtype):
+        x = row if flat else row[None, :]
+        gamma, beta = rng.normal(size=(2, d)).astype(dtype)
+        got = normalize(x, gamma, beta, LayerNorm.eps)
+        want = ref_normalize(x, gamma, beta, LayerNorm.eps)
+        assert np.shape(got[2]) == ()  # one row takes the scalar branch
+        for ours, theirs in zip(got, want):
+            assert ours.dtype == theirs.dtype == dtype
+            assert np.asarray(ours).tobytes() == theirs.tobytes()
+
+
+def test_normalize_on_rows_keeps_array_statistics():
+    rng = np.random.default_rng(21)
+    for dtype in (np.float32, np.float64):
+        x, gamma, beta = (rng.normal(size=shape).astype(dtype) for shape in ((3, 7), 7, 7))
+        got, want = normalize(x, gamma, beta, 1e-5), ref_normalize(x, gamma, beta, 1e-5)
+        for ours, theirs in zip(got, want):
+            assert ours.shape == theirs.shape and ours.tobytes() == theirs.tobytes()

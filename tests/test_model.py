@@ -15,8 +15,8 @@ from emogen.model import (IMAGE_FEATURE_DIM, DecoderCache, EmoModel, ModelConfig
                           load_va_predictor, read_feature_file,
                           save_checkpoint, save_va_predictor, token_histogram,
                           write_feature_file)
-from emogen.nn import Tensor, attention, no_grad, softmax
-from emogen.nn.layers import MASK_VALUE
+from emogen.nn import Tensor, attend, attend_heads, attention, no_grad, softmax
+from emogen.nn.layers import MASK_VALUE, causal_mask
 from emogen.tokenizer import BOS, EOS, PAD, decode
 from emogen.training import TrainConfig, TrainSample, cce_loss, fit
 
@@ -540,6 +540,52 @@ class TestFixedContext:
         assert np.array_equal(loaded.decode_logits(loaded.memory(feature), ids[:-1]).data,
                               model.decode_logits(model.memory(feature), ids[:-1]).data)
         assert loaded.generate(feature, max_len=12).ids == model.generate(feature, max_len=12).ids
+
+
+class TestDecoderCacheViews:
+    """The cache's head-major views are its key and value storage, laid out
+    as `attend` lays out the rows it is given."""
+
+    @staticmethod
+    def _filled_cache(dtype):
+        model = EmoModel(small_config(decoder_blocks=2, head_count=4, dtype=dtype))
+        cache = DecoderCache(model)
+        rng = np.random.default_rng(8)
+        cache.keys[...] = rng.normal(size=cache.keys.shape)
+        cache.values[...] = rng.normal(size=cache.values.shape)
+        return model, cache, rng
+
+    def test_views_alias_the_storage(self):
+        model, cache, rng = self._filled_cache("float64")
+        heads, d = model.config.head_count, model.config.model_dim
+        for block in range(len(model.decoder_stack)):
+            key, value = rng.normal(size=(2, d))
+            cache.keys[block][5], cache.values[block][5] = key, value
+            assert np.array_equal(cache.key_heads[block][:, :, 5], key.reshape(heads, -1))
+            assert np.array_equal(cache.value_heads[block][:, 5], value.reshape(heads, -1))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("rows", [1, 2, None], ids=["one", "two_masked", "max_len_plus_1"])
+    def test_core_over_views_matches_attend(self, dtype, rows):
+        """`attend_heads` over sliced views gives `attend`'s bytes on the
+        same rows as (T, d) arrays, from operands of the same strides."""
+        model, cache, rng = self._filled_cache(dtype)
+        heads, d = model.config.head_count, model.config.model_dim
+        rows = rows or model.config.max_len + 1
+        tq = min(rows, 2)  # generation's first step decodes two rows, then one
+        mask = causal_mask(tq, rows, dtype) if tq > 1 else None
+        q = rng.normal(size=(tq, 3 * d)).astype(dtype)[:, :d]  # as a fused projection's slice
+        for block in range(len(model.decoder_stack)):
+            key_heads = cache.key_heads[block][:, :, :rows]
+            value_heads = cache.value_heads[block][:, :rows]
+            want, (qh, kh, vh, weights) = attend(q, cache.keys[block][:rows],
+                                                 cache.values[block][:rows], heads, mask)
+            assert (key_heads.strides, value_heads.strides) == (kh.transpose(0, 2, 1).strides,
+                                                                vh.strides)
+            out, got_weights = attend_heads(qh, key_heads, value_heads, mask)
+            assert out.dtype == want.dtype == np.dtype(dtype)
+            assert out.tobytes() == want.tobytes()
+            assert got_weights.tobytes() == weights.tobytes()
 
 
 class TestVaPredictor:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emogen.errors import BatchTooSmall, ShapeMismatch, VocabMismatch
+from emogen.errors import BatchTooSmall, ConfigError, ShapeMismatch, VocabMismatch
 from emogen.model import EmoModel, VaPredictor
 from emogen.nn import (Adam, BatchNorm, Conv2d, Embedding, FeedForward,
                        LayerNorm, Linear, MultiHeadAttention, Parameter, Tensor,
@@ -438,6 +438,14 @@ class TestAdam:
             p.grad = 2.0 * (p.data - target)
             opt.step()
         assert p.data == pytest.approx(target, abs=1e-2)
+
+    @pytest.mark.parametrize("lr", ["x", True, 0, -1.0, float("inf"), float("nan")],
+                             ids=["str", "bool", "zero", "negative", "inf", "nan"])
+    def test_bad_lr_is_typed(self, lr):
+        """Each was accepted: inf stepped weights to -inf, NaN made NaN
+        weights, -1.0 ascended and "x" failed untyped on the first step."""
+        with pytest.raises(ConfigError, match="lr must be a finite number > 0"):
+            Adam([("p", Parameter(np.zeros(2)))], lr=lr)
 
     def test_accepts_named_pairs(self):
         rng = np.random.default_rng(17)

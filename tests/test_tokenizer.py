@@ -11,6 +11,7 @@ from emogen.tokenizer import (BOS, DEFAULT_VELOCITY, EOS, PAD, TokenSequence, Vo
 from conftest import random_canonical_piece
 
 VOCAB = Vocabulary()
+ONE_NOTE = MidiPiece(480, (NoteEvent(0, 60, 480, 80),))
 
 # every raise site in the tokenizer; each is typed and still a ValueError
 RAISE_SITES = {
@@ -31,6 +32,13 @@ RAISE_SITES = {
     "decode_steps_per_beat_float": lambda: decode([1, 40, 300], VOCAB, steps_per_beat=1.5),
     "decode_steps_per_beat_str": lambda: decode([1, 40, 300], VOCAB, steps_per_beat="x"),
     "decode_steps_per_beat_zero": lambda: decode([1, 40, 300], VOCAB, steps_per_beat=0),
+    # each failed as a bare TypeError or ZeroDivisionError, or was accepted
+    "encode_steps_per_beat_str": lambda: encode(ONE_NOTE, VOCAB, steps_per_beat="x"),
+    "encode_steps_per_beat_float": lambda: encode(ONE_NOTE, VOCAB, steps_per_beat=1.5),
+    "encode_steps_per_beat_none": lambda: encode(ONE_NOTE, VOCAB, steps_per_beat=None),
+    "encode_steps_per_beat_bool": lambda: encode(ONE_NOTE, VOCAB, steps_per_beat=True),
+    "encode_steps_per_beat_zero": lambda: encode(ONE_NOTE, VOCAB, steps_per_beat=0),
+    "encode_steps_per_beat_negative": lambda: encode(ONE_NOTE, VOCAB, steps_per_beat=-4),
 }
 
 
