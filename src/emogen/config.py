@@ -1,10 +1,10 @@
 """Run configuration: one JSON file covering every module knob.
 
 Every section is read by `_parse`, which rejects unknown keys. Each class's
-`__post_init__` checks the types of its values (`_check_types`), then their
-ranges, so direct construction is checked by the same rules. Every command
-echoes its effective configuration into the output directory so a run is
-reconstructible from its artifacts alone.
+`__post_init__` checks the types of its values and the minimum of each int
+(`_check_fields`), then their other ranges, so direct construction is checked
+by the same rules. Every command echoes its effective configuration into the
+output directory so a run is reconstructible from its artifacts alone.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import lru_cache
 from pathlib import Path
 
 from ._files import write_atomic
-from .errors import ConfigError, check_positive
+from .errors import ConfigError, check_int, check_positive
 from .tokenizer import Vocabulary
 
 # one shared Vocabulary per layout: its velocity tables are then built once,
@@ -49,11 +49,15 @@ def _parse(cls, data, where: str):
                   for key, value in data.items()})
 
 
-def _check_types(config, where: str) -> None:
+# the least value of an int field of any section; every other int field's is 1
+INT_MINIMUM = {"decoder_blocks": 0, "max_len": 2, "seed": 0}
+
+
+def _check_fields(config, where: str) -> None:
     """ConfigError unless each field of `config` has its default's type, except
     that a string is taken where the default is None and an int within float
     range, stored as a float, where it is a float (a bool is never an int);
-    a float must be finite."""
+    a float must be finite and an int at least its `INT_MINIMUM`."""
     for f in fields(config):
         value, default = getattr(config, f.name), f.default
         if type(default) is float and type(value) is int and abs(value) <= sys.float_info.max:
@@ -64,6 +68,8 @@ def _check_types(config, where: str) -> None:
             raise ConfigError(f"{where}.{f.name} must be {kind}, got {value!r}")
         if type(value) is float and not math.isfinite(value):  # json reads NaN, Infinity
             raise ConfigError(f"{where}.{f.name} must be finite, got {value!r}")
+        if type(value) is int:
+            check_int(f"{where}.{f.name}", value, INT_MINIMUM.get(f.name, 1))
 
 
 @dataclass(frozen=True)
@@ -86,13 +92,7 @@ class ModelConfig:
     dtype: str = "float32"  # or "float64"; a checkpoint without it is float64
 
     def __post_init__(self):
-        _check_types(self, "model")
-        minimum = {"decoder_blocks": 0, "max_len": 2, "seed": 0}  # other sizes 1
-        too_small = [f.name for f in fields(self) if type(f.default) is int
-                     and getattr(self, f.name) < minimum.get(f.name, 1)]
-        if too_small:
-            raise ConfigError(f"model sizes below their minimum (1, decoder_blocks 0, "
-                              f"max_len 2, seed 0): {too_small}")
+        _check_fields(self, "model")
         if self.image_extractor not in ("precomputed", "tiny-cnn"):
             raise ConfigError(f"unknown image_extractor {self.image_extractor!r}")
         if self.dtype not in ("float32", "float64"):
@@ -122,10 +122,8 @@ class TrainConfig:
     lambda_cc: float = 1.0
 
     def __post_init__(self):
-        _check_types(self, "train")
+        _check_fields(self, "train")
         check_positive("train.lr", self.lr)
-        if self.epochs < 1 or self.batch_size < 1 or self.seed < 0:
-            raise ConfigError("epochs and batch_size must be >= 1, seed >= 0")
         if self.va_loss_mode not in ("hard", "soft", "off"):
             raise ConfigError(f"unknown va_loss_mode {self.va_loss_mode!r}")
         if self.lambda_va < 0 or self.lambda_cc < 0:
@@ -149,7 +147,7 @@ class DataConfig:
     split: str = "train"
 
     def __post_init__(self):
-        _check_types(self, "data")
+        _check_fields(self, "data")
 
 
 @dataclass(frozen=True)
@@ -159,9 +157,7 @@ class MetricConfig:
     polyphony_denominator: str = "sounding"
 
     def __post_init__(self):
-        _check_types(self, "metrics")
-        if self.steps_per_beat < 1 or self.steps_per_measure < 1:
-            raise ConfigError("steps_per_beat and steps_per_measure must be >= 1")
+        _check_fields(self, "metrics")
         if self.polyphony_denominator not in ("sounding", "total"):
             raise ConfigError(
                 f"polyphony_denominator must be 'sounding' or 'total', "
@@ -176,7 +172,7 @@ class RunConfig:
     metrics: MetricConfig = MetricConfig()
 
     def __post_init__(self):
-        _check_types(self, "config")
+        _check_fields(self, "config")
 
     @classmethod
     def from_dict(cls, data) -> "RunConfig":

@@ -11,7 +11,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .model import Block, EmoModel, VaPredictor
-from .nn import (BatchNorm, Embedding, GradCheckReport, LayerNorm, Linear,
+from .nn import (Embedding, GradCheckReport, LayerNorm, Linear,
                  MultiHeadAttention, Tensor, gradcheck, softmax, tensor_sum)
 from .training import cce_loss, va_loss
 from .tokenizer import BOS, EOS
@@ -30,16 +30,12 @@ def standard_gradchecks(tolerance: float = 1e-4) -> dict[str, GradCheckReport]:
     linear = Linear(dim, dim, rng)
     ids = probe.integers(0, 12, size=seq_len)
     embedding = Embedding(12, dim, rng)
-    norm, bnorm = LayerNorm(dim), BatchNorm(dim)
+    norm = LayerNorm(dim)
     mha = MultiHeadAttention(dim, heads, rng)
     decoder = Block(dim, heads, 32, rng)
     logits = Tensor(rng.normal(size=(seq_len, classes)), requires_grad=True)
     targets = probe.integers(0, classes, size=seq_len)
-    # the soft VA loss runs through an eval-mode predictor
     predictor = VaPredictor(vocab_size, 8, rng)
-    predictor.bn1.running_mean = rng.normal(size=8) * 0.1
-    predictor.bn1.running_var = 1.0 + rng.uniform(size=8)
-    predictor.bn2.running_var = 1.0 + rng.uniform(size=8)
     va_logits = Tensor(rng.normal(size=(seq_len, vocab_size)), requires_grad=True)
     true_ids = probe.integers(0, vocab_size, size=seq_len)
 
@@ -50,7 +46,6 @@ def standard_gradchecks(tolerance: float = 1e-4) -> dict[str, GradCheckReport]:
         "linear": (lambda: _weighted_sum(linear(x), 1), on_input(linear)),
         "embedding": (lambda: _weighted_sum(embedding(ids), 2), embedding.parameters()),
         "layer_norm": (lambda: _weighted_sum(norm(x), 3), on_input(norm)),
-        "batch_norm": (lambda: _weighted_sum(bnorm(x, train=True), 4), on_input(bnorm)),
         "attention": (lambda: _weighted_sum(mha(x), 5), on_input(mha)),
         "decoder_block": (lambda: _weighted_sum(decoder(x), 7), on_input(decoder)),
         "cce": (lambda: cce_loss(logits, targets), [("logits", logits)]),

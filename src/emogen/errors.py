@@ -77,10 +77,6 @@ class ShapeMismatch(EmogenError):
     """Operand shapes incompatible for the requested operation."""
 
 
-class BatchTooSmall(EmogenError):
-    """Batch norm in train mode needs batch size >= 2."""
-
-
 class BadFeatureFile(EmogenError):
     """Precomputed image-feature file has wrong magic or length."""
 

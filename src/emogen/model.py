@@ -26,7 +26,7 @@ from ._files import write_atomic
 from .config import ModelConfig
 from .errors import (BadFeatureFile, BadImage, CheckpointCorrupt, ConfigError, MissingArtifacts,
                      NonFiniteError, PrefixTooLong, VocabMismatch, check_int, check_positive)
-from .nn import (BatchNorm, Conv2d, Embedding, FeedForward, LayerNorm, Linear, Module,
+from .nn import (Conv2d, Embedding, FeedForward, LayerNorm, Linear, Module,
                  MultiHeadAttention, Tensor, affine, attend_heads, avg_pool2d, concat,
                  global_avg_pool, no_grad, normalize, relu, reshape,
                  sinusoidal_positions, softmax, take, tensor_mean)
@@ -157,41 +157,25 @@ def _feed_forward(layer: FeedForward, x: np.ndarray) -> np.ndarray:
 
 
 class VaPredictor(Module):
-    """Token-histogram -> 3 FC layers (BatchNorm+ReLU twice, linear head)."""
+    """Token-histogram -> 3 FC layers (ReLU after the first two, linear head)."""
 
     def __init__(self, vocab_size: int, hidden: int, rng: np.random.Generator):
         self.fc1 = Linear(vocab_size, hidden, rng)
-        self.bn1 = BatchNorm(hidden)
         self.fc2 = Linear(hidden, hidden, rng)
-        self.bn2 = BatchNorm(hidden)
         self.fc3 = Linear(hidden, 2, rng)
         self.vocab_size = vocab_size
         self.hidden = hidden
 
-    def __call__(self, histograms: Tensor, train: bool = False) -> Tensor:
-        x = relu(self.bn1(self.fc1(histograms), train=train))
-        x = relu(self.bn2(self.fc2(x), train=train))
-        return self.fc3(x)  # (B, 2) unclamped
+    def __call__(self, histograms: Tensor) -> Tensor:
+        return self.fc3(relu(self.fc2(relu(self.fc1(histograms)))))  # (B, 2) unclamped
 
     def predict_va(self, ids) -> VaPoint:
-        """Deterministic eval-mode prediction, clamped onto the VA square."""
+        """Deterministic prediction, clamped onto the VA square."""
         hist = token_histogram(ids, self.vocab_size)
         with no_grad():
-            out = self(Tensor(hist[None, :]), train=False).data[0]
+            out = self(Tensor(hist[None, :])).data[0]
         valence, arousal = np.clip(out, VA_MIN, VA_MAX)
         return VaPoint(float(valence), float(arousal))
-
-    def running_stats(self) -> dict[str, np.ndarray]:
-        return {"bn1_mean": self.bn1.running_mean, "bn1_var": self.bn1.running_var,
-                "bn2_mean": self.bn2.running_mean, "bn2_var": self.bn2.running_var}
-
-
-def _check_running_stats(stats: dict[str, np.ndarray], error: type[Exception]) -> None:
-    """`error` unless every statistic is finite and every `*_var` at least 0:
-    eval-mode batch norm divides by `sqrt(var + eps)`."""
-    for key, value in stats.items():
-        if not np.isfinite(value).all() or (key.endswith("_var") and (value < 0).any()):
-            raise error(f"running statistic {key} holds NaN, inf or a variance below 0")
 
 
 def token_histogram(ids, vocab_size: int) -> np.ndarray:
@@ -431,16 +415,18 @@ class EmoModel(Module):
 
 def save_va_predictor(path: str | Path, predictor: VaPredictor,
                       vocab_hash: str, extra: dict | None = None) -> None:
-    stats = predictor.running_stats()
-    _check_running_stats(stats, NonFiniteError)  # so no file is written
-    running = {key: value.tolist() for key, value in stats.items()}
     meta = {"kind": "va_predictor", "vocab_hash": vocab_hash,
             "vocab_size": predictor.vocab_size, "hidden": predictor.hidden,
-            "extra": dict(extra or {}, running=running)}
+            "extra": extra or {}}
     save_checkpoint(path, meta, predictor.parameters())
 
 
 def load_va_predictor(path: str | Path, vocab_hash: str) -> VaPredictor:
+    """The predictor in the file at `path`. A file written while the predictor
+    had batch norm after `fc1` and `fc2` holds the norms' gamma/beta blocks
+    `bn1.*`/`bn2.*` and their running statistics in `extra.running`; a
+    `LayerNorm` has those blocks' names and shapes, so it holds each norm
+    until `_fold_batch_norms` folds it away."""
     def build(meta: dict) -> VaPredictor:
         if meta.get("kind") != "va_predictor":
             raise CheckpointCorrupt(f"{path}: not a VA-predictor checkpoint")
@@ -448,21 +434,39 @@ def load_va_predictor(path: str | Path, vocab_hash: str) -> VaPredictor:
             raise VocabMismatch(f"{path}: vocabulary hash mismatch")
         for key in ("vocab_size", "hidden"):
             check_int(f"{path}: metadata {key!r}", meta.get(key), 1, CheckpointCorrupt)
-        return VaPredictor(meta["vocab_size"], meta["hidden"], _Draws(np.float64))  # zeros to fill
+        predictor = VaPredictor(meta["vocab_size"], meta["hidden"], _Draws(np.float64))  # zeros to fill
+        extra = meta.get("extra")
+        if isinstance(extra, dict) and "running" in extra:
+            predictor.bn1, predictor.bn2 = LayerNorm(predictor.hidden), LayerNorm(predictor.hidden)
+        return predictor
 
     meta, predictor = load_checkpoint(path, build)
+    if hasattr(predictor, "bn1"):
+        _fold_batch_norms(path, predictor, meta["extra"]["running"])
+    return predictor
+
+
+def _fold_batch_norms(path, predictor: VaPredictor, running) -> None:
+    """Fold the eval-mode batch norms `bn1`/`bn2` into `fc1`/`fc2` and drop
+    them: with `s = gamma / sqrt(var + 1e-5)`, `W' = W * s` and
+    `b' = (b - mean) * s + beta`. A running statistic of the wrong shape, not
+    finite, or a variance below 0 is `CheckpointCorrupt`."""
     try:
-        running = meta["extra"]["running"]
-        stats = {key: np.array(running[key], np.float64) for key in predictor.running_stats()}
+        stats = {key: np.array(running[key], np.float64)
+                 for key in ("bn1_mean", "bn1_var", "bn2_mean", "bn2_var")}
         for key, value in stats.items():
             if value.shape != (predictor.hidden,):
                 raise ValueError(f"{key} has shape {value.shape}, expected ({predictor.hidden},)")
-        _check_running_stats(stats, ValueError)
+            if not np.isfinite(value).all() or (key.endswith("_var") and (value < 0).any()):
+                raise ValueError(f"running statistic {key} holds NaN, inf or a variance below 0")
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointCorrupt(f"{path}: bad running statistics in metadata: {exc!r}") from exc
-    predictor.bn1.running_mean, predictor.bn1.running_var = stats["bn1_mean"], stats["bn1_var"]
-    predictor.bn2.running_mean, predictor.bn2.running_var = stats["bn2_mean"], stats["bn2_var"]
-    return predictor
+    for fc, norm, name in ((predictor.fc1, predictor.bn1, "bn1"),
+                           (predictor.fc2, predictor.bn2, "bn2")):
+        scale = norm.gamma.data / np.sqrt(stats[f"{name}_var"] + 1e-5)
+        fc.weight.data *= scale
+        fc.bias.data = (fc.bias.data - stats[f"{name}_mean"]) * scale + norm.beta.data
+    del predictor.bn1, predictor.bn2
 
 
 # --- checkpoint container ---

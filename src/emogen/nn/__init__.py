@@ -1,7 +1,7 @@
 """Numerical substrate: autodiff tensors, layers, Adam, gradient checks."""
 
 from .gradcheck import GradCheckReport, gradcheck
-from .layers import (BatchNorm, Conv2d, Embedding, FeedForward, LayerNorm, Linear,
+from .layers import (Conv2d, Embedding, FeedForward, LayerNorm, Linear,
                      Module, MultiHeadAttention, avg_pool2d, global_avg_pool,
                      sinusoidal_positions)
 from .optim import Adam, Parameter
@@ -10,7 +10,7 @@ from .tensor import (Tensor, absolute, affine, attend, attend_heads, attention, 
                      softmax, sqrt, take, tensor_mean, tensor_sum)
 
 __all__ = [
-    "Adam", "BatchNorm", "Conv2d", "Embedding", "FeedForward", "GradCheckReport",
+    "Adam", "Conv2d", "Embedding", "FeedForward", "GradCheckReport",
     "LayerNorm", "Linear", "Module", "MultiHeadAttention", "Parameter", "Tensor",
     "absolute", "affine", "attend", "attend_heads", "attention", "avg_pool2d", "concat",
     "global_avg_pool", "gradcheck", "layer_norm", "linear", "log_softmax", "matmul", "no_grad",

@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import BatchTooSmall, ShapeMismatch, VocabMismatch
+from ..errors import ShapeMismatch, VocabMismatch
 from .optim import Parameter
-from .tensor import (Tensor, attention, layer_norm, linear, matmul, relu, reshape,
-                     sqrt, take, tensor_mean)
+from .tensor import (Tensor, attention, layer_norm, linear, matmul, relu, reshape, take,
+                     tensor_mean)
 from .tensor import softmax  # noqa: F401  # not called here; perfbench/tracing.py patches this name
 
 MASK_VALUE = -1e30  # additive attention mask; exp() underflows to exactly 0
@@ -106,36 +106,6 @@ class LayerNorm(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.gamma, self.beta, self.eps)
-
-
-class BatchNorm(Module):
-    """1-D batch norm over axis 0; biased batch variance, momentum running stats."""
-
-    eps, momentum = 1e-5, 0.1
-
-    def __init__(self, dim: int):
-        self.gamma = Parameter(np.ones(dim))
-        self.beta = Parameter(np.zeros(dim))
-        self.running_mean = np.zeros(dim)
-        self.running_var = np.ones(dim)
-
-    def __call__(self, x: Tensor, train: bool = False) -> Tensor:
-        if x.shape[-1] != self.gamma.shape[0]:
-            raise ShapeMismatch(f"batch norm dim {self.gamma.shape[0]} vs input {x.shape}")
-        if train:
-            if x.shape[0] < 2:
-                raise BatchTooSmall("batch norm in train mode needs batch size >= 2")
-            mean = tensor_mean(x, axis=0, keepdims=True)
-            centered = x - mean
-            var = tensor_mean(centered * centered, axis=0, keepdims=True)
-            self.running_mean = ((1 - self.momentum) * self.running_mean
-                                 + self.momentum * mean.data.reshape(-1))
-            self.running_var = ((1 - self.momentum) * self.running_var
-                                + self.momentum * var.data.reshape(-1))
-            normed = centered / sqrt(var + self.eps)
-        else:
-            normed = (x - self.running_mean) * (1.0 / np.sqrt(self.running_var + self.eps))
-        return normed * self.gamma + self.beta
 
 
 class MultiHeadAttention(Module):

@@ -70,17 +70,17 @@ def va_loss(true_ids, pred: Tensor, predictor: VaPredictor, mode: str = "hard"):
     dtype = pred.data.dtype  # histograms match it; so should `predictor`'s weights
     true_hist = token_histogram(true_ids, vocab_size)
     with no_grad():
-        true_va = predictor(Tensor(true_hist[None, :], dtype=dtype), train=False).data[0]
+        true_va = predictor(Tensor(true_hist[None, :], dtype=dtype)).data[0]
 
     if mode == "hard":
         pred_ids = np.argmax(pred.data, axis=-1)
         pred_hist = token_histogram(pred_ids, vocab_size)
         with no_grad():
-            pred_va = predictor(Tensor(pred_hist[None, :], dtype=dtype), train=False).data[0]
+            pred_va = predictor(Tensor(pred_hist[None, :], dtype=dtype)).data[0]
         return float(np.abs(true_va - pred_va).mean())
     if mode == "soft":
         expected_hist = tensor_mean(pred, axis=0)  # rows are distributions
-        pred_va = predictor(reshape(expected_hist, (1, vocab_size)), train=False)
+        pred_va = predictor(reshape(expected_hist, (1, vocab_size)))
         return tensor_mean(absolute(pred_va - Tensor(true_va[None, :])))
     raise ConfigError(f"unknown va_loss mode {mode!r}")
 
@@ -122,7 +122,7 @@ def pretrain_va_predictor(samples: Sequence[tuple[Sequence[int], tuple[float, fl
 
     def mae(idx: np.ndarray) -> float:
         with no_grad():
-            out = predictor(Tensor(hists[idx]), train=False).data
+            out = predictor(Tensor(hists[idx])).data
         return float(np.abs(out - labels[idx]).mean())
 
     initial_mae = mae(train_idx)
@@ -130,10 +130,8 @@ def pretrain_va_predictor(samples: Sequence[tuple[Sequence[int], tuple[float, fl
         epoch_order = rng.permutation(train_idx)
         for start in range(0, len(epoch_order), PREDICTOR_BATCH):
             batch = epoch_order[start:start + PREDICTOR_BATCH]
-            if batch.size < 2:  # train-mode batch norm needs >= 2 rows
-                continue
             predictor.zero_grad()
-            out = predictor(Tensor(hists[batch]), train=True)
+            out = predictor(Tensor(hists[batch]))
             loss = tensor_mean(absolute(out - Tensor(labels[batch])))
             if not math.isfinite(loss.item()):
                 raise NonFiniteError(f"epoch {epoch}, pieces {batch.tolist()}: "

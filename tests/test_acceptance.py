@@ -150,7 +150,7 @@ def test_pairing_oracle_and_split():
 def test_gradient_checks():
     start = time.perf_counter()
     reports = standard_gradchecks(tolerance=1e-4)
-    required = {"linear", "embedding", "layer_norm", "batch_norm", "attention",
+    required = {"linear", "embedding", "layer_norm", "attention",
                 "decoder_block", "cce", "soft_va_loss"}
     assert required <= set(reports)
     for name, report in reports.items():

@@ -386,7 +386,7 @@ class TestGradcheck:
         assert main(["gradcheck"]) == 0
         rows = [line.split() for line in capsys.readouterr().out.splitlines()]
         assert [row[0] for row in rows] == [
-            "linear", "embedding", "layer_norm", "batch_norm", "attention",
+            "linear", "embedding", "layer_norm", "attention",
             "decoder_block", "cce", "soft_va_loss", "full_model"]
         assert all(row[-1] == "ok" for row in rows)
 

@@ -1,7 +1,8 @@
 import pkgutil
+import re
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,19 @@ class TestTypeRules:
         assert "context" not in asdict(RunConfig())["model"]
 
 
+# each int field of the config sections and the least value it takes
+INT_MINIMUMS = [
+    *[(ModelConfig, "model", name, minimum) for name, minimum in (
+        ("encoder_blocks", 1), ("decoder_blocks", 0), ("model_dim", 1), ("head_count", 1),
+        ("ff_dim", 1), ("max_len", 2), ("time_shift_bins", 1), ("velocity_bins", 1),
+        ("steps_per_beat", 1), ("image_size", 1), ("va_hidden", 1), ("seed", 0))],
+    (TrainConfig, "train", "epochs", 1), (TrainConfig, "train", "batch_size", 1),
+    (TrainConfig, "train", "seed", 0),
+    (MetricConfig, "metrics", "steps_per_beat", 1),
+    (MetricConfig, "metrics", "steps_per_measure", 1),
+]
+
+
 class TestRanges:
     @pytest.mark.parametrize("kwargs", [
         {"model_dim": -16, "head_count": 2}, {"head_count": 0}, {"ff_dim": 0},
@@ -124,6 +138,18 @@ class TestRanges:
         cfg = ModelConfig(decoder_blocks=0, seed=0, model_dim=1, head_count=1, ff_dim=1,
                           max_len=2, image_size=4)
         assert cfg.vocabulary().total_size > 0
+
+    @pytest.mark.parametrize("cls, section, name, minimum", INT_MINIMUMS,
+                             ids=[f"{section}.{name}" for _, section, name, _ in INT_MINIMUMS])
+    def test_int_below_its_minimum_names_its_field(self, cls, section, name, minimum):
+        message = f"{section}.{name} must be an int >= {minimum}, got {minimum - 1}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            cls(**{name: minimum - 1})
+
+    def test_every_int_field_has_a_minimum_case(self):
+        assert {(cls, f.name) for cls in (ModelConfig, TrainConfig, MetricConfig)
+                for f in fields(cls) if type(f.default) is int} == \
+            {(cls, name) for cls, _, name, _ in INT_MINIMUMS}
 
     @pytest.mark.parametrize("kwargs", [{"steps_per_beat": 0}, {"steps_per_measure": -1},
                                         {"polyphony_denominator": "all"}])

@@ -15,7 +15,7 @@ from emogen.model import (IMAGE_FEATURE_DIM, DecoderCache, EmoModel, ModelConfig
                           load_va_predictor, read_feature_file,
                           save_checkpoint, save_va_predictor, token_histogram,
                           write_feature_file)
-from emogen.nn import Tensor, attend, attend_heads, attention, no_grad, softmax
+from emogen.nn import Tensor, attend, attend_heads, attention, linear, no_grad, relu, softmax
 from emogen.nn.layers import MASK_VALUE, causal_mask
 from emogen.tokenizer import BOS, EOS, PAD, decode
 from emogen.training import TrainConfig, TrainSample, cce_loss, fit
@@ -619,7 +619,6 @@ class TestVaPredictor:
 
     def test_save_load_round_trip(self, tmp_path):
         predictor = VaPredictor(16, 8, np.random.default_rng(2))
-        predictor.bn1.running_mean += 0.25  # non-default running stats
         path = tmp_path / "va.emc"
         save_va_predictor(path, predictor, vocab_hash="abcd")
         loaded = load_va_predictor(path, vocab_hash="abcd")
@@ -687,6 +686,89 @@ def _running_with(key, value):
     return {"running": running}
 
 
+# --- reference: the VA predictor with batch norm, which older predictor files hold ---
+
+def ref_batch_norm_predictor(blocks, running, histograms):
+    """The batch-norm predictor's eval-mode forward, verbatim: `VaPredictor`
+    with `train=False` and `nn.BatchNorm`'s eval branch, on named blocks."""
+    def batch_norm(x, name):
+        running_mean = np.array(running[f"{name}_mean"], np.float64)
+        running_var = np.array(running[f"{name}_var"], np.float64)
+        normed = (x - running_mean) * (1.0 / np.sqrt(running_var + 1e-5))
+        return normed * blocks[f"{name}.gamma"] + blocks[f"{name}.beta"]
+
+    def fc(x, name):
+        return linear(x, blocks[f"{name}.weight"], blocks[f"{name}.bias"])
+
+    x = relu(batch_norm(fc(histograms, "fc1"), "bn1"))
+    x = relu(batch_norm(fc(x, "fc2"), "bn2"))
+    return fc(x, "fc3")
+
+
+def legacy_predictor(vocab_size, hidden, seed=0):
+    """The blocks of a batch-norm predictor, in its parameter order, and its
+    running statistics, none at its initial value; one variance is 0."""
+    rng = np.random.default_rng(seed)
+    fresh = dict(VaPredictor(vocab_size, hidden, rng).parameters())
+    blocks, running = {}, {}
+    for layer in ("fc1", "bn1", "fc2", "bn2", "fc3"):
+        if layer.startswith("fc"):
+            blocks[f"{layer}.weight"] = fresh[f"{layer}.weight"]
+            blocks[f"{layer}.bias"] = Tensor(rng.normal(0.0, 0.1, fresh[f"{layer}.bias"].shape))
+            continue
+        blocks[f"{layer}.gamma"] = Tensor(rng.uniform(0.5, 2.0, hidden)
+                                          * rng.choice([-1.0, 1.0], hidden))
+        blocks[f"{layer}.beta"] = Tensor(rng.normal(0.0, 0.1, hidden))
+        running[f"{layer}_mean"] = rng.normal(0.0, 0.05, hidden).tolist()
+        running[f"{layer}_var"] = rng.uniform(1e-4, 1e-2, hidden).tolist()
+    running["bn2_var"][0] = 0.0
+    return blocks, running
+
+
+def legacy_meta(vocab_size, hidden, running):
+    return {"kind": "va_predictor", "vocab_hash": "x", "vocab_size": vocab_size,
+            "hidden": hidden, "extra": {"running": running}}
+
+
+class TestBatchNormPredictorFiles:
+    @pytest.mark.parametrize("vocab_size, hidden", [(16, 8), (391, 64)])
+    def test_fold_matches_batch_norm_forward(self, tmp_path, vocab_size, hidden):
+        blocks, running = legacy_predictor(vocab_size, hidden, seed=hidden)
+        path = tmp_path / "va.emc"
+        save_checkpoint(path, legacy_meta(vocab_size, hidden, running), blocks.items())
+        loaded = load_va_predictor(path, "x")
+        rng = np.random.default_rng(1)
+        histograms = np.stack([token_histogram(rng.integers(0, vocab_size, size=n), vocab_size)
+                               for n in (0, 1, 5, 40, 300)])
+        ours = loaded(Tensor(histograms)).data
+        theirs = ref_batch_norm_predictor(blocks, running, Tensor(histograms)).data
+        assert ours.dtype == theirs.dtype == np.float64
+        assert np.allclose(ours, theirs, rtol=1e-12, atol=1e-12)
+        # the folded predictor is an ordinary one: it saves and loads as one
+        assert [name for name, _ in loaded.parameters()] == \
+            [f"fc{i}.{kind}" for i in (1, 2, 3) for kind in ("weight", "bias")]
+        save_va_predictor(tmp_path / "new.emc", loaded, vocab_hash="x")
+        again = load_va_predictor(tmp_path / "new.emc", "x")
+        assert again(Tensor(histograms)).data.tobytes() == ours.tobytes()
+
+    def test_stray_batch_norm_blocks(self, tmp_path):
+        """Without `extra.running` a file is read as the current layout."""
+        blocks, _ = legacy_predictor(16, 8)
+        blocks = {name: block for name, block in blocks.items() if not name.startswith("bn2")}
+        path = tmp_path / "va.emc"
+        save_checkpoint(path, dict(legacy_meta(16, 8, None), extra={}), blocks.items())
+        with pytest.raises(CheckpointCorrupt, match="unexpected block bn1"):
+            load_va_predictor(path, "x")
+
+    def test_running_statistics_without_norm_blocks(self, tmp_path):
+        _, running = legacy_predictor(16, 8)
+        path = tmp_path / "va.emc"
+        save_checkpoint(path, legacy_meta(16, 8, running),
+                        VaPredictor(16, 8, np.random.default_rng(0)).parameters())
+        with pytest.raises(CheckpointCorrupt, match="do not match the architecture"):
+            load_va_predictor(path, "x")
+
+
 class TestCheckpoints:
     def test_model_round_trip(self, tmp_path, feature):
         model = EmoModel(small_config(seed=5))
@@ -749,23 +831,16 @@ class TestCheckpoints:
         (None, {"hidden": 1.5}), (None, {"vocab_size": 0}),  # refused already, untested
     ])
     def test_bad_va_predictor_metadata(self, tmp_path, drop, replace):
-        predictor = VaPredictor(16, 8, np.random.default_rng(0))
-        meta = {"kind": "va_predictor", "vocab_hash": "x", "vocab_size": 16,
-                "hidden": 8, "extra": _running_with("bn1_mean", 0.0)}  # a fresh predictor's
+        """On a batch-norm predictor's file; without `extra.running` its
+        `bn1.*`/`bn2.*` blocks are unexpected."""
+        blocks, _ = legacy_predictor(16, 8)
+        meta = legacy_meta(16, 8, _running_with("bn1_mean", 0.0)["running"])  # a fresh predictor's
         meta.pop(drop, None)
         meta.update(replace)
         path = tmp_path / "va.emc"
-        save_checkpoint(path, meta, predictor.parameters())
+        save_checkpoint(path, meta, blocks.items())
         with pytest.raises(CheckpointCorrupt):
             load_va_predictor(path, "x")
-
-    @pytest.mark.parametrize("key, value", BAD_RUNNING)
-    def test_bad_running_statistic_is_not_saved(self, tmp_path, key, value):
-        predictor = VaPredictor(16, 8, np.random.default_rng(0))
-        predictor.running_stats()[key][3] = value
-        with pytest.raises(NonFiniteError, match=f"{key} holds NaN, inf or a variance below 0"):
-            save_va_predictor(tmp_path / "va.emc", predictor, vocab_hash="x")
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, 1e39])  # 1e39 overflows float32
     def test_non_finite_block_rejected(self, tmp_path, value):

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from emogen.errors import BatchTooSmall, ConfigError, ShapeMismatch, VocabMismatch
+from emogen.errors import ConfigError, ShapeMismatch, VocabMismatch
 from emogen.model import EmoModel, VaPredictor
-from emogen.nn import (Adam, BatchNorm, Conv2d, Embedding, FeedForward,
+from emogen.nn import (Adam, Conv2d, Embedding, FeedForward,
                        LayerNorm, Linear, MultiHeadAttention, Parameter, Tensor,
                        attention, avg_pool2d, concat, global_avg_pool, gradcheck,
                        layer_norm, linear, log_softmax, matmul, no_grad, relu,
@@ -267,26 +267,6 @@ class TestLayers:
         assert out.data.mean(axis=-1) == pytest.approx(np.zeros(4), abs=1e-9)
         assert out.data.std(axis=-1) == pytest.approx(np.ones(4), abs=1e-3)
 
-    def test_batch_norm_train_statistics(self):
-        rng = np.random.default_rng(9)
-        bn = BatchNorm(6)
-        out = bn(Tensor(rng.normal(size=(32, 6)) * 2 + 1), train=True)
-        assert out.data.mean(axis=0) == pytest.approx(np.zeros(6), abs=1e-9)
-        assert out.data.var(axis=0) == pytest.approx(np.ones(6), abs=1e-3)
-        assert not np.array_equal(bn.running_mean, np.zeros(6))
-
-    def test_batch_norm_eval_is_deterministic_in_batch(self):
-        bn = BatchNorm(3)
-        bn.running_mean = np.array([1.0, 2.0, 3.0])
-        bn.running_var = np.array([1.0, 4.0, 9.0])
-        single = bn(Tensor(np.array([[2.0, 4.0, 6.0]])), train=False).data
-        batch = bn(Tensor(np.array([[2.0, 4.0, 6.0], [0.0, 0.0, 0.0]])), train=False).data
-        assert batch[0] == pytest.approx(single[0])
-
-    def test_batch_norm_rejects_tiny_train_batch(self):
-        with pytest.raises(BatchTooSmall):
-            BatchNorm(3)(Tensor(np.ones((1, 3))), train=True)
-
     def test_attention_rows_are_convex_combinations(self):
         rng = np.random.default_rng(10)
         mha = MultiHeadAttention(8, 2, rng)
@@ -371,8 +351,6 @@ class TestLayers:
 
 # each shape check of the layers, with the message it raises
 SHAPE_ERRORS = {
-    "batch_norm_dim": (lambda: BatchNorm(3)(Tensor(np.ones((4, 5))), train=True),
-                       r"batch norm dim 3 vs input \(4, 5\)"),
     "conv_channels": (lambda: Conv2d(2, 3, np.random.default_rng(0))(
         Tensor(np.ones((3, 4, 4)))), "conv expects 2 channels, got 3"),
     "odd_pool": (lambda: avg_pool2d(Tensor(np.ones((1, 5, 4)))),

@@ -123,11 +123,9 @@ class TestVaLoss:
         value = va_loss(true_ids, Tensor(probs), predictor, mode="hard")
 
         with no_grad():
-            t = predictor(Tensor(token_histogram(true_ids, 12)[None]),
-                          train=False).data[0]
+            t = predictor(Tensor(token_histogram(true_ids, 12)[None])).data[0]
             pred_ids = probs.argmax(axis=-1)
-            p = predictor(Tensor(token_histogram(pred_ids, 12)[None]),
-                          train=False).data[0]
+            p = predictor(Tensor(token_histogram(pred_ids, 12)[None])).data[0]
         assert value == pytest.approx(float(np.abs(t - p).mean()), abs=1e-12)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -194,12 +192,13 @@ class TestPretrain:
         _, b = pretrain_va_predictor(samples, 20, hidden=16, epochs=10, seed=3)
         assert a == b
 
-    def test_one_row_batch_is_skipped(self, rng):
+    def test_one_row_batch_takes_a_step(self, rng):
         """11 pieces hold out 2 and train on 9: a batch of 8, then one row,
-        which train-mode batch norm cannot take."""
-        _, report = pretrain_va_predictor(self._labeled(rng, n=11), 20, hidden=16, epochs=3)
+        and each batch is one Adam step."""
+        predictor, report = pretrain_va_predictor(self._labeled(rng, n=11), 20, hidden=16,
+                                                  epochs=3)
         assert (report["n_train"], report["n_holdout"]) == (9, 2)
-        assert report["train_mae"] != report["initial_train_mae"]
+        assert {p.step_count for _, p in predictor.parameters()} == {6}
 
     def test_too_few_samples(self):
         with pytest.raises(CatalogTooSmall):

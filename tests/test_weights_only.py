@@ -24,7 +24,7 @@ from emogen.nn import Embedding, FeedForward, Linear, Tensor, sinusoidal_positio
 from emogen.tokenizer import BOS, EOS
 from emogen.training import TrainConfig, TrainSample, fit
 
-from test_model import _with_key_biases, small_config
+from test_model import _with_key_biases, legacy_meta, legacy_predictor, small_config
 
 MB = 1 << 20
 SHAPES = {"default": {}, "2+2": {"encoder_blocks": 2, "decoder_blocks": 2},
@@ -170,6 +170,25 @@ def test_streamed_va_predictor_matches_whole_file_reader(tmp_path, monkeypatch):
     ref_assign_blocks(reference, ref_load_checkpoint(path)[1])
     _forbid_draws(monkeypatch)
     _same_parameters(load_va_predictor(path, "abcd"), reference)
+
+
+def test_streamed_batch_norm_predictor_matches_whole_file_reader(tmp_path, monkeypatch):
+    """A batch-norm predictor's file: its norms folded into the whole file's
+    blocks, as `s = gamma / sqrt(var + 1e-5)`, `W * s` and `(b - mean) * s + beta`."""
+    blocks, running = legacy_predictor(16, 8)
+    path = tmp_path / "va.emc"
+    save_checkpoint(path, legacy_meta(16, 8, running), blocks.items())
+    _, whole = ref_load_checkpoint(path)
+    for fc, norm in (("fc1", "bn1"), ("fc2", "bn2")):
+        scale = whole[f"{norm}.gamma"] / np.sqrt(np.array(running[f"{norm}_var"]) + 1e-5)
+        whole[f"{fc}.weight"] = whole[f"{fc}.weight"] * scale
+        whole[f"{fc}.bias"] = ((whole[f"{fc}.bias"] - np.array(running[f"{norm}_mean"])) * scale
+                               + whole[f"{norm}.beta"])
+        del whole[f"{norm}.gamma"], whole[f"{norm}.beta"]
+    reference = VaPredictor(16, 8, np.random.default_rng(0))
+    ref_assign_blocks(reference, whole)
+    _forbid_draws(monkeypatch)
+    _same_parameters(load_va_predictor(path, "x"), reference)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
