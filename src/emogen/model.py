@@ -8,8 +8,8 @@ pair to the memory row, which the causal decoder blocks see as position 0
 vocabulary head reads the decoder's rows. Generation caches each decoder
 block's keys and values, so a step decodes one row; that cached step runs
 forward only, on plain arrays through the graph ops' own forward kernels
-(`nn.affine`, `nn.normalize`, and `nn.attend`'s head-level core over the
-cache's head-major views), so its logits are the same bytes as the graph's.
+(`nn.affine`, `nn.normalize`, and `nn.attend_heads` over the cache's
+`nn.split_heads` views), so its logits are the same bytes as the graph's.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import (BadFeatureFile, BadImage, CheckpointCorrupt, ConfigError, M
 from .nn import (Conv2d, Embedding, FeedForward, LayerNorm, Linear, Module,
                  MultiHeadAttention, Tensor, affine, attend_heads, avg_pool2d, concat,
                  global_avg_pool, no_grad, normalize, relu, reshape,
-                 sinusoidal_positions, softmax, take, tensor_mean)
+                 sinusoidal_positions, softmax, split_heads, take, tensor_mean)
 from .nn.layers import _token_ids, causal_mask
 from .pairing import VA_MAX, VA_MIN, VaPoint
 from .tokenizer import BOS, EOS, TokenSequence
@@ -135,8 +135,7 @@ class Block(Module):
         proj[:, :d] += attn.wq.bias.data
         proj[:, 2 * d:] += attn.wv.bias.data
         keys[new], values[new] = proj[:, d:2 * d], proj[:, 2 * d:]
-        queries = proj[:, :d].reshape(len(x), attn.heads, -1).transpose(1, 0, 2)
-        out, _ = attend_heads(queries, key_heads, value_heads, mask)
+        out, _ = attend_heads(split_heads(proj[:, :d], attn.heads), key_heads, value_heads, mask)
         x = _norm(self.norm1, x + _dense(attn.wo, out))
         return _norm(self.norm2, x + _feed_forward(self.ffn, x))
 
@@ -219,16 +218,17 @@ class DecoderCache:
     each decoder block's keys and values (`keys[block, row]`), with room for
     the memory row plus `max_len` ids, and its `[wq | wk | wv]` weights as
     one array, copied here: a cache built before a weight update is stale.
-    `key_heads` (H, head_dim, rows) and `value_heads` (H, rows, head_dim) view
-    that storage as `attend_heads` reads it, with `attend`'s strides."""
+    `key_heads` (H, head_dim, rows) and `value_heads` (H, rows, head_dim) are
+    `split_heads` views of that storage, as `attention` hands them to
+    `attend_heads`."""
 
     def __init__(self, model: "EmoModel"):
         rows, heads = model.config.max_len + 1, model.config.head_count
         shape = (len(model.decoder_stack), rows, model.config.model_dim)
         self.keys = np.empty(shape, model.dtype)
         self.values = np.empty(shape, model.dtype)
-        self.key_heads = [k.reshape(rows, heads, -1).transpose(1, 2, 0) for k in self.keys]
-        self.value_heads = [v.reshape(rows, heads, -1).transpose(1, 0, 2) for v in self.values]
+        self.key_heads = [split_heads(k, heads).transpose(0, 2, 1) for k in self.keys]
+        self.value_heads = [split_heads(v, heads) for v in self.values]
         self.qkv = [np.concatenate([b.attn.wq.weight.data, b.attn.wk.weight.data,
                                     b.attn.wv.weight.data], axis=1) for b in model.decoder_stack]
         self.length = 0  # ids decoded so far

@@ -135,9 +135,6 @@ class Tensor:
     def __sub__(self, other):
         return add(self, -_as_tensor(other, self))
 
-    def __truediv__(self, other):
-        return mul(self, power(_as_tensor(other, self), -1.0))
-
 
 def _as_tensor(value, like=None) -> Tensor:
     """`value` as a Tensor; a constant takes the dtype of the Tensor `like`."""
@@ -183,21 +180,6 @@ def mul(a, b) -> Tensor:
             b._accumulate(_unbroadcast(grad * a.data, b.data.shape))
 
     return Tensor._result(data, (a, b), backward)
-
-
-def power(a, exponent: float) -> Tensor:
-    a = _as_tensor(a)
-    data = a.data ** exponent
-
-    def backward(grad):
-        if a.requires_grad:
-            a._accumulate(grad * exponent * a.data ** (exponent - 1.0))
-
-    return Tensor._result(data, (a,), backward)
-
-
-def sqrt(a) -> Tensor:
-    return power(a, 0.5)
 
 
 def relu(a) -> Tensor:
@@ -287,28 +269,26 @@ def concat(tensors) -> Tensor:
 
 # --- reductions ---
 
-def tensor_sum(a, axis=None, keepdims=False) -> Tensor:
+def tensor_sum(a, axis=None) -> Tensor:
     a = _as_tensor(a)
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+    data = a.data.sum(axis=axis)
 
     def backward(grad):
         if a.requires_grad:
-            g = grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
+            g = grad if axis is None else np.expand_dims(grad, axis)
             a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
     return Tensor._result(np.asarray(data), (a,), backward)
 
 
-def tensor_mean(a, axis=None, keepdims=False) -> Tensor:
+def tensor_mean(a, axis=None) -> Tensor:
     a = _as_tensor(a)
     if axis is None:
         count = a.data.size
     else:
         axes = axis if isinstance(axis, tuple) else (axis,)
         count = int(np.prod([a.data.shape[ax] for ax in axes]))
-    return tensor_sum(a, axis, keepdims) * (1.0 / count)
+    return tensor_sum(a, axis) * (1.0 / count)
 
 
 # --- normalized exponentials ---
@@ -421,6 +401,12 @@ def layer_norm(x, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     return Tensor._result(data, (x, gamma, beta), backward)
 
 
+def split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(T, H * head_dim) -> the (H, T, head_dim) view: the head layout that
+    `attend_heads` reads."""
+    return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+
+
 def _merge_heads(h: np.ndarray) -> np.ndarray:
     """(H, T, head_dim) -> (T, H * head_dim)."""
     return h.transpose(1, 0, 2).reshape(h.shape[1], -1)
@@ -443,30 +429,20 @@ def attend_heads(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
     return _merge_heads(weights @ vh), weights
 
 
-def attend(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int,
-           mask: np.ndarray | None = None) -> tuple[np.ndarray, tuple]:
-    """Multi-head `attend_heads` on (T, d) arrays: `(out, (qh, kh, vh,
-    weights))`, the per-head views and softmax weights being what the
-    backward pass reads. Splits the last axis into `heads` heads."""
+def attention(q, k, v, heads: int, mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head attention as one graph node over the (T, d) projections
+    `q`, `k`, `v`: `attend_heads` over their `split_heads` views."""
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     (_, d), tk = q.shape, k.shape[0]
     if heads < 1 or d % heads or k.shape != (tk, d) or v.shape != (tk, d):
         raise ShapeMismatch(f"attention over {heads} heads: q {q.shape}, "
                             f"k {k.shape}, v {v.shape}")
-    head_dim = d // heads
-    qh, kh, vh = (a.reshape(a.shape[0], heads, head_dim).transpose(1, 0, 2) for a in (q, k, v))
-    out, weights = attend_heads(qh, kh.transpose(0, 2, 1), vh, mask)
-    return out, (qh, kh, vh, weights)
-
-
-def attention(q, k, v, heads: int, mask: np.ndarray | None = None) -> Tensor:
-    """`attend` as one graph node over the (T, d) projections `q`, `k`, `v`."""
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    data, (qh, kh, vh, weights) = attend(q.data, k.data, v.data, heads, mask)
-    tq, head_dim = qh.shape[1:]
-    scale = 1.0 / math.sqrt(head_dim)
+    qh, kh, vh = (split_heads(a.data, heads) for a in (q, k, v))
+    data, weights = attend_heads(qh, kh.transpose(0, 2, 1), vh, mask)
+    scale = 1.0 / math.sqrt(qh.shape[-1])
 
     def backward(grad):
-        gh = grad.reshape(tq, heads, head_dim).transpose(1, 0, 2)
+        gh = split_heads(grad, heads)
         if v.requires_grad:
             v._accumulate(_merge_heads(weights.transpose(0, 2, 1) @ gh))
         if q.requires_grad or k.requires_grad:

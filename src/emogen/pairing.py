@@ -80,10 +80,10 @@ def pair_datasets(midis: Sequence[TaggedItem], images: Sequence[TaggedItem]) -> 
     images_sorted = sorted(images, key=lambda it: it.id)
     manifest = PairManifest()
     for midi in sorted(midis, key=lambda it: it.id):
+        # `min` keeps the first of equal distances: ascending id breaks the tie
         best = min(images_sorted,
                    key=lambda img: ((midi.va.valence - img.va.valence) ** 2
-                                    + (midi.va.arousal - img.va.arousal) ** 2,
-                                    img.id))
+                                    + (midi.va.arousal - img.va.arousal) ** 2))
         manifest.pairs.append({"midi_id": midi.id, "image_id": best.id,
                                "similarity": similarity(midi.va, best.va)})
     return manifest

@@ -387,7 +387,7 @@ class TestGradcheck:
         rows = [line.split() for line in capsys.readouterr().out.splitlines()]
         assert [row[0] for row in rows] == [
             "linear", "embedding", "layer_norm", "attention",
-            "decoder_block", "cce", "soft_va_loss", "full_model"]
+            "decoder_block", "conv2d", "cce", "soft_va_loss", "full_model"]
         assert all(row[-1] == "ok" for row in rows)
 
     def test_infinite_tolerance_exit_1(self, capsys):

@@ -12,10 +12,9 @@ from emogen.errors import ConfigError
 from emogen.model import (IMAGE_FEATURE_DIM, DecoderCache, EmoModel, VaPredictor,
                           save_checkpoint, write_feature_file)
 from emogen.nn import (Tensor, absolute, attention, concat, layer_norm, linear,
-                       log_softmax, matmul, no_grad, relu, reshape, softmax, sqrt, take,
+                       log_softmax, matmul, no_grad, relu, reshape, softmax, take,
                        tensor_mean, tensor_sum)
 from emogen.nn.layers import MASK_VALUE
-from emogen.nn.tensor import power
 from emogen.tokenizer import BOS, EOS
 from emogen.training import TrainSample, fit
 
@@ -41,9 +40,6 @@ OPS = {
     "sub": lambda a, b, w, g: a - b,
     "sub_scalar": lambda a, b, w, g: a - 1.0,
     "sub_float64_array": lambda a, b, w, g: a - np.ones((3, 4)),
-    "div_scalar": lambda a, b, w, g: a / 3.0,
-    "power": lambda a, b, w, g: power(a * a + 1.0, 1.5),
-    "sqrt": lambda a, b, w, g: sqrt(a * a + 1.0),
     "relu": lambda a, b, w, g: relu(a),
     "absolute": lambda a, b, w, g: absolute(a),
     "matmul": lambda a, b, w, g: matmul(a, w),

@@ -11,7 +11,7 @@ from emogen.errors import ShapeMismatch
 from emogen.model import IMAGE_FEATURE_DIM, EmoModel
 from emogen.nn import (LayerNorm, Linear, MultiHeadAttention, Tensor, attention, normalize,
                        gradcheck, layer_norm, linear, matmul, reshape, softmax,
-                       sqrt, tensor_mean, tensor_sum)
+                       tensor_mean, tensor_sum)
 from emogen.nn.layers import MASK_VALUE
 from emogen.tokenizer import BOS, EOS, PAD
 from emogen.training import cce_loss
@@ -24,11 +24,24 @@ def ref_linear(layer, x):
     return out if layer.bias is None else out + layer.bias
 
 
+def ref_inv_sqrt(a):
+    """`1 / sqrt(a)` as the composite graph computed it: `(a ** 0.5) ** -1.0`,
+    with the chain rule through both powers."""
+    root = a.data ** 0.5
+
+    def backward(grad):
+        if a.requires_grad:
+            a._accumulate(grad * -1.0 * root ** -2.0 * 0.5 * a.data ** -0.5)
+
+    return Tensor._result(root ** -1.0, (a,), backward)
+
+
 def ref_layer_norm(norm, x):
-    mean = tensor_mean(x, axis=-1, keepdims=True)
+    stats = x.shape[:-1] + (1,)
+    mean = reshape(tensor_mean(x, axis=-1), stats)
     centered = x - mean
-    var = tensor_mean(centered * centered, axis=-1, keepdims=True)
-    normed = centered / sqrt(var + norm.eps)
+    var = reshape(tensor_mean(centered * centered, axis=-1), stats)
+    normed = centered * ref_inv_sqrt(var + norm.eps)
     return normed * norm.gamma + norm.beta
 
 
@@ -82,7 +95,7 @@ ATTENTION_CASES = [
 def fused_attention(mha, q, x, causal):
     """`mha(x)`, which is causal over more than one row; or, when the query
     rows `q` are only the last rows of `x`, the fused `attention` on the
-    projections, whose forward `attend` a cached decoding step runs."""
+    projections, whose forward kernel `attend_heads` a cached decoding step runs."""
     if q is x:
         assert causal == (x.shape[0] > 1)
         return mha(x)

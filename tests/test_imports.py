@@ -1,15 +1,17 @@
-"""Every name a module of the package imports is used in that module, and
+"""Every name a module of the package imports is used in that module, each
+name `emogen.nn` exports is read outside the module that defines it, and
 each argument rule is written once.
 
-Deleting a code path tends to leave its imports behind; copying a check
-tends to leave one copy behind when the rule changes. Both are found with
-the standard library's `ast`, so they need no linter.
+Deleting a code path tends to leave its imports and exports behind; copying
+a check tends to leave one copy behind when the rule changes. All three are
+found with the standard library's `ast`, so they need no linter.
 """
 
 import ast
 from pathlib import Path
 
 import emogen
+from emogen import nn
 
 PACKAGE = Path(emogen.__file__).resolve().parent
 
@@ -29,18 +31,26 @@ def unused_imports(source: str) -> dict[str, int]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    read = names_read(tree)
     return {name: line for name, line in imported.items() if name not in read}
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def package_sources() -> dict[str, str]:
+    """The source of each module of the package, by dotted name, less the
+    `__init__.py` files: the imports there are the package's API."""
+    return {".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts):
+            path.read_text(encoding="utf-8")
+            for path in sorted(PACKAGE.rglob("*.py")) if path.name != "__init__.py"}
 
 
 def test_no_unused_imports():
     unexpected = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name == "__init__.py":  # imports there are the package's API
-            continue
-        module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
-        unexpected += [(module, name, line) for name, line
-                       in unused_imports(path.read_text(encoding="utf-8")).items()
+    for module, source in package_sources().items():
+        unexpected += [(module, name, line) for name, line in unused_imports(source).items()
                        if (module, name) not in ALLOWED]
     assert unexpected == [], "imported but never used (module, name, line)"
 
@@ -49,6 +59,28 @@ def test_finds_unused_imports():
     source = ("import os.path\nimport json\nfrom math import pi, tau\n"
               "from x import y as z\nprint(tau, os.sep)\n")
     assert unused_imports(source) == {"json": 2, "pi": 3, "z": 4}
+
+
+def unread_exports(exports: dict[str, str], sources: dict[str, str]) -> list[str]:
+    """Each name of `exports` (name -> the module that defines it) that no
+    module of `sources` (module -> its source) but its own reads."""
+    reads = {module: names_read(ast.parse(source)) for module, source in sources.items()}
+    return sorted(name for name, home in exports.items()
+                  if not any(name in read for module, read in reads.items() if module != home))
+
+
+def test_nn_exports_have_an_outside_reader():
+    exports = {name: getattr(nn, name).__module__ for name in nn.__all__}
+    assert unread_exports(exports, package_sources()) == [], \
+        "exported by emogen.nn but read only where it is defined"
+
+
+def test_finds_unread_exports():
+    sources = {"pkg.ops": "def f(): pass\ndef g(): return f()\ndef h(): pass\n",
+               "pkg.model": "from .ops import g, h\nh.__doc__\nprint(g)\n",
+               "pkg.other": "def k(x): return x.f\n"}  # an attribute is not the name
+    exports = {"f": "pkg.ops", "g": "pkg.ops", "h": "pkg.ops"}
+    assert unread_exports(exports, sources) == ["f"]
 
 
 def rule_copies(source: str, module: str) -> list[tuple[str, int]]:
@@ -81,10 +113,8 @@ def rule_copies(source: str, module: str) -> list[tuple[str, int]]:
 
 def test_argument_rules_are_written_once():
     copies = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        module = ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts)
-        copies += [(module, what, line) for what, line
-                   in rule_copies(path.read_text(encoding="utf-8"), module)]
+    for module, source in package_sources().items():
+        copies += [(module, what, line) for what, line in rule_copies(source, module)]
     assert copies == [], "hand-written copies of an argument rule (module, what, line)"
 
 

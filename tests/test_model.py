@@ -15,7 +15,8 @@ from emogen.model import (IMAGE_FEATURE_DIM, DecoderCache, EmoModel, ModelConfig
                           load_va_predictor, read_feature_file,
                           save_checkpoint, save_va_predictor, token_histogram,
                           write_feature_file)
-from emogen.nn import Tensor, attend, attend_heads, attention, linear, no_grad, relu, softmax
+from emogen.nn import (Tensor, attend_heads, attention, linear, no_grad, relu, softmax,
+                       split_heads)
 from emogen.nn.layers import MASK_VALUE, causal_mask
 from emogen.tokenizer import BOS, EOS, PAD, decode
 from emogen.training import TrainConfig, TrainSample, cce_loss, fit
@@ -543,8 +544,8 @@ class TestFixedContext:
 
 
 class TestDecoderCacheViews:
-    """The cache's head-major views are its key and value storage, laid out
-    as `attend` lays out the rows it is given."""
+    """The cache's head-major views are `split_heads` views of its key and
+    value storage, laid out as `attention` hands its rows to `attend_heads`."""
 
     @staticmethod
     def _filled_cache(dtype):
@@ -567,21 +568,25 @@ class TestDecoderCacheViews:
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("rows", [1, 2, None], ids=["one", "two_masked", "max_len_plus_1"])
     def test_core_over_views_matches_attend(self, dtype, rows):
-        """`attend_heads` over sliced views gives `attend`'s bytes on the
-        same rows as (T, d) arrays, from operands of the same strides."""
+        """`attend_heads` over sliced views gives the bytes of `attention`'s
+        forward on the same rows as (T, d) arrays, and its weights over
+        `split_heads` views of those rows, which have the same strides."""
         model, cache, rng = self._filled_cache(dtype)
         heads, d = model.config.head_count, model.config.model_dim
         rows = rows or model.config.max_len + 1
         tq = min(rows, 2)  # generation's first step decodes two rows, then one
         mask = causal_mask(tq, rows, dtype) if tq > 1 else None
         q = rng.normal(size=(tq, 3 * d)).astype(dtype)[:, :d]  # as a fused projection's slice
+        qh = split_heads(q, heads)
         for block in range(len(model.decoder_stack)):
             key_heads = cache.key_heads[block][:, :, :rows]
             value_heads = cache.value_heads[block][:, :rows]
-            want, (qh, kh, vh, weights) = attend(q, cache.keys[block][:rows],
-                                                 cache.values[block][:rows], heads, mask)
-            assert (key_heads.strides, value_heads.strides) == (kh.transpose(0, 2, 1).strides,
-                                                                vh.strides)
+            keys, values = cache.keys[block][:rows], cache.values[block][:rows]
+            kt, vh = split_heads(keys, heads).transpose(0, 2, 1), split_heads(values, heads)
+            assert (key_heads.strides, value_heads.strides) == (kt.strides, vh.strides)
+            with no_grad():
+                want = attention(Tensor(q), Tensor(keys), Tensor(values), heads, mask).data
+            weights = attend_heads(qh, kt, vh, mask)[1]
             out, got_weights = attend_heads(qh, key_heads, value_heads, mask)
             assert out.dtype == want.dtype == np.dtype(dtype)
             assert out.tobytes() == want.tobytes()

@@ -63,20 +63,28 @@ class TestPairing:
 
     def test_matches_exhaustive_oracle(self):
         py_rng = random.Random(99)
-        for _ in range(20):
-            midis = [_item(f"m{i:02d}", py_rng.uniform(1, 9), py_rng.uniform(1, 9), "midi")
+        uniform = lambda: py_rng.uniform(1, 9)
+        grid = lambda: py_rng.choice([1.0, 3.0, 5.0, 7.0, 9.0])  # a coarse VA grid: many-way ties
+        ties = 0
+        for draw in [uniform] * 20 + [grid] * 20:
+            midis = [_item(f"m{i:02d}", draw(), draw(), "midi")
                      for i in range(py_rng.randint(1, 12))]
-            images = [_item(f"i{i:02d}", py_rng.uniform(1, 9), py_rng.uniform(1, 9))
-                      for i in range(py_rng.randint(1, 12))]
+            images = [_item(f"i{i:02d}", draw(), draw()) for i in range(py_rng.randint(1, 12))]
+            if draw is grid:  # the tie-break must come from the ids, not the input order
+                py_rng.shuffle(images)
             manifest = pair_datasets(midis, images)
             for midi, pair in zip(sorted(midis, key=lambda m: m.id), manifest.pairs):
-                best = None
+                best, nearest = None, 0
                 for img in sorted(images, key=lambda im: im.id):
                     d2 = ((midi.va.valence - img.va.valence) ** 2
                           + (midi.va.arousal - img.va.arousal) ** 2)
                     if best is None or d2 < best[0]:
-                        best = (d2, img.id)
+                        best, nearest = (d2, img.id), 1
+                    elif d2 == best[0]:
+                        nearest += 1
                 assert pair["image_id"] == best[1]
+                ties += nearest > 1
+        assert ties >= 20  # the grid catalogs do tie
 
 
 class TestSplit:

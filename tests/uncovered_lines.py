@@ -45,13 +45,23 @@ def executable_lines(path: Path) -> set[int]:
 
 
 class LineTracer:
-    """Records the lines run in files under `prefix`. A code object stops
-    being traced once each of its lines has run."""
+    """Records the lines run in files under `prefix`, in every thread, while
+    it is entered as a context manager. A code object stops being traced
+    once each of its lines has run."""
 
     def __init__(self, prefix: str):
         self.prefix = prefix
         self.hit: dict[str, set[int]] = defaultdict(set)
         self.left: dict = {}  # code object -> its lines not yet run
+
+    def __enter__(self) -> "LineTracer":
+        threading.settrace(self.on_call)
+        sys.settrace(self.on_call)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        sys.settrace(None)
+        threading.settrace(None)
 
     def on_call(self, frame, event, arg):
         code = frame.f_code
@@ -77,29 +87,29 @@ class LineTracer:
         return on_line
 
 
-def main(argv: list[str]) -> int:
-    import pytest  # runs the suite; the tracer itself is stdlib only
-
-    os.chdir(ROOT)
-    sys.path.insert(0, str(PACKAGE.parent))
-    tracer = LineTracer(str(PACKAGE) + os.sep)
-    threading.settrace(tracer.on_call)
-    sys.settrace(tracer.on_call)
-    try:
-        status = pytest.main(["-q", "-p", "no:cacheprovider",
-                              "--continue-on-collection-errors", *argv])
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
-
+def print_unexecuted(hit: dict[str, set[int]]) -> tuple[int, int]:
+    """Print each executable line of the package that is not in `hit` (file
+    -> line numbers run) as `path:line: text`; returns (printed, executable)."""
     total = missed = 0
     for path in sorted(PACKAGE.rglob("*.py")):
         lines = executable_lines(path)
         text = path.read_text(encoding="utf-8").splitlines()
         total += len(lines)
-        for line in sorted(lines - tracer.hit[str(path)]):
+        for line in sorted(lines - hit[str(path)]):
             missed += 1
             print(f"{path.relative_to(ROOT)}:{line}: {text[line - 1].strip()}")
+    return missed, total
+
+
+def main(argv: list[str]) -> int:
+    import pytest  # runs the suite; the tracer itself is stdlib only
+
+    os.chdir(ROOT)
+    sys.path.insert(0, str(PACKAGE.parent))
+    with LineTracer(str(PACKAGE) + os.sep) as tracer:
+        status = pytest.main(["-q", "-p", "no:cacheprovider",
+                              "--continue-on-collection-errors", *argv])
+    missed, total = print_unexecuted(tracer.hit)
     print(f"{missed} of {total} executable lines in {PACKAGE.relative_to(ROOT)} "
           f"not executed (pytest exit {int(status)})")
     return int(status) or int(missed > 0)
