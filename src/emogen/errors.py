@@ -49,6 +49,10 @@ class TooShort(EmogenError):
     """Piece spans fewer than two full measures."""
 
 
+class RollTooLong(EmogenError):
+    """Piece spans more piano-roll steps than `midi_io.MAX_ROLL_STEPS`."""
+
+
 class BadMetricSetting(EmogenError, ValueError):
     """Steps per beat or per measure below 1, or an unknown polyphony denominator."""
 

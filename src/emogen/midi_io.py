@@ -15,9 +15,13 @@ from operator import itemgetter
 import numpy as np
 
 from .errors import (BadMetricSetting, MalformedEvent, MalformedHeader, MalformedPiece,
-                     TruncatedTrack, UnsupportedFormat, check_int)
+                     RollTooLong, TruncatedTrack, UnsupportedFormat, check_int)
 
 DEFAULT_TEMPO = 500_000  # microseconds per beat (120 BPM)
+# what an SMF can hold: a division below the SMPTE bit, a three-byte tempo
+# and a variable-length quantity of at most four bytes
+MAX_TICKS_PER_BEAT, MAX_TEMPO, VLQ_LIMIT = 0x7FFF, 0xFFFFFF, 1 << 28
+MAX_ROLL_STEPS = 1 << 18  # about 9 hours at 4 steps per beat and 120 BPM
 
 
 class NoteEvent(namedtuple("NoteEvent", "onset pitch duration velocity")):
@@ -49,17 +53,19 @@ class NoteEvent(namedtuple("NoteEvent", "onset pitch duration velocity")):
 
 @dataclass(frozen=True)
 class MidiPiece:
-    """A single-track piece. Notes are canonicalized to (onset, pitch) order."""
+    """A single-track piece, in ranges an SMF can hold. Notes are
+    canonicalized to (onset, pitch) order."""
 
     ticks_per_beat: int
     notes: tuple[NoteEvent, ...]
     tempo_us_per_beat: int = DEFAULT_TEMPO
 
     def __post_init__(self):
-        if self.ticks_per_beat <= 0:
-            raise MalformedPiece(f"ticks_per_beat {self.ticks_per_beat} <= 0")
-        if self.tempo_us_per_beat <= 0:
-            raise MalformedPiece(f"tempo {self.tempo_us_per_beat} <= 0")
+        if not 0 < self.ticks_per_beat <= MAX_TICKS_PER_BEAT:
+            raise MalformedPiece(f"ticks_per_beat {self.ticks_per_beat} outside "
+                                 f"1..{MAX_TICKS_PER_BEAT}")
+        if not 0 < self.tempo_us_per_beat <= MAX_TEMPO:
+            raise MalformedPiece(f"tempo {self.tempo_us_per_beat} outside 1..{MAX_TEMPO}")
         ordered = tuple(sorted(self.notes, key=itemgetter(0, 1)))
         object.__setattr__(self, "notes", ordered)
 
@@ -82,9 +88,9 @@ class PianoRoll:
 # --- variable-length quantities ---
 
 def encode_vlq(value: int) -> bytes:
-    """Encode a non-negative int as an SMF variable-length quantity."""
-    if value < 0:
-        raise MalformedPiece(f"VLQ values are non-negative, got {value}")
+    """Encode an int in [0, 2**28) as an SMF variable-length quantity."""
+    if not 0 <= value < VLQ_LIMIT:
+        raise MalformedPiece(f"VLQ value {value} outside 0..{VLQ_LIMIT - 1}")
     out = [value & 0x7F]
     value >>= 7
     while value:
@@ -267,10 +273,15 @@ def note_spans(piece: MidiPiece, steps_per_beat: int) -> list[tuple[int, int, in
 
 
 def to_piano_roll(piece: MidiPiece, steps_per_beat: int = 4) -> PianoRoll:
-    """Rasterize a piece onto a boolean 128 x T pitch/time grid."""
+    """Rasterize a piece onto a boolean 128 x T pitch/time grid. A grid of
+    more than `MAX_ROLL_STEPS` steps is `RollTooLong`, refused before any
+    allocation."""
     check_int("steps_per_beat", steps_per_beat, 1, BadMetricSetting)
     spans = note_spans(piece, steps_per_beat)
     total = max((end for _, end, _, _ in spans), default=0)
+    if total > MAX_ROLL_STEPS:
+        raise RollTooLong(f"piece spans {total} steps at {steps_per_beat} per beat, "
+                          f"above the limit of {MAX_ROLL_STEPS}")
     grid = np.zeros((128, total), dtype=bool)
     onsets = np.zeros((128, total), dtype=bool)
     for start, end, pitch, _ in spans:

@@ -10,6 +10,8 @@ block's keys and values, so a step decodes one row; that cached step runs
 forward only, on plain arrays through the graph ops' own forward kernels
 (`nn.affine`, `nn.normalize`, and `nn.attend_heads` over the cache's
 `nn.split_heads` views), so its logits are the same bytes as the graph's.
+Its biases, gammas and betas are (1, n) row views built once per piece, so
+a one-row step combines operands of one shape.
 """
 
 from __future__ import annotations
@@ -122,37 +124,41 @@ class Block(Module):
         x = self.norm1(x + self.attn(x))
         return self.norm2(x + self.ffn(x))
 
-    def decode(self, x: np.ndarray, qkv: np.ndarray, keys: np.ndarray, values: np.ndarray,
-               key_heads: np.ndarray, value_heads: np.ndarray,
+    def decode(self, x: np.ndarray, n: int, state: "BlockState",
                mask: np.ndarray | None) -> np.ndarray:
-        """`self(x)` forward only, on arrays, for rows `x` that follow those
-        already in `keys` and `values`: their keys and values are written into
-        the last `len(x)` rows there, and each row attends to all the rows
-        `mask` lets it see, read through `key_heads` and `value_heads`, the
-        cache's head-major views of those rows. `qkv` is `[wq | wk | wv]`."""
-        attn, new, d = self.attn, slice(len(keys) - len(x), None), x.shape[1]
-        proj = x @ qkv  # the biases in place, as `affine` adds them
-        proj[:, :d] += attn.wq.bias.data
-        proj[:, 2 * d:] += attn.wv.bias.data
-        keys[new], values[new] = proj[:, d:2 * d], proj[:, 2 * d:]
-        out, _ = attend_heads(split_heads(proj[:, :d], attn.heads), key_heads, value_heads, mask)
-        x = _norm(self.norm1, x + _dense(attn.wo, out))
-        return _norm(self.norm2, x + _feed_forward(self.ffn, x))
+        """`self(x)` forward only, on arrays, for rows `x` that end the first
+        `n` rows of `state`'s keys and values: their keys and values are
+        written there, and each row attends to those of the `n` rows that
+        `mask` lets it see, through the state's head-major views. Each
+        residual sum runs in place on the fresh dense output: `h += x` is
+        `x + h`, since addition commutes."""
+        d = x.shape[1]
+        proj = affine(x, state.qkv, state.qkv_bias)  # `[q | k | v]` of the new rows
+        state.keys[n - len(x):n], state.values[n - len(x):n] = proj[:, d:2 * d], proj[:, 2 * d:]
+        out, _ = attend_heads(split_heads(proj[:, :d], self.attn.heads),
+                              state.key_heads[:, :, :n], state.value_heads[:, :n], mask)
+        h = affine(out, self.attn.wo.weight.data, state.wo_bias)
+        h += x
+        x = normalize(h, *state.norm1, self.norm1.eps)[0]
+        h = _feed_forward(x, *state.ffn)
+        h += x
+        return normalize(h, *state.norm2, self.norm2.eps)[0]
 
 
-# array forms of the layers' forward passes, for decoding without a graph
+# array forms of the layers' parameters and forward passes, for decoding without a graph
 
-def _dense(layer: Linear, x: np.ndarray) -> np.ndarray:
-    return affine(x, layer.weight.data, None if layer.bias is None else layer.bias.data)
-
-
-def _norm(layer: LayerNorm, x: np.ndarray) -> np.ndarray:
-    return normalize(x, layer.gamma.data, layer.beta.data, layer.eps)[0]
+def _row(param) -> np.ndarray:
+    return param.data.reshape(1, -1)  # a (1, n) view
 
 
-def _feed_forward(layer: FeedForward, x: np.ndarray) -> np.ndarray:
-    hidden = _dense(layer.fc1, x)
-    return _dense(layer.fc2, np.maximum(hidden, 0.0, out=hidden))  # as `relu` computes it
+def _ffn_rows(layer: FeedForward) -> tuple:
+    return layer.fc1.weight.data, _row(layer.fc1.bias), layer.fc2.weight.data, _row(layer.fc2.bias)
+
+
+def _feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+                  b2: np.ndarray) -> np.ndarray:
+    hidden = affine(x, w1, b1)
+    return affine(np.maximum(hidden, 0.0, out=hidden), w2, b2)  # as `relu` computes it
 
 
 class VaPredictor(Module):
@@ -213,24 +219,44 @@ class _Draws:
         return getattr(self.rng, method)(a, b, size=size).astype(self.dtype, copy=False)
 
 
+class BlockState:
+    """One decoder block's step state, built once per piece. `keys` and
+    `values` have room for `rows` rows; `key_heads` (H, head_dim, rows) and
+    `value_heads` (H, rows, head_dim) are `split_heads` views of them, as
+    `attention` hands rows to `attend_heads`. `qkv` (`[wq | wk | wv]`) and
+    `qkv_bias` (the (1, 3d) row `[bq | 0 | bv]`) are copies, so a state built
+    before a weight update is stale; the 0 turns a key of -0.0 into +0.0,
+    which changes no score. `wo_bias`, `norm1`/`norm2` (gamma, beta) and
+    `ffn`'s biases are (1, n) views of the parameters: a (1, n) row combined
+    with an (n,) array takes numpy's slower broadcasting loop."""
+
+    def __init__(self, block: Block, rows: int):
+        attn, d = block.attn, block.attn.wq.weight.shape[0]
+        self.keys = np.empty((rows, d), attn.wk.weight.data.dtype)
+        self.values = np.empty_like(self.keys)
+        self.key_heads = split_heads(self.keys, attn.heads).transpose(0, 2, 1)
+        self.value_heads = split_heads(self.values, attn.heads)
+        self.qkv = np.concatenate([attn.wq.weight.data, attn.wk.weight.data,
+                                   attn.wv.weight.data], axis=1)
+        self.qkv_bias = np.concatenate([attn.wq.bias.data, np.zeros_like(attn.wv.bias.data),
+                                        attn.wv.bias.data]).reshape(1, -1)
+        self.wo_bias = _row(attn.wo.bias)
+        self.norm1 = _row(block.norm1.gamma), _row(block.norm1.beta)
+        self.norm2 = _row(block.norm2.gamma), _row(block.norm2.beta)
+        self.ffn = _ffn_rows(block.ffn)
+
+
 class DecoderCache:
-    """What `EmoModel.generate` keeps between the steps of one piece:
-    each decoder block's keys and values (`keys[block, row]`), with room for
-    the memory row plus `max_len` ids, and its `[wq | wk | wv]` weights as
-    one array, copied here: a cache built before a weight update is stale.
-    `key_heads` (H, head_dim, rows) and `value_heads` (H, rows, head_dim) are
-    `split_heads` views of that storage, as `attention` hands them to
-    `attend_heads`."""
+    """What `EmoModel.generate` keeps between the steps of one piece: a
+    `BlockState` per decoder block (`blocks`), with room for the memory row
+    plus `max_len` ids; `out_proj`'s bias as a (1, V) row view (`out_bias`);
+    and, with no decoder blocks, the dense decoder's `_ffn_rows` (`dense`)."""
 
     def __init__(self, model: "EmoModel"):
-        rows, heads = model.config.max_len + 1, model.config.head_count
-        shape = (len(model.decoder_stack), rows, model.config.model_dim)
-        self.keys = np.empty(shape, model.dtype)
-        self.values = np.empty(shape, model.dtype)
-        self.key_heads = [split_heads(k, heads).transpose(0, 2, 1) for k in self.keys]
-        self.value_heads = [split_heads(v, heads) for v in self.values]
-        self.qkv = [np.concatenate([b.attn.wq.weight.data, b.attn.wk.weight.data,
-                                    b.attn.wv.weight.data], axis=1) for b in model.decoder_stack]
+        rows = model.config.max_len + 1
+        self.blocks = [BlockState(block, rows) for block in model.decoder_stack]
+        self.dense = None if model.dense_decoder is None else _ffn_rows(model.dense_decoder)
+        self.out_bias = _row(model.out_proj.bias)
         self.length = 0  # ids decoded so far
 
 
@@ -331,16 +357,13 @@ class EmoModel(Module):
             if not done:  # the memory row's keys and values go into the caches
                 x = np.concatenate([memory + self.positions[:1], x])
             mask = causal_mask(len(x), n + 1, x.dtype) if len(x) > 1 else None
-            for block, qkv, keys, values, key_heads, value_heads in zip(
-                    self.decoder_stack, cache.qkv, cache.keys, cache.values,
-                    cache.key_heads, cache.value_heads):
-                x = block.decode(x, qkv, keys[:n + 1], values[:n + 1],
-                                 key_heads[:, :, :n + 1], value_heads[:, :n + 1], mask)
+            for block, state in zip(self.decoder_stack, cache.blocks):
+                x = block.decode(x, n + 1, state, mask)
             x = x if done else x[1:]
         else:
-            x = _feed_forward(self.dense_decoder, x + memory)
+            x = _feed_forward(x + memory, *cache.dense)
         cache.length = n
-        return _dense(self.out_proj, x)
+        return affine(x, self.out_proj.weight.data, cache.out_bias)
 
     # --- generation ---
 

@@ -21,6 +21,7 @@ from emogen.pairing import load_manifest
 from emogen.tokenizer import EOS
 from emogen.training import fit
 
+from test_midi_io import LONG_ROLL_SMF
 from test_readers_fuzz import OVERFLOW_CHECKPOINT
 
 SMALL_MODEL = {"encoder_blocks": 1, "decoder_blocks": 1, "model_dim": 16,
@@ -204,6 +205,20 @@ class TestTrainGenerate:
                      "--checkpoint", str(checkpoint), "--out", str(tmp_path / "a.mid")]) == 2
         assert "CheckpointCorrupt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("steps_per_beat", [300, 600])
+    def test_generate_division_beyond_smf_exit_2(self, workspace, tmp_path, capsys,
+                                                 steps_per_beat):
+        """`decode` gives 36,000 and 72,000 ticks per beat, which no SMF
+        header holds: the piece is refused, typed, and no file is written."""
+        model = EmoModel(ModelConfig.from_dict({**SMALL_MODEL, "steps_per_beat": steps_per_beat}))
+        model.save(tmp_path / "model.emc")
+        assert main(["generate", "--image", str(workspace / "img0.emf"), "--checkpoint",
+                     str(tmp_path / "model.emc"), "--out", str(tmp_path / "a.mid"),
+                     "--max-len", "6"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error [MalformedPiece]") and "Traceback" not in err
+        assert not (tmp_path / "a.mid").exists()
+
     def test_generate_overflowing_block_shape_exit_2(self, workspace, tmp_path, capsys):
         checkpoint = tmp_path / "model.emc"
         checkpoint.write_bytes(OVERFLOW_CHECKPOINT)
@@ -346,6 +361,22 @@ class TestMetrics:
         out = tmp_path / "metrics.csv"
         assert main(["metrics", "--midi-dir", str(midi_dir), "--out", str(out)]) == 0
         assert "corrupt.mid: MalformedEvent" in capsys.readouterr().err
+        with open(out) as fh:
+            assert [row["path"] for row in csv.DictReader(fh)] == \
+                [str(midi_dir / "good.mid"), "MEAN"]
+
+    def test_long_roll_skipped(self, tmp_path, capsys):
+        """A file whose piano roll would exceed `MAX_ROLL_STEPS` is skipped
+        by name; the file beside it is still scored."""
+        midi_dir = tmp_path / "midis"
+        midi_dir.mkdir()
+        (midi_dir / "good.mid").write_bytes(write_midi(_long_piece(np.random.default_rng(6))))
+        (midi_dir / "long.mid").write_bytes(LONG_ROLL_SMF)
+        out = tmp_path / "metrics.csv"
+        assert main(["metrics", "--midi-dir", str(midi_dir), "--out", str(out)]) == 0
+        captured = capsys.readouterr()
+        assert "long.mid: RollTooLong" in captured.err
+        assert "1 pieces evaluated, 1 skipped" in captured.out
         with open(out) as fh:
             assert [row["path"] for row in csv.DictReader(fh)] == \
                 [str(midi_dir / "good.mid"), "MEAN"]

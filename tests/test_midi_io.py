@@ -2,15 +2,17 @@ import copy
 import functools
 import pickle
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emogen import midi_io
 from emogen.errors import (EmogenError, MalformedEvent, MalformedHeader, MalformedPiece,
-                           TruncatedTrack, UnsupportedFormat)
-from emogen.midi_io import (MidiPiece, NoteEvent, decode_vlq, encode_vlq,
+                           RollTooLong, TruncatedTrack, UnsupportedFormat)
+from emogen.midi_io import (MidiPiece, NoteEvent, decode_vlq, encode_vlq, note_spans,
                             parse_midi, to_piano_roll, write_midi)
 from emogen.tokenizer import Vocabulary, decode, encode
 
@@ -27,13 +29,17 @@ BAD_NOTES = {
     "velocity_above_127": ((0, 60, 1, 128), "velocity 128 outside 1..127"),
 }
 
-# every field check of a note or piece, and a negative VLQ (a delta time);
-# each is typed and still a ValueError
+# every field check of a note or piece, and a VLQ (a delta time) outside
+# what four bytes hold; each is typed and still a ValueError
 PIECE_RAISE_SITES = {
     **{site: functools.partial(NoteEvent, *fields) for site, (fields, _) in BAD_NOTES.items()},
     "ticks_per_beat": lambda: MidiPiece(0, ()),
+    "ticks_per_beat_smpte_bit": lambda: MidiPiece(0x8000, ()),
     "tempo": lambda: MidiPiece(480, (), tempo_us_per_beat=0),
+    "tempo_above_three_bytes": lambda: MidiPiece(480, (), tempo_us_per_beat=1 << 24),
     "negative_vlq": lambda: encode_vlq(-1),
+    "vlq_above_four_bytes": lambda: encode_vlq(1 << 28),
+    "delta_above_four_bytes": lambda: write_midi(MidiPiece(480, (NoteEvent(1 << 28, 60, 1, 64),))),
 }
 
 
@@ -268,6 +274,14 @@ def test_mutated_bytes_raise_only_typed_errors(edits):
 
 
 class TestWrite:
+    def test_largest_fields_round_trip(self):
+        """The largest division, tempo and delta time an SMF holds."""
+        piece = MidiPiece(0x7FFF, (NoteEvent((1 << 28) - 2, 60, 1, 64),),
+                          tempo_us_per_beat=0xFFFFFF)
+        data = write_midi(piece)
+        assert parse_midi(data) == piece
+        assert write_midi(parse_midi(data)) == data
+
     def test_empty_piece_is_valid_smf(self):
         piece = MidiPiece(ticks_per_beat=480, notes=())
         data = write_midi(piece)
@@ -336,3 +350,30 @@ class TestPianoRoll:
             roll = to_piano_roll(piece, 4)
             assert roll.onsets.sum() <= len(piece.notes)
             assert (roll.onsets & ~roll.grid).sum() == 0
+
+
+# 37 bytes: one note held for a 0x0FFFFFFF-tick delta at one tick per beat,
+# a roll of 1,073,741,820 steps at 4 steps per beat (128 GiB per grid)
+LONG_ROLL_SMF = _smf(bytes([0x00, 0x90, 60, 64]) + encode_vlq(0x0FFFFFFF)
+                     + bytes([0x80, 60, 0, 0x00, 0xFF, 0x2F, 0x00]), division=1)
+
+
+class TestRollLimit:
+    def test_long_roll_refused_before_allocating(self):
+        assert len(LONG_ROLL_SMF) == 37
+        piece = parse_midi(LONG_ROLL_SMF)
+        assert note_spans(piece, 4) == [(0, 1_073_741_820, 60, 64)]
+        tracemalloc.start()
+        try:
+            with pytest.raises(RollTooLong, match="1073741820 steps"):
+                to_piano_roll(piece, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(midi_io, "MAX_ROLL_STEPS", 8)
+        assert to_piano_roll(MidiPiece(480, (NoteEvent(0, 60, 960, 64),)), 4).num_steps == 8
+        with pytest.raises(RollTooLong):
+            to_piano_roll(MidiPiece(480, (NoteEvent(0, 60, 961, 64),)), 4)

@@ -544,26 +544,53 @@ class TestFixedContext:
 
 
 class TestDecoderCacheViews:
-    """The cache's head-major views are `split_heads` views of its key and
-    value storage, laid out as `attention` hands its rows to `attend_heads`."""
+    """Each block state's head-major views are `split_heads` views of its key
+    and value storage, laid out as `attention` hands its rows to
+    `attend_heads`; its biases, gammas and betas are (1, n) views of the
+    parameters."""
 
     @staticmethod
     def _filled_cache(dtype):
         model = EmoModel(small_config(decoder_blocks=2, head_count=4, dtype=dtype))
         cache = DecoderCache(model)
         rng = np.random.default_rng(8)
-        cache.keys[...] = rng.normal(size=cache.keys.shape)
-        cache.values[...] = rng.normal(size=cache.values.shape)
+        for state in cache.blocks:
+            state.keys[...] = rng.normal(size=state.keys.shape)
+            state.values[...] = rng.normal(size=state.values.shape)
         return model, cache, rng
 
     def test_views_alias_the_storage(self):
         model, cache, rng = self._filled_cache("float64")
         heads, d = model.config.head_count, model.config.model_dim
-        for block in range(len(model.decoder_stack)):
+        for state in cache.blocks:
             key, value = rng.normal(size=(2, d))
-            cache.keys[block][5], cache.values[block][5] = key, value
-            assert np.array_equal(cache.key_heads[block][:, :, 5], key.reshape(heads, -1))
-            assert np.array_equal(cache.value_heads[block][:, 5], value.reshape(heads, -1))
+            state.keys[5], state.values[5] = key, value
+            assert np.array_equal(state.key_heads[:, :, 5], key.reshape(heads, -1))
+            assert np.array_equal(state.value_heads[:, 5], value.reshape(heads, -1))
+
+    @pytest.mark.parametrize("decoder_blocks", [0, 2])
+    def test_rows_are_views_of_the_parameters(self, decoder_blocks):
+        model = EmoModel(small_config(decoder_blocks=decoder_blocks, dtype="float32"))
+        cache = DecoderCache(model)
+        pairs = [(cache.out_bias, model.out_proj.bias)]
+        ffns = [(cache.dense, model.dense_decoder)] if cache.dense else []
+        for block, state in zip(model.decoder_stack, cache.blocks):
+            pairs += [(state.wo_bias, block.attn.wo.bias),
+                      (state.norm1[0], block.norm1.gamma), (state.norm1[1], block.norm1.beta),
+                      (state.norm2[0], block.norm2.gamma), (state.norm2[1], block.norm2.beta)]
+            ffns.append((state.ffn, block.ffn))
+        for (w1, b1, w2, b2), ffn in ffns:
+            assert w1 is ffn.fc1.weight.data and w2 is ffn.fc2.weight.data
+            pairs += [(b1, ffn.fc1.bias), (b2, ffn.fc2.bias)]
+        assert len(pairs) == 1 + 7 * decoder_blocks + 2 * (decoder_blocks == 0)
+        for row, param in pairs:
+            assert row.shape == (1, param.data.size)
+            assert row.dtype == param.data.dtype == np.float32
+            assert np.shares_memory(row, param.data)
+        for block, state in zip(model.decoder_stack, cache.blocks):
+            attn = block.attn
+            assert np.array_equal(state.qkv_bias[0], np.concatenate(
+                [attn.wq.bias.data, np.zeros_like(attn.wv.bias.data), attn.wv.bias.data]))
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("rows", [1, 2, None], ids=["one", "two_masked", "max_len_plus_1"])
@@ -578,10 +605,10 @@ class TestDecoderCacheViews:
         mask = causal_mask(tq, rows, dtype) if tq > 1 else None
         q = rng.normal(size=(tq, 3 * d)).astype(dtype)[:, :d]  # as a fused projection's slice
         qh = split_heads(q, heads)
-        for block in range(len(model.decoder_stack)):
-            key_heads = cache.key_heads[block][:, :, :rows]
-            value_heads = cache.value_heads[block][:, :rows]
-            keys, values = cache.keys[block][:rows], cache.values[block][:rows]
+        for state in cache.blocks:
+            key_heads = state.key_heads[:, :, :rows]
+            value_heads = state.value_heads[:, :rows]
+            keys, values = state.keys[:rows], state.values[:rows]
             kt, vh = split_heads(keys, heads).transpose(0, 2, 1), split_heads(values, heads)
             assert (key_heads.strides, value_heads.strides) == (kt.strides, vh.strides)
             with no_grad():
