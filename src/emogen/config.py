@@ -18,7 +18,8 @@ from pathlib import Path
 
 from ._files import write_atomic
 from .errors import ConfigError, check_int, check_positive
-from .tokenizer import Vocabulary
+from .midi_io import MAX_TICKS_PER_BEAT
+from .tokenizer import Vocabulary, step_ticks
 
 # one shared Vocabulary per layout: its velocity tables are then built once,
 # not once per MIDI file that `data.read_midi_ids` encodes
@@ -89,7 +90,7 @@ class ModelConfig:
     image_size: int = 32
     va_hidden: int = 64
     seed: int = 0
-    dtype: str = "float32"  # or "float64"; a checkpoint without it is float64
+    dtype: str = "float32"  # or "float64"
 
     def __post_init__(self):
         _check_fields(self, "model")
@@ -102,6 +103,10 @@ class ModelConfig:
         if self.model_dim % self.head_count != 0:
             raise ConfigError(f"model_dim {self.model_dim} not divisible by "
                               f"{self.head_count} heads")
+        ticks = step_ticks(self.steps_per_beat) * self.steps_per_beat
+        if ticks > MAX_TICKS_PER_BEAT:
+            raise ConfigError(f"model.steps_per_beat {self.steps_per_beat} gives {ticks} ticks "
+                              f"per beat; a MIDI file holds at most {MAX_TICKS_PER_BEAT}")
 
     def vocabulary(self) -> Vocabulary:
         return _vocabulary(self.time_shift_bins, self.velocity_bins)

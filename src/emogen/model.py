@@ -418,15 +418,9 @@ class EmoModel(Module):
         def build(meta: dict) -> EmoModel:
             if meta.get("kind") != "emomodel":
                 raise CheckpointCorrupt(f"{path}: not a model checkpoint")
-            config = meta.get("config")
-            if isinstance(config, dict):
-                config = {"dtype": "float64", **config}  # written before the dtype knob
-                # older models also recorded how their encoder context was taken;
-                # every model now encodes [BOS], whatever the checkpoint says
-                config.pop("context", None)
             model = cls.__new__(cls)  # no draws: every weight comes from the file
             try:
-                model._build(ModelConfig.from_dict(config), None)
+                model._build(ModelConfig.from_dict(meta.get("config")), None)
             except ConfigError as exc:
                 raise CheckpointCorrupt(f"{path}: {exc}") from exc
             if meta.get("vocab_hash") != model.vocab.vocab_hash:
@@ -445,11 +439,6 @@ def save_va_predictor(path: str | Path, predictor: VaPredictor,
 
 
 def load_va_predictor(path: str | Path, vocab_hash: str) -> VaPredictor:
-    """The predictor in the file at `path`. A file written while the predictor
-    had batch norm after `fc1` and `fc2` holds the norms' gamma/beta blocks
-    `bn1.*`/`bn2.*` and their running statistics in `extra.running`; a
-    `LayerNorm` has those blocks' names and shapes, so it holds each norm
-    until `_fold_batch_norms` folds it away."""
     def build(meta: dict) -> VaPredictor:
         if meta.get("kind") != "va_predictor":
             raise CheckpointCorrupt(f"{path}: not a VA-predictor checkpoint")
@@ -457,82 +446,71 @@ def load_va_predictor(path: str | Path, vocab_hash: str) -> VaPredictor:
             raise VocabMismatch(f"{path}: vocabulary hash mismatch")
         for key in ("vocab_size", "hidden"):
             check_int(f"{path}: metadata {key!r}", meta.get(key), 1, CheckpointCorrupt)
-        predictor = VaPredictor(meta["vocab_size"], meta["hidden"], _Draws(np.float64))  # zeros to fill
-        extra = meta.get("extra")
-        if isinstance(extra, dict) and "running" in extra:
-            predictor.bn1, predictor.bn2 = LayerNorm(predictor.hidden), LayerNorm(predictor.hidden)
-        return predictor
+        return VaPredictor(meta["vocab_size"], meta["hidden"], _Draws(np.float64))  # zeros to fill
 
-    meta, predictor = load_checkpoint(path, build)
-    if hasattr(predictor, "bn1"):
-        _fold_batch_norms(path, predictor, meta["extra"]["running"])
-    return predictor
-
-
-def _fold_batch_norms(path, predictor: VaPredictor, running) -> None:
-    """Fold the eval-mode batch norms `bn1`/`bn2` into `fc1`/`fc2` and drop
-    them: with `s = gamma / sqrt(var + 1e-5)`, `W' = W * s` and
-    `b' = (b - mean) * s + beta`. A running statistic of the wrong shape, not
-    finite, or a variance below 0 is `CheckpointCorrupt`."""
-    try:
-        stats = {key: np.array(running[key], np.float64)
-                 for key in ("bn1_mean", "bn1_var", "bn2_mean", "bn2_var")}
-        for key, value in stats.items():
-            if value.shape != (predictor.hidden,):
-                raise ValueError(f"{key} has shape {value.shape}, expected ({predictor.hidden},)")
-            if not np.isfinite(value).all() or (key.endswith("_var") and (value < 0).any()):
-                raise ValueError(f"running statistic {key} holds NaN, inf or a variance below 0")
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointCorrupt(f"{path}: bad running statistics in metadata: {exc!r}") from exc
-    for fc, norm, name in ((predictor.fc1, predictor.bn1, "bn1"),
-                           (predictor.fc2, predictor.bn2, "bn2")):
-        scale = norm.gamma.data / np.sqrt(stats[f"{name}_var"] + 1e-5)
-        fc.weight.data *= scale
-        fc.bias.data = (fc.bias.data - stats[f"{name}_mean"]) * scale + norm.beta.data
-    del predictor.bn1, predictor.bn2
+    return load_checkpoint(path, build)[1]
 
 
 # --- checkpoint container ---
 
 def save_checkpoint(path: str | Path, meta: dict, named_params) -> None:
-    """Versioned binary container: magic, JSON metadata, named LE blocks.
+    """Versioned binary container: magic, JSON metadata (`format_version` 2),
+    named LE blocks, each `<f4` if its parameter is float32, else `<f8`.
 
     Written atomically: a failure part-way, such as a block holding NaN or
     inf (`NonFiniteError`), leaves any earlier checkpoint at `path` untouched.
     """
-    payload = json.dumps(dict(meta, format_version=1), sort_keys=True).encode()
-    write_atomic(path, _checkpoint_chunks(payload, named_params))
+    payload = json.dumps(dict(meta, format_version=2), sort_keys=True).encode()
 
+    def chunks():
+        yield CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload
+        named = list(named_params)
+        yield struct.pack("<I", len(named))
+        for name, param in named:
+            encoded = name.encode()
+            wide = param.data.dtype != np.float32
+            arr = np.ascontiguousarray(param.data, "<f8" if wide else "<f4")
+            if not np.isfinite(arr).all():
+                raise NonFiniteError(f"block {name} holds NaN or inf values; no checkpoint written")
+            yield struct.pack("<H", len(encoded)) + encoded
+            yield struct.pack(f"<BB{arr.ndim}I", arr.itemsize, arr.ndim, *arr.shape)
+            yield arr.tobytes()
 
-def _checkpoint_chunks(payload: bytes, named_params):
-    yield CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload
-    named = list(named_params)
-    yield struct.pack("<I", len(named))
-    for name, param in named:
-        encoded = name.encode()
-        arr = np.ascontiguousarray(param.data, dtype="<f8")
-        if not np.isfinite(arr).all():
-            raise NonFiniteError(f"block {name} holds NaN or inf values; no checkpoint written")
-        yield struct.pack("<H", len(encoded)) + encoded
-        yield struct.pack("<B", arr.ndim)
-        yield struct.pack(f"<{arr.ndim}I", *arr.shape)
-        yield arr.tobytes()
+    write_atomic(path, chunks())
 
 
 def load_checkpoint(path: str | Path, build) -> tuple[dict, Module]:
-    """Read the checkpoint at `path` into the module `build(meta)` returns;
-    return the metadata and the module.
+    """Read the checkpoint at `path`, through `_upgrade_v1` if version 1, into
+    the module `build(meta)` returns; return the metadata and the module.
 
     The blocks are read one at a time, each checked and copied into its
     parameter's array, cast to its dtype, before the next, so neither the
-    whole file nor a float64 copy of every block is held. They must match
-    the module's parameters one for one: a missing, unknown or repeated
-    name, a wrong shape, a value not finite in the parameter's dtype, a
-    block longer than the bytes left or bytes after the last block is
-    `CheckpointCorrupt`. Older checkpoints hold `*.attn.wk.bias` blocks;
-    such a bias shifts all of one query's scores alike, which softmax
-    cancels, so they are skipped.
+    whole file nor a copy of every block is held. They must match the
+    module's parameters one for one: a missing, unknown or repeated name, a
+    value size other than 4 or 8 bytes, a wrong shape, a value not finite in
+    the parameter's dtype, a block longer than the bytes left or bytes after
+    the last block is `CheckpointCorrupt`.
     """
+    def read_blocks():
+        """Each block as (name, read-only array): `<f8` in version 1, else as its header says."""
+        seen = set()
+        (count,) = struct.unpack("<I", fh.read(4))
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", fh.read(2))
+            name = fh.read(name_len).decode()
+            (itemsize,) = struct.unpack("<B", fh.read(1)) if version == 2 else (8,)
+            if itemsize not in (4, 8):
+                raise CheckpointCorrupt(f"{path}: block {name} has {itemsize}-byte values")
+            (ndim,) = struct.unpack("<B", fh.read(1))
+            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+            nbytes = itemsize * math.prod(shape)  # exact: np.prod can overflow to 0
+            if nbytes > size - fh.tell():
+                raise CheckpointCorrupt(f"{path}: truncated block {name}")
+            if name in seen:
+                raise CheckpointCorrupt(f"{path}: repeated block {name}")
+            seen.add(name)
+            yield name, np.frombuffer(fh.read(nbytes), f"<f{itemsize}").reshape(shape)
+
     try:
         fh = open(path, "rb")
     except OSError as exc:
@@ -550,44 +528,86 @@ def load_checkpoint(path: str | Path, build) -> tuple[dict, Module]:
         # ValueError: bad JSON or UTF-8; RecursionError: JSON nested too deeply
         except (ValueError, RecursionError) as exc:
             raise CheckpointCorrupt(f"{path}: {exc}") from exc
-        if not isinstance(meta, dict) or meta.get("format_version") != 1:
+        version = meta.get("format_version") if isinstance(meta, dict) else None
+        if version not in (1, 2):
             raise CheckpointCorrupt(f"{path}: unsupported format version")
+        blocks = _upgrade_v1(meta, read_blocks()) if version == 1 else read_blocks()
         module = build(meta)
         params = dict(module.parameters())
-        seen = set()
+        count = 0
         try:
-            (count,) = struct.unpack("<I", fh.read(4))
-            for _ in range(count):
-                (name_len,) = struct.unpack("<H", fh.read(2))
-                name = fh.read(name_len).decode()
-                (ndim,) = struct.unpack("<B", fh.read(1))
-                shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-                nbytes = 8 * math.prod(shape)  # exact: np.prod can overflow to 0
-                if nbytes > size - fh.tell():
-                    raise CheckpointCorrupt(f"{path}: truncated block {name}")
-                if name in seen:
-                    raise CheckpointCorrupt(f"{path}: repeated block {name}")
-                seen.add(name)
-                if name.endswith(".attn.wk.bias"):
-                    fh.seek(nbytes, 1)
-                    continue
+            for name, block in blocks:
                 if name not in params:
                     raise CheckpointCorrupt(f"{path}: unexpected block {name}")
                 param = params[name]
-                if param.data.shape != shape:
-                    raise CheckpointCorrupt(f"{path}: block {name} has shape {shape}, "
+                if param.data.shape != block.shape:
+                    raise CheckpointCorrupt(f"{path}: block {name} has shape {block.shape}, "
                                             f"expected {param.data.shape}")
-                block = np.frombuffer(fh.read(nbytes), "<f8").reshape(shape)
                 with np.errstate(over="ignore"):  # a float64 value beyond float32 range
                     np.copyto(param.data, block, casting="same_kind")
                 if not np.isfinite(param.data).all():
                     raise CheckpointCorrupt(f"{path}: block {name} holds values that are not "
                                             f"finite as {param.data.dtype}")
-        # ValueError: a name that is not UTF-8
+                count += 1
+        # ValueError: a name that is not UTF-8, or a version-1 layout that
+        # `_upgrade_v1` cannot convert
         except (struct.error, ValueError) as exc:
             raise CheckpointCorrupt(f"{path}: {exc}") from exc
-        if not seen.issuperset(params):
+        if count != len(params):
             raise CheckpointCorrupt(f"{path}: parameter blocks do not match the architecture")
         if fh.tell() != size:
             raise CheckpointCorrupt(f"{path}: {size - fh.tell()} bytes after the last block")
     return meta, module
+
+
+def _upgrade_v1(meta: dict, blocks):
+    """`blocks` of a version-1 file in the current layout, `meta` upgraded in
+    place: the one place that knows older layouts. A model config without
+    `dtype` is float64; a `context` key is dropped (every model encodes
+    [BOS]); `*.attn.wk.bias` blocks are dropped (softmax cancels a bias on
+    every key); a VA predictor's batch norms (`extra.running`) are folded."""
+    if isinstance(meta.get("config"), dict):
+        meta["config"] = {"dtype": "float64", **meta["config"]}
+        meta["config"].pop("context", None)
+    blocks = ((name, block) for name, block in blocks if not name.endswith(".attn.wk.bias"))
+    extra = meta.get("extra")
+    if meta.get("kind") == "va_predictor" and isinstance(extra, dict) and "running" in extra:
+        blocks = _fold_batch_norms(meta, blocks)
+    return blocks
+
+
+def _fold_batch_norms(meta: dict, blocks):
+    """`blocks` with the eval-mode batch norms `bn1`/`bn2` folded into `fc1`/`fc2`
+    in float64: `s = gamma / sqrt(var + 1e-5)`, `W' = W * s`, `b' = (b - mean) * s
+    + beta`. Bad running statistics or layout blocks are a `ValueError`."""
+    hidden = meta["hidden"]  # checked by the build
+    try:
+        running = meta["extra"]["running"]
+        stats = {key: np.array(running[key], np.float64)
+                 for key in ("bn1_mean", "bn1_var", "bn2_mean", "bn2_var")}
+        for key, value in stats.items():
+            if value.shape != (hidden,):
+                raise ValueError(f"{key} has shape {value.shape}, expected ({hidden},)")
+            if not np.isfinite(value).all() or (key.endswith("_var") and (value < 0).any()):
+                raise ValueError(f"running statistic {key} holds NaN, inf or a variance below 0")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"bad running statistics in metadata: {exc!r}") from exc
+    shapes = {"fc1.weight": (meta["vocab_size"], hidden), "fc1.bias": (hidden,),
+              "bn1.gamma": (hidden,), "bn1.beta": (hidden,), "fc2.weight": (hidden, hidden),
+              "fc2.bias": (hidden,), "bn2.gamma": (hidden,), "bn2.beta": (hidden,)}
+    held = {}
+    for name, block in blocks:
+        if name in shapes:
+            held[name] = block
+        else:
+            yield name, block
+    if len(held) != len(shapes):
+        raise ValueError("parameter blocks do not match the architecture")
+    for name, block in held.items():
+        if block.shape != shapes[name] or not np.isfinite(block).all():
+            raise ValueError(f"block {name} is not {shapes[name]} finite values")
+    for fc, norm in (("fc1", "bn1"), ("fc2", "bn2")):
+        scale = held[f"{norm}.gamma"] / np.sqrt(stats[f"{norm}_var"] + 1e-5)
+        yield f"{fc}.weight", held[f"{fc}.weight"] * scale
+        yield f"{fc}.bias", ((held[f"{fc}.bias"] - stats[f"{norm}_mean"]) * scale
+                             + held[f"{norm}.beta"])

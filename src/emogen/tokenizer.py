@@ -148,13 +148,19 @@ def encode(piece: MidiPiece, vocab: Vocabulary, steps_per_beat: int = 4,
     return TokenSequence(ids=tuple(ids), max_len=max_len)
 
 
+def step_ticks(steps_per_beat: int) -> int:
+    """The MIDI ticks of one `decode` time step: 480 ticks per beat when
+    `steps_per_beat` divides 480, else 120 ticks per step."""
+    return 480 // steps_per_beat if 480 % steps_per_beat == 0 else 120
+
+
 def decode(tokens: TokenSequence | Iterable[int], vocab: Vocabulary,
            steps_per_beat: int = 4) -> MidiPiece:
     """Decode token IDs into a piece; total over arbitrary integer ID sequences.
     An id that is not an integer, or `steps_per_beat` below 1, is a TokenizerError."""
     check_int("steps_per_beat", steps_per_beat, 1, TokenizerError)
     ids = tokens.ids if isinstance(tokens, TokenSequence) else _int_ids(tokens)
-    ticks_per_step = max(1, 480 // steps_per_beat) if 480 % steps_per_beat == 0 else 120
+    ticks_per_step = step_ticks(steps_per_beat)
     ticks_per_beat = ticks_per_step * steps_per_beat
 
     # every field is in range by construction, so notes skip NoteEvent's checks;

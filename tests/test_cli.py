@@ -208,15 +208,30 @@ class TestTrainGenerate:
     @pytest.mark.parametrize("steps_per_beat", [300, 600])
     def test_generate_division_beyond_smf_exit_2(self, workspace, tmp_path, capsys,
                                                  steps_per_beat):
-        """`decode` gives 36,000 and 72,000 ticks per beat, which no SMF
-        header holds: the piece is refused, typed, and no file is written."""
-        model = EmoModel(ModelConfig.from_dict({**SMALL_MODEL, "steps_per_beat": steps_per_beat}))
-        model.save(tmp_path / "model.emc")
+        """`decode` would give 36,000 and 72,000 ticks per beat, which no SMF
+        header holds: `train` refuses the setting before it trains (exit 1),
+        and `generate` refuses a checkpoint that holds it (exit 2), typed,
+        writing no file."""
+        payload = json.loads((workspace / "run.json").read_text())
+        payload["model"]["steps_per_beat"] = steps_per_beat
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["train", "--config", str(bad), "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error [ConfigError]") and "model.steps_per_beat" in err
+        assert not (tmp_path / "out" / "checkpoint.emc").exists()
+
+        model = EmoModel(ModelConfig.from_dict(SMALL_MODEL))
+        config = {**SMALL_MODEL, "steps_per_beat": steps_per_beat}
+        save_checkpoint(tmp_path / "model.emc", {"kind": "emomodel", "config": config,
+                                                 "vocab_hash": model.vocab.vocab_hash},
+                        model.parameters())
         assert main(["generate", "--image", str(workspace / "img0.emf"), "--checkpoint",
                      str(tmp_path / "model.emc"), "--out", str(tmp_path / "a.mid"),
                      "--max-len", "6"]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error [MalformedPiece]") and "Traceback" not in err
+        assert err.startswith("error [CheckpointCorrupt]") and "Traceback" not in err
+        assert "model.steps_per_beat" in err
         assert not (tmp_path / "a.mid").exists()
 
     def test_generate_overflowing_block_shape_exit_2(self, workspace, tmp_path, capsys):

@@ -9,7 +9,8 @@ import pytest
 
 import emogen
 from emogen.config import DataConfig, MetricConfig, ModelConfig, RunConfig, TrainConfig
-from emogen.errors import ConfigError
+from emogen.errors import ConfigError, MalformedPiece
+from emogen.tokenizer import BOS, Vocabulary, decode
 
 
 DIRECT_TYPE_ERRORS = [
@@ -138,6 +139,21 @@ class TestRanges:
         cfg = ModelConfig(decoder_blocks=0, seed=0, model_dim=1, head_count=1, ff_dim=1,
                           max_len=2, image_size=4)
         assert cfg.vocabulary().total_size > 0
+
+    def test_steps_per_beat_that_no_midi_file_holds(self):
+        """Accepted exactly when `decode` gives a division an SMF header holds
+        (at most 0x7FFF ticks per beat): divisors of 480 and values up to 273."""
+        vocab = Vocabulary()
+        for steps_per_beat in range(1, 1001):
+            try:
+                ModelConfig(steps_per_beat=steps_per_beat)
+            except ConfigError as exc:
+                assert str(exc).startswith(f"model.steps_per_beat {steps_per_beat} gives ")
+                with pytest.raises(MalformedPiece, match="ticks_per_beat"):
+                    decode([BOS], vocab, steps_per_beat)
+                assert steps_per_beat >= 274 and 480 % steps_per_beat
+                continue
+            assert decode([BOS], vocab, steps_per_beat).ticks_per_beat <= 0x7FFF
 
     @pytest.mark.parametrize("cls, section, name, minimum", INT_MINIMUMS,
                              ids=[f"{section}.{name}" for _, section, name, _ in INT_MINIMUMS])

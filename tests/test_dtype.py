@@ -10,7 +10,7 @@ import pytest
 from emogen.config import ModelConfig, RunConfig
 from emogen.errors import ConfigError
 from emogen.model import (IMAGE_FEATURE_DIM, DecoderCache, EmoModel, VaPredictor,
-                          save_checkpoint, write_feature_file)
+                          write_feature_file)
 from emogen.nn import (Tensor, absolute, attention, concat, layer_norm, linear,
                        log_softmax, matmul, no_grad, relu, reshape, softmax, take,
                        tensor_mean, tensor_sum)
@@ -19,6 +19,7 @@ from emogen.tokenizer import BOS, EOS
 from emogen.training import TrainSample, fit
 
 from test_model import cached_logits, small_config
+from test_readers_fuzz import ref_save_checkpoint_v1
 
 
 def _leaf(shape, seed):
@@ -184,9 +185,9 @@ def test_checkpoint_without_dtype_loads_as_float64(tmp_path):
     model = EmoModel(small_config(dtype="float64", seed=7))
     config = asdict(model.config)
     del config["dtype"]
-    save_checkpoint(tmp_path / "old.emc", {"kind": "emomodel", "config": config,
-                                           "vocab_hash": model.vocab.vocab_hash},
-                    model.parameters())
+    ref_save_checkpoint_v1(tmp_path / "old.emc", {"kind": "emomodel", "config": config,
+                                                  "vocab_hash": model.vocab.vocab_hash},
+                           model.parameters())
     loaded = EmoModel.load(tmp_path / "old.emc")
     assert loaded.config.dtype == "float64"
     feature = np.random.default_rng(8).normal(size=IMAGE_FEATURE_DIM)

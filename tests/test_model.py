@@ -1,8 +1,10 @@
+import hashlib
 import struct
 import sys
 import types
 import zlib
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +23,8 @@ from emogen.nn.layers import MASK_VALUE, causal_mask
 from emogen.tokenizer import BOS, EOS, PAD, decode
 from emogen.training import TrainConfig, TrainSample, cce_loss, fit
 
-from test_readers_fuzz import OVERFLOW_CHECKPOINT, TwoBlocks, checkpoint_bytes, read_two_blocks
+from test_readers_fuzz import (OVERFLOW_CHECKPOINT, OVERFLOW_CHECKPOINT_V2, TwoBlocks,
+                               checkpoint_bytes, read_two_blocks, ref_save_checkpoint_v1)
 
 
 def small_config(**overrides):
@@ -29,6 +32,16 @@ def small_config(**overrides):
                 ff_dim=24, max_len=32, time_shift_bins=8, velocity_bins=4, seed=0)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def random_vectors(model, seed):
+    """`model` with every 1-D parameter (bias, gamma, beta) drawn at random:
+    a fresh model's are 0 and 1, which hide a bias added in the wrong place."""
+    rng = np.random.default_rng(seed)
+    for _, param in model.parameters():
+        if param.data.ndim == 1:
+            param.data[...] = rng.normal(size=param.data.shape)
+    return model
 
 
 def cached_logits(model, memory, ids, cache):
@@ -399,7 +412,8 @@ class TestLastRowDecoding:
 
     @pytest.mark.parametrize("n, decoder_blocks, dtype", LAST_ROW_CASES)
     def test_last_row_matches_full_decode(self, decoder_blocks, n, dtype, feature):
-        model = EmoModel(small_config(decoder_blocks=decoder_blocks, dtype=dtype))
+        model = random_vectors(EmoModel(small_config(decoder_blocks=decoder_blocks,
+                                                     dtype=dtype)), n)
         ids = np.random.default_rng(n).integers(0, model.vocab.total_size, size=n)
         with no_grad():
             memory = model.memory(feature)
@@ -413,7 +427,7 @@ class TestLastRowDecoding:
     def test_cached_decode_builds_no_graph(self, decoder_blocks, feature, monkeypatch):
         """With grad enabled and a `memory` that requires grad, cached logits
         are a plain array and no graph node is made on the way."""
-        model = EmoModel(small_config(decoder_blocks=decoder_blocks))
+        model = random_vectors(EmoModel(small_config(decoder_blocks=decoder_blocks)), 1)
         memory = model.memory(feature)
         assert memory.requires_grad
         nodes = []
@@ -437,7 +451,7 @@ FIXED_MODELS = {"default": {}, "two_two": dict(encoder_blocks=2, decoder_blocks=
 
 
 def _fixed_model(name, dtype):
-    model = EmoModel(ModelConfig(seed=3, dtype=dtype, **FIXED_MODELS[name]))
+    model = random_vectors(EmoModel(ModelConfig(seed=3, dtype=dtype, **FIXED_MODELS[name])), 4)
     model.out_proj.bias.data[EOS] = -1e4  # no early stop: every step is compared
     return model
 
@@ -532,9 +546,9 @@ class TestFixedContext:
         assert "context" not in config
         if context is not None:
             config["context"] = context
-        save_checkpoint(tmp_path / "old.emc", {"kind": "emomodel", "config": config,
-                                               "vocab_hash": model.vocab.vocab_hash},
-                        model.parameters())
+        ref_save_checkpoint_v1(tmp_path / "old.emc",
+                               {"kind": "emomodel", "config": config,
+                                "vocab_hash": model.vocab.vocab_hash}, model.parameters())
         loaded = EmoModel.load(tmp_path / "old.emc")
         assert loaded.config == model.config
         ids = np.array([BOS, 5, 140, 270, EOS])
@@ -683,9 +697,9 @@ def _bad_json(tmp_path):
     return path
 
 
-def _format_version_2(tmp_path):
+def _format_version_3(tmp_path):
     path = _model_file(tmp_path)
-    path.write_bytes(path.read_bytes().replace(b'"format_version": 1', b'"format_version": 2'))
+    path.write_bytes(path.read_bytes().replace(b'"format_version": 2', b'"format_version": 3'))
     return path
 
 
@@ -699,7 +713,7 @@ BAD_CHECKPOINTS = {
         tmp, blocks={"out_proj.bias": Tensor(np.zeros(3))})),
         CheckpointCorrupt, r"block out_proj.bias has shape \(3,\)"),
     "directory": (lambda tmp: EmoModel.load(tmp), CheckpointCorrupt, "Is a directory"),
-    "format_version_2": (lambda tmp: EmoModel.load(_format_version_2(tmp)),
+    "format_version_3": (lambda tmp: EmoModel.load(_format_version_3(tmp)),
                          CheckpointCorrupt, "unsupported format version"),
     "metadata_not_json": (lambda tmp: EmoModel.load(_bad_json(tmp)),
                           CheckpointCorrupt, "model.emc: Expecting property name"),
@@ -767,7 +781,7 @@ class TestBatchNormPredictorFiles:
     def test_fold_matches_batch_norm_forward(self, tmp_path, vocab_size, hidden):
         blocks, running = legacy_predictor(vocab_size, hidden, seed=hidden)
         path = tmp_path / "va.emc"
-        save_checkpoint(path, legacy_meta(vocab_size, hidden, running), blocks.items())
+        ref_save_checkpoint_v1(path, legacy_meta(vocab_size, hidden, running), blocks.items())
         loaded = load_va_predictor(path, "x")
         rng = np.random.default_rng(1)
         histograms = np.stack([token_histogram(rng.integers(0, vocab_size, size=n), vocab_size)
@@ -788,15 +802,39 @@ class TestBatchNormPredictorFiles:
         blocks, _ = legacy_predictor(16, 8)
         blocks = {name: block for name, block in blocks.items() if not name.startswith("bn2")}
         path = tmp_path / "va.emc"
-        save_checkpoint(path, dict(legacy_meta(16, 8, None), extra={}), blocks.items())
+        ref_save_checkpoint_v1(path, dict(legacy_meta(16, 8, None), extra={}), blocks.items())
         with pytest.raises(CheckpointCorrupt, match="unexpected block bn1"):
+            load_va_predictor(path, "x")
+
+    @pytest.mark.parametrize("name, shape", [("bn1.gamma", (1,)), ("bn2.beta", (1,)),
+                                             ("fc1.bias", (1,)), ("fc1.weight", (16, 1))])
+    def test_block_of_the_wrong_shape(self, tmp_path, name, shape):
+        """Each would broadcast in the fold; the file is refused instead."""
+        blocks, running = legacy_predictor(16, 8)
+        blocks[name] = Tensor(np.ones(shape))
+        path = tmp_path / "va.emc"
+        ref_save_checkpoint_v1(path, legacy_meta(16, 8, running), blocks.items())
+        with pytest.raises(CheckpointCorrupt, match=rf"block {name} is not \(.*\) finite values"):
+            load_va_predictor(path, "x")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_norm_block_not_finite(self, tmp_path, value):
+        blocks, running = legacy_predictor(16, 8)
+        blocks["bn2.gamma"].data[2] = 1234.5
+        path = tmp_path / "va.emc"
+        ref_save_checkpoint_v1(path, legacy_meta(16, 8, running), blocks.items())
+        # the writer refuses NaN and inf, so the value goes into the written bytes
+        raw = path.read_bytes()
+        assert raw.count(struct.pack("<d", 1234.5)) == 1
+        path.write_bytes(raw.replace(struct.pack("<d", 1234.5), struct.pack("<d", value)))
+        with pytest.raises(CheckpointCorrupt, match=r"block bn2.gamma is not \(8,\) finite"):
             load_va_predictor(path, "x")
 
     def test_running_statistics_without_norm_blocks(self, tmp_path):
         _, running = legacy_predictor(16, 8)
         path = tmp_path / "va.emc"
-        save_checkpoint(path, legacy_meta(16, 8, running),
-                        VaPredictor(16, 8, np.random.default_rng(0)).parameters())
+        ref_save_checkpoint_v1(path, legacy_meta(16, 8, running),
+                               VaPredictor(16, 8, np.random.default_rng(0)).parameters())
         with pytest.raises(CheckpointCorrupt, match="do not match the architecture"):
             load_va_predictor(path, "x")
 
@@ -870,7 +908,7 @@ class TestCheckpoints:
         meta.pop(drop, None)
         meta.update(replace)
         path = tmp_path / "va.emc"
-        save_checkpoint(path, meta, blocks.items())
+        ref_save_checkpoint_v1(path, meta, blocks.items())
         with pytest.raises(CheckpointCorrupt):
             load_va_predictor(path, "x")
 
@@ -936,7 +974,7 @@ class TestCheckpoints:
         saved.w.data = np.arange(6.0).reshape(2, 3)
         save_checkpoint(path, {"kind": "test", "foo": [1, 2]}, saved.parameters())
         meta, loaded = read_two_blocks(path)
-        assert meta["foo"] == [1, 2] and meta["format_version"] == 1
+        assert meta["foo"] == [1, 2] and meta["format_version"] == 2
         assert loaded.w.data.dtype == np.float32
         assert np.array_equal(loaded.w.data, np.arange(6.0).reshape(2, 3))
 
@@ -970,9 +1008,111 @@ class TestCheckpoints:
 
     def test_block_shape_beyond_int64_is_corrupt(self, tmp_path):
         path = tmp_path / "model.emc"
-        path.write_bytes(OVERFLOW_CHECKPOINT)
-        with pytest.raises(CheckpointCorrupt, match="truncated block w"):
+        for raw in (OVERFLOW_CHECKPOINT, OVERFLOW_CHECKPOINT_V2):
+            path.write_bytes(raw)
+            with pytest.raises(CheckpointCorrupt, match="truncated block w"):
+                read_two_blocks(path)
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+# Files that the version-1 writer wrote, each with every parameter drawn from
+# a normal distribution: `EmoModel.save` of `ModelConfig(encoder_blocks=1,
+# decoder_blocks=1, model_dim=4, head_count=2, ff_dim=4, max_len=8,
+# time_shift_bins=1, velocity_bins=1, seed=11, dtype=...)`, and
+# `save_va_predictor` of a `VaPredictor(16, 8)` with vocabulary hash "abcd".
+# Each maps to the `parameter_digest` of what that code's loaders read from it.
+V1_FIXTURES = {
+    "v1_float32.emc": "4ef31b109389b5d3a7dd5b0055ed4c25326d2abc74b3f3df72a24ef306fb4567",
+    "v1_float64.emc": "e4c7737a8cd1ab733bf489f25dba2b1e1581624488ad71f18b38db3e6b14d0ba",
+    "v1_va_predictor.emc": "9f1f7a35b5bb61cde5644123e386e177ad3f5a71d71085f33a79feefae3abe9f",
+}
+
+
+def parameter_digest(module) -> str:
+    """sha256 of each parameter's name, dtype and bytes, in `parameters()` order."""
+    digest = hashlib.sha256()
+    for name, param in module.parameters():
+        digest.update(name.encode() + str(param.data.dtype).encode() + param.data.tobytes())
+    return digest.hexdigest()
+
+
+def _load_fixture(path):
+    return load_va_predictor(path, "abcd") if "va_predictor" in path.name else EmoModel.load(path)
+
+
+class TestFormatVersions:
+    """Version 2 stores each block in its parameter's dtype; version-1 files,
+    every block `<f8`, load as the code that wrote them loaded them."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("name", list(FIXED_MODELS))
+    def test_model_round_trip_is_byte_identical(self, tmp_path, name, dtype):
+        model = _fixed_model(name, dtype)
+        model.save(tmp_path / "model.emc")
+        assert parameter_digest(EmoModel.load(tmp_path / "model.emc")) == parameter_digest(model)
+
+    def test_predictor_round_trip_is_byte_identical(self, tmp_path):
+        predictor = random_vectors(VaPredictor(16, 8, np.random.default_rng(3)), 5)
+        save_va_predictor(tmp_path / "va.emc", predictor, vocab_hash="abcd")
+        loaded = load_va_predictor(tmp_path / "va.emc", "abcd")
+        assert parameter_digest(loaded) == parameter_digest(predictor)
+
+    def test_mixed_dtypes_round_trip(self, tmp_path):
+        def mixed():
+            module = TwoBlocks()
+            module.b.data = np.zeros(2)  # float64 beside the float32 `w`
+            return module
+
+        saved = mixed()
+        saved.w.data[...] = np.arange(6.0).reshape(2, 3) / 3
+        saved.b.data[...] = [1 / 3, -2.5]
+        save_checkpoint(tmp_path / "c.emc", {"kind": "test"}, saved.parameters())
+        raw = (tmp_path / "c.emc").read_bytes()
+        assert raw.count(saved.w.data.astype("<f4").tobytes()) == 1
+        assert raw.count(saved.b.data.astype("<f8").tobytes()) == 1
+        loaded = load_checkpoint(tmp_path / "c.emc", lambda meta: mixed())[1]
+        assert parameter_digest(loaded) == parameter_digest(saved)
+
+    def test_file_size(self, tmp_path):
+        """Half the bytes for float32; one value-size byte more per block for float64."""
+        EmoModel(ModelConfig()).save(tmp_path / "narrow.emc")
+        assert (tmp_path / "narrow.emc").stat().st_size < 4_000_000
+        wide = EmoModel(ModelConfig(dtype="float64"))
+        wide.save(tmp_path / "v2.emc")
+        ref_save_checkpoint_v1(tmp_path / "v1.emc",
+                               {"kind": "emomodel", "config": asdict(wide.config),
+                                "vocab_hash": wide.vocab.vocab_hash, "extra": {}},
+                               wide.parameters())
+        grown = (tmp_path / "v2.emc").stat().st_size - (tmp_path / "v1.emc").stat().st_size
+        assert grown == len(wide.parameters())
+
+    @pytest.mark.parametrize("itemsize", [0, 2, 3, 16, 255])
+    def test_value_size_other_than_4_or_8_is_corrupt(self, tmp_path, itemsize):
+        path = tmp_path / "c.emc"
+        path.write_bytes(checkpoint_bytes(b'{"format_version": 2}', (2, 3), itemsize))
+        with pytest.raises(CheckpointCorrupt, match=f"block w has {itemsize}-byte values"):
             read_two_blocks(path)
+
+    def test_version_1_blocks_read_as_version_2_are_corrupt(self, tmp_path):
+        path = tmp_path / "c.emc"
+        ref_save_checkpoint_v1(path, {"kind": "test"}, TwoBlocks().parameters())
+        path.write_bytes(path.read_bytes().replace(b'"format_version": 1',
+                                                   b'"format_version": 2'))
+        with pytest.raises(CheckpointCorrupt, match="block w has 2-byte values"):
+            read_two_blocks(path)
+
+    @pytest.mark.parametrize("name", list(V1_FIXTURES))
+    def test_version_1_fixture_loads_as_before(self, tmp_path, name):
+        """And saved again, as version 2, it loads to the same bytes."""
+        loaded = _load_fixture(FIXTURES / name)
+        assert parameter_digest(loaded) == V1_FIXTURES[name]
+        if isinstance(loaded, EmoModel):
+            loaded.save(tmp_path / name)
+        else:
+            save_va_predictor(tmp_path / name, loaded, vocab_hash="abcd")
+        assert b'"format_version": 2' in (tmp_path / name).read_bytes()
+        assert parameter_digest(_load_fixture(tmp_path / name)) == V1_FIXTURES[name]
 
 
 def _with_key_biases(model, rng):
@@ -995,9 +1135,9 @@ def _gradient_norms(model, feature):
 def _check_key_bias_checkpoint_loads(tmp_path, feature, dtype):
     model = EmoModel(small_config(decoder_blocks=2, dtype=dtype))
     path = tmp_path / "old.emc"
-    save_checkpoint(path, {"kind": "emomodel", "config": asdict(model.config),
-                           "vocab_hash": model.vocab.vocab_hash},
-                    _with_key_biases(model, np.random.default_rng(22)).items())
+    ref_save_checkpoint_v1(path, {"kind": "emomodel", "config": asdict(model.config),
+                                  "vocab_hash": model.vocab.vocab_hash},
+                           _with_key_biases(model, np.random.default_rng(22)).items())
     loaded = EmoModel.load(path)
     assert [name for name, _ in loaded.parameters()] == [name for name, _ in model.parameters()]
     ids = np.array([BOS, 5, 140, 270, EOS])
@@ -1048,7 +1188,7 @@ class TestKeyBias:
         blocks = _with_key_biases(model, np.random.default_rng(23))
         del blocks[missing]
         path = tmp_path / "old.emc"
-        save_checkpoint(path, {"kind": "emomodel", "config": asdict(model.config),
-                               "vocab_hash": model.vocab.vocab_hash}, blocks.items())
+        ref_save_checkpoint_v1(path, {"kind": "emomodel", "config": asdict(model.config),
+                                      "vocab_hash": model.vocab.vocab_hash}, blocks.items())
         with pytest.raises(CheckpointCorrupt, match="do not match"):
             EmoModel.load(path)

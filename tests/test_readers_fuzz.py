@@ -1,6 +1,7 @@
 """Fuzzed input files: every reader of outside data may only raise `EmogenError`."""
 
 import itertools
+import json
 import struct
 
 import numpy as np
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from emogen.errors import EmogenError
+from emogen._files import write_atomic
+from emogen.errors import EmogenError, NonFiniteError
 from emogen.model import (CHECKPOINT_MAGIC, IMAGE_FEATURE_DIM, load_checkpoint,
                           read_feature_file, save_checkpoint, write_feature_file)
 from emogen.nn import Module, Parameter
@@ -18,21 +20,47 @@ FUZZ = settings(max_examples=150, deadline=None)
 DEEP = 100_000  # JSON nesting far past the interpreter's recursion limit
 
 
-def checkpoint_bytes(meta: bytes, shape: tuple[int, ...]) -> bytes:
+# --- reference: the version-1 writer, which wrote every checkpoint before
+# version 2; the reader still reads its files ---
+
+def ref_save_checkpoint_v1(path, meta: dict, named_params) -> None:
+    payload = json.dumps(dict(meta, format_version=1), sort_keys=True).encode()
+    write_atomic(path, ref_checkpoint_chunks_v1(payload, named_params))
+
+
+def ref_checkpoint_chunks_v1(payload: bytes, named_params):
+    yield CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload
+    named = list(named_params)
+    yield struct.pack("<I", len(named))
+    for name, param in named:
+        encoded = name.encode()
+        arr = np.ascontiguousarray(param.data, dtype="<f8")
+        if not np.isfinite(arr).all():
+            raise NonFiniteError(f"block {name} holds NaN or inf values; no checkpoint written")
+        yield struct.pack("<H", len(encoded)) + encoded
+        yield struct.pack("<B", arr.ndim)
+        yield struct.pack(f"<{arr.ndim}I", *arr.shape)
+        yield arr.tobytes()
+
+
+def checkpoint_bytes(meta: bytes, shape: tuple[int, ...], itemsize: int | None = None) -> bytes:
     """A container holding `meta` and one block "w" that claims `shape` but has
-    no values."""
+    no values; with `itemsize`, its header has version 2's value-size byte."""
+    size_byte = b"" if itemsize is None else struct.pack("<B", itemsize)
     return (CHECKPOINT_MAGIC + struct.pack("<I", len(meta)) + meta + struct.pack("<I", 1)
-            + struct.pack("<H", 1) + b"w" + struct.pack("<B", len(shape))
+            + struct.pack("<H", 1) + b"w" + size_byte + struct.pack("<B", len(shape))
             + struct.pack(f"<{len(shape)}I", *shape))
 
 
 # (65536,)*4 holds 2**64 values, a count np.prod wraps to 0
 OVERFLOW_CHECKPOINT = checkpoint_bytes(b'{"format_version": 1, "kind": "emomodel"}',
                                        (65536,) * 4)
+OVERFLOW_CHECKPOINT_V2 = checkpoint_bytes(b'{"format_version": 2, "kind": "emomodel"}',
+                                          (65536,) * 4, 4)
 
 
 class TwoBlocks(Module):
-    """The parameters `valid_checkpoint` holds, in float32, so the reader
+    """The parameters `valid_checkpoints` hold, in float32, so the reader
     checks, casts and assigns every block of a fuzzed copy that keeps them."""
 
     def __init__(self):
@@ -85,11 +113,14 @@ def scratch(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
-def valid_checkpoint(scratch) -> bytes:
-    path = scratch / "valid.emc"
-    save_checkpoint(path, {"kind": "test", "nested": {"a": [1, 2.5]}},
-                    [("w", Parameter(np.arange(6.0).reshape(2, 3))), ("b", Parameter(np.ones(2)))])
-    return path.read_bytes()
+def valid_checkpoints(scratch) -> dict[int, bytes]:
+    """A valid file of each format version; the version-2 file holds a
+    float32 block and a float64 one."""
+    blocks = [("w", Parameter(np.arange(6.0, dtype=np.float32).reshape(2, 3))),
+              ("b", Parameter(np.ones(2)))]
+    for version, save in ((1, ref_save_checkpoint_v1), (2, save_checkpoint)):
+        save(scratch / f"valid{version}.emc", {"kind": "test", "nested": {"a": [1, 2.5]}}, blocks)
+    return {version: (scratch / f"valid{version}.emc").read_bytes() for version in (1, 2)}
 
 
 @pytest.fixture(scope="module")
@@ -100,12 +131,16 @@ def valid_feature(scratch) -> bytes:
 
 
 @FUZZ
-@given(file=FILES)
-@example(file=("raw", OVERFLOW_CHECKPOINT))
-@example(file=("raw", checkpoint_bytes(b'{"format_version": 1}', (1,) * 65)))  # > numpy's 64
-@example(file=("raw", checkpoint_bytes(b"[" * DEEP + b"]" * DEEP, (1,))))
-def test_load_checkpoint(scratch, valid_checkpoint, file):
-    raw = _file_bytes(file, valid_checkpoint)
+@given(file=FILES, version=st.sampled_from([1, 2]))
+@example(file=("raw", OVERFLOW_CHECKPOINT), version=1)
+@example(file=("raw", OVERFLOW_CHECKPOINT_V2), version=2)
+@example(file=("raw", checkpoint_bytes(b'{"format_version": 1}', (1,) * 65)), version=1)  # > 64
+@example(file=("raw", checkpoint_bytes(b'{"format_version": 2}', (1,) * 65, 8)), version=2)
+@example(file=("raw", checkpoint_bytes(b'{"format_version": 2}', (1,), 3)), version=2)
+@example(file=("raw", checkpoint_bytes(b"[" * DEEP + b"]" * DEEP, (1,))), version=1)
+def test_load_checkpoint(scratch, valid_checkpoints, file, version):
+    """Raw bytes, or a valid file of `version` cut and edited."""
+    raw = _file_bytes(file, valid_checkpoints[version])
     if file[0] == "raw" and not raw.startswith(CHECKPOINT_MAGIC):
         raw = CHECKPOINT_MAGIC + raw  # get past the magic check
     _only_typed_errors(read_two_blocks, scratch, raw)

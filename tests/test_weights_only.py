@@ -3,7 +3,8 @@ build casts each weight as it is drawn, a load draws nothing and copies one
 block at a time into the weights, and Adam allocates the moments on its first
 step. The whole-model constructor and the whole-file reader these replaced
 are kept here as the references, and each pair must give the same parameter
-bytes. A training step's backward releases each graph node once it has
+bytes; that reader reads version-1 files, which `ref_save_checkpoint_v1`
+writes. A training step's backward releases each graph node once it has
 passed the node's gradient on, which bounds the step's peak."""
 
 import json
@@ -18,13 +19,13 @@ import pytest
 from emogen.config import ModelConfig
 from emogen.errors import CheckpointCorrupt
 from emogen.model import (CHECKPOINT_MAGIC, IMAGE_FEATURE_DIM, Block, EmoModel,
-                          TinyCnnExtractor, VaPredictor, load_va_predictor, save_checkpoint,
-                          save_va_predictor)
+                          TinyCnnExtractor, VaPredictor, load_va_predictor, save_checkpoint)
 from emogen.nn import Embedding, FeedForward, Linear, Tensor, sinusoidal_positions
 from emogen.tokenizer import BOS, EOS
 from emogen.training import TrainConfig, TrainSample, fit
 
 from test_model import _with_key_biases, legacy_meta, legacy_predictor, small_config
+from test_readers_fuzz import ref_save_checkpoint_v1
 
 MB = 1 << 20
 SHAPES = {"default": {}, "2+2": {"encoder_blocks": 2, "decoder_blocks": 2},
@@ -113,6 +114,11 @@ def _forbid_draws(monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", draw)
 
 
+def _model_meta(model):
+    return {"kind": "emomodel", "config": asdict(model.config),
+            "vocab_hash": model.vocab.vocab_hash, "extra": {}}
+
+
 def _samples(n=2, seed=24):
     rng = np.random.default_rng(seed)
     return [TrainSample(rng.normal(size=IMAGE_FEATURE_DIM), [BOS, 5, 140, 9, EOS])
@@ -137,7 +143,8 @@ def test_build_matches_whole_model_draw_then_cast(shape, dtype):
 def test_load_matches_whole_file_reader_in_every_shape(tmp_path, monkeypatch, shape, dtype):
     config = small_config(**SHAPES[shape], dtype=dtype, image_size=8, seed=7)
     path = tmp_path / "model.emc"
-    EmoModel(config).save(path)
+    model = EmoModel(config)
+    ref_save_checkpoint_v1(path, _model_meta(model), model.parameters())
     reference = ref_build(config)
     ref_assign_blocks(reference, ref_load_checkpoint(path)[1])
     _forbid_draws(monkeypatch)
@@ -153,8 +160,7 @@ def test_streamed_load_matches_whole_file_reader(tmp_path, dtype, key_biases):
     path = tmp_path / "model.emc"
     blocks = (_with_key_biases(model, np.random.default_rng(9)).items() if key_biases
               else model.parameters())
-    save_checkpoint(path, {"kind": "emomodel", "config": asdict(model.config),
-                           "vocab_hash": model.vocab.vocab_hash}, blocks)
+    ref_save_checkpoint_v1(path, _model_meta(model), blocks)
     meta, ref_blocks = ref_load_checkpoint(path)
     reference = EmoModel(model.config)
     ref_assign_blocks(reference, ref_blocks)
@@ -165,7 +171,8 @@ def test_streamed_load_matches_whole_file_reader(tmp_path, dtype, key_biases):
 def test_streamed_va_predictor_matches_whole_file_reader(tmp_path, monkeypatch):
     predictor = VaPredictor(16, 8, np.random.default_rng(3))
     path = tmp_path / "va.emc"
-    save_va_predictor(path, predictor, vocab_hash="abcd")
+    ref_save_checkpoint_v1(path, {"kind": "va_predictor", "vocab_hash": "abcd", "vocab_size": 16,
+                                  "hidden": 8, "extra": {}}, predictor.parameters())
     reference = VaPredictor(16, 8, np.random.default_rng(0))
     ref_assign_blocks(reference, ref_load_checkpoint(path)[1])
     _forbid_draws(monkeypatch)
@@ -177,7 +184,7 @@ def test_streamed_batch_norm_predictor_matches_whole_file_reader(tmp_path, monke
     blocks, as `s = gamma / sqrt(var + 1e-5)`, `W * s` and `(b - mean) * s + beta`."""
     blocks, running = legacy_predictor(16, 8)
     path = tmp_path / "va.emc"
-    save_checkpoint(path, legacy_meta(16, 8, running), blocks.items())
+    ref_save_checkpoint_v1(path, legacy_meta(16, 8, running), blocks.items())
     _, whole = ref_load_checkpoint(path)
     for fc, norm in (("fc1", "bn1"), ("fc2", "bn2")):
         scale = whole[f"{norm}.gamma"] / np.sqrt(np.array(running[f"{norm}_var"]) + 1e-5)
@@ -262,10 +269,13 @@ def test_default_model_build_keeps_its_weights_only():
 
 
 def test_default_model_load_peak(tmp_path):
-    path = tmp_path / "model.emc"
-    EmoModel(ModelConfig()).save(path)
-    _, _, peak = _traced(lambda: EmoModel.load(path))
-    assert peak <= 6 * MB  # the weights, plus one float64 block of the ~8 MB file at a time
+    """A version-2 file and a version-1 one, whose blocks are all float64."""
+    model = EmoModel(ModelConfig())
+    model.save(tmp_path / "v2.emc")
+    ref_save_checkpoint_v1(tmp_path / "v1.emc", _model_meta(model), model.parameters())
+    for name in ("v2.emc", "v1.emc"):
+        _, _, peak = _traced(lambda: EmoModel.load(tmp_path / name))
+        assert peak <= 6 * MB, name  # the weights, plus one block of the file at a time
 
 
 def test_default_model_train_step_peak():
