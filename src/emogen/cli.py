@@ -74,7 +74,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_train)
 
     p = sub.add_parser("generate", help="generate a MIDI file from an image")
-    p.add_argument("--image", required=True, help="image file or .emf feature file")
+    p.add_argument("--image", required=True, help=".emf feature file of the image")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", required=True, help="output .mid path")
     p.add_argument("--strategy", choices=["greedy", "temperature"], default="greedy")

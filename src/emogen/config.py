@@ -86,20 +86,14 @@ class ModelConfig:
     time_shift_bins: int = 100
     velocity_bins: int = 32
     steps_per_beat: int = 4
-    image_extractor: str = "precomputed"  # or "tiny-cnn"
-    image_size: int = 32
     va_hidden: int = 64
     seed: int = 0
     dtype: str = "float32"  # or "float64"
 
     def __post_init__(self):
         _check_fields(self, "model")
-        if self.image_extractor not in ("precomputed", "tiny-cnn"):
-            raise ConfigError(f"unknown image_extractor {self.image_extractor!r}")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be 'float32' or 'float64', got {self.dtype!r}")
-        if self.image_size % 4 != 0:
-            raise ConfigError("image_size must be divisible by 4 (two 2x2 pools)")
         if self.model_dim % self.head_count != 0:
             raise ConfigError(f"model_dim {self.model_dim} not divisible by "
                               f"{self.head_count} heads")

@@ -28,8 +28,8 @@ def load_training_samples(data_cfg: DataConfig, model_cfg: ModelConfig,
     """Resolve manifest pairs of a split into tokenized TrainSamples.
 
     MIDI payloads are parsed and encoded with the model vocabulary; image
-    payloads stay as paths (feature files or images) and are resolved by
-    the model's extractor at forward time.
+    payloads stay as `.emf` feature-file paths, read by the model at forward
+    time.
     """
     split = split if split is not None else data_cfg.split
     for field_name in ("manifest", "midi_catalog", "image_catalog"):

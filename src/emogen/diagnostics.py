@@ -11,8 +11,8 @@ import numpy as np
 
 from .config import ModelConfig
 from .model import Block, EmoModel, VaPredictor
-from .nn import (Conv2d, Embedding, GradCheckReport, LayerNorm, Linear, MultiHeadAttention,
-                 Tensor, avg_pool2d, global_avg_pool, gradcheck, softmax, tensor_sum)
+from .nn import (Embedding, GradCheckReport, LayerNorm, Linear, MultiHeadAttention, Tensor,
+                 gradcheck, softmax, tensor_sum)
 from .training import cce_loss, va_loss
 from .tokenizer import BOS, EOS
 
@@ -38,8 +38,6 @@ def standard_gradchecks(tolerance: float = 1e-4) -> dict[str, GradCheckReport]:
     predictor = VaPredictor(vocab_size, 8, rng)
     va_logits = Tensor(rng.normal(size=(seq_len, vocab_size)), requires_grad=True)
     true_ids = probe.integers(0, vocab_size, size=seq_len)
-    conv = Conv2d(2, 3, rng)
-    image = Tensor(rng.normal(size=(2, 4, 4)), requires_grad=True)
 
     def on_input(module):
         return module.parameters() + [("input", x)]
@@ -50,8 +48,6 @@ def standard_gradchecks(tolerance: float = 1e-4) -> dict[str, GradCheckReport]:
         "layer_norm": (lambda: _weighted_sum(norm(x), 3), on_input(norm)),
         "attention": (lambda: _weighted_sum(mha(x), 5), on_input(mha)),
         "decoder_block": (lambda: _weighted_sum(decoder(x), 7), on_input(decoder)),
-        "conv2d": (lambda: _weighted_sum(global_avg_pool(avg_pool2d(conv(image))), 8),
-                   conv.parameters() + [("input", image)]),
         "cce": (lambda: cce_loss(logits, targets), [("logits", logits)]),
         "soft_va_loss": (lambda: va_loss(true_ids, softmax(va_logits), predictor,
                                          mode="soft"), [("logits", va_logits)]),

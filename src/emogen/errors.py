@@ -82,11 +82,7 @@ class ShapeMismatch(EmogenError):
 
 
 class BadFeatureFile(EmogenError):
-    """Precomputed image-feature file has wrong magic or length."""
-
-
-class BadImage(EmogenError):
-    """Image file could not be decoded."""
+    """Image-feature file or vector has wrong magic, shape or values."""
 
 
 class VocabMismatch(EmogenError):
@@ -114,7 +110,7 @@ class CatalogTooSmall(EmogenError):
 
 
 class MissingArtifacts(EmogenError):
-    """A run input (manifest, MIDI, features, weights) or Pillow cannot be resolved."""
+    """A run input (manifest, MIDI, features, weights) cannot be resolved."""
 
 
 class ConfigError(EmogenError):

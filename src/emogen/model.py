@@ -1,17 +1,17 @@
 """Image-conditioned MIDI sequence model, its VA predictor and file formats.
 
-The image feature (a precomputed 512-d vector or the tiny CNN's output) is
-projected to `model_dim` and concatenated with the MIDI context: the mean of
-the encoder blocks' output over the one input [BOS]. `mem_proj` maps the
-pair to the memory row, which the causal decoder blocks see as position 0
-(or which is added to every position when there are no decoder blocks); the
-vocabulary head reads the decoder's rows. Generation caches each decoder
-block's keys and values, so a step decodes one row; that cached step runs
-forward only, on plain arrays through the graph ops' own forward kernels
-(`nn.affine`, `nn.normalize`, and `nn.attend_heads` over the cache's
-`nn.split_heads` views), so its logits are the same bytes as the graph's.
-Its biases, gammas and betas are (1, n) row views built once per piece, so
-a one-row step combines operands of one shape.
+The image feature, a 512-d vector that a pretrained CNN computed outside this
+package and wrote to an `.emf` file, is projected to `model_dim` and
+concatenated with the MIDI context: the mean of the encoder blocks' output
+over the one input [BOS]. `mem_proj` maps the pair to the memory row, which
+the causal decoder blocks see as position 0 (or which is added to every
+position when there are no decoder blocks); the vocabulary head reads the
+decoder's rows. Generation caches each decoder block's keys and values, so a
+step decodes one row; that cached step runs forward only, on plain arrays
+through the graph ops' own forward kernels (`nn.affine`, `nn.normalize`, and
+`nn.attend_heads` over the cache's `nn.split_heads` views), so its logits are
+the same bytes as the graph's. Its biases, gammas and betas are (1, n) row
+views built once per piece, so a one-row step combines operands of one shape.
 """
 
 from __future__ import annotations
@@ -26,11 +26,10 @@ import numpy as np
 
 from ._files import write_atomic
 from .config import ModelConfig
-from .errors import (BadFeatureFile, BadImage, CheckpointCorrupt, ConfigError, MissingArtifacts,
-                     NonFiniteError, PrefixTooLong, VocabMismatch, check_int, check_positive)
-from .nn import (Conv2d, Embedding, FeedForward, LayerNorm, Linear, Module,
-                 MultiHeadAttention, Tensor, affine, attend_heads, avg_pool2d, concat,
-                 global_avg_pool, no_grad, normalize, relu, reshape,
+from .errors import (BadFeatureFile, CheckpointCorrupt, ConfigError, NonFiniteError,
+                     PrefixTooLong, VocabMismatch, check_int, check_positive)
+from .nn import (Embedding, FeedForward, LayerNorm, Linear, Module, MultiHeadAttention, Tensor,
+                 affine, attend_heads, concat, no_grad, normalize, relu, reshape,
                  sinusoidal_positions, softmax, split_heads, take, tensor_mean)
 from .nn.layers import _token_ids, causal_mask
 from .pairing import VA_MAX, VA_MIN, VaPoint
@@ -45,9 +44,10 @@ CHECKPOINT_MAGIC = b"EMGCKPT1"
 # --- image features ---
 
 def validate_feature(vector: np.ndarray) -> np.ndarray:
-    vector = np.asarray(vector, dtype=np.float64).reshape(-1)
-    if vector.shape[0] != IMAGE_FEATURE_DIM:
-        raise BadFeatureFile(f"expected {IMAGE_FEATURE_DIM} values, got {vector.shape[0]}")
+    vector = np.asarray(vector, dtype=np.float64)
+    if vector.shape != (IMAGE_FEATURE_DIM,):
+        raise BadFeatureFile(f"expected a vector of {IMAGE_FEATURE_DIM} values, got shape "
+                             f"{vector.shape}")
     if not np.isfinite(vector).all():
         raise BadFeatureFile("non-finite value in image feature")
     return vector
@@ -75,37 +75,6 @@ def read_feature_file(path: str | Path) -> np.ndarray:
         raise BadFeatureFile(f"{path}: expected {expected} payload bytes, got {len(payload)}")
     vector = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     return validate_feature(vector)
-
-
-def load_image(path: str | Path, size: int) -> np.ndarray:
-    """Decode an image file to a (3, size, size) float array in [0, 1]."""
-    with open(path, "rb") as fh:  # a missing file is FileNotFoundError, Pillow or not
-        try:
-            from PIL import Image
-        except ImportError as exc:
-            raise MissingArtifacts(f"{path}: decoding an image needs Pillow") from exc
-        try:
-            with Image.open(fh) as img:
-                rgb = img.convert("RGB").resize((size, size))
-        except Exception as exc:
-            raise BadImage(f"{path}: {exc}") from exc
-    arr = np.asarray(rgb, dtype=np.float64) / 255.0
-    return arr.transpose(2, 0, 1)
-
-
-class TinyCnnExtractor(Module):
-    """Three conv blocks then global average pooling down to 512 features."""
-
-    def __init__(self, rng: np.random.Generator):
-        self.conv1 = Conv2d(3, 16, rng)
-        self.conv2 = Conv2d(16, 64, rng)
-        self.conv3 = Conv2d(64, IMAGE_FEATURE_DIM, rng)
-
-    def __call__(self, image: Tensor) -> Tensor:
-        x = avg_pool2d(relu(self.conv1(image)))
-        x = avg_pool2d(relu(self.conv2(x)))
-        x = relu(self.conv3(x))
-        return global_avg_pool(x)  # (512,)
 
 
 # --- transformer blocks ---
@@ -275,7 +244,6 @@ class EmoModel(Module):
         rng = _Draws(self.dtype, rng)
         d, heads = config.model_dim, config.head_count
 
-        self.extractor = TinyCnnExtractor(rng) if config.image_extractor == "tiny-cnn" else None
         self.embedding = Embedding(self.vocab.total_size, d, rng)
         self.encoder_stack = [Block(d, heads, config.ff_dim, rng)
                               for _ in range(config.encoder_blocks)]
@@ -296,21 +264,10 @@ class EmoModel(Module):
     # --- encoders ---
 
     def image_feature(self, source) -> Tensor:
-        """512-d image feature from an image array, feature vector, or file path."""
+        """The 512-d image feature of an `.emf` file path or a 1-D feature vector."""
         if isinstance(source, (str, Path)):
-            path = Path(source)
-            if path.suffix == ".emf" or self.extractor is None:
-                return Tensor(read_feature_file(path), dtype=self.dtype)
-            arr = load_image(path, self.config.image_size)
-        else:
-            arr = np.asarray(source, dtype=np.float64)
-            if arr.ndim == 1:
-                return Tensor(validate_feature(arr), dtype=self.dtype)
-            if self.extractor is None:
-                raise BadImage("raw image given but the extractor is 'precomputed'")
-            if arr.ndim != 3 or arr.size == 0:
-                raise BadImage(f"expected a feature vector or a (3, H, W) image, got {arr.shape}")
-        return self.extractor(Tensor(arr, dtype=self.dtype))
+            return Tensor(read_feature_file(source), dtype=self.dtype)
+        return Tensor(validate_feature(source), dtype=self.dtype)
 
     def encode_midi(self, ids) -> Tensor:
         """Embed, run the encoder stack, mean-pool over the positions."""
@@ -454,13 +411,13 @@ def load_va_predictor(path: str | Path, vocab_hash: str) -> VaPredictor:
 # --- checkpoint container ---
 
 def save_checkpoint(path: str | Path, meta: dict, named_params) -> None:
-    """Versioned binary container: magic, JSON metadata (`format_version` 2),
+    """Versioned binary container: magic, JSON metadata (`format_version` 3),
     named LE blocks, each `<f4` if its parameter is float32, else `<f8`.
 
     Written atomically: a failure part-way, such as a block holding NaN or
     inf (`NonFiniteError`), leaves any earlier checkpoint at `path` untouched.
     """
-    payload = json.dumps(dict(meta, format_version=2), sort_keys=True).encode()
+    payload = json.dumps(dict(meta, format_version=3), sort_keys=True).encode()
 
     def chunks():
         yield CHECKPOINT_MAGIC + struct.pack("<I", len(payload)) + payload
@@ -480,7 +437,7 @@ def save_checkpoint(path: str | Path, meta: dict, named_params) -> None:
 
 
 def load_checkpoint(path: str | Path, build) -> tuple[dict, Module]:
-    """Read the checkpoint at `path`, through `_upgrade_v1` if version 1, into
+    """Read the checkpoint at `path`, through `_upgrade` if version 1 or 2, into
     the module `build(meta)` returns; return the metadata and the module.
 
     The blocks are read one at a time, each checked and copied into its
@@ -498,7 +455,7 @@ def load_checkpoint(path: str | Path, build) -> tuple[dict, Module]:
         for _ in range(count):
             (name_len,) = struct.unpack("<H", fh.read(2))
             name = fh.read(name_len).decode()
-            (itemsize,) = struct.unpack("<B", fh.read(1)) if version == 2 else (8,)
+            (itemsize,) = struct.unpack("<B", fh.read(1)) if version > 1 else (8,)
             if itemsize not in (4, 8):
                 raise CheckpointCorrupt(f"{path}: block {name} has {itemsize}-byte values")
             (ndim,) = struct.unpack("<B", fh.read(1))
@@ -529,9 +486,9 @@ def load_checkpoint(path: str | Path, build) -> tuple[dict, Module]:
         except (ValueError, RecursionError) as exc:
             raise CheckpointCorrupt(f"{path}: {exc}") from exc
         version = meta.get("format_version") if isinstance(meta, dict) else None
-        if version not in (1, 2):
+        if version not in (1, 2, 3):
             raise CheckpointCorrupt(f"{path}: unsupported format version")
-        blocks = _upgrade_v1(meta, read_blocks()) if version == 1 else read_blocks()
+        blocks = read_blocks() if version == 3 else _upgrade(meta, read_blocks(), version)
         module = build(meta)
         params = dict(module.parameters())
         count = 0
@@ -550,7 +507,7 @@ def load_checkpoint(path: str | Path, build) -> tuple[dict, Module]:
                                             f"finite as {param.data.dtype}")
                 count += 1
         # ValueError: a name that is not UTF-8, or a version-1 layout that
-        # `_upgrade_v1` cannot convert
+        # `_upgrade` cannot convert
         except (struct.error, ValueError) as exc:
             raise CheckpointCorrupt(f"{path}: {exc}") from exc
         if count != len(params):
@@ -560,15 +517,27 @@ def load_checkpoint(path: str | Path, build) -> tuple[dict, Module]:
     return meta, module
 
 
-def _upgrade_v1(meta: dict, blocks):
-    """`blocks` of a version-1 file in the current layout, `meta` upgraded in
-    place: the one place that knows older layouts. A model config without
-    `dtype` is float64; a `context` key is dropped (every model encodes
-    [BOS]); `*.attn.wk.bias` blocks are dropped (softmax cancels a bias on
-    every key); a VA predictor's batch norms (`extra.running`) are folded."""
-    if isinstance(meta.get("config"), dict):
-        meta["config"] = {"dtype": "float64", **meta["config"]}
-        meta["config"].pop("context", None)
+def _upgrade(meta: dict, blocks, version: int):
+    """`blocks` of a version-1 or version-2 file in the current layout, `meta`
+    upgraded in place: the one place that knows older layouts.
+
+    Both versions: a model config whose `image_extractor` is "precomputed"
+    loses that key and `image_size`, which such a model never read; any other
+    extractor keeps them, and the config parser refuses them. Version 1 also:
+    a model config without `dtype` is float64; a `context` key is dropped
+    (every model encodes [BOS]); `*.attn.wk.bias` blocks are dropped (softmax
+    cancels a bias on every key); a VA predictor's batch norms
+    (`extra.running`) are folded."""
+    config = meta.get("config")
+    if isinstance(config, dict):
+        if config.get("image_extractor") == "precomputed":
+            del config["image_extractor"]
+            config.pop("image_size", None)
+        if version == 1:
+            config.setdefault("dtype", "float64")
+            config.pop("context", None)
+    if version > 1:
+        return blocks
     blocks = ((name, block) for name, block in blocks if not name.endswith(".attn.wk.bias"))
     extra = meta.get("extra")
     if meta.get("kind") == "va_predictor" and isinstance(extra, dict) and "running" in extra:

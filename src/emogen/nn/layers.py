@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeMismatch, VocabMismatch
+from ..errors import VocabMismatch
 from .optim import Parameter
-from .tensor import (Tensor, attention, layer_norm, linear, matmul, relu, reshape, take,
-                     tensor_mean)
+from .tensor import Tensor, attention, layer_norm, linear, relu, take
 from .tensor import softmax  # noqa: F401  # not called here; perfbench/tracing.py patches this name
 
 MASK_VALUE = -1e30  # additive attention mask; exp() underflows to exactly 0
@@ -137,55 +136,6 @@ class FeedForward(Module):
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(relu(self.fc1(x)))
-
-
-# --- convolution (im2col via gather, so backward comes from the graph) ---
-
-def _pad2d(x: Tensor) -> Tensor:
-    data = np.pad(x.data, ((0, 0), (1, 1), (1, 1)))
-
-    def backward(grad):
-        if x.requires_grad:
-            x._accumulate(grad[:, 1:-1, 1:-1])
-
-    return Tensor._result(data, (x,), backward)
-
-
-class Conv2d(Module):
-    """3x3 conv on (C, H, W) maps, stride 1, zero padding of 1: (C', H, W) out."""
-
-    def __init__(self, in_channels: int, out_channels: int, rng: np.random.Generator):
-        fan_in = in_channels * 9
-        self.weight = Parameter(_uniform_init(rng, fan_in, (out_channels, fan_in)))
-        self.bias = Parameter(np.zeros(out_channels))
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-
-    def __call__(self, x: Tensor) -> Tensor:
-        c, h, w = x.shape
-        if c != self.in_channels:
-            raise ShapeMismatch(f"conv expects {self.in_channels} channels, got {c}")
-        ci, ki, kj = np.meshgrid(np.arange(c), np.arange(3), np.arange(3), indexing="ij")
-        oi, oj = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-        rows = ki.reshape(-1, 1) + oi.reshape(1, -1)
-        cols = kj.reshape(-1, 1) + oj.reshape(1, -1)
-        chans = np.broadcast_to(ci.reshape(-1, 1), rows.shape)
-
-        patches = take(_pad2d(x), (chans, rows, cols))  # (C*9, H*W)
-        out = matmul(self.weight, patches) + reshape(self.bias, (self.out_channels, 1))
-        return reshape(out, (self.out_channels, h, w))
-
-
-def avg_pool2d(x: Tensor) -> Tensor:
-    c, h, w = x.shape
-    if h % 2 or w % 2:
-        raise ShapeMismatch(f"pooling size 2 does not divide {(h, w)}")
-    windows = reshape(x, (c, h // 2, 2, w // 2, 2))
-    return tensor_mean(windows, axis=(2, 4))
-
-
-def global_avg_pool(x: Tensor) -> Tensor:
-    return tensor_mean(x, axis=(1, 2))
 
 
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:

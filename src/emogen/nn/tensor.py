@@ -208,23 +208,6 @@ def absolute(a) -> Tensor:
 
 # --- linear algebra and shape ---
 
-def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a, b), _as_tensor(b, a)
-    if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
-        raise ShapeMismatch(f"matmul {a.data.shape} @ {b.data.shape}")
-    data = a.data @ b.data
-
-    def backward(grad):
-        if a.requires_grad:
-            ga = grad @ np.swapaxes(b.data, -1, -2) if b.data.ndim > 1 else np.outer(grad, b.data)
-            a._accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = np.swapaxes(a.data, -1, -2) @ grad if a.data.ndim > 1 else np.outer(a.data, grad)
-            b._accumulate(_unbroadcast(gb, b.data.shape))
-
-    return Tensor._result(data, (a, b), backward)
-
-
 def reshape(a, shape) -> Tensor:
     a = _as_tensor(a)
     data = a.data.reshape(shape)

@@ -31,9 +31,9 @@ from .tokenizer import PAD
 
 @dataclass
 class TrainSample:
-    """One image/MIDI pair: a 512-d feature (or raw image) plus token IDs."""
+    """One image/MIDI pair: a 512-d image feature plus token IDs."""
 
-    image: object  # np.ndarray feature or image, or a path
+    image: object  # np.ndarray feature vector, or an `.emf` path
     token_ids: Sequence[int]
     pair_id: str = ""
 

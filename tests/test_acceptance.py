@@ -151,7 +151,7 @@ def test_gradient_checks():
     start = time.perf_counter()
     reports = standard_gradchecks(tolerance=1e-4)
     required = {"linear", "embedding", "layer_norm", "attention",
-                "decoder_block", "conv2d", "cce", "soft_va_loss"}
+                "decoder_block", "cce", "soft_va_loss"}
     assert required <= set(reports)
     for name, report in reports.items():
         assert report.passed, f"{name}: worst rel err {report.worst:.3e}"

@@ -116,7 +116,7 @@ INT_MINIMUMS = [
     *[(ModelConfig, "model", name, minimum) for name, minimum in (
         ("encoder_blocks", 1), ("decoder_blocks", 0), ("model_dim", 1), ("head_count", 1),
         ("ff_dim", 1), ("max_len", 2), ("time_shift_bins", 1), ("velocity_bins", 1),
-        ("steps_per_beat", 1), ("image_size", 1), ("va_hidden", 1), ("seed", 0))],
+        ("steps_per_beat", 1), ("va_hidden", 1), ("seed", 0))],
     (TrainConfig, "train", "epochs", 1), (TrainConfig, "train", "batch_size", 1),
     (TrainConfig, "train", "seed", 0),
     (MetricConfig, "metrics", "steps_per_beat", 1),
@@ -128,7 +128,7 @@ class TestRanges:
     @pytest.mark.parametrize("kwargs", [
         {"model_dim": -16, "head_count": 2}, {"head_count": 0}, {"ff_dim": 0},
         {"encoder_blocks": 0}, {"decoder_blocks": -1}, {"time_shift_bins": 0},
-        {"velocity_bins": 0}, {"steps_per_beat": 0}, {"image_size": 0},
+        {"velocity_bins": 0}, {"steps_per_beat": 0}, {"model_dim": 6, "head_count": 4},
         {"va_hidden": 0}, {"max_len": 1},
     ])
     def test_model_sizes(self, kwargs):
@@ -137,7 +137,7 @@ class TestRanges:
 
     def test_model_edge_values_accepted(self):
         cfg = ModelConfig(decoder_blocks=0, seed=0, model_dim=1, head_count=1, ff_dim=1,
-                          max_len=2, image_size=4)
+                          max_len=2)
         assert cfg.vocabulary().total_size > 0
 
     def test_steps_per_beat_that_no_midi_file_holds(self):

@@ -12,12 +12,13 @@ from emogen.errors import ConfigError
 from emogen.model import (IMAGE_FEATURE_DIM, DecoderCache, EmoModel, VaPredictor,
                           write_feature_file)
 from emogen.nn import (Tensor, absolute, attention, concat, layer_norm, linear,
-                       log_softmax, matmul, no_grad, relu, reshape, softmax, take,
+                       log_softmax, no_grad, relu, reshape, softmax, take,
                        tensor_mean, tensor_sum)
 from emogen.nn.layers import MASK_VALUE
 from emogen.tokenizer import BOS, EOS
 from emogen.training import TrainSample, fit
 
+from test_fused import matmul
 from test_model import cached_logits, small_config
 from test_readers_fuzz import ref_save_checkpoint_v1
 
@@ -137,13 +138,11 @@ def test_generate_stays_float32(float64_arrays, strategy):
     assert float64_arrays == []
 
 
-@pytest.mark.parametrize("source", ["vector", "emf", "image"])
+@pytest.mark.parametrize("source", ["vector", "emf"])
 def test_forward_logits_stays_float32(float64_arrays, tmp_path, source):
     rng = np.random.default_rng(3)
-    extractor = "tiny-cnn" if source == "image" else "precomputed"
-    model = EmoModel(small_config(image_extractor=extractor, image_size=8))
-    image = {"vector": rng.normal(size=IMAGE_FEATURE_DIM), "image": rng.random((3, 8, 8)),
-             "emf": tmp_path / "f.emf"}[source]
+    model = EmoModel(small_config())
+    image = {"vector": rng.normal(size=IMAGE_FEATURE_DIM), "emf": tmp_path / "f.emf"}[source]
     if source == "emf":
         write_feature_file(image, rng.normal(size=IMAGE_FEATURE_DIM))
     ids = np.array([BOS, 5, 9, 14, EOS])

@@ -1,5 +1,6 @@
 """The fused `linear`, `layer_norm` and `attention` nodes against the
-composite graphs they replaced, kept here as the reference."""
+composite graphs they replaced, kept here as the reference, with the
+`matmul` node those graphs were built from."""
 
 import numpy as np
 import pytest
@@ -10,14 +11,34 @@ from emogen.config import ModelConfig
 from emogen.errors import ShapeMismatch
 from emogen.model import IMAGE_FEATURE_DIM, EmoModel
 from emogen.nn import (LayerNorm, Linear, MultiHeadAttention, Tensor, attention, normalize,
-                       gradcheck, layer_norm, linear, matmul, reshape, softmax,
+                       gradcheck, layer_norm, linear, reshape, softmax,
                        tensor_mean, tensor_sum)
 from emogen.nn.layers import MASK_VALUE
+from emogen.nn.tensor import _as_tensor, _unbroadcast
 from emogen.tokenizer import BOS, EOS, PAD
 from emogen.training import cce_loss
 
 
 # --- reference: the composite graphs, one node per numpy step ---
+
+# the package's `nn.matmul`, verbatim: no model path uses it since the fused
+# nodes replaced these graphs
+def matmul(a, b) -> Tensor:
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
+    if a.data.shape[-1] != b.data.shape[-2 if b.data.ndim > 1 else 0]:
+        raise ShapeMismatch(f"matmul {a.data.shape} @ {b.data.shape}")
+    data = a.data @ b.data
+
+    def backward(grad):
+        if a.requires_grad:
+            ga = grad @ np.swapaxes(b.data, -1, -2) if b.data.ndim > 1 else np.outer(grad, b.data)
+            a._accumulate(_unbroadcast(ga, a.data.shape))
+        if b.requires_grad:
+            gb = np.swapaxes(a.data, -1, -2) @ grad if a.data.ndim > 1 else np.outer(a.data, grad)
+            b._accumulate(_unbroadcast(gb, b.data.shape))
+
+    return Tensor._result(data, (a, b), backward)
+
 
 def ref_linear(layer, x):
     out = matmul(x, layer.weight)

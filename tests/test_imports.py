@@ -1,19 +1,23 @@
 """Every name a module of the package imports is used in that module, each
-name `emogen.nn` exports is read outside the module that defines it, and
-each argument rule is written once.
+name `emogen.nn` exports is read outside the module that defines it, each
+argument rule is written once, and the package needs nothing but numpy and
+the standard library.
 
 Deleting a code path tends to leave its imports and exports behind; copying
-a check tends to leave one copy behind when the rule changes. All three are
-found with the standard library's `ast`, so they need no linter.
+a check tends to leave one copy behind when the rule changes. All of these
+are found with the standard library's `ast`, so they need no linter.
 """
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import emogen
 from emogen import nn
 
 PACKAGE = Path(emogen.__file__).resolve().parent
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 # perfbench/tracing.py times softmax by patching the name `softmax` in the
 # modules that look it up, `emogen.nn.layers` among them, so that import stays
@@ -125,3 +129,44 @@ def test_finds_rule_copies():
     assert rule_copies(source, "emogen.model") == [
         ("type(...) is not int", 2), ("np.asarray(..., dtype=np.int64)", 4)]
     assert rule_copies(source, "emogen.errors") == [("np.asarray(..., dtype=np.int64)", 4)]
+
+
+def outside_imports(source: str) -> list[tuple[str, int]]:
+    """Each module that `source` imports from outside the standard library,
+    numpy and emogen, with its line; imports inside functions count too."""
+    allowed = sys.stdlib_module_names | {"numpy", "emogen"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not relative
+            names = [node.module]
+        else:
+            continue
+        found += [(name, node.lineno) for name in names if name.split(".")[0] not in allowed]
+    return found
+
+
+def declared_dependencies(pyproject: str) -> list[str]:
+    """The names in `[project]`'s `dependencies` array, versions dropped."""
+    array = re.search(r"^dependencies = (\[.*?\])", pyproject, re.MULTILINE | re.DOTALL)
+    return [re.match(r"[A-Za-z0-9_.-]+", spec).group() for spec in ast.literal_eval(array[1])]
+
+
+def test_package_needs_only_numpy():
+    found = []
+    for module, source in package_sources().items():
+        found += [(module, name, line) for name, line in outside_imports(source)]
+    assert found == [], "imports from outside the standard library and numpy (module, name, line)"
+    assert declared_dependencies(PYPROJECT.read_text(encoding="utf-8")) == ["numpy"]
+
+
+def test_finds_outside_imports():
+    source = ("import os.path, numpy.linalg as la\nfrom . import nn\nfrom .x import y\n"
+              "from emogen.nn import Tensor\nimport yaml\n"
+              "def load(path):\n    from PIL import Image\n    return Image.open(path)\n")
+    assert outside_imports(source) == [("yaml", 5), ("PIL", 7)]
+    pyproject = ('[project]\nname = "x"\ndependencies = [\n    "numpy>=1.24",\n'
+                 '    "Pillow>=9.0",\n]\n\n[project.optional-dependencies]\n'
+                 'test = ["pytest>=7"]\n')
+    assert declared_dependencies(pyproject) == ["numpy", "Pillow"]

@@ -1,19 +1,17 @@
 import hashlib
+import json
+import re
 import struct
-import sys
-import types
-import zlib
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from emogen.errors import (BadFeatureFile, BadImage, CheckpointCorrupt, ConfigError,
-                           MissingArtifacts, NonFiniteError, PrefixTooLong, ShapeMismatch,
-                           VocabMismatch)
+from emogen.errors import (BadFeatureFile, CheckpointCorrupt, ConfigError, NonFiniteError,
+                           PrefixTooLong, VocabMismatch)
 from emogen.model import (IMAGE_FEATURE_DIM, DecoderCache, EmoModel, ModelConfig,
-                          TinyCnnExtractor, VaPredictor, load_checkpoint, load_image,
+                          VaPredictor, load_checkpoint,
                           load_va_predictor, read_feature_file,
                           save_checkpoint, save_va_predictor, token_histogram,
                           write_feature_file)
@@ -117,10 +115,6 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ModelConfig.from_dict({"model_dim": 16, "n_layers": 3})
 
-    def test_bad_extractor_name(self):
-        with pytest.raises(ConfigError):
-            small_config(image_extractor="resnet")
-
     def test_indivisible_heads(self):
         with pytest.raises(ConfigError, match="not divisible by 2 heads"):
             small_config(model_dim=15, head_count=2)
@@ -130,26 +124,14 @@ class TestConfig:
 
 
 class TestExtractor:
-    def test_tiny_cnn_shape_and_determinism(self):
-        rng = np.random.default_rng(0)
-        image = rng.random((3, 8, 8))
-        a = TinyCnnExtractor(np.random.default_rng(1))(Tensor(image)).data
-        b = TinyCnnExtractor(np.random.default_rng(1))(Tensor(image)).data
-        assert a.shape == (IMAGE_FEATURE_DIM,)
-        assert np.array_equal(a, b)
+    # arrays that are not one 512-d vector: raw images, a column, a split
+    # vector (which a flattening reshape would take), and nothing at all
+    RAW_ARRAYS = [(3, 8, 8), (3, 30, 30), (3, 0, 8), (32, 32), (1, 3, 32, 32), (512, 1),
+                  (2, 256), (0,)]
 
-    def test_precomputed_rejects_raw_image(self, model, rng):
-        with pytest.raises(BadImage):
-            model.image_feature(rng.random((3, 8, 8)))
-
-    # array shape -> the typed error the tiny CNN's `image_feature` raises
-    CNN_SHAPE_ERRORS = {(32, 32): BadImage, (1, 3, 32, 32): BadImage, (3, 0, 8): BadImage,
-                        (3, 30, 30): ShapeMismatch}  # 15 rows after one pooling: odd
-
-    @pytest.mark.parametrize("shape", list(CNN_SHAPE_ERRORS), ids=str)
-    def test_malformed_raw_image_is_typed(self, rng, shape):
-        model = EmoModel(small_config(image_extractor="tiny-cnn"))
-        with pytest.raises(self.CNN_SHAPE_ERRORS[shape]):
+    @pytest.mark.parametrize("shape", RAW_ARRAYS, ids=str)
+    def test_malformed_raw_image_is_typed(self, model, rng, shape):
+        with pytest.raises(BadFeatureFile, match=rf"got shape {re.escape(str(shape))}$"):
             model.image_feature(rng.random(shape))
 
     def test_feature_vector_passthrough(self, feature):
@@ -160,100 +142,6 @@ class TestExtractor:
         path = tmp_path / "img.emf"
         write_feature_file(path, feature)
         assert model.image_feature(path).data == pytest.approx(feature, abs=1e-6)
-
-
-def _png(pixels: np.ndarray) -> bytes:
-    """An 8-bit RGB PNG of an (h, w, 3) uint8 array, written with zlib alone."""
-    height, width, _ = pixels.shape
-    rows = b"".join(b"\x00" + row.tobytes() for row in pixels)  # filter 0: raw rows
-
-    def chunk(tag: bytes, body: bytes) -> bytes:
-        return (struct.pack(">I", len(body)) + tag + body
-                + struct.pack(">I", zlib.crc32(tag + body)))
-
-    header = struct.pack(">IIBBBBB", width, height, 8, 2, 0, 0, 0)
-    return (b"\x89PNG\r\n\x1a\n" + chunk(b"IHDR", header)
-            + chunk(b"IDAT", zlib.compress(rows)) + chunk(b"IEND", b""))
-
-
-class _StandInImage:
-    """What `load_image` uses of a Pillow image, read from a `_png` file."""
-
-    def __init__(self, fh):
-        data = fh.read()
-        width, height = struct.unpack(">II", data[16:24])
-        (length,) = struct.unpack(">I", data[33:37])  # the IDAT chunk follows IHDR
-        rows = np.frombuffer(zlib.decompress(data[41:41 + length]), dtype=np.uint8)
-        self.pixels = rows.reshape(height, 1 + 3 * width)[:, 1:].reshape(height, width, 3)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return False
-
-    def convert(self, mode):
-        assert mode == "RGB"
-        return self
-
-    def resize(self, size):
-        assert size == self.pixels.shape[1::-1]  # the tests load at the file's own size
-        return self
-
-    def __array__(self, dtype=None, copy=None):
-        return self.pixels.astype(dtype)
-
-
-@pytest.fixture(params=["Pillow", "stand-in"])
-def image_reader(request, monkeypatch):
-    """Decode with Pillow where it is installed, and with a stand-in `PIL` module
-    everywhere, so the image path runs with or without Pillow."""
-    if request.param == "Pillow":
-        pytest.importorskip("PIL.Image")
-    else:
-        pil = types.ModuleType("PIL")
-        pil.Image = types.SimpleNamespace(open=_StandInImage)
-        monkeypatch.setitem(sys.modules, "PIL", pil)
-
-
-class TestImageFiles:
-    PIXELS = np.random.default_rng(4).integers(0, 256, size=(8, 8, 3), dtype=np.uint8)
-
-    def test_png_decodes_and_feeds_the_extractor(self, image_reader, tmp_path):
-        path = tmp_path / "img.png"
-        path.write_bytes(_png(self.PIXELS))
-        arr = load_image(path, 8)
-        assert arr.shape == (3, 8, 8) and arr.min() >= 0.0 and arr.max() <= 1.0
-        assert np.array_equal(arr, self.PIXELS.transpose(2, 0, 1) / 255.0)
-        model = EmoModel(small_config(image_extractor="tiny-cnn", image_size=8))
-        feature = model.image_feature(str(path)).data
-        assert feature.shape == (IMAGE_FEATURE_DIM,)
-        assert np.array_equal(feature, model.image_feature(arr).data)
-
-    def test_garbage_png_raises_bad_image(self, image_reader, tmp_path):
-        path = tmp_path / "img.png"
-        path.write_bytes(b"\x00\x01 not an image")
-        with pytest.raises(BadImage):
-            load_image(path, 8)
-        model = EmoModel(small_config(image_extractor="tiny-cnn", image_size=8))
-        with pytest.raises(BadImage):
-            model.image_feature(path)
-
-    def test_missing_image_file_is_not_a_bad_image(self, image_reader, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            load_image(tmp_path / "none.png", 8)
-
-    def test_missing_pillow_is_not_a_bad_image(self, monkeypatch, tmp_path):
-        monkeypatch.setitem(sys.modules, "PIL", None)  # `import PIL` fails
-        path = tmp_path / "img.png"
-        path.write_bytes(_png(self.PIXELS))
-        with pytest.raises(MissingArtifacts, match="needs Pillow"):
-            load_image(path, 8)
-
-    def test_missing_file_without_pillow_is_not_found(self, monkeypatch, tmp_path):
-        monkeypatch.setitem(sys.modules, "PIL", None)
-        with pytest.raises(FileNotFoundError):
-            load_image(tmp_path / "none.png", 8)
 
 
 class TestEncoder:
@@ -697,9 +585,9 @@ def _bad_json(tmp_path):
     return path
 
 
-def _format_version_3(tmp_path):
+def _format_version_4(tmp_path):
     path = _model_file(tmp_path)
-    path.write_bytes(path.read_bytes().replace(b'"format_version": 2', b'"format_version": 3'))
+    path.write_bytes(path.read_bytes().replace(b'"format_version": 3', b'"format_version": 4'))
     return path
 
 
@@ -713,7 +601,7 @@ BAD_CHECKPOINTS = {
         tmp, blocks={"out_proj.bias": Tensor(np.zeros(3))})),
         CheckpointCorrupt, r"block out_proj.bias has shape \(3,\)"),
     "directory": (lambda tmp: EmoModel.load(tmp), CheckpointCorrupt, "Is a directory"),
-    "format_version_3": (lambda tmp: EmoModel.load(_format_version_3(tmp)),
+    "format_version_4": (lambda tmp: EmoModel.load(_format_version_4(tmp)),
                          CheckpointCorrupt, "unsupported format version"),
     "metadata_not_json": (lambda tmp: EmoModel.load(_bad_json(tmp)),
                           CheckpointCorrupt, "model.emc: Expecting property name"),
@@ -974,7 +862,7 @@ class TestCheckpoints:
         saved.w.data = np.arange(6.0).reshape(2, 3)
         save_checkpoint(path, {"kind": "test", "foo": [1, 2]}, saved.parameters())
         meta, loaded = read_two_blocks(path)
-        assert meta["foo"] == [1, 2] and meta["format_version"] == 2
+        assert meta["foo"] == [1, 2] and meta["format_version"] == 3
         assert loaded.w.data.dtype == np.float32
         assert np.array_equal(loaded.w.data, np.arange(6.0).reshape(2, 3))
 
@@ -1029,6 +917,13 @@ V1_FIXTURES = {
 }
 
 
+# `v2_float32.emc`, written by the version-2 writer: `EmoModel.save` of the
+# configuration of `v1_float32.emc` (its config also says `image_extractor`
+# "precomputed" and `image_size` 32), every parameter drawn anew from a
+# normal distribution, and the `parameter_digest` that code's loader read.
+V2_FIXTURE_DIGEST = "fabf9dc4532cb78a5811ad029490349011643a2b3788f76557ca5e45dc6ba3a4"
+
+
 def parameter_digest(module) -> str:
     """sha256 of each parameter's name, dtype and bytes, in `parameters()` order."""
     digest = hashlib.sha256()
@@ -1042,8 +937,9 @@ def _load_fixture(path):
 
 
 class TestFormatVersions:
-    """Version 2 stores each block in its parameter's dtype; version-1 files,
-    every block `<f8`, load as the code that wrote them loaded them."""
+    """Versions 2 and 3 store each block in its parameter's dtype, version 1
+    every block as `<f8`; files of versions 1 and 2 load as the code that
+    wrote them loaded them."""
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
     @pytest.mark.parametrize("name", list(FIXED_MODELS))
@@ -1104,15 +1000,39 @@ class TestFormatVersions:
 
     @pytest.mark.parametrize("name", list(V1_FIXTURES))
     def test_version_1_fixture_loads_as_before(self, tmp_path, name):
-        """And saved again, as version 2, it loads to the same bytes."""
+        """And saved again, as version 3, it loads to the same bytes."""
         loaded = _load_fixture(FIXTURES / name)
         assert parameter_digest(loaded) == V1_FIXTURES[name]
         if isinstance(loaded, EmoModel):
             loaded.save(tmp_path / name)
         else:
             save_va_predictor(tmp_path / name, loaded, vocab_hash="abcd")
-        assert b'"format_version": 2' in (tmp_path / name).read_bytes()
+        assert b'"format_version": 3' in (tmp_path / name).read_bytes()
         assert parameter_digest(_load_fixture(tmp_path / name)) == V1_FIXTURES[name]
+
+    def test_version_2_fixture_loads_as_before(self, tmp_path):
+        """Its config loses `image_extractor` and `image_size`, its blocks load
+        unchanged, and saved again, as version 3, it loads to the same bytes."""
+        loaded = EmoModel.load(FIXTURES / "v2_float32.emc")
+        assert parameter_digest(loaded) == V2_FIXTURE_DIGEST
+        loaded.save(tmp_path / "model.emc")
+        raw = (tmp_path / "model.emc").read_bytes()
+        assert b'"format_version": 3' in raw and b"image_" not in raw
+        assert parameter_digest(EmoModel.load(tmp_path / "model.emc")) == V2_FIXTURE_DIGEST
+
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_tiny_cnn_checkpoint_is_corrupt(self, tmp_path, version):
+        """A model that decoded images with the tiny CNN keeps its config keys,
+        which the config parser no longer knows."""
+        config = dict(asdict(small_config()), image_extractor="tiny-cnn", image_size=32)
+        meta = {"kind": "emomodel", "config": config, "format_version": version,
+                "vocab_hash": small_config().vocabulary().vocab_hash}
+        path = tmp_path / "model.emc"
+        path.write_bytes(checkpoint_bytes(json.dumps(meta).encode(), (16, 3, 9),
+                                          4 if version == 2 else None))
+        with pytest.raises(CheckpointCorrupt, match=r"unknown keys in model: "
+                                                    r"\['image_extractor', 'image_size'\]"):
+            EmoModel.load(path)
 
 
 def _with_key_biases(model, rng):

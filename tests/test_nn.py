@@ -3,13 +3,14 @@ import pytest
 
 from emogen.errors import ConfigError, ShapeMismatch, VocabMismatch
 from emogen.model import EmoModel, VaPredictor
-from emogen.nn import (Adam, Conv2d, Embedding, FeedForward,
+from emogen.nn import (Adam, Embedding, FeedForward,
                        LayerNorm, Linear, MultiHeadAttention, Parameter, Tensor,
-                       attention, avg_pool2d, concat, global_avg_pool, gradcheck,
-                       layer_norm, linear, log_softmax, matmul, no_grad, relu,
+                       attention, concat, gradcheck,
+                       layer_norm, linear, log_softmax, no_grad, relu,
                        sinusoidal_positions, softmax, take, tensor_mean, tensor_sum)
 from emogen.training import TrainConfig, fit
 
+from test_fused import matmul
 from test_model import small_config
 from test_training import _samples
 
@@ -306,28 +307,6 @@ class TestLayers:
         with pytest.raises(ShapeMismatch, match="3 heads"):
             mha(x)
 
-    def test_conv2d_matches_direct_convolution(self):
-        rng = np.random.default_rng(14)
-        conv = Conv2d(2, 3, rng)
-        x = rng.normal(size=(2, 5, 5))
-        out = conv(Tensor(x)).data
-        padded = np.pad(x, ((0, 0), (1, 1), (1, 1)))
-        expected = np.zeros((3, 5, 5))
-        kernels = conv.weight.data.reshape(3, 2, 3, 3)
-        for o in range(3):
-            for i in range(5):
-                for j in range(5):
-                    patch = padded[:, i:i + 3, j:j + 3]
-                    expected[o, i, j] = (patch * kernels[o]).sum() + conv.bias.data[o]
-        assert out == pytest.approx(expected, abs=1e-10)
-
-    def test_avg_pool_and_global_pool(self):
-        x = np.arange(16.0).reshape(1, 4, 4)
-        pooled = avg_pool2d(Tensor(x)).data
-        assert pooled.shape == (1, 2, 2)
-        assert pooled[0, 0, 0] == pytest.approx((0 + 1 + 4 + 5) / 4)
-        assert global_avg_pool(Tensor(x)).data == pytest.approx([7.5])
-
     def test_sinusoidal_positions(self):
         table = sinusoidal_positions(10, 8)
         assert table.shape == (10, 8)
@@ -351,10 +330,6 @@ class TestLayers:
 
 # each shape check of the layers, with the message it raises
 SHAPE_ERRORS = {
-    "conv_channels": (lambda: Conv2d(2, 3, np.random.default_rng(0))(
-        Tensor(np.ones((3, 4, 4)))), "conv expects 2 channels, got 3"),
-    "odd_pool": (lambda: avg_pool2d(Tensor(np.ones((1, 5, 4)))),
-                 r"pooling size 2 does not divide \(5, 4\)"),
     "backward_non_scalar": (lambda: Tensor(np.ones(3), requires_grad=True).backward(),
                             r"backward\(\) requires a scalar output"),
     "backward_seed_shape": (lambda: Tensor(np.ones(3), requires_grad=True).backward(np.ones(2)),

@@ -114,13 +114,15 @@ def scratch(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def valid_checkpoints(scratch) -> dict[int, bytes]:
-    """A valid file of each format version; the version-2 file holds a
-    float32 block and a float64 one."""
+    """A valid file of each format version; the version-2 and version-3 files,
+    whose blocks share one layout, hold a float32 block and a float64 one."""
     blocks = [("w", Parameter(np.arange(6.0, dtype=np.float32).reshape(2, 3))),
               ("b", Parameter(np.ones(2)))]
-    for version, save in ((1, ref_save_checkpoint_v1), (2, save_checkpoint)):
+    for version, save in ((1, ref_save_checkpoint_v1), (3, save_checkpoint)):
         save(scratch / f"valid{version}.emc", {"kind": "test", "nested": {"a": [1, 2.5]}}, blocks)
-    return {version: (scratch / f"valid{version}.emc").read_bytes() for version in (1, 2)}
+    files = {version: (scratch / f"valid{version}.emc").read_bytes() for version in (1, 3)}
+    files[2] = files[3].replace(b'"format_version": 3', b'"format_version": 2')
+    return files
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +133,7 @@ def valid_feature(scratch) -> bytes:
 
 
 @FUZZ
-@given(file=FILES, version=st.sampled_from([1, 2]))
+@given(file=FILES, version=st.sampled_from([1, 2, 3]))
 @example(file=("raw", OVERFLOW_CHECKPOINT), version=1)
 @example(file=("raw", OVERFLOW_CHECKPOINT_V2), version=2)
 @example(file=("raw", checkpoint_bytes(b'{"format_version": 1}', (1,) * 65)), version=1)  # > 64

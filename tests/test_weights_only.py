@@ -18,8 +18,8 @@ import pytest
 
 from emogen.config import ModelConfig
 from emogen.errors import CheckpointCorrupt
-from emogen.model import (CHECKPOINT_MAGIC, IMAGE_FEATURE_DIM, Block, EmoModel,
-                          TinyCnnExtractor, VaPredictor, load_va_predictor, save_checkpoint)
+from emogen.model import (CHECKPOINT_MAGIC, IMAGE_FEATURE_DIM, Block, EmoModel, VaPredictor,
+                          load_va_predictor, save_checkpoint)
 from emogen.nn import Embedding, FeedForward, Linear, Tensor, sinusoidal_positions
 from emogen.tokenizer import BOS, EOS
 from emogen.training import TrainConfig, TrainSample, fit
@@ -29,7 +29,7 @@ from test_readers_fuzz import ref_save_checkpoint_v1
 
 MB = 1 << 20
 SHAPES = {"default": {}, "2+2": {"encoder_blocks": 2, "decoder_blocks": 2},
-          "no-decoder-blocks": {"decoder_blocks": 0}, "tiny-cnn": {"image_extractor": "tiny-cnn"}}
+          "no-decoder-blocks": {"decoder_blocks": 0}}
 
 
 # --- reference: the replaced constructor, float64 draws then one cast ---
@@ -42,7 +42,6 @@ def ref_build(config):
     rng = np.random.default_rng(config.seed)
     d, heads = config.model_dim, config.head_count
 
-    self.extractor = TinyCnnExtractor(rng) if config.image_extractor == "tiny-cnn" else None
     self.embedding = Embedding(self.vocab.total_size, d, rng)
     self.encoder_stack = [Block(d, heads, config.ff_dim, rng)
                           for _ in range(config.encoder_blocks)]
@@ -141,7 +140,7 @@ def test_build_matches_whole_model_draw_then_cast(shape, dtype):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 @pytest.mark.parametrize("shape", list(SHAPES))
 def test_load_matches_whole_file_reader_in_every_shape(tmp_path, monkeypatch, shape, dtype):
-    config = small_config(**SHAPES[shape], dtype=dtype, image_size=8, seed=7)
+    config = small_config(**SHAPES[shape], dtype=dtype, seed=7)
     path = tmp_path / "model.emc"
     model = EmoModel(config)
     ref_save_checkpoint_v1(path, _model_meta(model), model.parameters())
