@@ -119,9 +119,14 @@ class ConfigError(EmogenError):
 
 # --- argument rules: each is written once, here ---
 
+def is_int(value) -> bool:
+    """Whether `value` is an int; a bool, which `isinstance` takes, is not."""
+    return type(value) is int
+
+
 def check_int(name: str, value, minimum: int, error: type[EmogenError] = ConfigError) -> None:
     """`error` unless `value` is an int (a bool is not) of at least `minimum`."""
-    if type(value) is not int or value < minimum:
+    if not is_int(value) or value < minimum:
         raise error(f"{name} must be an int >= {minimum}, got {value!r}")
 
 

@@ -49,7 +49,8 @@ def polyphony_rate(roll: PianoRoll, denominator: str = "sounding") -> float:
     """
     if roll.num_steps == 0:
         raise EmptyRoll("polyphony rate undefined for an empty roll")
-    column_counts = roll.grid.sum(axis=0)
+    small = roll.grid.dtype == bool and roll.grid.shape[0] < 256  # its counts fit a uint8
+    column_counts = roll.grid.sum(axis=0, dtype=np.uint8 if small else None)
     multi = int((column_counts >= 2).sum())
     if denominator == "sounding":
         sounding = int((column_counts >= 1).sum())

@@ -129,8 +129,13 @@ def _parse_track(data: bytes) -> tuple[list[NoteEvent], int | None]:
     status = 0
 
     while pos < size:
-        # a one-byte delta time is read inline
-        delta, pos = (data[pos], pos + 1) if data[pos] < 0x80 else decode_vlq(data, pos)
+        delta = data[pos]  # one- and two-byte delta times are read inline
+        if delta < 0x80:
+            pos += 1
+        elif pos + 1 < size and data[pos + 1] < 0x80:
+            delta, pos = ((delta & 0x7F) << 7) | data[pos + 1], pos + 2
+        else:
+            delta, pos = decode_vlq(data, pos)
         tick += delta
         if pos >= size:
             raise TruncatedTrack("track ended after a delta time")
@@ -236,26 +241,28 @@ def parse_midi(data: bytes) -> MidiPiece:
 # --- writing ---
 
 def write_midi(piece: MidiPiece) -> bytes:
-    """Serialize a MidiPiece as a format-0 SMF byte string."""
-    events: list[tuple[int, int, int, int]] = []  # (tick, order, pitch, velocity)
+    """Serialize a MidiPiece as a format-0 SMF byte string, built as one list of ints."""
+    events: list[tuple[int, int, int, int]] = []  # (tick, status, pitch, velocity): offs first
     for onset, pitch, duration, velocity in piece.notes:
-        events.append((onset, 1, pitch, velocity))
-        events.append((onset + duration, 0, pitch, 0))
+        events.append((onset, 0x90, pitch, velocity))
+        events.append((onset + duration, 0x80, pitch, 0))
     events.sort()
 
-    track = bytearray()
-    track += encode_vlq(0)
-    track += bytes([0xFF, 0x51, 0x03]) + piece.tempo_us_per_beat.to_bytes(3, "big")
+    out = [*b"MThd", 0, 0, 0, 6, 0, 0, 0, 1, *piece.ticks_per_beat.to_bytes(2, "big"),
+           *b"MTrk", 0, 0, 0, 0, 0, 0xFF, 0x51, 0x03, *piece.tempo_us_per_beat.to_bytes(3, "big")]
     tick = 0
-    for at, order, pitch, velocity in events:
-        track += bytes((at - tick,)) if at - tick < 0x80 else encode_vlq(at - tick)
+    for at, status, pitch, velocity in events:
+        delta = at - tick  # one- and two-byte delta times are written inline
+        if delta < 0x80:
+            out.append(delta)
+        elif delta < 0x4000:
+            out += (delta >> 7) | 0x80, delta & 0x7F
+        else:
+            out += encode_vlq(delta)
         tick = at
-        track += bytes((0x90 if order else 0x80, pitch, velocity))
-    track += encode_vlq(0) + bytes([0xFF, 0x2F, 0x00])
-
-    out = bytearray()
-    out += b"MThd" + struct.pack(">IHHH", 6, 0, 1, piece.ticks_per_beat)
-    out += b"MTrk" + struct.pack(">I", len(track)) + bytes(track)
+        out += status, pitch, velocity
+    out += 0, 0xFF, 0x2F, 0x00
+    out[18:22] = (len(out) - 22).to_bytes(4, "big")  # the track's length, known last
     return bytes(out)
 
 

@@ -27,7 +27,7 @@ import numpy as np
 from ._files import write_atomic
 from .config import ModelConfig
 from .errors import (BadFeatureFile, CheckpointCorrupt, ConfigError, NonFiniteError,
-                     PrefixTooLong, VocabMismatch, check_int, check_positive)
+                     PrefixTooLong, VocabMismatch, check_int, check_positive, is_int)
 from .nn import (Embedding, FeedForward, LayerNorm, Linear, Module, MultiHeadAttention, Tensor,
                  affine, attend_heads, concat, no_grad, normalize, relu, reshape,
                  sinusoidal_positions, softmax, split_heads, take, tensor_mean)
@@ -44,7 +44,10 @@ CHECKPOINT_MAGIC = b"EMGCKPT1"
 # --- image features ---
 
 def validate_feature(vector: np.ndarray) -> np.ndarray:
-    vector = np.asarray(vector, dtype=np.float64)
+    try:
+        vector = np.asarray(vector, dtype=np.float64)
+    except (TypeError, ValueError) as exc:  # ragged, or values that are not numbers
+        raise BadFeatureFile(f"image feature is not a vector of numbers: {exc}") from exc
     if vector.shape != (IMAGE_FEATURE_DIM,):
         raise BadFeatureFile(f"expected a vector of {IMAGE_FEATURE_DIM} values, got shape "
                              f"{vector.shape}")
@@ -486,7 +489,7 @@ def load_checkpoint(path: str | Path, build) -> tuple[dict, Module]:
         except (ValueError, RecursionError) as exc:
             raise CheckpointCorrupt(f"{path}: {exc}") from exc
         version = meta.get("format_version") if isinstance(meta, dict) else None
-        if version not in (1, 2, 3):
+        if not is_int(version) or version not in (1, 2, 3):  # 2.0 and true are not versions
             raise CheckpointCorrupt(f"{path}: unsupported format version")
         blocks = read_blocks() if version == 3 else _upgrade(meta, read_blocks(), version)
         module = build(meta)

@@ -246,11 +246,13 @@ class TestParse:
         (_smf(bytes([0x00, 0xF1])), TruncatedTrack, "unexpected status byte 0xf1"),
         (_smf(bytes([0x00, 0xFF, 0x2F, 0x00]), fmt=3), MalformedHeader, "unknown SMF format 3"),
         (_smf(b"")[:14], TruncatedTrack, "expected an MTrk chunk"),
+        (_smf(bytes([0x00, 0x90, 60, 64, 0x81])), TruncatedTrack,
+         "byte stream ended inside a variable-length quantity"),
     ], ids=["vlq_over_4_bytes", "meta_without_type", "delta_time_at_end",
             "aftertouch_one_byte", "controller_one_byte", "pitch_bend_no_bytes",
             "program_no_byte", "channel_pressure_no_byte", "zero_ticks_per_beat",
             "data_byte_first", "meta_payload_short", "sysex_payload_short",
-            "system_common_status", "format_3", "no_track_chunk"])
+            "system_common_status", "format_3", "no_track_chunk", "delta_time_cut_at_end"])
     def test_reader_branch_errors(self, data, error, message):
         with pytest.raises(error) as info:
             parse_midi(data)

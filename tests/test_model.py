@@ -134,6 +134,18 @@ class TestExtractor:
         with pytest.raises(BadFeatureFile, match=rf"got shape {re.escape(str(shape))}$"):
             model.image_feature(rng.random(shape))
 
+    # sequences that np.asarray cannot make a float vector of
+    NOT_NUMBERS = {"ragged": [[1.0, 2.0], [3.0]], "strings": ["a"] * 512,
+                   "objects": [object()] * 512}
+
+    @pytest.mark.parametrize("case", list(NOT_NUMBERS))
+    def test_values_that_are_not_numbers_are_typed(self, model, tmp_path, case):
+        with pytest.raises(BadFeatureFile, match="^image feature is not a vector of numbers"):
+            model.image_feature(self.NOT_NUMBERS[case])
+        with pytest.raises(BadFeatureFile, match="^image feature is not a vector of numbers"):
+            write_feature_file(tmp_path / "x.emf", self.NOT_NUMBERS[case])
+        assert list(tmp_path.iterdir()) == []
+
     def test_feature_vector_passthrough(self, feature):
         model = EmoModel(small_config(dtype="float64"))
         assert np.array_equal(model.image_feature(feature).data, feature)
@@ -585,9 +597,13 @@ def _bad_json(tmp_path):
     return path
 
 
-def _format_version_4(tmp_path):
+def _format_version(tmp_path, label: bytes):
+    """A small model's checkpoint whose metadata says `"format_version": <label>`."""
     path = _model_file(tmp_path)
-    path.write_bytes(path.read_bytes().replace(b'"format_version": 3', b'"format_version": 4'))
+    raw = path.read_bytes()
+    (meta_len,) = struct.unpack("<I", raw[8:12])  # after the 8-byte magic
+    meta = raw[12:12 + meta_len].replace(b'"format_version": 3', b'"format_version": ' + label)
+    path.write_bytes(raw[:8] + struct.pack("<I", len(meta)) + meta + raw[12 + meta_len:])
     return path
 
 
@@ -601,8 +617,15 @@ BAD_CHECKPOINTS = {
         tmp, blocks={"out_proj.bias": Tensor(np.zeros(3))})),
         CheckpointCorrupt, r"block out_proj.bias has shape \(3,\)"),
     "directory": (lambda tmp: EmoModel.load(tmp), CheckpointCorrupt, "Is a directory"),
-    "format_version_4": (lambda tmp: EmoModel.load(_format_version_4(tmp)),
+    "format_version_4": (lambda tmp: EmoModel.load(_format_version(tmp, b"4")),
                          CheckpointCorrupt, "unsupported format version"),
+    # a version is an int: 2.0 and true equal 2 and 1 but are not versions
+    "format_version_2.0": (lambda tmp: EmoModel.load(_format_version(tmp, b"2.0")),
+                           CheckpointCorrupt, "model.emc: unsupported format version$"),
+    "format_version_true": (lambda tmp: EmoModel.load(_format_version(tmp, b"true")),
+                            CheckpointCorrupt, "model.emc: unsupported format version$"),
+    "format_version_string_3": (lambda tmp: EmoModel.load(_format_version(tmp, b'"3"')),
+                                CheckpointCorrupt, "model.emc: unsupported format version$"),
     "metadata_not_json": (lambda tmp: EmoModel.load(_bad_json(tmp)),
                           CheckpointCorrupt, "model.emc: Expecting property name"),
 }

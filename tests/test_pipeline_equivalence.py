@@ -4,21 +4,24 @@
 `note_to_steps`/`to_piano_roll` and `pitch_entropy` below are the
 implementations the integer-arithmetic tokenizer and the inline SMF byte
 loops replaced; `token_to_id` and `id_to_token`, which the reference
-tokenizer reads the id layout through, were `Vocabulary` methods. Every output of the current code must equal theirs
-exactly: the same ids, pieces, bytes, arrays and floats, and for a corrupt
-file the same exception type and message.
+tokenizer reads the id layout through, were `Vocabulary` methods.
+`polyphony_rate` and `groove_consistency` are the metrics as they were
+before the uint8 column count. Every output of the current code must equal
+theirs exactly: the same ids, pieces, bytes, arrays and floats, and for a
+corrupt file the same exception type and message.
 """
 
 import struct
 from typing import Iterable
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from emogen import metrics, midi_io, tokenizer
-from emogen.errors import (EmptyPiece, MalformedEvent, MalformedHeader, TokenizerError,
-                           TruncatedTrack, UnsupportedFormat)
+from emogen.errors import (BadMetricSetting, EmptyPiece, EmptyRoll, MalformedEvent,
+                           MalformedHeader, TokenizerError, TooShort, TruncatedTrack,
+                           UnsupportedFormat, check_int)
 from emogen.midi_io import (DEFAULT_TEMPO, MidiPiece, NoteEvent, PianoRoll, decode_vlq,
                             encode_vlq)
 from emogen.tokenizer import BOS, DEFAULT_VELOCITY, EOS, PAD, TokenSequence, Vocabulary
@@ -321,13 +324,47 @@ def pitch_entropy(piece: MidiPiece) -> float:
     return float(-(probs * np.log2(probs)).sum())
 
 
+def polyphony_rate(roll: PianoRoll, denominator: str = "sounding") -> float:
+    """Fraction of time steps with >= 2 simultaneous pitches.
+
+    denominator="sounding" counts only steps with at least one note (default,
+    so silence cannot inflate apparent monophony); "total" uses all steps.
+    """
+    if roll.num_steps == 0:
+        raise EmptyRoll("polyphony rate undefined for an empty roll")
+    column_counts = roll.grid.sum(axis=0)
+    multi = int((column_counts >= 2).sum())
+    if denominator == "sounding":
+        sounding = int((column_counts >= 1).sum())
+        if sounding == 0:
+            raise EmptyRoll("no sounding steps")
+        return multi / sounding
+    if denominator == "total":
+        return multi / roll.num_steps
+    raise BadMetricSetting(f"unknown denominator mode {denominator!r}")
+
+
+def groove_consistency(roll: PianoRoll, steps_per_measure: int = 16) -> float:
+    """One minus the mean Hamming distance per step between consecutive
+    measures' onset vectors. Trailing partial measures are discarded."""
+    check_int("steps_per_measure", steps_per_measure, 1, BadMetricSetting)
+    measures = roll.num_steps // steps_per_measure
+    if measures < 2:
+        raise TooShort(f"{measures} full measure(s); need >= 2")
+    onset_any = roll.onsets.any(axis=0)[:measures * steps_per_measure]
+    vectors = onset_any.reshape(measures, steps_per_measure)
+    distances = (vectors[:-1] != vectors[1:]).sum(axis=1) / steps_per_measure
+    return 1.0 - float(distances.mean())
+
+
 # --- inputs ---
 
-def _pieces(pitches=st.integers(0, 127), onsets=st.integers(0, 4000), max_notes=40):
+def _pieces(pitches=st.integers(0, 127), onsets=st.integers(0, 4000), max_notes=40,
+            durations=st.integers(1, 3000)):
     """Pieces at odd and common resolutions; a narrow pitch range makes
     same-pitch overlaps and shared onsets common."""
     note = st.builds(NoteEvent, onset=onsets, pitch=pitches,
-                     duration=st.integers(1, 3000), velocity=st.integers(1, 127))
+                     duration=durations, velocity=st.integers(1, 127))
     return st.builds(MidiPiece, ticks_per_beat=st.sampled_from([1, 7, 96, 480, 1000]),
                      notes=st.lists(note, max_size=max_notes).map(tuple),
                      tempo_us_per_beat=st.integers(1, 2**24 - 1))
@@ -336,6 +373,11 @@ def _pieces(pitches=st.integers(0, 127), onsets=st.integers(0, 4000), max_notes=
 PIECES = st.one_of(_pieces(), _pieces(pitches=st.integers(58, 62)))
 # few notes far apart: thousands of TIME_SHIFT tokens, far past any max_len
 SPARSE_PIECES = _pieces(onsets=st.integers(0, 100_000), max_notes=6)
+# few notes far apart and long: delta times of 3 and 4 VLQ bytes (from 2**14
+# and 2**21 ticks), and past 2**28 ticks, which no SMF holds
+_TICKS = st.one_of(st.integers(0, 2**14), st.integers(2**14, 2**21), st.integers(2**21, 2**28),
+                   st.integers(2**28, 2**29))
+LONG_PIECES = _pieces(onsets=_TICKS, durations=_TICKS.map(lambda ticks: ticks or 1), max_notes=4)
 VOCABS = st.builds(Vocabulary, time_shift_bins=st.integers(1, 150),
                    velocity_bins=st.integers(1, 130))
 STEPS_PER_BEAT = st.integers(1, 12)
@@ -427,6 +469,18 @@ def test_write_bytes_match(piece):
     assert midi_io.parse_midi(data) == parse_midi(data)
 
 
+@EQUIVALENCE
+@given(LONG_PIECES)
+@example(MidiPiece(96, (NoteEvent(2**21 - 1, 60, 2**28 - 2**21, 9),)))  # 3 then 4 bytes
+@example(MidiPiece(96, (NoteEvent(0, 60, 2**28 - 1, 9),)))  # the longest delta a file holds
+@example(MidiPiece(96, (NoteEvent(2**28, 60, 1, 9),)))  # one tick too far
+def test_long_delta_times_match(piece):
+    data = _outcome(midi_io.write_midi, piece)
+    assert data == _outcome(write_midi, piece)
+    if isinstance(data, bytes):
+        assert _outcome(midi_io.parse_midi, data) == _outcome(parse_midi, data)
+
+
 @settings(max_examples=600, deadline=None)
 @given(st.sampled_from(range(len(SMF_BASES))),
        st.lists(st.tuples(st.integers(0, 2**16), st.integers(0, 255)), min_size=1, max_size=4))
@@ -462,18 +516,40 @@ def test_piano_roll_matches(piece, steps_per_beat):
     assert np.array_equal(new.grid, old.grid) and np.array_equal(new.onsets, old.onsets)
 
 
-def _evaluate_piece(piece: MidiPiece, steps_per_beat: int):
-    """`metrics.evaluate_piece` on the reference piano roll and pitch entropy."""
+def _evaluate_piece(piece: MidiPiece, steps_per_beat: int, denominator: str):
+    """`metrics.evaluate_piece` on the reference piano roll and metrics."""
     roll = to_piano_roll(piece, steps_per_beat)
-    triple = metrics.MetricTriple(polyphony_rate=metrics.polyphony_rate(roll),
+    triple = metrics.MetricTriple(polyphony_rate=polyphony_rate(roll, denominator),
                                   pitch_entropy=pitch_entropy(piece),
-                                  groove_consistency=metrics.groove_consistency(roll))
+                                  groove_consistency=groove_consistency(roll))
     return triple, metrics.music_quality_loss(triple)
 
 
 @EQUIVALENCE
-@given(PIECES, STEPS_PER_BEAT)
-def test_metric_floats_match(piece, steps_per_beat):
+@given(PIECES, STEPS_PER_BEAT, st.sampled_from(["sounding", "total"]))
+def test_metric_floats_match(piece, steps_per_beat, denominator):
     assert _outcome(metrics.pitch_entropy, piece) == _outcome(pitch_entropy, piece)
-    assert (_outcome(metrics.evaluate_piece, piece, steps_per_beat)
-            == _outcome(_evaluate_piece, piece, steps_per_beat))
+    assert (_outcome(metrics.evaluate_piece, piece, steps_per_beat, 16, denominator)
+            == _outcome(_evaluate_piece, piece, steps_per_beat, denominator))
+
+
+@EQUIVALENCE
+@given(st.sampled_from([bool, np.int64, np.float64]), st.integers(1, 300), st.integers(0, 40),
+       st.sampled_from([0.0, 0.02, 0.5, 1.0]), st.integers(0, 2**32 - 1),
+       st.sampled_from(["sounding", "total", "bogus"]), st.integers(1, 20))
+@example(bool, 256, 3, 1.0, 0, "sounding", 1)  # 256 notes in a column, a uint8 count's 0
+@example(bool, 257, 3, 1.0, 0, "total", 1)
+@example(np.int64, 128, 3, 1.0, 0, "sounding", 1)  # counts, not flags
+def test_roll_metrics_match_on_any_roll(dtype, rows, steps, density, seed, denominator,
+                                        steps_per_measure):
+    """Rolls a caller can build by hand: any number of rows, and grids of
+    integers (from -2 to 2) or floats as well as flags."""
+    rng = np.random.default_rng(seed)
+    grid = rng.random((rows, steps)) < density
+    if dtype is not bool:
+        grid = (grid * rng.integers(-2, 3, grid.shape)).astype(dtype)
+    roll = PianoRoll(grid=grid, onsets=grid)
+    assert (_outcome(metrics.polyphony_rate, roll, denominator)
+            == _outcome(polyphony_rate, roll, denominator))
+    assert (_outcome(metrics.groove_consistency, roll, steps_per_measure)
+            == _outcome(groove_consistency, roll, steps_per_measure))
